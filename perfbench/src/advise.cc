@@ -1,4 +1,4 @@
-// advise_tpch: the paper's advise -> migrate -> replay loop, in-process and
+// The paper's advise -> migrate -> replay loop, in-process and
 // single-threaded. TPC-H is loaded with every table in the row store, the
 // advisor recommends a design for the CH-style stream at the paper's
 // nominal 1% OLAP, the online MigrationExecutor moves the tables, and the
@@ -26,17 +26,22 @@ namespace telemetry = hsdb::telemetry;
 
 namespace {
 
-constexpr int kSetupRepeats = 3;
+/// TPC-H scale of the loop. The recorded advisor DDL below is the
+/// expectation at this scale, so --scale does not change it.
+constexpr double kLoopScale = 0.02;
+/// Scan parallelism of the loop's database: its executor stays serial.
+constexpr int kLoopDop = 1;
 /// Statements per stream chunk; the first chunk is the advised workload.
 constexpr size_t kChunkStatements = 10000;
-/// Replayed chunks per loop: one per kChunkSeconds of the window, at least
-/// kMinChunks. The count is fixed by the window, never by how fast chunks
-/// ran, so every run replays the same statements.
-constexpr size_t kMinChunks = 3;
-constexpr double kChunkSeconds = 2.0;
+/// Replayed chunks per loop; every run replays the same statements.
+constexpr size_t kChunks = 3;
 /// Largest gap tolerated between a statement's summed span self times and
-/// its measured time (the root span opens just before the stopwatch).
+/// its measured time (the root span opens just before the stopwatch), for
+/// all but kSelfCheckOutliers of the statements: a preemption between the
+/// two can widen one statement's gap, while spans that overlap or leak
+/// widen every gap of their statement kind.
 constexpr double kSelfCheckToleranceMs = 0.05;
+constexpr double kSelfCheckOutliers = 0.001;
 
 /// The design the advisor recommends under CostModelParams::Default() for
 /// this stream, one DDL statement per changed table (sorted). A run whose
@@ -56,14 +61,13 @@ const std::vector<std::string>& ExpectedDdl() {
 struct TracedReadout {
   std::map<std::string, double> execute_ms;  // by query kind
   std::map<std::string, double> self_ms;     // by span name
-  double self_check_max_err_ms = 0;
+  /// |sum of span self times - elapsed| of every traced statement.
+  std::vector<double> self_check_err_ms;
   double predict_us = 0;
   double estimated_cost_ms = 0;
   double pin_age_max_ms = 0;
   uint64_t migration_steps = 0;
   double step_ms_mean = 0, swap_ms_max = 0;
-  uint64_t delta_merges = 0;
-  double encoded_mb = 0;
 };
 
 bool IsSingleColumnPkPoint(const Database& db, const hsdb::Predicate& pred,
@@ -215,22 +219,21 @@ struct AdviseEnv {
   std::vector<Query> advised;
   /// Deletes of every row the stream can insert.
   std::vector<Query> trim;
-  double load_s = 0, generate_ms = 0;
+  double generate_ms = 0;
 };
 
 /// Loads TPC-H (every table in the row store) and generates the stream.
-Result<std::unique_ptr<AdviseEnv>> BuildAdviseEnv(double sf, uint64_t seed) {
+Result<std::unique_ptr<AdviseEnv>> BuildAdviseEnv(uint64_t seed) {
   auto env = std::make_unique<AdviseEnv>();
   env->registry.set_enabled(false);
   Database::Options options;
-  options.num_threads = DopOf("advise_tpch");
+  options.num_threads = kLoopDop;
   options.metrics = &env->registry;
   env->db = std::make_unique<Database>(options);
   hsdb::tpch::DbgenOptions dbgen;
-  dbgen.scale_factor = sf;
+  dbgen.scale_factor = kLoopScale;
   dbgen.seed = seed;
   dbgen.default_layout = hsdb::TableLayout::SingleStore(hsdb::StoreType::kRow);
-  hsdb::Stopwatch sw;
   HSDB_RETURN_IF_ERROR(hsdb::tpch::LoadTpch(*env->db, dbgen).status());
   // The tuned row-store deployment of the paper's Fig. 10: sorted indexes
   // on the keys of the stream's non-point updates.
@@ -238,8 +241,7 @@ Result<std::unique_ptr<AdviseEnv>> BuildAdviseEnv(double sf, uint64_t seed) {
       hsdb::tpch::col::kLOrderKey));
   HSDB_RETURN_IF_ERROR(env->db->catalog().GetTable("partsupp")->CreateSortedIndex(
       hsdb::tpch::col::kPsPartKey));
-  env->load_s = sw.ElapsedMs() / 1000.0;
-  sw.Restart();
+  hsdb::Stopwatch sw;
   namespace col = hsdb::tpch::col;
   for (const auto& [table, key] :
        {std::pair{"lineitem", col::kLOrderKey}, {"orders", col::kOrderKey},
@@ -251,7 +253,7 @@ Result<std::unique_ptr<AdviseEnv>> BuildAdviseEnv(double sf, uint64_t seed) {
     del.table = table;
     del.predicate = {{{key, 0},
                       hsdb::ValueRange::AtLeast(hsdb::Value(static_cast<int64_t>(
-                          hsdb::tpch::BaseRows(base, sf))))}};
+                          hsdb::tpch::BaseRows(base, kLoopScale))))}};
     env->trim.push_back(std::move(del));
   }
   env->stream = std::make_unique<StreamMaker>(*env->db, seed * 31 + 7);
@@ -265,15 +267,12 @@ struct LoopResult {
   double advise_s = 0, migrate_s = 0;
   /// Wall time of each replayed chunk.
   std::vector<double> chunk_s;
-  /// Statement latencies of every chunk, by request class.
-  std::vector<double> latency_ms[kNumReqClasses];
 };
 
 /// Advises on env.advised, migrates to the recommendation, then replays
-/// `chunks` chunks of the stream, the advised chunk first. With `readout`
+/// kChunks chunks of the stream, the advised chunk first. With `readout`
 /// the registry is on and the engine-side attribution is collected.
-LoopResult RunLoop(AdviseEnv& env, size_t chunks, RunOutcome* out,
-                   TracedReadout* readout) {
+LoopResult RunLoop(AdviseEnv& env, RunOutcome* out, TracedReadout* readout) {
   LoopResult loop;
   Database& db = *env.db;
   const bool traced = readout != nullptr;
@@ -347,15 +346,12 @@ LoopResult RunLoop(AdviseEnv& env, size_t chunks, RunOutcome* out,
     readout->estimated_cost_ms = rec->estimated_cost_ms;
   }
 
-  const StorageTotals storage_before = ReadStorageTotals(db);
   std::vector<Query> chunk = std::move(env.advised);
-  while (loop.chunk_s.size() < chunks) {
+  while (loop.chunk_s.size() < kChunks) {
     if (!loop.chunk_s.empty()) chunk = env.stream->Next();
     hsdb::Stopwatch chunk_sw;
     for (const Query& q : chunk) {
-      hsdb::Stopwatch stmt_sw;
       Result<QueryResult> r = db.Execute(q);
-      const double ms = stmt_sw.ElapsedMs();
       ++out->attempted;
       const std::string problem =
           r.ok() ? CheckResult(db, q, *r) : r.status().ToString();
@@ -364,15 +360,12 @@ LoopResult RunLoop(AdviseEnv& env, size_t chunks, RunOutcome* out,
         out->Fail(problem);
         continue;
       }
-      loop.latency_ms[static_cast<int>(ClassOfKind(hsdb::KindOf(q)))]
-          .push_back(ms);
       if (traced && r->trace != nullptr) {
         readout->execute_ms[std::string(
             hsdb::QueryKindName(hsdb::KindOf(q)))] += r->elapsed_ms;
         const double self_sum = AccumulateSelf(*r->trace, &readout->self_ms);
-        readout->self_check_max_err_ms =
-            std::max(readout->self_check_max_err_ms,
-                     std::abs(self_sum - r->elapsed_ms));
+        readout->self_check_err_ms.push_back(
+            std::abs(self_sum - r->elapsed_ms));
       }
     }
     loop.chunk_s.push_back(chunk_sw.ElapsedMs() / 1000.0);
@@ -387,10 +380,6 @@ LoopResult RunLoop(AdviseEnv& env, size_t chunks, RunOutcome* out,
   }
 
   if (traced) {
-    const StorageTotals storage_after = ReadStorageTotals(db);
-    readout->delta_merges =
-        storage_after.delta_merges - storage_before.delta_merges;
-    readout->encoded_mb = storage_after.column_store_mb;
     // Database::PredictCost runs inside every costed Execute; time it on
     // its own, under the reader locks Execute would hold.
     const std::vector<Query> sample = env.stream->Next();
@@ -428,36 +417,25 @@ LoopResult RunLoop(AdviseEnv& env, size_t chunks, RunOutcome* out,
 
 }  // namespace
 
-void RunAdviseTpch(const Args& args, RunOutcome* out) {
-  const double sf = args.scale > 0 ? args.scale : DefaultScale(args.workload);
+void AddAdviseLoopLayers(uint64_t seed, RunOutcome* out) {
   MetricSheet& m = out->metrics;
-  // Set up several times and keep the last; set-up time is the median.
-  std::vector<double> setup_s, load_s, generate_ms;
-  std::unique_ptr<AdviseEnv> env;
-  for (int i = 0; i < kSetupRepeats; ++i) {
-    env.reset();
-    hsdb::Stopwatch sw;
-    Result<std::unique_ptr<AdviseEnv>> built = BuildAdviseEnv(sf, args.seed);
-    if (!built.ok()) {
-      out->Fail("set-up: " + built.status().ToString());
-      return;
-    }
-    env = std::move(*built);
-    setup_s.push_back(sw.ElapsedMs() / 1000.0);
-    load_s.push_back(env->load_s);
-    generate_ms.push_back(env->generate_ms);
+  // Untraced loop: the loop's own wall-clock numbers.
+  Result<std::unique_ptr<AdviseEnv>> built = BuildAdviseEnv(seed);
+  if (!built.ok()) {
+    out->Fail("advise loop set-up: " + built.status().ToString());
+    return;
   }
-  m.Set("setup_s", Median(setup_s), "s");
+  std::unique_ptr<AdviseEnv> env = std::move(*built);
+  m.Set("tpch.generate_ms", env->generate_ms, "ms");
   const size_t statements = env->advised.size();
-  const size_t chunks = std::max(
-      kMinChunks, static_cast<size_t>(args.seconds / kChunkSeconds));
-  const LoopResult loop = RunLoop(*env, chunks, out, nullptr);
+  const LoopResult loop = RunLoop(*env, out, nullptr);
   if (!out->correct) return;
   std::string chunk_times;
   for (double s : loop.chunk_s) chunk_times += " " + std::to_string(s);
-  Info("advise " + std::to_string(loop.advise_s) + " s, migrate " +
-       std::to_string(loop.migrate_s) + " s, replay chunks of " +
-       std::to_string(statements) + " statements, s:" + chunk_times);
+  Info("advise loop: advise " + std::to_string(loop.advise_s) +
+       " s, migrate " + std::to_string(loop.migrate_s) +
+       " s, replay chunks of " + std::to_string(statements) +
+       " statements, s:" + chunk_times);
   // The median chunk: a stall of the host moves one chunk, not the result.
   // Every chunk merges its column-store delta about once, so the median
   // chunk carries a merge like the others.
@@ -465,92 +443,45 @@ void RunAdviseTpch(const Args& args, RunOutcome* out) {
   m.Set("advise_s", loop.advise_s, "s");
   m.Set("migrate_s", loop.migrate_s, "s");
   m.Set("replay_s", replay_s, "s");
-  m.Set("throughput_ops", statements / replay_s, "1/s");
-  for (ReqClass c : {ReqClass::kOlap, ReqClass::kPoint, ReqClass::kWrite}) {
-    const std::vector<double>& lat = loop.latency_ms[static_cast<int>(c)];
-    const std::string name = ReqClassName(c);
-    m.Set(name + "_p50_ms", Quantile(lat, 0.50), "ms");
-    m.Set(name + "_p99_ms", Quantile(lat, 0.99), "ms");
-    Info(name + ": " + std::to_string(lat.size()) + " latency samples");
-  }
-  if (args.trace) {
-    m.Set("tpch.load_s", Median(load_s), "s");
-    m.Set("tpch.generate_ms", Median(generate_ms), "ms");
-    m.Set("catalog.stats_s", AnalyzeAllSeconds(*env->db), "s");
-    // The traced loop runs on a fresh database of its own.
-    env.reset();
-    Result<std::unique_ptr<AdviseEnv>> built = BuildAdviseEnv(sf, args.seed);
-    if (!built.ok()) {
-      out->Fail("set-up: " + built.status().ToString());
-      return;
-    }
-    env = std::move(*built);
-    TracedReadout r;
-    const LoopResult traced = RunLoop(*env, kMinChunks, out, &r);
-    for (const auto& [kind, ms] : r.execute_ms) {
-      std::string lower = kind;
-      std::transform(lower.begin(), lower.end(), lower.begin(), ::tolower);
-      m.Set("executor.execute_ms." + lower, ms, "ms");
-    }
-    for (const auto& [span, ms] : r.self_ms) {
-      m.Set("executor.self_ms." + span, ms, "ms");
-    }
-    // Self times telescope to the root span, which brackets the statement
-    // stopwatch; a larger gap means spans overlap or leak.
-    Info("self-time check: max |sum(self) - elapsed| = " +
-         std::to_string(r.self_check_max_err_ms) + " ms per statement");
-    if (r.self_check_max_err_ms > kSelfCheckToleranceMs) {
-      out->Fail("span self times do not sum to statement time (max error " +
-                std::to_string(r.self_check_max_err_ms) + " ms)");
-    }
-    m.Set("core.predict_us", r.predict_us, "us");
-    m.Set("core.estimate_over_measured",
-          r.estimated_cost_ms / (replay_s * 1000.0), "ratio");
-    m.Set("catalog.epoch_pin_age_max_ms", r.pin_age_max_ms, "ms");
-    m.Set("online.migration_steps", static_cast<double>(r.migration_steps),
-          "count");
-    m.Set("online.migration_step_ms", r.step_ms_mean, "ms");
-    m.Set("online.swap_ms_max", r.swap_ms_max, "ms");
-    m.Set("storage.delta_merges", static_cast<double>(r.delta_merges),
-          "count");
-    m.Set("storage.encoded_mb", r.encoded_mb, "MiB");
-    m.Set("trace.overhead_pct",
-          100.0 * (1.0 - replay_s / Median(traced.chunk_s)), "%");
-  }
-  m.Set("peak_rss_mb", PeakRssMb(), "MiB");
-}
 
-void AddAdviseLoopLayers(const Args& args, RunOutcome* out) {
-  Args loop_args;
-  loop_args.workload = "advise_tpch";
-  loop_args.seed = args.seed;
-  loop_args.seconds = kMinChunks * kChunkSeconds;
-  loop_args.trace = true;
-  RunOutcome loop;
-  RunAdviseTpch(loop_args, &loop);
-  out->attempted += loop.attempted;
-  out->failed += loop.failed;
-  for (const std::string& problem : loop.problems) {
-    out->Fail("advise loop: " + problem);
+  // Traced loop, on a fresh database of its own.
+  env.reset();
+  built = BuildAdviseEnv(seed);
+  if (!built.ok()) {
+    out->Fail("advise loop set-up: " + built.status().ToString());
+    return;
   }
-  // Only the loop's own layers: the serving run's queue, latch, storage and
-  // overhead numbers keep their values.
-  static const char* kLoopLayers[] = {"advise_s",
-                                      "migrate_s",
-                                      "replay_s",
-                                      "executor.execute_ms.",
-                                      "executor.self_ms.",
-                                      "core.",
-                                      "online.",
-                                      "tpch.generate_ms",
-                                      "catalog.epoch_pin_age_max_ms"};
-  for (const auto& [name, value_unit] : loop.metrics.entries()) {
-    for (const char* prefix : kLoopLayers) {
-      if (name.rfind(prefix, 0) == 0) {
-        out->metrics.Set(name, value_unit.first, value_unit.second);
-      }
-    }
+  env = std::move(*built);
+  TracedReadout r;
+  RunLoop(*env, out, &r);
+  for (const auto& [kind, ms] : r.execute_ms) {
+    std::string lower = kind;
+    std::transform(lower.begin(), lower.end(), lower.begin(), ::tolower);
+    m.Set("executor.execute_ms." + lower, ms, "ms");
   }
+  for (const auto& [span, ms] : r.self_ms) {
+    m.Set("executor.self_ms." + span, ms, "ms");
+  }
+  // Self times telescope to the root span, which brackets the statement
+  // stopwatch; a larger gap means spans overlap or leak.
+  const double err_tail =
+      Quantile(r.self_check_err_ms, 1.0 - kSelfCheckOutliers);
+  Info("self-time check over " + std::to_string(r.self_check_err_ms.size()) +
+       " statements: |sum(self) - elapsed| p99.9 " + std::to_string(err_tail) +
+       " ms, max " + std::to_string(Quantile(r.self_check_err_ms, 1.0)) +
+       " ms");
+  if (r.self_check_err_ms.empty() || err_tail > kSelfCheckToleranceMs) {
+    out->Fail("span self times do not sum to statement time (p99.9 error " +
+              std::to_string(err_tail) + " ms)");
+  }
+  m.Set("core.predict_us", r.predict_us, "us");
+  m.Set("core.estimate_over_measured",
+        r.estimated_cost_ms / (replay_s * 1000.0), "ratio");
+  m.Set("catalog.epoch_pin_age_max_ms", r.pin_age_max_ms, "ms");
+  m.Set("online.migration_steps", static_cast<double>(r.migration_steps),
+        "count");
+  m.Set("online.migration_step_ms", r.step_ms_mean, "ms");
+  m.Set("online.swap_ms_max", r.swap_ms_max, "ms");
 }
 
 }  // namespace perfbench

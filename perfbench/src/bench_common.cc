@@ -21,6 +21,12 @@ void MetricSheet::Set(const std::string& name, double value,
   entries_.push_back({name, {value, unit}});
 }
 
+void MetricSheet::SetNotApplicable(const std::string& name,
+                                   const std::string& unit) {
+  Set(name, 0.0, unit);
+  not_applicable_.push_back(name);
+}
+
 namespace {
 
 /// Full-precision JSON number; non-finite values (never expected) become 0
@@ -81,6 +87,28 @@ double PeakRssMb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+CpuTicks CpuTicks::Read() {
+  CpuTicks t;
+  std::FILE* f = std::fopen("/proc/stat", "r");
+  if (f == nullptr) return t;
+  // cpu user nice system idle iowait irq softirq steal ...
+  unsigned long long v[8] = {};
+  if (std::fscanf(f, "cpu %llu %llu %llu %llu %llu %llu %llu %llu", &v[0],
+                  &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7]) == 8) {
+    for (unsigned long long x : v) t.total += x;
+    t.steal = v[7];
+  }
+  std::fclose(f);
+  return t;
+}
+
+double StealPercent(const CpuTicks& before, const CpuTicks& after) {
+  const uint64_t total = after.total - before.total;
+  return total == 0 ? 0.0
+                    : 100.0 * static_cast<double>(after.steal - before.steal) /
+                          static_cast<double>(total);
 }
 
 HistogramSnapshot HistogramSnapshot::Of(

@@ -33,13 +33,20 @@ struct Args {
 class MetricSheet {
  public:
   void Set(const std::string& name, double value, const std::string& unit);
+  /// A metric the workload has nothing to measure for (a request class it
+  /// never sends): printed as 0 and named on an info line.
+  void SetNotApplicable(const std::string& name, const std::string& unit);
   const std::vector<std::pair<std::string, std::pair<double, std::string>>>&
   entries() const {
     return entries_;
   }
+  const std::vector<std::string>& not_applicable() const {
+    return not_applicable_;
+  }
 
  private:
   std::vector<std::pair<std::string, std::pair<double, std::string>>> entries_;
+  std::vector<std::string> not_applicable_;
 };
 
 /// Outcome of one workload run, printed as the last stdout line.
@@ -68,6 +75,17 @@ double InterquartileMean(std::vector<double> samples);
 
 /// Peak resident set size of this process in MiB.
 double PeakRssMb();
+
+/// Machine-wide CPU time from /proc/stat (clock ticks): `steal` is time the
+/// hypervisor ran something else while this guest wanted a CPU.
+struct CpuTicks {
+  uint64_t total = 0;
+  uint64_t steal = 0;
+  static CpuTicks Read();
+};
+
+/// Share (%) of the CPU time between two readings that was stolen.
+double StealPercent(const CpuTicks& before, const CpuTicks& after);
 
 /// Bucket-count snapshot of a registry histogram; Delta(...) turns two
 /// snapshots into the quantiles of just the observations in between.

@@ -1,125 +1,29 @@
 // hsdb_perfbench: the end-to-end benchmark driver.
 //
-//   hsdb_perfbench --workload serve_olap|serve_htap|advise_tpch
+//   hsdb_perfbench --workload serve_olap|serve_htap
 //                  --seed N --seconds S --trace 0|1 [--scale SF]
 //
 // Prints info lines ("# ...") and, as the last stdout line, one JSON object
-// {"correct", "attempted", "failed", "metrics"}: with --trace 0 every
-// end-to-end metric, with --trace 1 every per-layer metric. Every workload
-// prints the full list; a layer a workload does not exercise reads 0.
+// {"correct", "attempted", "failed", "metrics"} holding every metric the run
+// measured. perfbench/run.py keeps the ones BENCHMARK.json lists for the
+// mode (--trace 0: end-to-end, --trace 1: per-layer) and fails when one is
+// missing.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 
 #include "workloads.h"
 
 namespace perfbench {
 namespace {
 
-struct MetricDef {
-  const char* name;
-  const char* unit;
-};
-
-// Kept in the order of BENCHMARK.json's "end_to_end" and "per_layer".
-constexpr MetricDef kEndToEnd[] = {
-    {"throughput_ops", "1/s"},
-    {"olap_p50_ms", "ms"},
-    {"setup_s", "s"},
-    {"peak_rss_mb", "MiB"},
-};
-
-// Workload-specific end-to-end numbers (not every workload has point or
-// write requests, or an advisor loop) ride in the per-layer set, measured
-// on the untraced windows of a --trace 1 run. So does the analytic p99:
-// it swung 33-146% run to run while the host was loaded.
-constexpr MetricDef kPerLayer[] = {
-    {"olap_p99_ms", "ms"},
-    {"point_p50_ms", "ms"},
-    {"point_p99_ms", "ms"},
-    {"write_p50_ms", "ms"},
-    {"write_p99_ms", "ms"},
-    {"advise_s", "s"},
-    {"migrate_s", "s"},
-    {"replay_s", "s"},
-    {"server.queue_wait_p50_ms", "ms"},
-    {"server.queue_wait_p99_ms", "ms"},
-    {"server.batch_width_mean", "count"},
-    {"server.batch_formation_p50_ms", "ms"},
-    {"server.parse_us", "us"},
-    {"server.format_us", "us"},
-    {"server.wire_ms.olap", "ms"},
-    {"server.wire_ms.point", "ms"},
-    {"server.wire_ms.write", "ms"},
-    {"server.rejected_ratio", "ratio"},
-    {"executor.shared_ratio", "ratio"},
-    {"executor.groups_per_batch", "count"},
-    {"executor.batch_ms_per_query", "ms"},
-    {"executor.serial_ms_per_query", "ms"},
-    {"executor.morsels_per_scan", "count"},
-    {"executor.execute_ms.aggregation", "ms"},
-    {"executor.execute_ms.select", "ms"},
-    {"executor.execute_ms.insert", "ms"},
-    {"executor.execute_ms.update", "ms"},
-    {"executor.self_ms.query", "ms"},
-    {"executor.self_ms.execute", "ms"},
-    {"executor.self_ms.predicate", "ms"},
-    {"executor.self_ms.scan", "ms"},
-    {"executor.self_ms.decode", "ms"},
-    {"executor.self_ms.stitch", "ms"},
-    {"executor.self_ms.write", "ms"},
-    {"executor.self_ms.join_build", "ms"},
-    {"executor.self_ms.probe", "ms"},
-    {"executor.self_ms.delta_merge", "ms"},
-    {"storage.latch_wait_p99_ms", "ms"},
-    {"storage.latch_hold_p99_ms", "ms"},
-    {"storage.delta_merges", "count"},
-    {"storage.encoded_mb", "MiB"},
-    {"catalog.stats_s", "s"},
-    {"catalog.epoch_pin_age_max_ms", "ms"},
-    {"core.advisor_phase_ms.table", "ms"},
-    {"core.advisor_phase_ms.partition", "ms"},
-    {"core.advisor_phase_ms.joint_search", "ms"},
-    {"core.advisor_phase_ms.total", "ms"},
-    {"core.evaluated_assignments", "count"},
-    {"core.predict_us", "us"},
-    {"core.cost_abs_rel_error_p50", "ratio"},
-    {"core.cost_abs_rel_error_p95", "ratio"},
-    {"core.estimate_over_measured", "ratio"},
-    {"online.migration_steps", "count"},
-    {"online.migration_step_ms", "ms"},
-    {"online.swap_ms_max", "ms"},
-    {"workload.recorded_ratio", "ratio"},
-    {"tpch.load_s", "s"},
-    {"tpch.generate_ms", "ms"},
-    {"loadgen.late_p99_ms", "ms"},
-    {"loadgen.late_max_ms", "ms"},
-    {"trace.overhead_pct", "%"},
-};
-
 int Usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s --workload serve_olap|serve_htap|advise_tpch "
+               "usage: %s --workload serve_olap|serve_htap "
                "--seed N --seconds S --trace 0|1 [--scale SF]\n",
                argv0);
   return 2;
-}
-
-/// The selected list, each metric with the value the workload measured
-/// (0 where the workload does not exercise that layer).
-template <size_t N>
-MetricSheet Select(const MetricDef (&defs)[N], const MetricSheet& measured) {
-  MetricSheet sheet;
-  for (const MetricDef& def : defs) {
-    double value = 0.0;
-    for (const auto& [name, value_unit] : measured.entries()) {
-      if (name == def.name) value = value_unit.first;
-    }
-    sheet.Set(def.name, value, def.unit);
-  }
-  return sheet;
 }
 
 int Main(int argc, char** argv) {
@@ -149,38 +53,25 @@ int Main(int argc, char** argv) {
     RunServeOlap(args, &outcome);
   } else if (args.workload == "serve_htap") {
     RunServeHtap(args, &outcome);
-  } else if (args.workload == "advise_tpch") {
-    RunAdviseTpch(args, &outcome);
   } else {
     return Usage(argv[0]);
   }
-  Info("workload " + args.workload + ", seed " + std::to_string(args.seed) +
-       ", nproc " + std::to_string(std::thread::hardware_concurrency()) +
-       ", dop " + std::to_string(DopOf(args.workload)) + ", build " +
-       PERFBENCH_BUILD_TYPE + ", scale " +
-       std::to_string(args.scale > 0 ? args.scale
-                                     : DefaultScale(args.workload)) +
-       ", trace " + (args.trace ? "1" : "0"));
+  if (outcome.attempted == 0) outcome.Fail("no operation was attempted");
   for (const std::string& problem : outcome.problems) {
     Info("problem: " + problem);
   }
-  if (outcome.attempted == 0) outcome.Fail("no operation was attempted");
-  RunOutcome printed = outcome;
-  printed.metrics = args.trace ? Select(kPerLayer, outcome.metrics)
-                               : Select(kEndToEnd, outcome.metrics);
-  std::printf("%s\n", printed.ToJson().c_str());
+  if (!outcome.metrics.not_applicable().empty()) {
+    std::string names;
+    for (const std::string& name : outcome.metrics.not_applicable()) {
+      names += " " + name;
+    }
+    Info("not applicable to " + args.workload + ", printed as 0:" + names);
+  }
+  std::printf("%s\n", outcome.ToJson().c_str());
   return 0;
 }
 
 }  // namespace
-
-double DefaultScale(const std::string& workload) {
-  return workload == "advise_tpch" ? 0.02 : 0.05;
-}
-
-int DopOf(const std::string& workload) {
-  return workload == "advise_tpch" ? 1 : 2;
-}
 
 }  // namespace perfbench
 

@@ -31,13 +31,17 @@ namespace telemetry = hsdb::telemetry;
 
 namespace {
 
-constexpr int kSetupRepeats = 3;
+/// TPC-H scale factor and scan parallelism (Database::Options::num_threads,
+/// fixed so HSDB_THREADS cannot move the numbers) of the served database.
+constexpr double kServeScale = 0.05;
+constexpr int kServeDop = 2;
+constexpr int kSetupRepeats = 5;
 constexpr double kWarmupSeconds = 1.0;
 /// Open-loop OLTP arrival rate of serve_htap (requests/s). Well below the
 /// OLTP capacity of the workload, and low enough that the orders writes
-/// (~35% of the stream) of a 30 s window stay under the 4096-row delta-merge
-/// threshold: no untraced window merges, so no run is bimodal. A traced run
-/// merges once, at a fixed point of its traced window.
+/// (~35% of the stream) of an untraced window and the traced window after
+/// it stay under the 4096-row delta-merge threshold: no window merges, so
+/// no run is bimodal.
 constexpr double kOltpRate = 250.0;
 /// Slices of the measured window the headline numbers are averaged over.
 constexpr int kSlices = 10;
@@ -165,7 +169,9 @@ struct WindowStats {
 };
 
 /// Closed loop: send, wait for the reply, check it, repeat until the
-/// window closes. Requests completing inside [ws, we) are counted.
+/// window closes. Every reply is checked, and a wrong one (or a failed
+/// round trip) is a problem wherever it lands; requests completing inside
+/// [ws, we) are the ones counted and timed.
 void AnalyticClient(const ServeEnv& env, uint64_t stream_seed,
                     Clock::time_point ws, Clock::time_point we,
                     WindowStats* st) {
@@ -184,14 +190,14 @@ void AnalyticClient(const ServeEnv& env, uint64_t stream_seed,
     const Clock::time_point t1 = Clock::now();
     std::string why;
     const bool good = reply.ok() && CheckAnalyticReply(req, *reply, &why);
-    if (!reply.ok()) why = reply.status().ToString();
+    if (!reply.ok()) why = "analytic round trip: " + reply.status().ToString();
+    if (!good) st->Problem(why);
     if (t1 >= ws && t1 < we) {
       ++olap.attempted;
       if (good) {
         olap.Add(MsBetween(t0, t1), MsBetween(ws, t1) / 1000.0);
       } else {
         ++olap.failed;
-        st->Problem(why);
       }
     }
     if (!reply.ok() || t1 >= we) return;
@@ -199,18 +205,17 @@ void AnalyticClient(const ServeEnv& env, uint64_t stream_seed,
 }
 
 /// Open loop: request i is due at start + i/rate regardless of replies,
-/// round-robin over two pipelined connections; latency runs from the due
-/// time. Requests due inside [ws, we) are counted.
+/// sent over one pipelined connection; latency runs from the due time. Every reply is checked, and a wrong or missing one is a problem
+/// wherever it lands; requests due inside [ws, we) are the ones counted and
+/// timed.
 void OltpClient(const ServeEnv& env, OltpGenerator* gen, double rate,
                 Clock::time_point start, Clock::time_point ws,
                 Clock::time_point we, WindowStats* st) {
-  PipelinedConn conns[2];
-  for (PipelinedConn& c : conns) {
-    Status connected = c.Connect(env.server->port());
-    if (!connected.ok()) {
-      st->Problem("oltp connect: " + connected.ToString());
-      return;
-    }
+  PipelinedConn conn;
+  Status connected = conn.Connect(env.server->port());
+  if (!connected.ok()) {
+    st->Problem("oltp connect: " + connected.ToString());
+    return;
   }
   struct Pending {
     Clock::time_point due;
@@ -229,44 +234,40 @@ void OltpClient(const ServeEnv& env, OltpGenerator* gen, double rate,
   const auto on_reply = [&](uint64_t tag, const hsdb::server::Reply& reply) {
     Pending& p = pending[tag];
     p.answered = true;
+    std::string why;
+    const bool good = CheckOltpReply(p.req, reply, &why);
+    if (!good) st->Problem(why + " (" + p.req.line + ")");
     if (!in_window(p)) return;
     ClassStats& cs = st->of(p.req.cls);
     ++cs.attempted;
     st->late_ms.push_back(MsBetween(p.due, p.queued));
-    std::string why;
-    if (CheckOltpReply(p.req, reply, &why)) {
+    if (good) {
       const Clock::time_point now = Clock::now();
       cs.Add(MsBetween(p.due, now), MsBetween(ws, now) / 1000.0);
     } else {
       ++cs.failed;
-      st->Problem(why + " (" + p.req.line + ")");
     }
   };
   const auto pump = [&](Clock::time_point until) -> bool {
-    pollfd fds[2];
-    for (int i = 0; i < 2; ++i) {
-      Status flushed = conns[i].Flush();
-      if (!flushed.ok()) {
-        st->Problem("oltp send: " + flushed.ToString());
-        return false;
-      }
-      fds[i].fd = conns[i].fd();
-      fds[i].events = POLLIN | (conns[i].wants_write() ? POLLOUT : 0);
-      fds[i].revents = 0;
+    Status flushed = conn.Flush();
+    if (!flushed.ok()) {
+      st->Problem("oltp send: " + flushed.ToString());
+      return false;
     }
+    pollfd fd{conn.fd(),
+              static_cast<short>(POLLIN | (conn.wants_write() ? POLLOUT : 0)),
+              0};
     const auto wait = std::max(Clock::duration::zero(), until - Clock::now());
     const auto ns =
         std::chrono::duration_cast<std::chrono::nanoseconds>(wait).count();
     timespec ts{static_cast<time_t>(ns / 1'000'000'000),
                 static_cast<long>(ns % 1'000'000'000)};
-    if (::ppoll(fds, 2, &ts, nullptr) < 0 && errno != EINTR) return false;
-    for (int i = 0; i < 2; ++i) {
-      if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-      Status received = conns[i].Receive(on_reply);
-      if (!received.ok()) {
-        st->Problem("oltp receive: " + received.ToString());
-        return false;
-      }
+    if (::ppoll(&fd, 1, &ts, nullptr) < 0 && errno != EINTR) return false;
+    if ((fd.revents & (POLLIN | POLLERR | POLLHUP)) == 0) return true;
+    Status received = conn.Receive(on_reply);
+    if (!received.ok()) {
+      st->Problem("oltp receive: " + received.ToString());
+      return false;
     }
     return true;
   };
@@ -281,7 +282,7 @@ void OltpClient(const ServeEnv& env, OltpGenerator* gen, double rate,
       p.due = due_of(next);
       p.queued = Clock::now();
       p.req = gen->Next();
-      conns[next % 2].Queue(p.req.line, pending.size());
+      conn.Queue(p.req.line, pending.size());
       pending.push_back(std::move(p));
       ++next;
     }
@@ -289,15 +290,16 @@ void OltpClient(const ServeEnv& env, OltpGenerator* gen, double rate,
   }
   // Collect the replies still in flight; unanswered requests fail.
   const Clock::time_point deadline = Clock::now() + std::chrono::seconds(10);
-  while (alive && conns[0].in_flight() + conns[1].in_flight() > 0 &&
+  while (alive && conn.in_flight() > 0 &&
          Clock::now() < deadline) {
     alive = pump(Clock::now() + std::chrono::milliseconds(5));
   }
   for (const Pending& p : pending) {
-    if (!p.answered && in_window(p)) {
+    if (p.answered) continue;
+    st->Problem("no reply to " + p.req.line);
+    if (in_window(p)) {
       ++st->of(p.req.cls).attempted;
       ++st->of(p.req.cls).failed;
-      st->Problem("no reply to " + p.req.line);
     }
   }
 }
@@ -368,8 +370,12 @@ void ReportWindow(const WindowStats& w, MetricSheet* m) {
   m->Set("olap_p99_ms", InterquartileMean(p99), "ms");
   for (ReqClass c : {ReqClass::kPoint, ReqClass::kWrite}) {
     const ClassStats& cs = w.of(c);
-    if (cs.attempted == 0) continue;
     const std::string name = ReqClassName(c);
+    if (cs.attempted == 0) {
+      m->SetNotApplicable(name + "_p50_ms", "ms");
+      m->SetNotApplicable(name + "_p99_ms", "ms");
+      continue;
+    }
     m->Set(name + "_p50_ms", Quantile(cs.latency_ms, 0.50), "ms");
     m->Set(name + "_p99_ms", Quantile(cs.latency_ms, 0.99), "ms");
   }
@@ -539,25 +545,19 @@ void RunTraced(ServeEnv& env, const ServePlan& plan, uint64_t seed,
   env.db->slowlog().Configure({1e-9, size_t{1} << 21, 1});
   const StorageTotals storage_before = ReadStorageTotals(*env.db);
   RegistryReadings before, after;
-  std::unique_ptr<EpochPinSampler> sampler;
-  double pin_age_max_ms = 0.0;
   WindowStats traced = RunWindow(
       env, plan, seed + 1, window_s, oltp,
       [&] {
         env.db->slowlog().Clear();
         before = RegistryReadings::Take(env);
-        sampler = std::make_unique<EpochPinSampler>(&env.db->catalog().epochs());
       },
-      [&] {
-        after = RegistryReadings::Take(env);
-        pin_age_max_ms = sampler->Stop();
-      });
+      [&] { after = RegistryReadings::Take(env); });
   const std::vector<telemetry::SlowlogRecord> records =
       env.db->slowlog().Snapshot();
   env.registry.set_enabled(false);
   if (traced.problems > 0) {
     out->Fail("traced window: " + std::to_string(traced.problems) +
-              " failed requests");
+              " bad replies or connection failures");
   }
 
   telemetry::MetricsRegistry& r = env.registry;
@@ -597,7 +597,6 @@ void RunTraced(ServeEnv& env, const ServePlan& plan, uint64_t seed,
                             storage_before.delta_merges),
         "count");
   m.Set("storage.encoded_mb", storage_after.column_store_mb, "MiB");
-  m.Set("catalog.epoch_pin_age_max_ms", pin_age_max_ms, "ms");
   m.Set("workload.recorded_ratio",
         Ratio(after.recorded - before.recorded, traced.attempted()), "ratio");
   m.Set("trace.overhead_pct",
@@ -614,24 +613,43 @@ void RunTraced(ServeEnv& env, const ServePlan& plan, uint64_t seed,
     double queue_wait = 0, engine = 0;
     uint64_t n = 0;
   } parts[kNumReqClasses];
-  for (const telemetry::SlowlogRecord& rec : records) {
+  for (size_t i = 0; i < records.size();) {
+    const telemetry::SlowlogRecord& rec = records[i];
+    // A shared batch member's record holds the group's wall time divided by
+    // the group width, but its client waited for the whole group. The
+    // members of a group are recorded back to back with the same share and
+    // phase summary; the run's length is the width.
+    size_t width = 1;
+    while (rec.shared && i + width < records.size() &&
+           records[i + width].shared &&
+           records[i + width].elapsed_ms == rec.elapsed_ms &&
+           records[i + width].trace_summary == rec.trace_summary) {
+      ++width;
+    }
     hsdb::QueryKind kind = hsdb::QueryKind::kAggregation;
     if (rec.kind == "SELECT") kind = hsdb::QueryKind::kSelect;
     if (rec.kind == "INSERT") kind = hsdb::QueryKind::kInsert;
     if (rec.kind == "UPDATE") kind = hsdb::QueryKind::kUpdate;
     Parts& p = parts[static_cast<int>(ClassOfKind(kind))];
-    p.queue_wait += rec.queue_wait_ms;
-    p.engine += rec.elapsed_ms;
-    ++p.n;
+    for (size_t j = i; j < i + width; ++j) {
+      p.queue_wait += records[j].queue_wait_ms;
+      p.engine += records[j].elapsed_ms * static_cast<double>(width);
+      ++p.n;
+    }
+    i += width;
   }
   for (ReqClass c : {ReqClass::kOlap, ReqClass::kPoint, ReqClass::kWrite}) {
     const Parts& p = parts[static_cast<int>(c)];
     const std::string name = ReqClassName(c);
+    if (traced.of(c).attempted == 0) {
+      m.SetNotApplicable("server.wire_ms." + name, "ms");
+      continue;
+    }
     const double client = Mean(traced.of(c).latency_ms);
     const double queue_wait = Ratio(p.queue_wait, p.n);
     const double engine = Ratio(p.engine, p.n);
-    m.Set("server.wire_ms." + name, p.n > 0 ? client - queue_wait - engine : 0,
-          "ms");
+    if (p.n == 0) out->Fail("attribution: no statement records for " + name);
+    m.Set("server.wire_ms." + name, client - queue_wait - engine, "ms");
     if (p.n > 0 && queue_wait + engine > client * 1.10 + 0.05) {
       out->Fail("attribution: " + name + " queue wait " +
                 std::to_string(queue_wait) + " + engine " +
@@ -650,7 +668,12 @@ void RunTraced(ServeEnv& env, const ServePlan& plan, uint64_t seed,
 }
 
 void RunServe(const Args& args, const ServePlan& plan, RunOutcome* out) {
-  const double sf = args.scale > 0 ? args.scale : DefaultScale(args.workload);
+  const double sf = args.scale > 0 ? args.scale : kServeScale;
+  Info("workload " + args.workload + ", seed " + std::to_string(args.seed) +
+       ", nproc " + std::to_string(std::thread::hardware_concurrency()) +
+       ", dop " + std::to_string(kServeDop) + ", build " +
+       PERFBENCH_BUILD_TYPE + ", scale " + std::to_string(sf) + ", trace " +
+       (args.trace ? "1" : "0"));
   // Set up several times and keep the last; set-up time is the median.
   std::vector<double> setup_s, load_s;
   std::unique_ptr<ServeEnv> env;
@@ -658,7 +681,7 @@ void RunServe(const Args& args, const ServePlan& plan, RunOutcome* out) {
     env.reset();
     hsdb::Stopwatch sw;
     Result<std::unique_ptr<ServeEnv>> built =
-        BuildServeEnv(sf, args.seed, DopOf(args.workload));
+        BuildServeEnv(sf, args.seed, kServeDop);
     if (!built.ok()) {
       out->Fail("set-up: " + built.status().ToString());
       return;
@@ -668,13 +691,23 @@ void RunServe(const Args& args, const ServePlan& plan, RunOutcome* out) {
     load_s.push_back(env->load_ms / 1000.0);
   }
   out->metrics.Set("setup_s", Median(setup_s), "s");
+  std::string each;
+  for (size_t i = 0; i < setup_s.size(); ++i) {
+    each += " " + std::to_string(setup_s[i]) + " (load " +
+            std::to_string(load_s[i]) + ")";
+  }
+  Info("set-ups, s:" + each);
   Info("set-up " + std::to_string(env->analytic.size()) +
        " analytic goldens, orders " + std::to_string(env->orders) +
        ", customers " + std::to_string(env->customers));
 
   OltpGenerator oltp(args.seed * 7919 + 17, env->orders, env->customers);
+  const CpuTicks ticks_before = CpuTicks::Read();
   WindowStats w = RunWindow(*env, plan, args.seed, args.seconds, &oltp,
                             nullptr, nullptr);
+  Info("host steal during the window: " +
+       std::to_string(StealPercent(ticks_before, CpuTicks::Read())) +
+       "% of CPU time");
   out->attempted = w.attempted();
   out->failed = w.failed();
   for (const std::string& q : w.quoted) out->Fail(q);
@@ -686,12 +719,19 @@ void RunServe(const Args& args, const ServePlan& plan, RunOutcome* out) {
   if (plan.oltp_rate > 0) {
     out->metrics.Set("loadgen.late_p99_ms", Quantile(w.late_ms, 0.99), "ms");
     out->metrics.Set("loadgen.late_max_ms", Quantile(w.late_ms, 1.0), "ms");
+  } else {
+    out->metrics.SetNotApplicable("loadgen.late_p99_ms", "ms");
+    out->metrics.SetNotApplicable("loadgen.late_max_ms", "ms");
   }
+  // Peak RSS of the served run alone: the traced run's advise loop loads a
+  // database of its own.
+  out->metrics.Set("peak_rss_mb", PeakRssMb(), "MiB");
   if (args.trace) {
     out->metrics.Set("tpch.load_s", Median(load_s), "s");
     RunTraced(*env, plan, args.seed, args.seconds, &oltp, w, out);
+    env.reset();
+    AddAdviseLoopLayers(args.seed, out);
   }
-  out->metrics.Set("peak_rss_mb", PeakRssMb(), "MiB");
 }
 
 }  // namespace
@@ -707,10 +747,13 @@ void RunServeOlap(const Args& args, RunOutcome* out) {
 
 void RunServeHtap(const Args& args, RunOutcome* out) {
   ServePlan plan;
-  plan.analytic_clients = 2;
+  // Three analytic clients, as on serve_olap: they keep the batch worker
+  // saturated. With two, every request also paid the wake-up of an idle
+  // worker, and throughput and olap p50 spread 12-13% over ten seeds
+  // against 3-4% with three.
+  plan.analytic_clients = 3;
   plan.oltp_rate = kOltpRate;
   RunServe(args, plan, out);
-  if (args.trace) AddAdviseLoopLayers(args, out);
 }
 
 }  // namespace perfbench

@@ -1,7 +1,8 @@
-// The benchmark's three workloads. Each fills `out` with every metric it
-// measures (end-to-end values from untraced windows; with args.trace also
-// the per-layer attribution of a separate traced window) and records
-// correctness problems; main() selects the metric list to print.
+// The benchmark's workloads. Each fills `out` with every metric it measures
+// (end-to-end values from untraced windows; with args.trace also the
+// per-layer attribution of a separate traced window) and records
+// correctness problems. perfbench/run.py prints the metrics BENCHMARK.json
+// lists for the run's mode.
 #ifndef PERFBENCH_WORKLOADS_H_
 #define PERFBENCH_WORKLOADS_H_
 
@@ -13,26 +14,19 @@ namespace perfbench {
 /// aggregations against an in-process SocketServer.
 void RunServeOlap(const Args& args, RunOutcome* out);
 
-/// HTAP under scan load: 2 closed-loop analytic connections plus an
-/// open-loop OLTP stream at a fixed arrival rate over 2 pipelined
-/// connections.
+/// HTAP under scan load: 3 closed-loop analytic connections plus an
+/// open-loop OLTP stream at a fixed arrival rate over 1 pipelined
+/// connection.
 void RunServeHtap(const Args& args, RunOutcome* out);
 
-/// The paper's loop in-process: load TPC-H into the row store, advise on
-/// the CH-style stream, migrate to the recommendation, replay the stream.
-void RunAdviseTpch(const Args& args, RunOutcome* out);
-
-/// Runs a short traced advise_tpch loop of its own and adds its per-layer
-/// metrics (advisor, migration, replay, executor spans) to `out`, with its
-/// operations and correctness problems. serve_htap's traced run carries
-/// them: advise_tpch's wall-clock numbers swing with the host too much to be
-/// a benchmark workload of their own (see README.md).
-void AddAdviseLoopLayers(const Args& args, RunOutcome* out);
-
-/// Scale factor and scan parallelism (Database::Options::num_threads,
-/// fixed so HSDB_THREADS cannot move the numbers) a workload runs at.
-double DefaultScale(const std::string& workload);
-int DopOf(const std::string& workload);
+/// The paper's advise -> migrate -> replay loop, in-process on a TPC-H
+/// database of its own: once untraced (advise_s, migrate_s, replay_s) and
+/// once traced (executor spans, advisor phases, cost-model accuracy,
+/// migration steps), one set-up each. Adds exactly those per-layer metrics
+/// to `out`, with the loop's operations and correctness problems. Every
+/// traced run carries it: its wall-clock numbers swing with the host too
+/// much to be a benchmark workload of their own (see README.md).
+void AddAdviseLoopLayers(uint64_t seed, RunOutcome* out);
 
 }  // namespace perfbench
 

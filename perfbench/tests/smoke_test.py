@@ -4,14 +4,13 @@
     python3 perfbench/tests/smoke_test.py
 
 Runs every workload of BENCHMARK.json at a tiny scale for a short window,
-once untraced and once traced, plus the advise_tpch loop on its own, and
-asserts that:
+once untraced and once traced, and asserts that:
   - the run exits 0 and its last stdout line is the result object with
     exactly the keys correct/attempted/failed/metrics;
   - the correctness checks passed (correct, no failed operation);
   - every end-to-end metric (untraced) or per-layer metric (traced) is
     printed by name with the unit BENCHMARK.json declares, and nothing else;
-  - serve_htap's traced run carries the advise -> migrate -> replay loop.
+  - every traced run carries the advise -> migrate -> replay loop.
 """
 
 import json
@@ -21,10 +20,10 @@ import unittest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
-# Tiny data for the serving workloads. advise_tpch keeps its default scale:
+# Tiny data for the served database. The advise loop keeps its own scale:
 # its recorded advisor DDL is the expectation at that scale.
-SCALES = {"serve_olap": "0.01", "serve_htap": "0.01"}
-# Measured by the advise loop inside serve_htap's traced run.
+SCALE = "0.01"
+# Measured by the advise loop that every traced run carries.
 LOOP_LAYERS = ["advise_s", "migrate_s", "replay_s",
                "core.advisor_phase_ms.total", "online.migration_steps",
                "executor.self_ms.join_build"]
@@ -41,9 +40,7 @@ class SmokeTest(unittest.TestCase):
     def run_workload(self, workload, trace):
         cmd = self.bench["command"] + ["--workload", workload, "--seed", "3",
                                        "--seconds", "2", "--trace",
-                                       str(trace)]
-        if workload in SCALES:
-            cmd += ["--scale", SCALES[workload]]
+                                       str(trace), "--scale", SCALE]
         done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                               timeout=900)
         self.assertEqual(done.returncode, 0, done.stderr[-3000:])
@@ -62,25 +59,19 @@ class SmokeTest(unittest.TestCase):
             self.assertEqual(metrics[m["name"]]["unit"], m["unit"], m["name"])
             self.assertIsInstance(metrics[m["name"]]["value"], (int, float))
 
-    def check_end_to_end(self, workload):
-        metrics = self.run_workload(workload, 0)
-        self.check_metrics(metrics, self.bench["end_to_end"])
-        for m in self.bench["end_to_end"]:
-            self.assertGreater(metrics[m["name"]]["value"], 0, m["name"])
-
     def test_benchmark_workloads(self):
         for workload in [w["name"] for w in self.bench["workloads"]]:
             with self.subTest(workload=workload, trace=0):
-                self.check_end_to_end(workload)
+                metrics = self.run_workload(workload, 0)
+                self.check_metrics(metrics, self.bench["end_to_end"])
+                for m in self.bench["end_to_end"]:
+                    self.assertGreater(metrics[m["name"]]["value"], 0,
+                                       m["name"])
             with self.subTest(workload=workload, trace=1):
                 metrics = self.run_workload(workload, 1)
                 self.check_metrics(metrics, self.bench["per_layer"])
-                if workload == "serve_htap":
-                    for name in LOOP_LAYERS:
-                        self.assertGreater(metrics[name]["value"], 0, name)
-
-    def test_advise_loop(self):
-        self.check_end_to_end("advise_tpch")
+                for name in LOOP_LAYERS:
+                    self.assertGreater(metrics[name]["value"], 0, name)
 
 
 if __name__ == "__main__":
