@@ -7,7 +7,6 @@
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
-#include <sstream>
 #include <utility>
 
 #include "common/epoch.h"
@@ -21,59 +20,30 @@ namespace hsdb {
 
 namespace rp = readpath;
 
-/// One shareable read of a batch group and everything its shared execution
-/// accumulates. `covers` and `bitmaps` are indexed by row group.
+/// One member of a batch group. `plan` is set when the member binds to a
+/// shareable plan; everything else is delegated to Database::Execute. The
+/// plan's pointers are followed only under the group's lock; after it, the
+/// plan just marks the member as shared. `bitmaps` is indexed by row group.
 struct BatchExecutor::SharedRead {
   const Query* query = nullptr;
-  const SelectQuery* select = nullptr;
-  const AggregationQuery* agg = nullptr;
   double queue_wait_ms = 0.0;
-  bool delegate = false;
-  bool done = false;
-  std::vector<const PredicateTerm*> terms;
-  std::vector<ColumnId> needed;
-  size_t limit = std::numeric_limits<size_t>::max();
-  bool grouped = false;
-  std::vector<const Fragment*> covers;
+  std::optional<rp::ReadPlan> plan;
+  double predicted_ms = -1.0;
   std::vector<Bitmap> bitmaps;
   QueryResult result;
 };
 
 BatchExecutor::BatchExecutor(Database* db) : db_(db) {
   telemetry::MetricsRegistry& metrics = db_->metrics();
-  parallel_.pool = db_->scan_pool();
-  if (parallel_.pool != nullptr) {
-    parallel_.morsels_total = &metrics.GetCounter(
-        "hsdb_scan_morsels_total",
-        "Morsels dispatched by the parallel scan path.");
-    parallel_.queue_depth = &metrics.GetGauge(
-        "hsdb_scan_queue_depth",
-        "Worker-queue depth sampled at each parallel scan dispatch (pending "
-        "tasks plus the dispatched morsels).");
-  }
-  for (int i = 0; i < kNumQueryKinds; ++i) {
-    queries_total_[i] = &metrics.GetCounter(
-        "hsdb_queries_total", "Queries executed, by query kind.",
-        {{"kind", std::string(QueryKindName(static_cast<QueryKind>(i)))}});
-  }
-  query_latency_ms_ = &metrics.GetHistogram(
-      "hsdb_query_latency_ms", "End-to-end query latency in milliseconds.");
   batch_groups_total_ = &metrics.GetCounter(
       "hsdb_batch_groups_total",
       "Shared-scan groups executed by the batch executor.");
   batch_shared_queries_total_ = &metrics.GetCounter(
       "hsdb_batch_shared_queries_total",
       "Queries answered from a shared scan (excludes delegated queries).");
-  slow_queries_total_ = &metrics.GetCounter(
-      "hsdb_slow_queries_total",
-      "Queries at or above the slow-query-log threshold.");
   batch_width_ = &metrics.GetHistogram(
       "hsdb_batch_width",
       "Queries per executed shared-scan group (the amortization width).");
-}
-
-bool BatchExecutor::TelemetryOn() const {
-  return telemetry::kCompiledIn && db_->metrics().enabled();
 }
 
 const std::string* BatchExecutor::ShareableTable(const Query& query) {
@@ -103,24 +73,18 @@ std::vector<Result<QueryResult>> BatchExecutor::ExecuteBatch(
   size_t i = 0;
   while (i < queries.size()) {
     const std::string* table = ShareableTable(queries[i]);
-    if (table == nullptr) {
-      telemetry::ScopedQueueWait wait(wait_of(i));
-      out.push_back(db_->Execute(queries[i]));
-      ++i;
-      continue;
-    }
     // Collect the maximal run of shareable reads on the same table. A DML
     // statement (or a read of another table) ends the run: reads grouped
     // across it could otherwise miss its effects.
-    size_t end = i;
-    while (end < queries.size()) {
+    size_t end = i + 1;
+    while (table != nullptr && end < queries.size()) {
       const std::string* t = ShareableTable(queries[end]);
       if (t == nullptr || *t != *table) break;
       ++end;
     }
     if (end - i == 1) {
-      // A lone read gains nothing from the shared pass; keep the
-      // per-statement path (cost prediction and tracing included).
+      // Not shareable, or a lone read that gains nothing from the shared
+      // pass: the per-statement path.
       telemetry::ScopedQueueWait wait(wait_of(i));
       out.push_back(db_->Execute(queries[i]));
       ++i;
@@ -128,22 +92,24 @@ std::vector<Result<QueryResult>> BatchExecutor::ExecuteBatch(
     }
     std::vector<SharedRead> members(end - i);
     for (size_t j = i; j < end; ++j) {
-      SharedRead& m = members[j - i];
-      m.query = &queries[j];
-      m.queue_wait_ms = wait_of(j);
-      if (KindOf(queries[j]) == QueryKind::kSelect) {
-        m.select = &std::get<SelectQuery>(queries[j]);
-      } else {
-        m.agg = &std::get<AggregationQuery>(queries[j]);
-      }
+      members[j - i].query = &queries[j];
+      members[j - i].queue_wait_ms = wait_of(j);
     }
     ExecuteSharedGroup(*table, &members);
+    // Shared members are accounted first, back to back, so their slow-query
+    // records stay adjacent; delegated members run afterwards, outside the
+    // group's reader lock (see header).
     for (SharedRead& m : members) {
-      if (m.done) {
-        NotifyShared(*m.query, m.result);
+      if (!m.plan.has_value()) continue;
+      telemetry::ScopedQueueWait wait(m.queue_wait_ms);
+      m.result = db_->FinishStatement(*m.query, std::move(m.result),
+                                      m.predicted_ms, /*shared=*/true)
+                     .value();
+    }
+    for (SharedRead& m : members) {
+      if (m.plan.has_value()) {
         out.push_back(std::move(m.result));
       } else {
-        // Delegated outside the group's reader lock (see header).
         telemetry::ScopedQueueWait wait(m.queue_wait_ms);
         out.push_back(db_->Execute(*m.query));
       }
@@ -153,189 +119,103 @@ std::vector<Result<QueryResult>> BatchExecutor::ExecuteBatch(
   return out;
 }
 
-void BatchExecutor::PrepareMember(const LogicalTable& table,
-                                  SharedRead* m) const {
-  const Schema& schema = table.schema();
-  if (m->select != nullptr) {
-    const SelectQuery& q = *m->select;
-    for (ColumnId col : q.select_columns) {
-      if (col >= schema.num_columns()) {
-        m->delegate = true;
-        return;
-      }
-    }
-    m->terms = rp::TermsForTable(q.predicate, 0);
-    if (m->terms.size() != q.predicate.size() ||
-        !rp::ValidateTerms(schema, m->terms).ok()) {
-      m->delegate = true;
-      return;
-    }
-    // The point fast path is already sub-linear; sharing a full scan with
-    // it would be a regression, and the serial path must stay authoritative.
-    if (schema.primary_key().size() == 1 &&
-        IsPointPredicateOn(q.predicate, schema.primary_key()[0])) {
-      m->delegate = true;
-      return;
-    }
-    m->limit = q.limit.value_or(std::numeric_limits<size_t>::max());
-    m->needed = q.select_columns;
-    for (const PredicateTerm* term : m->terms) {
-      m->needed.push_back(term->column.column);
-    }
-    m->needed = rp::UniqueColumns(std::move(m->needed));
-  } else {
-    const AggregationQuery& q = *m->agg;
-    if (q.aggregates.empty()) {
-      m->delegate = true;
-      return;
-    }
-    auto bad_ref = [&](const ColumnRef& ref) {
-      return ref.table_index != 0 || ref.column >= schema.num_columns();
-    };
-    for (const AggregateExpr& agg : q.aggregates) {
-      if (agg.fn == AggFn::kCount) continue;
-      if (bad_ref(agg.column) ||
-          !IsNumeric(schema.column(agg.column.column).type)) {
-        m->delegate = true;
-        return;
-      }
-    }
-    for (const ColumnRef& ref : q.group_by) {
-      if (bad_ref(ref)) {
-        m->delegate = true;
-        return;
-      }
-    }
-    for (const PredicateTerm& term : q.predicate) {
-      if (bad_ref(term.column)) {
-        m->delegate = true;
-        return;
-      }
-    }
-    m->terms = rp::TermsForTable(q.predicate, 0);
-    if (!rp::ValidateTerms(schema, m->terms).ok()) {
-      m->delegate = true;
-      return;
-    }
-    m->grouped = !q.group_by.empty();
-    for (const AggregateExpr& agg : q.aggregates) {
-      if (agg.fn != AggFn::kCount) m->needed.push_back(agg.column.column);
-    }
-    for (const ColumnRef& ref : q.group_by) m->needed.push_back(ref.column);
-    for (const PredicateTerm* term : m->terms) {
-      m->needed.push_back(term->column.column);
-    }
-    m->needed = rp::UniqueColumns(std::move(m->needed));
-  }
-
-  const auto& groups = table.groups();
-  m->covers.assign(groups.size(), nullptr);
-  m->bitmaps.resize(groups.size());
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const Fragment* cover = rp::CoveringFragment(groups[g], m->needed);
-    if (cover == nullptr) {
-      // Vertical split: the PK-stitch path stays per-statement.
-      m->delegate = true;
-      return;
-    }
-    if (cover->table->store() == StoreType::kRow) {
-      // A sorted-index seed is sub-linear; a shared full scan would cost
-      // more than the one-at-a-time path it replaces.
-      const auto& rs = static_cast<const RowTable&>(*cover->table);
-      for (const PredicateTerm* term : m->terms) {
-        if (rs.HasSortedIndex(cover->FragColumn(term->column.column))) {
-          m->delegate = true;
-          return;
-        }
-      }
-    }
-    m->covers[g] = cover;
-  }
-}
-
-void BatchExecutor::MaterializeMember(const LogicalTable& table,
-                                      SharedRead* m) const {
-  const size_t num_groups = table.groups().size();
-  if (m->select != nullptr) {
-    const SelectQuery& q = *m->select;
-    for (size_t g = 0; g < num_groups; ++g) {
-      if (m->result.rows.size() >= m->limit) break;
-      const Fragment& cover = *m->covers[g];
-      if (rp::UseParallelScan(parallel_, cover, m->terms)) {
-        rp::ParallelSelectCover(parallel_, cover, m->terms, q.select_columns,
-                                m->limit, &m->bitmaps[g], &m->result);
+void BatchExecutor::MaterializeMember(SharedRead* m) const {
+  const rp::ReadPlan& plan = *m->plan;
+  const ParallelContext& parallel = db_->parallel();
+  if (const auto* q = std::get_if<SelectQuery>(m->query)) {
+    const size_t limit = q->limit.value_or(std::numeric_limits<size_t>::max());
+    for (size_t g = 0; g < plan.groups.size(); ++g) {
+      if (m->result.rows.size() >= limit) break;
+      const Fragment& cover = *plan.groups[g].cover;
+      if (plan.groups[g].path == rp::AccessPath::kMorselParallel) {
+        rp::ParallelSelectCover(parallel, cover, plan.terms,
+                                q->select_columns, limit, &m->bitmaps[g],
+                                &m->result);
       } else {
-        rp::SelectFromBitmap(cover, m->bitmaps[g], q.select_columns, m->limit,
+        rp::SelectFromBitmap(cover, m->bitmaps[g], q->select_columns, limit,
                              &m->result);
       }
     }
-  } else {
-    const AggregationQuery& q = *m->agg;
-    std::vector<AggState> totals(q.aggregates.size());
-    GroupMap group_map;
-    for (size_t g = 0; g < num_groups; ++g) {
-      const Fragment& cover = *m->covers[g];
-      if (rp::UseParallelScan(parallel_, cover, m->terms)) {
-        rp::ParallelAggregateCover(parallel_, cover, m->terms, q, m->grouped,
-                                   &m->bitmaps[g], &totals, &group_map);
-      } else {
-        rp::AggregateFromBitmap(cover, m->bitmaps[g], q, m->grouped, &totals,
-                                &group_map);
-      }
-    }
-    m->result = rp::FinalizeAggregation(q, m->grouped, totals, group_map);
+    return;
   }
-  m->done = true;
+  const auto& q = std::get<AggregationQuery>(*m->query);
+  const bool grouped = !q.group_by.empty();
+  std::vector<AggState> totals(q.aggregates.size());
+  GroupMap group_map;
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
+    const Fragment& cover = *plan.groups[g].cover;
+    if (plan.groups[g].path == rp::AccessPath::kMorselParallel) {
+      rp::ParallelAggregateCover(parallel, cover, plan.terms, q, grouped,
+                                 &m->bitmaps[g], &totals, &group_map);
+    } else {
+      rp::AggregateFromBitmap(cover, m->bitmaps[g], q, grouped, &totals,
+                              &group_map);
+    }
+  }
+  m->result = rp::FinalizeAggregation(q, grouped, totals, group_map);
 }
 
 void BatchExecutor::ExecuteSharedGroup(const std::string& table_name,
                                        std::vector<SharedRead>* members) {
   Stopwatch sw;
-  size_t shared = 0;
+  const ParallelContext& parallel = db_->parallel();
   // The batch worker thread has no tracer installed, so without this the
   // scan_shared span would vanish. One tracer covers the whole group; every
   // shared member gets the same finished tree (the group IS their
   // execution), which is what `explain analyze` renders for batched reads.
   std::optional<telemetry::Tracer> tracer;
-  if (TelemetryOn()) tracer.emplace("batch_group");
+  if (db_->TelemetryOn()) tracer.emplace("batch_group");
+  std::vector<SharedRead*> shared;
   {
     // Same discipline as a serial read statement: pin the reclamation epoch,
     // then take the table's reader lock for the whole group.
     EpochPin pin(&db_->catalog().epochs());
     std::shared_ptr<TableSync> sync = db_->catalog().sync(table_name);
     std::shared_lock<std::shared_mutex> rd(sync->rw);
-    const LogicalTable* table = db_->catalog().GetTable(table_name);
-    if (table == nullptr) return;  // every member delegates to NotFound
 
-    for (SharedRead& m : *members) PrepareMember(*table, &m);
+    // Bind every member; predict the shared ones under the same lock, before
+    // the shared pass, exactly where a serial statement predicts.
+    for (SharedRead& m : *members) {
+      Result<rp::ReadPlan> plan = rp::Bind(db_->catalog(), *m.query, parallel);
+      if (!plan.ok() || !plan->shareable) continue;
+      m.plan = std::move(plan).value();
+      m.bitmaps.resize(m.plan->groups.size());
+      if (tracer.has_value()) m.predicted_ms = db_->PredictCost(*m.query);
+      shared.push_back(&m);
+    }
+    if (shared.empty()) return;
+    // As for a serial statement, lock wait and prediction are not part of
+    // the observed time.
+    sw.Restart();
 
     // Shared predicate pass, per (row group, covering fragment): one
     // MultiFilterRangeSlice per predicate column narrows every member's
     // bitmap in a single decode of the encoded segment. Morsel-parallel
-    // when the pool is installed — disjoint 64-aligned slices of all the
+    // where the plans say so — disjoint 64-aligned slices of all the
     // bitmaps, exactly like the single-query parallel scan.
     telemetry::ScopedSpan scan_span("scan_shared");
-    const auto& groups = table->groups();
-    for (size_t g = 0; g < groups.size(); ++g) {
+    const size_t num_groups = shared.front()->plan->groups.size();
+    for (size_t g = 0; g < num_groups; ++g) {
       std::map<const Fragment*, std::vector<SharedRead*>> buckets;
-      for (SharedRead& m : *members) {
-        if (!m.delegate) buckets[m.covers[g]].push_back(&m);
+      for (SharedRead* m : shared) {
+        buckets[m->plan->groups[g].cover].push_back(m);
       }
       for (auto& [frag, ms] : buckets) {
         for (SharedRead* m : ms) m->bitmaps[g] = frag->table->live_bitmap();
         std::map<ColumnId, std::vector<RangeScanTarget>> by_col;
         for (SharedRead* m : ms) {
-          for (const PredicateTerm* term : m->terms) {
+          for (const PredicateTerm* term : m->plan->terms) {
             by_col[frag->FragColumn(term->column.column)].push_back(
                 RangeScanTarget{&term->range, &m->bitmaps[g]});
           }
         }
         if (by_col.empty()) continue;  // unfiltered scans: live bitmap is it
         const size_t n = frag->table->slot_count();
-        if (parallel_.pool != nullptr && n > rp::kMorselRows) {
+        if (ms.front()->plan->groups[g].path ==
+            rp::AccessPath::kMorselParallel) {
           const size_t morsels = rp::MorselCount(n);
-          rp::NoteMorsels(parallel_, morsels);
-          parallel_.pool->ParallelFor(morsels, [&](size_t mi) {
+          rp::NoteMorsels(parallel, morsels);
+          parallel.pool->ParallelFor(morsels, [&](size_t mi) {
             const size_t begin = mi * rp::kMorselRows;
             const size_t slice_end = std::min(begin + rp::kMorselRows, n);
             for (auto& [col, targets] : by_col) {
@@ -352,68 +232,23 @@ void BatchExecutor::ExecuteSharedGroup(const std::string& table_name,
         }
       }
     }
-
-    for (SharedRead& m : *members) {
-      if (!m.delegate) {
-        MaterializeMember(*table, &m);
-        ++shared;
-      }
-    }
+    for (SharedRead* m : shared) MaterializeMember(m);
   }
+  // Amortized cost share: the latency a co-running client of this group
+  // actually observed. This is what the workload recorder feeds the
+  // batch-aware cost model, and what the members' residuals compare with.
+  const double share_ms = sw.ElapsedMs() / static_cast<double>(shared.size());
   std::shared_ptr<const telemetry::TraceSpan> tree;
   if (tracer.has_value()) {
     tree = std::make_shared<const telemetry::TraceSpan>(tracer->Finish());
-  }
-  if (shared == 0) return;
-  // Amortized cost share: the latency a co-running client of this group
-  // actually observed. This is what the workload recorder feeds the
-  // batch-aware cost model.
-  const double share_ms = sw.ElapsedMs() / static_cast<double>(shared);
-  std::string trace_summary;
-  if (tree != nullptr) {
-    std::ostringstream phases;
-    for (size_t c = 0; c < tree->children.size(); ++c) {
-      if (c > 0) phases << ' ';
-      phases << tree->children[c].name << '=' << tree->children[c].elapsed_ms;
-    }
-    trace_summary = phases.str();
-  }
-  telemetry::Slowlog& slowlog = db_->slowlog();
-  // Slow-query accounting mirrors Database::ExecuteTraced: telemetry-gated.
-  const double slow_threshold =
-      tracer.has_value() ? slowlog.threshold_ms() : 0.0;
-  for (SharedRead& m : *members) {
-    if (!m.done) continue;
-    m.result.elapsed_ms = share_ms;
-    m.result.trace = tree;
-    if (slow_threshold > 0.0 && share_ms >= slow_threshold) {
-      slow_queries_total_->Increment();
-      if (slowlog.ShouldRecord(share_ms)) {
-        telemetry::SlowlogRecord record;
-        record.query = QueryToString(*m.query);
-        record.kind = std::string(QueryKindName(KindOf(*m.query)));
-        record.elapsed_ms = share_ms;
-        record.queue_wait_ms = m.queue_wait_ms;
-        record.trace_summary = trace_summary;
-        record.shared = true;
-        slowlog.Record(std::move(record));
-      }
-    }
-  }
-  if (TelemetryOn()) {
     batch_groups_total_->Increment();
-    batch_shared_queries_total_->Increment(shared);
-    batch_width_->Observe(static_cast<double>(shared));
+    batch_shared_queries_total_->Increment(shared.size());
+    batch_width_->Observe(static_cast<double>(shared.size()));
   }
-}
-
-void BatchExecutor::NotifyShared(const Query& query,
-                                 const QueryResult& result) {
-  if (TelemetryOn()) {
-    queries_total_[static_cast<int>(KindOf(query))]->Increment();
-    query_latency_ms_->Observe(result.elapsed_ms);
+  for (SharedRead* m : shared) {
+    m->result.elapsed_ms = share_ms;
+    m->result.trace = tree;
   }
-  if (QueryObserver* obs = db_->query_observer()) obs->OnQuery(query, result);
 }
 
 }  // namespace hsdb

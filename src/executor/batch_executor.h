@@ -10,10 +10,12 @@
 // one MultiFilterRangeSlice pass per predicate column (one decode of the
 // encoded segment fans out to all bitmaps, morsel-parallel when the scan
 // pool is installed), then each query materializes through the same
-// read-path code the serial executor uses. Everything else — DML, joins,
-// point-PK lookups, vertical-split fragments, index-seeded row-store scans,
-// validation failures — is delegated to Database::Execute, so the batch
-// path never changes semantics, only cost.
+// read-path code the serial executor uses. Each member is bound by
+// readpath::Bind, the binder the serial executor uses; a member whose plan
+// is not `shareable` — point-PK lookups, vertical-split stitches,
+// index-seeded row-store scans, validation failures — is delegated to
+// Database::Execute, as are DML and joins, so the batch path never changes
+// semantics, only cost.
 //
 // Equivalence guarantee (tests/executor/batch_equivalence_test.cc): per
 // query the result is bit-identical to serial execution at every thread
@@ -30,9 +32,11 @@
 // Reported elapsed_ms of a shared query is its amortized share (group wall
 // time / group width): that is the cost a co-running client actually pays,
 // and it is what the workload recorder should feed the advisor's batch-
-// aware cost model. Queries executed on the shared path do not feed the
-// per-statement cost-residual stream (no per-query prediction exists for a
-// shared scan).
+// aware cost model. Shared members are accounted by the same
+// Database::FinishStatement step as serial statements: with telemetry on
+// each gets a prediction taken under the group's reader lock before the
+// shared pass, and its share feeds the cost-residual stream (the cost model
+// prices shared scans through its batch width).
 #ifndef HSDB_EXECUTOR_BATCH_EXECUTOR_H_
 #define HSDB_EXECUTOR_BATCH_EXECUTOR_H_
 
@@ -62,39 +66,28 @@ class BatchExecutor {
       const std::vector<Query>& queries,
       const std::vector<double>* queue_waits_ms = nullptr);
 
-  /// Table name of a batch-shareable read (covering SELECT / single-table
-  /// aggregation), or nullptr when the query must take the per-statement
-  /// path. Public because `explain` reports batch-shareability.
+  /// Table name of a read that may join a shared-scan group (SELECT /
+  /// single-table aggregation), or nullptr when the query must take the
+  /// per-statement path. This only forms the runs; whether a member really
+  /// shares is decided by its bound plan (readpath::ReadPlan::shareable).
   static const std::string* ShareableTable(const Query& query);
 
  private:
   struct SharedRead;
 
   /// Executes one same-table group of shareable reads under a single epoch
-  /// pin + reader lock. Members that survive preparation have their results
-  /// filled (done = true); the rest are left for delegation.
+  /// pin + reader lock. Members whose plan is shareable get their plan,
+  /// prediction and result filled; the rest are left for delegation.
   void ExecuteSharedGroup(const std::string& table_name,
                           std::vector<SharedRead>* members);
 
-  /// Validates one member against the live table version and resolves its
-  /// terms, needed columns and per-group covering fragments; marks it for
-  /// delegation when any serial-path special case applies.
-  void PrepareMember(const LogicalTable& table, SharedRead* m) const;
-
   /// Materializes one member's result from its shared-pass bitmaps through
   /// the serial read-path code.
-  void MaterializeMember(const LogicalTable& table, SharedRead* m) const;
-
-  bool TelemetryOn() const;
-  void NotifyShared(const Query& query, const QueryResult& result);
+  void MaterializeMember(SharedRead* m) const;
 
   Database* db_;
-  ParallelContext parallel_;
-  telemetry::Counter* queries_total_[kNumQueryKinds] = {};
-  telemetry::LogHistogram* query_latency_ms_ = nullptr;
   telemetry::Counter* batch_groups_total_ = nullptr;
   telemetry::Counter* batch_shared_queries_total_ = nullptr;
-  telemetry::Counter* slow_queries_total_ = nullptr;
   telemetry::LogHistogram* batch_width_ = nullptr;
 };
 

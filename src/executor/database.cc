@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <sstream>
 #include <utility>
@@ -147,95 +148,94 @@ Result<QueryResult> Database::Execute(const Query& query) {
   // pointer this statement resolves (cost prediction included) stays alive
   // past any concurrent swap — then take the touched tables' locks.
   EpochPin pin(&catalog_.epochs());
-  const QueryKind kind = KindOf(query);
   StatementLocks locks;
-  locks.Acquire(catalog_, query, IsDml(kind));
+  locks.Acquire(catalog_, query, IsDml(KindOf(query)));
 
-  if (TelemetryOn()) return ExecuteTraced(query);
-  // Fast path: no tracer installed, no metric updates — behaviorally
-  // identical to the pre-telemetry executor (plus the error hook).
-  Stopwatch sw;
-  Result<QueryResult> executed = executor_.Execute(query);
-  if (!executed.ok()) {
-    if (QueryObserver* obs = observer()) {
-      obs->OnQueryError(query, executed.status());
-    }
-    return executed.status();
-  }
-  QueryResult result = std::move(executed).value();
-  AfterStatementMaintenance(query);
-  result.elapsed_ms = sw.ElapsedMs();
-  if (QueryObserver* obs = observer()) obs->OnQuery(query, result);
-  return result;
-}
-
-Result<QueryResult> Database::ExecuteTraced(const Query& query) {
-  const QueryKind kind = KindOf(query);
-  // Predict before executing: the prediction must see the pre-statement
-  // catalog state (an INSERT changes delta sizes the estimator reads).
+  // Telemetry off: no tracer, no prediction. On: predict before executing,
+  // so the prediction sees the pre-statement catalog state (an INSERT
+  // changes delta sizes the estimator reads).
+  std::optional<telemetry::Tracer> tracer;
   double predicted_ms = -1.0;
-  if (cost_predictor_) predicted_ms = cost_predictor_(query);
-
-  telemetry::Tracer tracer("query");
+  if (TelemetryOn()) {
+    predicted_ms = PredictCost(query);
+    tracer.emplace("query");
+  }
   Stopwatch sw;
   Result<QueryResult> executed = [&] {
     telemetry::ScopedSpan span("execute");
     return executor_.Execute(query);
   }();
+  if (executed.ok()) {
+    {
+      telemetry::ScopedSpan span("delta_merge");
+      AfterStatementMaintenance(query);
+    }
+    executed->elapsed_ms = sw.ElapsedMs();
+    if (tracer.has_value()) {
+      executed->trace =
+          std::make_shared<const telemetry::TraceSpan>(tracer->Finish());
+    }
+  }
+  return FinishStatement(query, std::move(executed), predicted_ms,
+                         /*shared=*/false);
+}
+
+Result<QueryResult> Database::FinishStatement(const Query& query,
+                                              Result<QueryResult> executed,
+                                              double predicted_ms,
+                                              bool shared) {
+  const QueryKind kind = KindOf(query);
+  const bool telemetry_on = TelemetryOn();
   if (!executed.ok()) {
-    query_errors_total_[static_cast<int>(kind)]->Increment();
+    if (telemetry_on) query_errors_total_[static_cast<int>(kind)]->Increment();
     if (QueryObserver* obs = observer()) {
       obs->OnQueryError(query, executed.status());
     }
-    return executed.status();
+    return executed;
   }
-  QueryResult result = std::move(executed).value();
-  {
-    telemetry::ScopedSpan span("delta_merge");
-    AfterStatementMaintenance(query);
-  }
-  result.elapsed_ms = sw.ElapsedMs();
-  result.trace = std::make_shared<const telemetry::TraceSpan>(tracer.Finish());
-
-  queries_total_[static_cast<int>(kind)]->Increment();
-  query_latency_ms_->Observe(result.elapsed_ms);
-  const double slow_threshold = slowlog_.threshold_ms();
-  if (slow_threshold > 0.0 && result.elapsed_ms >= slow_threshold) {
-    slow_queries_total_->Increment();
-    if (slowlog_.ShouldRecord(result.elapsed_ms)) {
-      // Only now pay for rendering the query and trace summary.
-      telemetry::SlowlogRecord record;
-      record.query = QueryToString(query);
-      record.kind = std::string(QueryKindName(kind));
-      record.elapsed_ms = result.elapsed_ms;
-      record.queue_wait_ms = telemetry::CurrentQueueWaitMs();
-      record.predicted_cost_ms = predicted_ms;
-      if (result.trace != nullptr) {
-        std::ostringstream phases;
-        for (size_t i = 0; i < result.trace->children.size(); ++i) {
-          if (i > 0) phases << ' ';
-          phases << result.trace->children[i].name << '='
-                 << result.trace->children[i].elapsed_ms;
+  QueryResult& result = *executed;
+  if (telemetry_on) {
+    queries_total_[static_cast<int>(kind)]->Increment();
+    query_latency_ms_->Observe(result.elapsed_ms);
+    const double slow_threshold = slowlog_.threshold_ms();
+    if (slow_threshold > 0.0 && result.elapsed_ms >= slow_threshold) {
+      slow_queries_total_->Increment();
+      if (slowlog_.ShouldRecord(result.elapsed_ms)) {
+        // Only now pay for rendering the query and trace summary.
+        telemetry::SlowlogRecord record;
+        record.query = QueryToString(query);
+        record.kind = std::string(QueryKindName(kind));
+        record.elapsed_ms = result.elapsed_ms;
+        record.queue_wait_ms = telemetry::CurrentQueueWaitMs();
+        record.predicted_cost_ms = predicted_ms;
+        record.shared = shared;
+        if (result.trace != nullptr) {
+          std::ostringstream phases;
+          for (size_t i = 0; i < result.trace->children.size(); ++i) {
+            if (i > 0) phases << ' ';
+            phases << result.trace->children[i].name << '='
+                   << result.trace->children[i].elapsed_ms;
+          }
+          record.trace_summary = phases.str();
         }
-        record.trace_summary = phases.str();
+        slowlog_.Record(std::move(record));
       }
-      slowlog_.Record(std::move(record));
     }
-  }
-  if (predicted_ms >= 0.0) {
-    result.predicted_cost_ms = predicted_ms;
-    const std::vector<std::string> tables = TablesOf(query);
-    cost_feedback_.Record(tables.empty() ? std::string() : tables.front(),
-                          predicted_ms, result.elapsed_ms);
-    if (result.elapsed_ms > 0.0) {
-      cost_abs_rel_error_->Observe(
-          std::abs(result.elapsed_ms - predicted_ms) / result.elapsed_ms);
-      cost_predicted_total_ms_->Add(predicted_ms);
-      cost_observed_total_ms_->Add(result.elapsed_ms);
+    if (predicted_ms >= 0.0) {
+      result.predicted_cost_ms = predicted_ms;
+      const std::vector<std::string> tables = TablesOf(query);
+      cost_feedback_.Record(tables.empty() ? std::string() : tables.front(),
+                            predicted_ms, result.elapsed_ms);
+      if (result.elapsed_ms > 0.0) {
+        cost_abs_rel_error_->Observe(
+            std::abs(result.elapsed_ms - predicted_ms) / result.elapsed_ms);
+        cost_predicted_total_ms_->Add(predicted_ms);
+        cost_observed_total_ms_->Add(result.elapsed_ms);
+      }
     }
   }
   if (QueryObserver* obs = observer()) obs->OnQuery(query, result);
-  return result;
+  return executed;
 }
 
 void Database::AfterStatementMaintenance(const Query& query) {

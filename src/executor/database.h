@@ -2,9 +2,12 @@
 // maintenance + workload observation + the layout-change DDL the storage
 // advisor's recommendations execute. Also the engine's telemetry anchor:
 // every Execute stamps the result with a phase-decomposed trace span tree
-// and (when a cost predictor is installed) the estimator's predicted cost,
-// feeds the observed-vs-predicted residual into a CostFeedback accumulator,
-// and mirrors query counts/latencies into the MetricsRegistry.
+// and (when a cost predictor is installed) the estimator's predicted cost.
+// One accounting step, FinishStatement, then feeds the observed-vs-predicted
+// residual into a CostFeedback accumulator, mirrors query counts/latencies
+// into the MetricsRegistry, records slow queries and notifies the observer —
+// for serial statements and for the BatchExecutor's shared-scan members
+// alike.
 //
 // Concurrency (docs/CONCURRENCY.md): Execute is safe to call from many
 // threads. Each statement pins the catalog's reclamation epoch, then takes
@@ -124,10 +127,12 @@ class Database {
 
   /// Executes one query: runs it, stamps the wall-clock time, performs
   /// statement-boundary maintenance on the touched tables (delta merges,
-  /// DML only) and notifies the observer. With telemetry enabled the result
-  /// also carries the span tree of the execution phases and the predicted
-  /// cost (when a predictor is installed); failures invoke
-  /// QueryObserver::OnQueryError and count into the error metrics.
+  /// DML only) and finishes it through FinishStatement (metrics, slow-query
+  /// log, cost feedback, observer). With telemetry enabled the result also
+  /// carries the span tree of the execution phases and the predicted cost
+  /// (when a predictor is installed); with telemetry off it runs no tracer
+  /// and no prediction. Failures invoke QueryObserver::OnQueryError and
+  /// count into the error metrics.
   ///
   /// Thread-safe: reads of the same table run concurrently with each other
   /// and with a migration's build phase; DML statements serialize per
@@ -226,23 +231,27 @@ class Database {
   /// advisor reads this to configure the cost model's parallel scan factor.
   int num_threads() const { return num_threads_; }
 
-  /// Worker pool of the morsel-parallel scan path; nullptr when serial.
-  /// The BatchExecutor reuses it so shared scans parallelize like
-  /// single-statement scans do.
-  ThreadPool* scan_pool() const { return pool_.get(); }
-
-  /// The installed workload observer (nullptr when none). The BatchExecutor
-  /// notifies it for queries it executes outside Database::Execute.
-  QueryObserver* query_observer() const {
-    return observer_.load(std::memory_order_acquire);
-  }
+  /// The morsel-parallel scan context (null pool when serial). The
+  /// BatchExecutor and `explain` bind with it so shared scans and explained
+  /// paths parallelize exactly like single-statement scans do.
+  const ParallelContext& parallel() const { return executor_.parallel(); }
 
  private:
+  friend class BatchExecutor;
+
   /// True when per-query telemetry should run right now.
   bool TelemetryOn() const {
     return telemetry::kCompiledIn && metrics_->enabled();
   }
-  Result<QueryResult> ExecuteTraced(const Query& query);
+  /// The one post-statement accounting step. With telemetry on: query and
+  /// error counters, the latency histogram, the slow-query record and — when
+  /// `predicted_ms` >= 0 — the prediction stamp and the cost-feedback
+  /// residual. Always: observer notification. `executed` carries its
+  /// elapsed_ms and trace; `shared` marks a shared-scan batch member, whose
+  /// elapsed_ms is its amortized share of the group.
+  Result<QueryResult> FinishStatement(const Query& query,
+                                      Result<QueryResult> executed,
+                                      double predicted_ms, bool shared);
   void AfterStatementMaintenance(const Query& query);
   QueryObserver* observer() const {
     return observer_.load(std::memory_order_acquire);

@@ -22,78 +22,66 @@ struct ValueHasher {
 }  // namespace
 
 Result<QueryResult> Executor::Execute(const Query& query) {
-  switch (KindOf(query)) {
-    case QueryKind::kAggregation:
-      return ExecuteAggregation(std::get<AggregationQuery>(query));
-    case QueryKind::kSelect:
-      return ExecuteSelect(std::get<SelectQuery>(query));
-    case QueryKind::kInsert:
-      return ExecuteInsert(std::get<InsertQuery>(query));
-    case QueryKind::kUpdate:
-      return ExecuteUpdate(std::get<UpdateQuery>(query));
-    case QueryKind::kDelete:
-      return ExecuteDelete(std::get<DeleteQuery>(query));
+  const QueryKind kind = KindOf(query);
+  if (kind == QueryKind::kInsert) {
+    return ExecuteInsert(std::get<InsertQuery>(query));
   }
-  return Status::Internal("unreachable query kind");
+  if (kind == QueryKind::kAggregation &&
+      std::get<AggregationQuery>(query).tables.size() != 1) {
+    return StarJoinAggregation(std::get<AggregationQuery>(query));
+  }
+  HSDB_ASSIGN_OR_RETURN(rp::ReadPlan plan,
+                        rp::Bind(*catalog_, query, parallel_));
+  switch (kind) {
+    case QueryKind::kSelect:
+      return ExecuteSelect(std::get<SelectQuery>(query), plan);
+    case QueryKind::kAggregation:
+      return SingleTableAggregation(std::get<AggregationQuery>(query), plan);
+    default:
+      return ExecuteKeyedWrite(query, plan);
+  }
 }
 
-Result<QueryResult> Executor::ExecuteSelect(const SelectQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_->Find(q.table));
-  const Schema& schema = table->schema();
-  for (ColumnId col : q.select_columns) {
-    if (col >= schema.num_columns()) {
-      return Status::InvalidArgument("select column out of range");
-    }
-  }
-  std::vector<const PredicateTerm*> terms = rp::TermsForTable(q.predicate, 0);
-  if (terms.size() != q.predicate.size()) {
-    return Status::InvalidArgument("select predicate references other tables");
-  }
-  HSDB_RETURN_IF_ERROR(rp::ValidateTerms(schema, terms));
-
+Result<QueryResult> Executor::ExecuteSelect(const SelectQuery& q,
+                                            const rp::ReadPlan& plan) {
   QueryResult result;
   const size_t limit =
       q.limit.value_or(std::numeric_limits<size_t>::max());
-
-  // Point fast path: single equality on a single-column primary key.
-  if (schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0])) {
-    telemetry::ScopedSpan scan_span("scan");
+  telemetry::ScopedSpan scan_span("scan");
+  if (plan.path == rp::AccessPath::kPointPk) {
     Result<Row> row =
-        table->GetByPk(PrimaryKey::Of(*q.predicate[0].range.lo));
+        plan.table->GetByPk(PrimaryKey::Of(*plan.terms[0]->range.lo));
     if (row.ok() && limit > 0) {
       result.rows.push_back(ProjectRow(*row, q.select_columns));
     }
     return result;
   }
-
-  std::vector<ColumnId> needed = q.select_columns;
-  for (const PredicateTerm* term : terms) {
-    needed.push_back(term->column.column);
-  }
-  needed = rp::UniqueColumns(std::move(needed));
-
-  telemetry::ScopedSpan scan_span("scan");
-  for (size_t g = 0; g < table->groups().size(); ++g) {
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
     if (result.rows.size() >= limit) break;
-    const RowGroup& group = table->groups()[g];
-    if (const Fragment* cover = rp::CoveringFragment(group, needed)) {
-      if (rp::UseParallelScan(parallel_, *cover, terms)) {
-        rp::ParallelSelectCover(parallel_, *cover, terms, q.select_columns,
-                                limit, /*prefiltered=*/nullptr, &result);
-        continue;
+    const rp::GroupPlan& group = plan.groups[g];
+    switch (group.path) {
+      case rp::AccessPath::kMorselParallel:
+        rp::ParallelSelectCover(parallel_, *group.cover, plan.terms,
+                                q.select_columns, limit,
+                                /*prefiltered=*/nullptr, &result);
+        break;
+      case rp::AccessPath::kStitch: {
+        // Vertical split: resolve keys, then stitch projections.
+        telemetry::ScopedSpan stitch_span("stitch");
+        HSDB_ASSIGN_OR_RETURN(
+            std::vector<PrimaryKey> pks,
+            rp::MatchingPksInGroup(plan.table->groups()[g], plan.terms));
+        for (const PrimaryKey& pk : pks) {
+          if (result.rows.size() >= limit) break;
+          HSDB_ASSIGN_OR_RETURN(Row row, plan.table->GetByPk(pk));
+          result.rows.push_back(ProjectRow(row, q.select_columns));
+        }
+        break;
       }
-      Bitmap bm = rp::EvaluateOnFragment(*cover, terms);
-      rp::SelectFromBitmap(*cover, bm, q.select_columns, limit, &result);
-    } else {
-      // Vertical-split slow path: resolve keys, then stitch projections.
-      telemetry::ScopedSpan stitch_span("stitch");
-      HSDB_ASSIGN_OR_RETURN(std::vector<PrimaryKey> pks,
-                            rp::MatchingPksInGroup(group, terms));
-      for (const PrimaryKey& pk : pks) {
-        if (result.rows.size() >= limit) break;
-        HSDB_ASSIGN_OR_RETURN(Row row, table->GetByPk(pk));
-        result.rows.push_back(ProjectRow(row, q.select_columns));
+      default: {
+        Bitmap bm = rp::EvaluateOnFragment(*group.cover, plan.terms);
+        rp::SelectFromBitmap(*group.cover, bm, q.select_columns, limit,
+                             &result);
       }
     }
   }
@@ -109,62 +97,18 @@ Result<QueryResult> Executor::ExecuteInsert(const InsertQuery& q) {
   return result;
 }
 
-Result<QueryResult> Executor::ExecuteUpdate(const UpdateQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_->Find(q.table));
-  const Schema& schema = table->schema();
-  if (q.set_columns.size() != q.set_values.size()) {
-    return Status::InvalidArgument("set columns/values arity mismatch");
-  }
-  std::vector<const PredicateTerm*> terms = rp::TermsForTable(q.predicate, 0);
-  if (terms.size() != q.predicate.size()) {
-    return Status::InvalidArgument("update predicate references other tables");
-  }
-  HSDB_RETURN_IF_ERROR(rp::ValidateTerms(schema, terms));
-
+Result<QueryResult> Executor::ExecuteKeyedWrite(const Query& query,
+                                                const rp::ReadPlan& plan) {
+  const auto* update = std::get_if<UpdateQuery>(&query);
+  auto write = [&](const PrimaryKey& pk) {
+    return update != nullptr
+               ? plan.table->UpdateByPk(pk, update->set_columns,
+                                        update->set_values)
+               : plan.table->DeleteByPk(pk);
+  };
   QueryResult result;
-  // Point fast path.
-  if (schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0])) {
-    Status s = table->UpdateByPk(PrimaryKey::Of(*q.predicate[0].range.lo),
-                                 q.set_columns, q.set_values);
-    if (s.ok()) {
-      result.affected_rows = 1;
-    } else if (s.code() != StatusCode::kNotFound) {
-      return s;
-    }
-    return result;
-  }
-
-  std::vector<PrimaryKey> all_pks;
-  {
-    telemetry::ScopedSpan scan_span("scan");
-    for (const RowGroup& group : table->groups()) {
-      HSDB_ASSIGN_OR_RETURN(std::vector<PrimaryKey> pks,
-                            rp::MatchingPksInGroup(group, terms));
-      for (PrimaryKey& pk : pks) all_pks.push_back(std::move(pk));
-    }
-  }
-  telemetry::ScopedSpan write_span("write");
-  for (const PrimaryKey& pk : all_pks) {
-    HSDB_RETURN_IF_ERROR(table->UpdateByPk(pk, q.set_columns, q.set_values));
-    ++result.affected_rows;
-  }
-  return result;
-}
-
-Result<QueryResult> Executor::ExecuteDelete(const DeleteQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_->Find(q.table));
-  std::vector<const PredicateTerm*> terms = rp::TermsForTable(q.predicate, 0);
-  if (terms.size() != q.predicate.size()) {
-    return Status::InvalidArgument("delete predicate references other tables");
-  }
-  HSDB_RETURN_IF_ERROR(rp::ValidateTerms(table->schema(), terms));
-
-  QueryResult result;
-  const Schema& schema = table->schema();
-  if (schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0])) {
-    Status s = table->DeleteByPk(PrimaryKey::Of(*q.predicate[0].range.lo));
+  if (plan.path == rp::AccessPath::kPointPk) {
+    Status s = write(PrimaryKey::Of(*plan.terms[0]->range.lo));
     if (s.ok()) {
       result.affected_rows = 1;
     } else if (s.code() != StatusCode::kNotFound) {
@@ -175,21 +119,77 @@ Result<QueryResult> Executor::ExecuteDelete(const DeleteQuery& q) {
   std::vector<PrimaryKey> all_pks;
   {
     telemetry::ScopedSpan scan_span("scan");
-    for (const RowGroup& group : table->groups()) {
+    for (const RowGroup& group : plan.table->groups()) {
       HSDB_ASSIGN_OR_RETURN(std::vector<PrimaryKey> pks,
-                            rp::MatchingPksInGroup(group, terms));
+                            rp::MatchingPksInGroup(group, plan.terms));
       for (PrimaryKey& pk : pks) all_pks.push_back(std::move(pk));
     }
   }
   telemetry::ScopedSpan write_span("write");
   for (const PrimaryKey& pk : all_pks) {
-    HSDB_RETURN_IF_ERROR(table->DeleteByPk(pk));
+    HSDB_RETURN_IF_ERROR(write(pk));
     ++result.affected_rows;
   }
   return result;
 }
 
-Result<QueryResult> Executor::ExecuteAggregation(const AggregationQuery& q) {
+Result<QueryResult> Executor::SingleTableAggregation(
+    const AggregationQuery& q, const rp::ReadPlan& plan) {
+  const bool grouped = !q.group_by.empty();
+  std::vector<AggState> totals(q.aggregates.size());
+  GroupMap group_map;
+
+  telemetry::ScopedSpan scan_span("scan");
+  for (size_t g = 0; g < plan.groups.size(); ++g) {
+    const rp::GroupPlan& group = plan.groups[g];
+    switch (group.path) {
+      case rp::AccessPath::kMorselParallel:
+        rp::ParallelAggregateCover(parallel_, *group.cover, plan.terms, q,
+                                   grouped, /*prefiltered=*/nullptr, &totals,
+                                   &group_map);
+        break;
+      case rp::AccessPath::kStitch: {
+        // Stitch full logical rows (vertical-partition join).
+        telemetry::ScopedSpan stitch_span("stitch");
+        plan.table->ForEachRowInGroup(g, [&](const Row& row) {
+          for (const PredicateTerm* term : plan.terms) {
+            if (!term->range.Contains(row[term->column.column])) return;
+          }
+          std::vector<AggState>* states = &totals;
+          if (grouped) {
+            GroupKey key;
+            key.values.reserve(q.group_by.size());
+            for (const ColumnRef& ref : q.group_by) {
+              key.values.push_back(row[ref.column]);
+            }
+            states = &group_map
+                          .try_emplace(std::move(key),
+                                       std::vector<AggState>(
+                                           q.aggregates.size()))
+                          .first->second;
+          }
+          for (size_t i = 0; i < q.aggregates.size(); ++i) {
+            const AggregateExpr& agg = q.aggregates[i];
+            if (agg.fn == AggFn::kCount) {
+              (*states)[i].AddCount(1.0);
+            } else {
+              (*states)[i].Add(row[agg.column.column].AsNumeric());
+            }
+          }
+        });
+        break;
+      }
+      default: {
+        Bitmap bm = rp::EvaluateOnFragment(*group.cover, plan.terms);
+        rp::AggregateFromBitmap(*group.cover, bm, q, grouped, &totals,
+                                &group_map);
+      }
+    }
+  }
+  return rp::FinalizeAggregation(q, grouped, totals, group_map);
+}
+
+Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q) {
   if (q.tables.empty()) {
     return Status::InvalidArgument("aggregation requires a table");
   }
@@ -224,13 +224,7 @@ Result<QueryResult> Executor::ExecuteAggregation(const AggregationQuery& q) {
   for (const PredicateTerm& term : q.predicate) {
     HSDB_RETURN_IF_ERROR(check_ref(term.column));
   }
-  if (q.tables.size() == 1) {
-    if (!q.joins.empty()) {
-      return Status::InvalidArgument("joins require multiple tables");
-    }
-    return SingleTableAggregation(q);
-  }
-  // Star-join validation: exactly one edge from the fact to each dimension.
+  // Exactly one edge from the fact to each dimension.
   if (q.joins.size() != q.tables.size() - 1) {
     return Status::InvalidArgument("star join requires one edge per dim");
   }
@@ -247,77 +241,6 @@ Result<QueryResult> Executor::ExecuteAggregation(const AggregationQuery& q) {
     HSDB_RETURN_IF_ERROR(check_ref({e.left_column, 0}));
     HSDB_RETURN_IF_ERROR(check_ref({e.right_column, e.right_table}));
   }
-  return StarJoinAggregation(q);
-}
-
-Result<QueryResult> Executor::SingleTableAggregation(
-    const AggregationQuery& q) {
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_->Find(q.tables[0]));
-  std::vector<const PredicateTerm*> terms = rp::TermsForTable(q.predicate, 0);
-  const bool grouped = !q.group_by.empty();
-
-  std::vector<AggState> totals(q.aggregates.size());
-  GroupMap group_map;
-
-  std::vector<ColumnId> needed;
-  for (const AggregateExpr& agg : q.aggregates) {
-    if (agg.fn != AggFn::kCount) needed.push_back(agg.column.column);
-  }
-  for (const ColumnRef& ref : q.group_by) needed.push_back(ref.column);
-  for (const PredicateTerm* term : terms) {
-    needed.push_back(term->column.column);
-  }
-  needed = rp::UniqueColumns(std::move(needed));
-
-  telemetry::ScopedSpan scan_span("scan");
-  for (size_t g = 0; g < table->groups().size(); ++g) {
-    const RowGroup& group = table->groups()[g];
-    const Fragment* cover = rp::CoveringFragment(group, needed);
-    if (cover != nullptr) {
-      if (rp::UseParallelScan(parallel_, *cover, terms)) {
-        rp::ParallelAggregateCover(parallel_, *cover, terms, q, grouped,
-                                   /*prefiltered=*/nullptr, &totals,
-                                   &group_map);
-        continue;
-      }
-      Bitmap bm = rp::EvaluateOnFragment(*cover, terms);
-      rp::AggregateFromBitmap(*cover, bm, q, grouped, &totals, &group_map);
-    } else {
-      // Spanning path: stitch full logical rows (vertical-partition join).
-      telemetry::ScopedSpan stitch_span("stitch");
-      table->ForEachRowInGroup(g, [&](const Row& row) {
-        for (const PredicateTerm* term : terms) {
-          if (!term->range.Contains(row[term->column.column])) return;
-        }
-        std::vector<AggState>* states = &totals;
-        if (grouped) {
-          GroupKey key;
-          key.values.reserve(q.group_by.size());
-          for (const ColumnRef& ref : q.group_by) {
-            key.values.push_back(row[ref.column]);
-          }
-          states = &group_map
-                        .try_emplace(std::move(key),
-                                     std::vector<AggState>(
-                                         q.aggregates.size()))
-                        .first->second;
-        }
-        for (size_t i = 0; i < q.aggregates.size(); ++i) {
-          const AggregateExpr& agg = q.aggregates[i];
-          if (agg.fn == AggFn::kCount) {
-            (*states)[i].AddCount(1.0);
-          } else {
-            (*states)[i].Add(row[agg.column.column].AsNumeric());
-          }
-        }
-      });
-    }
-  }
-
-  return rp::FinalizeAggregation(q, grouped, totals, group_map);
-}
-
-Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q) {
   HSDB_ASSIGN_OR_RETURN(LogicalTable * fact, catalog_->Find(q.tables[0]));
 
   struct DimSide {

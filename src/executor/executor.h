@@ -17,6 +17,9 @@ namespace telemetry {
 class Counter;
 class Gauge;
 }  // namespace telemetry
+namespace readpath {
+struct ReadPlan;
+}  // namespace readpath
 
 /// Shared-state handles for the morsel-parallel scan path. All members are
 /// optional: a null pool keeps every query on the serial path; null
@@ -39,15 +42,20 @@ class Executor {
   /// configured with more than one thread). Thread-compatible: set once
   /// before queries run.
   void set_parallel(const ParallelContext& ctx) { parallel_ = ctx; }
+  const ParallelContext& parallel() const { return parallel_; }
 
  private:
-  Result<QueryResult> ExecuteAggregation(const AggregationQuery& q);
-  Result<QueryResult> ExecuteSelect(const SelectQuery& q);
+  // The single-table statements run the plan readpath::Bind made for them.
+  Result<QueryResult> ExecuteSelect(const SelectQuery& q,
+                                    const readpath::ReadPlan& plan);
+  Result<QueryResult> SingleTableAggregation(const AggregationQuery& q,
+                                             const readpath::ReadPlan& plan);
+  /// UPDATE and DELETE: point-PK write, or collect matching keys then write.
+  Result<QueryResult> ExecuteKeyedWrite(const Query& query,
+                                        const readpath::ReadPlan& plan);
   Result<QueryResult> ExecuteInsert(const InsertQuery& q);
-  Result<QueryResult> ExecuteUpdate(const UpdateQuery& q);
-  Result<QueryResult> ExecuteDelete(const DeleteQuery& q);
-
-  Result<QueryResult> SingleTableAggregation(const AggregationQuery& q);
+  /// Validates and runs a multi-table aggregation (joins never batch, so
+  /// their checks live here rather than in the binder).
   Result<QueryResult> StarJoinAggregation(const AggregationQuery& q);
 
   Catalog* catalog_;

@@ -11,6 +11,158 @@
 namespace hsdb {
 namespace readpath {
 
+std::string_view AccessPathName(AccessPath path) {
+  switch (path) {
+    case AccessPath::kPointPk:
+      return "point-PK lookup";
+    case AccessPath::kStitch:
+      return "stitch";
+    case AccessPath::kIndexSeed:
+      return "index-seeded scan";
+    case AccessPath::kMorselParallel:
+      return "morsel-parallel scan";
+    case AccessPath::kScan:
+      return "serial scan";
+  }
+  return "unknown";
+}
+
+namespace {
+
+/// The first term a row-store sorted index can seed, or nullptr.
+const PredicateTerm* SeedTerm(const Fragment& frag,
+                              const std::vector<const PredicateTerm*>& terms) {
+  if (frag.table->store() != StoreType::kRow) return nullptr;
+  const auto& rs = static_cast<const RowTable&>(*frag.table);
+  for (const PredicateTerm* term : terms) {
+    if (rs.HasSortedIndex(frag.FragColumn(term->column.column))) return term;
+  }
+  return nullptr;
+}
+
+/// Single-table aggregation checks; appends the columns it reads.
+Status BindAggregation(const AggregationQuery& q, const Schema& schema,
+                       std::vector<ColumnId>* needed) {
+  auto check_ref = [&](const ColumnRef& ref) -> Status {
+    if (ref.table_index != 0) {
+      return Status::InvalidArgument("column ref table index out of range");
+    }
+    if (ref.column >= schema.num_columns()) {
+      return Status::InvalidArgument("column ref out of range");
+    }
+    return Status::OK();
+  };
+  for (const AggregateExpr& agg : q.aggregates) {
+    if (agg.fn == AggFn::kCount) continue;
+    HSDB_RETURN_IF_ERROR(check_ref(agg.column));
+    if (!IsNumeric(schema.column(agg.column.column).type)) {
+      return Status::InvalidArgument("aggregate over non-numeric column");
+    }
+    needed->push_back(agg.column.column);
+  }
+  for (const ColumnRef& ref : q.group_by) {
+    HSDB_RETURN_IF_ERROR(check_ref(ref));
+    needed->push_back(ref.column);
+  }
+  for (const PredicateTerm& term : q.predicate) {
+    HSDB_RETURN_IF_ERROR(check_ref(term.column));
+  }
+  if (!q.joins.empty()) {
+    return Status::InvalidArgument("joins require multiple tables");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<ReadPlan> Bind(const Catalog& catalog, const Query& query,
+                      const ParallelContext& parallel) {
+  ReadPlan plan;
+  const Predicate* predicate = nullptr;
+  const QueryKind kind = KindOf(query);
+  switch (kind) {
+    case QueryKind::kSelect: {
+      const auto& q = std::get<SelectQuery>(query);
+      HSDB_ASSIGN_OR_RETURN(plan.table, catalog.Find(q.table));
+      for (ColumnId col : q.select_columns) {
+        if (col >= plan.table->schema().num_columns()) {
+          return Status::InvalidArgument("select column out of range");
+        }
+      }
+      plan.needed = q.select_columns;
+      predicate = &q.predicate;
+      break;
+    }
+    case QueryKind::kAggregation: {
+      const auto& q = std::get<AggregationQuery>(query);
+      if (q.tables.size() != 1) {
+        return Status::NotSupported("star join: hash build + probe");
+      }
+      if (q.aggregates.empty()) {
+        return Status::InvalidArgument("aggregation requires an aggregate");
+      }
+      HSDB_ASSIGN_OR_RETURN(plan.table, catalog.Find(q.tables[0]));
+      HSDB_RETURN_IF_ERROR(
+          BindAggregation(q, plan.table->schema(), &plan.needed));
+      predicate = &q.predicate;
+      break;
+    }
+    case QueryKind::kUpdate: {
+      const auto& q = std::get<UpdateQuery>(query);
+      HSDB_ASSIGN_OR_RETURN(plan.table, catalog.Find(q.table));
+      if (q.set_columns.size() != q.set_values.size()) {
+        return Status::InvalidArgument("set columns/values arity mismatch");
+      }
+      predicate = &q.predicate;
+      break;
+    }
+    case QueryKind::kDelete: {
+      const auto& q = std::get<DeleteQuery>(query);
+      HSDB_ASSIGN_OR_RETURN(plan.table, catalog.Find(q.table));
+      predicate = &q.predicate;
+      break;
+    }
+    case QueryKind::kInsert:
+      return Status::NotSupported("insert: writer latch + exclusive lock");
+  }
+  const Schema& schema = plan.table->schema();
+  plan.terms = TermsForTable(*predicate, 0);
+  if (plan.terms.size() != predicate->size()) {
+    return Status::InvalidArgument("predicate references other tables");
+  }
+  HSDB_RETURN_IF_ERROR(ValidateTerms(schema, plan.terms));
+
+  const bool read =
+      kind == QueryKind::kSelect || kind == QueryKind::kAggregation;
+  // The point fast path is sub-linear. Aggregations never take it.
+  if (kind != QueryKind::kAggregation && schema.primary_key().size() == 1 &&
+      IsPointPredicateOn(*predicate, schema.primary_key()[0])) {
+    plan.path = AccessPath::kPointPk;
+    return plan;
+  }
+  for (const PredicateTerm* term : plan.terms) {
+    plan.needed.push_back(term->column.column);
+  }
+  plan.needed = UniqueColumns(std::move(plan.needed));
+  plan.groups.reserve(plan.table->groups().size());
+  for (const RowGroup& group : plan.table->groups()) {
+    GroupPlan& g = plan.groups.emplace_back();
+    g.cover = CoveringFragment(group, plan.needed);
+    if (g.cover == nullptr) {
+      g.path = AccessPath::kStitch;
+    } else if (SeedTerm(*g.cover, plan.terms) != nullptr) {
+      // Already sub-linear: morselizing or sharing it would only add work.
+      g.path = AccessPath::kIndexSeed;
+    } else if (read && parallel.pool != nullptr &&
+               g.cover->table->slot_count() > kMorselRows) {
+      g.path = AccessPath::kMorselParallel;
+    }
+    plan.path = std::min(plan.path, g.path);
+  }
+  plan.shareable = read && plan.path >= AccessPath::kMorselParallel;
+  return plan;
+}
+
 std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
                                                 int table_index) {
   std::vector<const PredicateTerm*> terms;
@@ -37,18 +189,15 @@ Bitmap EvaluateOnFragment(const Fragment& frag,
                           const std::vector<const PredicateTerm*>& terms) {
   telemetry::ScopedSpan span("predicate");
   const PhysicalTable& table = *frag.table;
-  if (table.store() == StoreType::kRow) {
-    const auto& rs = static_cast<const RowTable&>(table);
-    for (size_t i = 0; i < terms.size(); ++i) {
-      ColumnId fc = frag.FragColumn(terms[i]->column.column);
-      if (!rs.HasSortedIndex(fc)) continue;
-      Result<Bitmap> seeded = rs.IndexFilter(fc, terms[i]->range);
-      if (!seeded.ok()) continue;
+  if (const PredicateTerm* seed = SeedTerm(frag, terms)) {
+    Result<Bitmap> seeded = static_cast<const RowTable&>(table).IndexFilter(
+        frag.FragColumn(seed->column.column), seed->range);
+    if (seeded.ok()) {
       Bitmap bm = std::move(seeded).value();
-      for (size_t j = 0; j < terms.size(); ++j) {
-        if (j == i) continue;
-        table.FilterRange(frag.FragColumn(terms[j]->column.column),
-                          terms[j]->range, &bm);
+      for (const PredicateTerm* term : terms) {
+        if (term == seed) continue;
+        table.FilterRange(frag.FragColumn(term->column.column), term->range,
+                          &bm);
       }
       return bm;
     }
@@ -58,21 +207,6 @@ Bitmap EvaluateOnFragment(const Fragment& frag,
     table.FilterRange(frag.FragColumn(term->column.column), term->range, &bm);
   }
   return bm;
-}
-
-bool UseParallelScan(const ParallelContext& ctx, const Fragment& frag,
-                     const std::vector<const PredicateTerm*>& terms) {
-  if (ctx.pool == nullptr) return false;
-  if (frag.table->slot_count() <= kMorselRows) return false;
-  if (frag.table->store() == StoreType::kRow) {
-    const auto& rs = static_cast<const RowTable&>(*frag.table);
-    for (const PredicateTerm* term : terms) {
-      if (rs.HasSortedIndex(frag.FragColumn(term->column.column))) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 void NoteMorsels(const ParallelContext& ctx, size_t morsels) {

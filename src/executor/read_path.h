@@ -1,8 +1,14 @@
-// Shared read-scan machinery: the morsel planner, predicate evaluation and
-// result materialization used by both the per-statement Executor and the
-// shared-scan BatchExecutor. Everything here is free-standing and
+// Shared read-scan machinery: the binder, predicate evaluation and result
+// materialization used by the per-statement Executor, the shared-scan
+// BatchExecutor and `explain`. Everything here is free-standing and
 // stateless — callers pass the fragment, the predicate terms and (for the
 // parallel paths) the ParallelContext.
+//
+// Bind is the one place that validates a single-table statement and picks
+// its access path. Its ReadPlan is what every consumer reads: the executor
+// runs the plan's path, the batch executor shares exactly the plans marked
+// `shareable`, and `explain` prints the plan's path — so none of them can
+// describe or take a path the others would not.
 //
 // The materialization entry points take an optional `prefiltered` bitmap:
 // the batch executor computes one selection bitmap per query in a shared
@@ -15,8 +21,11 @@
 #ifndef HSDB_EXECUTOR_READ_PATH_H_
 #define HSDB_EXECUTOR_READ_PATH_H_
 
+#include <cstdint>
+#include <string_view>
 #include <vector>
 
+#include "catalog/catalog.h"
 #include "common/bitmap.h"
 #include "executor/aggregate.h"
 #include "executor/executor.h"
@@ -40,6 +49,52 @@ inline size_t MorselCount(size_t n) {
   return (n + kMorselRows - 1) / kMorselRows;
 }
 
+/// How a bound statement (or one row group of it) reaches its rows. The
+/// order is precedence: a statement's path is its highest-ranked group path,
+/// so a single stitched or index-seeded group makes the whole statement
+/// per-statement-only.
+enum class AccessPath : uint8_t {
+  kPointPk = 0,     // single equality on a single-column primary key
+  kStitch,          // no fragment covers the needed columns: PK stitch
+  kIndexSeed,       // row-store sorted index seeds the selection bitmap
+  kMorselParallel,  // covering fragment scanned morsel by morsel on the pool
+  kScan,            // covering fragment scanned serially
+};
+std::string_view AccessPathName(AccessPath path);
+
+/// One row group of a bound statement.
+struct GroupPlan {
+  /// First fragment storing every needed column; nullptr where the group is
+  /// vertically split (path kStitch).
+  const Fragment* cover = nullptr;
+  AccessPath path = AccessPath::kScan;
+};
+
+/// A validated single-table statement and its access path. Pointers refer
+/// into the bound query and the table version that was current under the
+/// caller's locks; the plan is valid only while both are.
+struct ReadPlan {
+  LogicalTable* table = nullptr;
+  std::vector<const PredicateTerm*> terms;
+  /// Sorted, deduplicated logical columns the statement reads.
+  std::vector<ColumnId> needed;
+  /// Indexed by row group; empty on the point-PK path.
+  std::vector<GroupPlan> groups;
+  AccessPath path = AccessPath::kScan;
+  /// A read whose every group is a plain covered scan: the batch executor
+  /// may answer it from a shared predicate pass.
+  bool shareable = false;
+};
+
+/// Validates a single-table statement (SELECT, single-table aggregation,
+/// UPDATE, DELETE) against the live catalog and picks its path. Call under
+/// the statement's table locks. The morsel-parallel path is chosen only for
+/// reads, only when `parallel` has a pool, and only for covers spanning
+/// more than one morsel. INSERTs and star joins have no read plan:
+/// NotSupported.
+Result<ReadPlan> Bind(const Catalog& catalog, const Query& query,
+                      const ParallelContext& parallel);
+
 /// The query's predicate terms that reference `table_index`.
 std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
                                                 int table_index);
@@ -52,13 +107,6 @@ Status ValidateTerms(const Schema& schema,
 /// bitmap when one is available for a term's column.
 Bitmap EvaluateOnFragment(const Fragment& frag,
                           const std::vector<const PredicateTerm*>& terms);
-
-/// Whether the morsel-parallel scan path applies to this fragment: a pool
-/// is installed, the fragment spans more than one morsel, and no row-store
-/// sorted index would seed the bitmap (the index path is already
-/// sub-linear; morselizing it would only add overhead).
-bool UseParallelScan(const ParallelContext& ctx, const Fragment& frag,
-                     const std::vector<const PredicateTerm*>& terms);
 
 /// Telemetry for one parallel dispatch: total morsels produced and the
 /// worker-queue depth at dispatch time (pending tasks already queued plus

@@ -5,7 +5,7 @@
 #include <sstream>
 
 #include "catalog/catalog.h"
-#include "executor/batch_executor.h"
+#include "executor/read_path.h"
 #include "storage/compression/encoding.h"
 
 namespace hsdb {
@@ -68,37 +68,26 @@ void AppendTableLines(const Catalog& catalog, const std::string& name,
   }
 }
 
-/// One-line characterization of the execution path the serial executor
-/// would choose — the analogue of a plan node list for this engine's
-/// fixed pipeline.
-std::string PathLine(Database* db, const Catalog& catalog,
-                     const Query& query) {
-  const QueryKind kind = KindOf(query);
-  if (kind == QueryKind::kSelect) {
-    const auto& q = std::get<SelectQuery>(query);
-    if (const LogicalTable* table = catalog.GetTable(q.table)) {
-      const auto& pk = table->schema().primary_key();
-      if (pk.size() == 1 && IsPointPredicateOn(q.predicate, pk[0])) {
-        return "path: point-PK lookup (sub-linear fast path)";
-      }
-    }
-    return db->num_threads() > 1
-               ? "path: filtered scan, morsel-parallel over " +
-                     std::to_string(db->num_threads()) + " threads"
-               : "path: filtered scan, serial";
+/// The access path readpath::Bind picks — the plan the executor runs —
+/// and whether the batch worker could share its scan.
+void AppendPathLines(Database* db, const Query& query,
+                     std::vector<std::string>* out) {
+  Result<readpath::ReadPlan> plan =
+      readpath::Bind(db->catalog(), query, db->parallel());
+  if (!plan.ok()) {
+    out->push_back("path: per-statement (" + plan.status().message() + ")");
+    out->push_back("batch_shareable: no (per-statement path)");
+    return;
   }
-  if (kind == QueryKind::kAggregation) {
-    const auto& q = std::get<AggregationQuery>(query);
-    std::string path = q.group_by.empty() ? "path: scan + aggregate"
-                                          : "path: scan + grouped aggregate";
-    if (!q.joins.empty()) path += " (joined)";
-    if (db->num_threads() > 1) {
-      path += ", morsel-parallel over " + std::to_string(db->num_threads()) +
-              " threads";
-    }
-    return path;
+  std::string path = "path: " + std::string(AccessPathName(plan->path));
+  if (plan->path == readpath::AccessPath::kMorselParallel) {
+    path += " over " + std::to_string(db->num_threads()) + " threads";
   }
-  return "path: per-statement DML (writer latch + exclusive lock)";
+  out->push_back(path);
+  out->push_back(plan->shareable
+                     ? "batch_shareable: yes (shared-scan group on " +
+                           plan->table->name() + ")"
+                     : "batch_shareable: no (per-statement path)");
 }
 
 void AppendPredictionLines(Database* db, const Query& query,
@@ -124,12 +113,7 @@ std::vector<std::string> ExplainLines(Database* db, const Query& query) {
   // discipline as the adaptation controller's planning reads.
   CatalogReadLock lock(db->catalog(), tables);
   AppendPredictionLines(db, query, &out);
-  out.push_back(PathLine(db, db->catalog(), query));
-  const std::string* shareable = BatchExecutor::ShareableTable(query);
-  out.push_back(shareable != nullptr
-                    ? "batch_shareable: yes (shared-scan group on " +
-                          *shareable + ")"
-                    : "batch_shareable: no (per-statement path)");
+  AppendPathLines(db, query, &out);
   for (const std::string& name : tables) {
     AppendTableLines(db->catalog(), name, &out);
   }

@@ -1,11 +1,12 @@
 // Renderers for the `explain` / `explain analyze` wire verbs: the per-query
 // window into the advisor's cost model. `explain` shows what the engine
 // *predicts* — per-table layout, per-column codecs, the estimated cost from
-// the installed predictor, the chosen execution path and whether the batch
-// worker could share the scan. `explain analyze` executes the query and puts
-// the observed trace-span tree next to the prediction, making the cost
-// model's honesty inspectable one query at a time (the aggregate form lives
-// in the cost-feedback residual stream).
+// the installed predictor, and the access path readpath::Bind picks (the
+// plan the executor runs) with whether the batch worker could share it.
+// `explain analyze` executes the query and puts the observed trace-span
+// tree next to the prediction, making the cost model's honesty inspectable
+// one query at a time (the aggregate form lives in the cost-feedback
+// residual stream).
 #ifndef HSDB_SERVER_EXPLAIN_H_
 #define HSDB_SERVER_EXPLAIN_H_
 

@@ -2,8 +2,10 @@
 // path must come back carrying the batch_group trace tree with a
 // scan_shared child whose timing nests inside the root — this is the tree
 // `explain analyze` renders and the slow-query log summarizes, so its shape
-// is contract, not decoration. Runs at dop 1 and 4: the morsel-parallel
-// shared pass must produce the same span structure as the serial one.
+// is contract, not decoration. Shared members are also accounted like
+// serial statements (prediction, cost feedback, counters, slow-query log).
+// Runs at dop 1 and 4: the morsel-parallel shared pass must produce the
+// same span structure as the serial one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +14,7 @@
 
 #include "executor/batch_executor.h"
 #include "executor/database.h"
+#include "telemetry/slowlog.h"
 #include "telemetry/trace.h"
 #include "workload/synthetic.h"
 
@@ -144,6 +147,68 @@ TEST_P(BatchTraceTest, MixedBatchSplitsTraceShapes) {
   if (results[3]->trace != nullptr) {
     EXPECT_NE(results[3]->trace->name, "batch_group");
   }
+}
+
+TEST_P(BatchTraceTest, SharedMembersAreAccountedLikeSerialStatements) {
+  // Shared members go through the same accounting step as serial
+  // statements: a prediction, a cost-feedback sample, the query counters
+  // and the latency histogram — and slow-query records that keep the
+  // back-to-back, same-share, same-summary shape of one group.
+  db_->set_cost_predictor([](const Query&) { return 0.5; });
+  db_->slowlog().Configure({1e-9, 64, 1});
+  telemetry::MetricsRegistry& metrics = db_->metrics();
+  auto queries_total = [&] {
+    uint64_t total = 0;
+    for (int k = 0; k < kNumQueryKinds; ++k) {
+      total += metrics
+                   .GetCounter("hsdb_queries_total", "",
+                               {{"kind", std::string(QueryKindName(
+                                             static_cast<QueryKind>(k)))}})
+                   .value();
+    }
+    return total;
+  };
+  auto latency_count = [&] {
+    return metrics.GetHistogram("hsdb_query_latency_ms").count();
+  };
+  const std::vector<Query> queries = ShareableBatch();
+  const uint64_t n = queries.size();
+
+  // Serial execution of the same queries: the reference counts.
+  uint64_t queries_before = queries_total();
+  uint64_t latency_before = latency_count();
+  for (const Query& q : queries) ASSERT_TRUE(db_->Execute(q).ok());
+  const uint64_t serial_queries = queries_total() - queries_before;
+  const uint64_t serial_latency = latency_count() - latency_before;
+  EXPECT_EQ(serial_queries, n);
+
+  db_->slowlog().Clear();
+  queries_before = queries_total();
+  latency_before = latency_count();
+  const uint64_t samples_before = db_->cost_feedback().samples();
+  BatchExecutor batch(db_.get());
+  std::vector<Result<QueryResult>> results = batch.ExecuteBatch(queries);
+  ASSERT_EQ(results.size(), queries.size());
+  for (size_t i = 0; i < results.size(); ++i) {
+    ASSERT_TRUE(results[i].ok()) << "query " << i;
+    ASSERT_NE(results[i]->trace, nullptr);
+    ASSERT_EQ(results[i]->trace->name, "batch_group") << "query " << i;
+    EXPECT_GE(results[i]->predicted_cost_ms, 0.0) << "query " << i;
+  }
+  EXPECT_EQ(db_->cost_feedback().samples() - samples_before, n);
+  EXPECT_EQ(queries_total() - queries_before, serial_queries);
+  EXPECT_EQ(latency_count() - latency_before, serial_latency);
+
+  const std::vector<telemetry::SlowlogRecord> records =
+      db_->slowlog().Snapshot();
+  ASSERT_EQ(records.size(), n);
+  for (const telemetry::SlowlogRecord& record : records) {
+    EXPECT_TRUE(record.shared);
+    EXPECT_EQ(record.elapsed_ms, records.front().elapsed_ms);
+    EXPECT_EQ(record.trace_summary, records.front().trace_summary);
+    EXPECT_EQ(record.predicted_cost_ms, 0.5);
+  }
+  db_->set_cost_predictor(nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(Dop, BatchTraceTest, ::testing::Values(1, 4),

@@ -227,6 +227,21 @@ TEST_F(ExecutorTest, ValidationErrors) {
   a2.aggregates = {{AggFn::kSum, {4, 0}}};
   EXPECT_EQ(db_.Execute(Query(a2)).status().code(),
             StatusCode::kInvalidArgument);
+  // An unbounded predicate term is rejected by every single-table
+  // statement kind, aggregations included (they used to count every row).
+  const PredicateTerm unbounded{{1, 0}, ValueRange{}};
+  SelectQuery s;
+  s.table = "sales";
+  s.select_columns = {0};
+  s.predicate = {unbounded};
+  EXPECT_EQ(db_.Execute(Query(s)).status().code(),
+            StatusCode::kInvalidArgument);
+  AggregationQuery count;
+  count.tables = {"sales"};
+  count.aggregates = {{AggFn::kCount, {}}};
+  count.predicate = {unbounded};
+  EXPECT_EQ(db_.Execute(Query(count)).status().code(),
+            StatusCode::kInvalidArgument);
   // Update arity mismatch.
   UpdateQuery u;
   u.table = "sales";

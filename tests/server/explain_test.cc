@@ -4,6 +4,8 @@
 // with what actually executed: a count it reports matches the count the
 // plain verb returns, and DML through explain analyze really mutates.
 // Malformed explain requests get "err ..." and leave the connection usable.
+// ExplainPathTest pins `explain`'s path line to the path that really runs,
+// one fixture per access path.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +14,7 @@
 
 #include "executor/database.h"
 #include "server/client.h"
+#include "server/explain.h"
 #include "server/server.h"
 #include "workload/synthetic.h"
 
@@ -169,6 +172,102 @@ TEST_F(ExplainWireTest, ExplainPredictionLineWhenPredictorInstalled) {
   ASSERT_TRUE(reply.ok());
   ASSERT_TRUE(reply->ok) << reply->error;
   EXPECT_FALSE(LineWith(reply->lines, "predicted_cost").empty());
+}
+
+/// `explain` prints the binder's path and shareability; `explain analyze`
+/// must then observe that path: morsels exactly on the morsel-parallel
+/// path, a stitch span exactly on the stitch path. DOP 2, so every path is
+/// reachable.
+TEST(ExplainPathTest, ExplainNamesThePathThatRuns) {
+  SyntheticTableSpec spec;
+  spec.num_keyfigures = 2;
+  spec.num_filters = 2;
+  spec.num_groups = 1;
+  Database::Options options;
+  options.num_threads = 2;
+  Database db(options);
+  TableLayout split;
+  split.base_store = StoreType::kColumn;
+  split.vertical = VerticalSpec{{spec.filter(0)}};
+  struct Fixture {
+    const char* name;
+    TableLayout layout;
+    size_t rows;
+  };
+  for (const Fixture& f :
+       {Fixture{"big", TableLayout::SingleStore(StoreType::kColumn), 20'000},
+        Fixture{"small", TableLayout::SingleStore(StoreType::kColumn), 100},
+        Fixture{"indexed", TableLayout::SingleStore(StoreType::kRow), 20'000},
+        Fixture{"split", split, 100}}) {
+    spec.name = f.name;
+    ASSERT_TRUE(db.CreateTable(f.name, spec.MakeSchema(), f.layout).ok());
+    ASSERT_TRUE(
+        PopulateSynthetic(db.catalog().GetTable(f.name), spec, f.rows).ok());
+  }
+  ASSERT_TRUE(
+      db.catalog().GetTable("indexed")->CreateSortedIndex(spec.filter(0)).ok());
+
+  const ValueRange below100 = ValueRange::Less(Value(int32_t{100}));
+  AggregationQuery big_sum;  // column store above one morsel
+  big_sum.tables = {"big"};
+  big_sum.aggregates = {{AggFn::kSum, {spec.keyfigure(0), 0}}};
+  big_sum.predicate = {{{spec.filter(1), 0}, below100}};
+  SelectQuery small_select;  // one morsel or less: serial
+  small_select.table = "small";
+  small_select.select_columns = {0, spec.keyfigure(0)};
+  small_select.predicate = {{{spec.filter(0), 0}, below100}};
+  AggregationQuery indexed_count;  // sorted index beats the morsel path
+  indexed_count.tables = {"indexed"};
+  indexed_count.aggregates = {{AggFn::kCount, {}}};
+  indexed_count.predicate = {{{spec.filter(0), 0}, below100}};
+  SelectQuery split_select = small_select;  // columns span both pieces
+  split_select.table = "split";
+  SelectQuery point;  // PK point on the large table
+  point.table = "big";
+  point.select_columns = {0, spec.keyfigure(0)};
+  point.predicate = {{{0, 0}, ValueRange::Eq(Value(int64_t{17}))}};
+
+  struct Case {
+    Query query;
+    std::string path;
+    bool shareable;
+  };
+  const std::vector<Case> cases = {
+      {big_sum, "morsel-parallel scan over 2 threads", true},
+      {small_select, "serial scan", true},
+      {indexed_count, "index-seeded scan", false},
+      {split_select, "stitch", false},
+      {point, "point-PK lookup", false},
+  };
+  auto line_with = [](const std::vector<std::string>& lines,
+                      const std::string& prefix) {
+    for (const std::string& line : lines) {
+      if (line.rfind(prefix, 0) == 0) return line;
+    }
+    return std::string();
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(QueryToString(c.query));
+    const std::vector<std::string> plan = server::ExplainLines(&db, c.query);
+    EXPECT_EQ(line_with(plan, "path:"), "path: " + c.path);
+    EXPECT_FALSE(line_with(plan, c.shareable ? "batch_shareable: yes"
+                                             : "batch_shareable: no")
+                     .empty());
+
+    Result<std::vector<std::string>> analyzed =
+        server::ExplainAnalyzeLines(&db, c.query);
+    ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+    if (!telemetry::kCompiledIn) continue;  // no counters, no trace
+    const bool parallel = c.path.rfind("morsel-parallel", 0) == 0;
+    EXPECT_EQ(line_with(*analyzed, "morsels_dispatched:") !=
+                  "morsels_dispatched: 0",
+              parallel);
+    bool stitch_span = false;
+    for (const std::string& line : *analyzed) {
+      if (line.find(" stitch ") != std::string::npos) stitch_span = true;
+    }
+    EXPECT_EQ(stitch_span, c.path == "stitch");
+  }
 }
 
 }  // namespace
