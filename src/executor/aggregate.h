@@ -82,6 +82,18 @@ struct GroupKeyHash {
 using GroupMap =
     std::unordered_map<GroupKey, std::vector<AggState>, GroupKeyHash>;
 
+/// The states of `key`'s group, inserted zeroed (one per aggregate) on a
+/// miss. Looks up first, so a hit copies no key and allocates nothing:
+/// callers refill one scratch key per row.
+inline std::vector<AggState>& GroupStates(GroupMap* map, const GroupKey& key,
+                                          size_t num_aggregates) {
+  auto it = map->find(key);
+  if (it == map->end()) {
+    it = map->emplace(key, std::vector<AggState>(num_aggregates)).first;
+  }
+  return it->second;
+}
+
 }  // namespace hsdb
 
 #endif  // HSDB_EXECUTOR_AGGREGATE_H_

@@ -151,22 +151,18 @@ Result<QueryResult> Executor::SingleTableAggregation(
       case rp::AccessPath::kStitch: {
         // Stitch full logical rows (vertical-partition join).
         telemetry::ScopedSpan stitch_span("stitch");
+        GroupKey key;
         plan.table->ForEachRowInGroup(g, [&](const Row& row) {
           for (const PredicateTerm* term : plan.terms) {
             if (!term->range.Contains(row[term->column.column])) return;
           }
           std::vector<AggState>* states = &totals;
           if (grouped) {
-            GroupKey key;
-            key.values.reserve(q.group_by.size());
+            key.values.clear();
             for (const ColumnRef& ref : q.group_by) {
               key.values.push_back(row[ref.column]);
             }
-            states = &group_map
-                          .try_emplace(std::move(key),
-                                       std::vector<AggState>(
-                                           q.aggregates.size()))
-                          .first->second;
+            states = &GroupStates(&group_map, key, q.aggregates.size());
           }
           for (size_t i = 0; i < q.aggregates.size(); ++i) {
             const AggregateExpr& agg = q.aggregates[i];
@@ -301,6 +297,7 @@ Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q) {
   std::vector<AggState> totals(q.aggregates.size());
   GroupMap group_map;
   std::vector<const Row*> dim_rows(dims.size());
+  GroupKey key;
 
   // Shared probe logic; `get` materializes a fact column value.
   auto probe_row = [&](auto&& get) {
@@ -311,8 +308,7 @@ Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q) {
     }
     std::vector<AggState>* states = &totals;
     if (grouped) {
-      GroupKey key;
-      key.values.reserve(q.group_by.size());
+      key.values.clear();
       for (const ColumnRef& ref : q.group_by) {
         if (ref.table_index == 0) {
           key.values.push_back(get(ref.column));
@@ -323,11 +319,7 @@ Result<QueryResult> Executor::StarJoinAggregation(const AggregationQuery& q) {
                   ref.column)]);
         }
       }
-      states =
-          &group_map
-               .try_emplace(std::move(key),
-                            std::vector<AggState>(q.aggregates.size()))
-               .first->second;
+      states = &GroupStates(&group_map, key, q.aggregates.size());
     }
     for (size_t i = 0; i < q.aggregates.size(); ++i) {
       const AggregateExpr& agg = q.aggregates[i];

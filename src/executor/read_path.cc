@@ -1,6 +1,7 @@
 #include "executor/read_path.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_set>
 
 #include "common/thread_pool.h"
@@ -279,48 +280,105 @@ void ParallelSelectCover(const ParallelContext& ctx, const Fragment& cover,
   }
 }
 
-void AggregateFromBitmap(const Fragment& cover, const Bitmap& bm,
-                         const AggregationQuery& q, bool grouped,
-                         std::vector<AggState>* totals, GroupMap* group_map) {
-  telemetry::ScopedSpan decode_span("decode");
+namespace {
+
+/// Code-keyed grouping over a column-store cover's encoded main segment:
+/// the group-by columns' packed codes combine mixed-radix into a slot of a
+/// flat table of `slots` entries.
+struct CodeGrouping {
+  std::vector<const BitPackedVector*> codes;  // one per group-by column
+  std::vector<size_t> strides;
+  size_t main_rows = 0;  // the codes cover rows [0, main_rows)
+  size_t slots = 1;
+};
+
+/// The code grouping of `cover`'s group-by columns, or nullopt when the
+/// cover is not a column store with a main segment, a column's codec has no
+/// packed codes (RLE, raw) or the code spaces multiply past kMorselRows.
+std::optional<CodeGrouping> PlanCodeGrouping(const Fragment& cover,
+                                             const AggregationQuery& q) {
+  if (cover.table->store() != StoreType::kColumn) return std::nullopt;
+  const auto& table = static_cast<const ColumnTable&>(*cover.table);
+  if (table.main_rows() == 0) return std::nullopt;
+  CodeGrouping g;
+  g.main_rows = table.main_rows();
+  for (const ColumnRef& ref : q.group_by) {
+    const compression::PackedCodes c =
+        table.MainCodes(cover.FragColumn(ref.column));
+    if (c.packed == nullptr || c.space > kMorselRows / g.slots) {
+      return std::nullopt;
+    }
+    g.codes.push_back(c.packed);
+    g.strides.push_back(g.slots);
+    g.slots *= c.space;
+  }
+  return g;
+}
+
+/// The aggregation kernel (contract in read_path.h): folds the rows of
+/// `cover` in [begin, end) selected by `bm` into `totals` or `group_map`.
+void AggregateRange(const Fragment& cover, const Bitmap& bm, size_t begin,
+                    size_t end, const AggregationQuery& q, bool grouped,
+                    std::vector<AggState>* totals, GroupMap* group_map) {
+  const PhysicalTable& table = *cover.table;
+  const size_t num_aggs = q.aggregates.size();
   if (!grouped) {
-    for (size_t i = 0; i < q.aggregates.size(); ++i) {
+    for (size_t i = 0; i < num_aggs; ++i) {
       const AggregateExpr& agg = q.aggregates[i];
       if (agg.fn == AggFn::kCount) {
-        (*totals)[i].AddCount(static_cast<double>(bm.Count()));
+        (*totals)[i].AddCount(
+            static_cast<double>(bm.CountInRange(begin, end)));
       } else {
-        ForEachNumericIn(*cover.table, cover.FragColumn(agg.column.column),
-                         &bm, [&](RowId, double v) { (*totals)[i].Add(v); });
+        ForEachNumericInRange(table, cover.FragColumn(agg.column.column), bm,
+                              begin, end,
+                              [&](RowId, double v) { (*totals)[i].Add(v); });
       }
     }
     return;
   }
-  bm.ForEachSet([&](size_t rid) {
-    GroupKey key;
-    key.values.reserve(q.group_by.size());
+  const std::optional<CodeGrouping> code = PlanCodeGrouping(cover, q);
+  std::vector<AggState*> slot_states(code ? code->slots : 0, nullptr);
+  GroupKey key;
+  auto lookup = [&](size_t rid) {
+    key.values.clear();
     for (const ColumnRef& ref : q.group_by) {
-      key.values.push_back(
-          cover.table->GetValue(rid, cover.FragColumn(ref.column)));
+      key.values.push_back(table.GetValue(rid, cover.FragColumn(ref.column)));
     }
-    auto& states =
-        group_map
-            ->try_emplace(std::move(key),
-                          std::vector<AggState>(q.aggregates.size()))
-            .first->second;
-    for (size_t i = 0; i < q.aggregates.size(); ++i) {
+    return GroupStates(group_map, key, num_aggs).data();
+  };
+  // Per block: resolve every selected row's group states in row order, then
+  // decode each aggregate column once into them.
+  std::vector<AggState*> row_states;
+  for (size_t b = begin; b < end; b += kMorselRows) {
+    const size_t e = std::min(b + kMorselRows, end);
+    row_states.clear();
+    row_states.reserve(bm.CountInRange(b, e));
+    bm.ForEachSetInRange(b, e, [&](size_t rid) {
+      if (!code || rid >= code->main_rows) {
+        row_states.push_back(lookup(rid));
+        return;
+      }
+      size_t slot = 0;
+      for (size_t c = 0; c < code->codes.size(); ++c) {
+        slot += code->codes[c]->Get(rid) * code->strides[c];
+      }
+      AggState*& states = slot_states[slot];
+      if (states == nullptr) states = lookup(rid);
+      row_states.push_back(states);
+    });
+    for (size_t i = 0; i < num_aggs; ++i) {
       const AggregateExpr& agg = q.aggregates[i];
       if (agg.fn == AggFn::kCount) {
-        states[i].AddCount(1.0);
-      } else {
-        states[i].Add(
-            cover.table->GetValue(rid, cover.FragColumn(agg.column.column))
-                .AsNumeric());
+        for (AggState* states : row_states) states[i].AddCount(1.0);
+        continue;
       }
+      size_t j = 0;
+      ForEachNumericInRange(
+          table, cover.FragColumn(agg.column.column), bm, b, e,
+          [&](RowId, double v) { row_states[j++][i].Add(v); });
     }
-  });
+  }
 }
-
-namespace {
 
 /// Per-morsel partial aggregates, merged by the coordinator in morsel order.
 struct MorselAgg {
@@ -329,6 +387,13 @@ struct MorselAgg {
 };
 
 }  // namespace
+
+void AggregateFromBitmap(const Fragment& cover, const Bitmap& bm,
+                         const AggregationQuery& q, bool grouped,
+                         std::vector<AggState>* totals, GroupMap* group_map) {
+  telemetry::ScopedSpan decode_span("decode");
+  AggregateRange(cover, bm, 0, bm.size(), q, grouped, totals, group_map);
+}
 
 void ParallelAggregateCover(const ParallelContext& ctx, const Fragment& cover,
                             const std::vector<const PredicateTerm*>& terms,
@@ -352,44 +417,9 @@ void ParallelAggregateCover(const ParallelContext& ctx, const Fragment& cover,
     const size_t end = std::min(begin + kMorselRows, n);
     if (prefiltered == nullptr) FilterMorsel(cover, terms, begin, end, &local);
     MorselAgg& partial = partials[m];
-    if (!grouped) {
-      partial.totals.assign(q.aggregates.size(), AggState{});
-      for (size_t i = 0; i < q.aggregates.size(); ++i) {
-        const AggregateExpr& agg = q.aggregates[i];
-        if (agg.fn == AggFn::kCount) {
-          partial.totals[i].AddCount(
-              static_cast<double>(bm->CountInRange(begin, end)));
-        } else {
-          ForEachNumericInRange(
-              *cover.table, cover.FragColumn(agg.column.column), *bm, begin,
-              end, [&](RowId, double v) { partial.totals[i].Add(v); });
-        }
-      }
-      return;
-    }
-    bm->ForEachSetInRange(begin, end, [&](size_t rid) {
-      GroupKey key;
-      key.values.reserve(q.group_by.size());
-      for (const ColumnRef& ref : q.group_by) {
-        key.values.push_back(
-            cover.table->GetValue(rid, cover.FragColumn(ref.column)));
-      }
-      auto& states =
-          partial.groups
-              .try_emplace(std::move(key),
-                           std::vector<AggState>(q.aggregates.size()))
-              .first->second;
-      for (size_t i = 0; i < q.aggregates.size(); ++i) {
-        const AggregateExpr& agg = q.aggregates[i];
-        if (agg.fn == AggFn::kCount) {
-          states[i].AddCount(1.0);
-        } else {
-          states[i].Add(
-              cover.table->GetValue(rid, cover.FragColumn(agg.column.column))
-                  .AsNumeric());
-        }
-      }
-    });
+    partial.totals.assign(q.aggregates.size(), AggState{});
+    AggregateRange(cover, *bm, begin, end, q, grouped, &partial.totals,
+                   &partial.groups);
   });
   for (MorselAgg& partial : partials) {
     if (!grouped) {
@@ -399,10 +429,8 @@ void ParallelAggregateCover(const ParallelContext& ctx, const Fragment& cover,
       continue;
     }
     for (auto& [key, states] : partial.groups) {
-      auto& dst =
-          group_map
-              ->try_emplace(key, std::vector<AggState>(q.aggregates.size()))
-              .first->second;
+      std::vector<AggState>& dst =
+          GroupStates(group_map, key, q.aggregates.size());
       for (size_t i = 0; i < states.size(); ++i) dst[i].Merge(states[i]);
     }
   }

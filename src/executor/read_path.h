@@ -138,18 +138,39 @@ void ParallelSelectCover(const ParallelContext& ctx, const Fragment& cover,
                          size_t limit, const Bitmap* prefiltered,
                          QueryResult* result);
 
-/// Sequential aggregation fold over an already-evaluated selection bitmap
-/// (the serial single-table aggregation tail).
+// Both aggregation entry points below run one kernel (AggregateRange in
+// read_path.cc), which folds the rows of a range [begin, end) of the cover
+// selected by the bitmap into the totals (ungrouped: one AggState per
+// aggregate) or the group map (grouped). The serial tail runs it over the
+// whole fragment, the morsel path once per morsel, and the batch
+// executor's shared members reach it through both.
+//
+// Grouped, on a column-store cover whose group-by columns are all
+// dictionary- or frame-of-reference-coded with code spaces multiplying to at
+// most kMorselRows, main-segment rows group on their packed codes: the codes
+// combine mixed-radix into a slot of a flat table, so a group's key is
+// materialized (GetValue) only at its first row. Delta rows, RLE or raw
+// group-by columns, larger code spaces and row-store covers group on the
+// GetValue key of every row. The codec picks the path, nothing else.
+//
+// Either way groups enter the map in first-seen row-id order, each
+// aggregate column is decoded straight into the groups' states in blocks of
+// kMorselRows rows, and every AggState receives its rows' Add calls in
+// ascending row-id order — so the code path's output (aggregates, group
+// rows and their order) is bit-identical to the generic path's. A range is
+// one fold: the serial tail and the morsel path associate floating-point
+// sums differently.
+
+/// The serial single-table aggregation tail: the kernel over the whole of
+/// an already-evaluated selection bitmap.
 void AggregateFromBitmap(const Fragment& cover, const Bitmap& bm,
                          const AggregationQuery& q, bool grouped,
                          std::vector<AggState>* totals, GroupMap* group_map);
 
-/// Morsel-parallel aggregation over a covering fragment. Ungrouped: each
-/// worker folds its morsel into a private AggState vector. Grouped: each
-/// worker builds a private GroupMap. The coordinator merges partials in
-/// morsel order, so results are deterministic for every thread count
-/// (floating-point sums still differ from the serial evaluation order when
-/// values are not exactly representable). `prefiltered` as in
+/// Morsel-parallel aggregation over a covering fragment: each worker runs
+/// the kernel over its morsel into private partials (AggState vector or
+/// GroupMap); the coordinator merges them in morsel order, so results are
+/// identical for every thread count. `prefiltered` as in
 /// ParallelSelectCover.
 void ParallelAggregateCover(const ParallelContext& ctx, const Fragment& cover,
                             const std::vector<const PredicateTerm*>& terms,

@@ -111,6 +111,14 @@ class ColumnTable final : public PhysicalTable {
   /// still empty).
   Encoding ColumnEncoding(ColumnId col) const;
 
+  /// Packed codes of the main segment of `col`, covering rows
+  /// [0, main_rows()): dictionary value ids or FOR deltas; an empty view for
+  /// RLE and raw segments. Valid until the next merge.
+  compression::PackedCodes MainCodes(ColumnId col) const {
+    return std::visit([](const auto& data) { return data.main.codes(); },
+                      columns_[col]);
+  }
+
   /// Size-weighted average compression rate across all columns.
   double TableCompressionRate() const;
 

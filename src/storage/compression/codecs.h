@@ -88,6 +88,16 @@ struct PredicateTarget {
   Bitmap* inout = nullptr;
 };
 
+/// Read-only view of a segment's packed codes, the keys of code-keyed
+/// grouping: dense, order-preserving integers in [0, space) that map one to
+/// one onto the segment's values — dictionary value ids or frame-of-
+/// reference deltas. `packed` is null for codecs without such codes (RLE,
+/// raw); `space` saturates at UINT64_MAX for full-range 64-bit deltas.
+struct PackedCodes {
+  const BitPackedVector* packed = nullptr;
+  uint64_t space = 0;
+};
+
 namespace internal {
 
 inline size_t PlainBytes(const std::vector<std::string>& values) {
@@ -232,6 +242,9 @@ class DictionaryCodec {
   }
 
   const std::vector<T>& dict() const { return dict_; }
+
+  /// The value ids: code i decodes to dict()[i].
+  PackedCodes codes() const { return {&ids_, dict_.size()}; }
 
  private:
   /// Translates resolved bounds into the half-open dictionary-id interval
@@ -382,6 +395,8 @@ class RleCodec {
     }
   }
 
+  PackedCodes codes() const { return {}; }
+
   size_t payload_bytes() const {
     return internal::PlainBytes(values_) +
            starts_.size() * sizeof(uint32_t);
@@ -528,6 +543,12 @@ class ForCodec {
                                  packed.size());
   }
 
+  /// The packed deltas: code d decodes to base + d.
+  PackedCodes codes() const {
+    return {&deltas_,
+            max_delta_ == ~uint64_t{0} ? max_delta_ : max_delta_ + 1};
+  }
+
   size_t payload_bytes() const {
     return sizeof(base_) + size() * deltas_.bit_width() / 8;
   }
@@ -631,6 +652,7 @@ class ForCodec<double> {
                         size_t) const {}
   void MultiFilterRangeSlice(const PredicateTarget<double>*, size_t, size_t,
                              size_t) const {}
+  PackedCodes codes() const { return {}; }
   size_t payload_bytes() const { return 0; }
   size_t memory_bytes() const { return 0; }
 };
@@ -655,6 +677,7 @@ class ForCodec<std::string> {
                         size_t) const {}
   void MultiFilterRangeSlice(const PredicateTarget<std::string>*, size_t,
                              size_t, size_t) const {}
+  PackedCodes codes() const { return {}; }
   size_t payload_bytes() const { return 0; }
   size_t memory_bytes() const { return 0; }
 };
@@ -738,6 +761,8 @@ class RawCodec {
       }
     }
   }
+
+  PackedCodes codes() const { return {}; }
 
   size_t payload_bytes() const { return internal::PlainBytes(values_); }
   size_t memory_bytes() const {

@@ -118,6 +118,12 @@ class EncodedSegment {
         codec_);
   }
 
+  /// The codec's packed codes (dictionary ids, FOR deltas); empty for RLE
+  /// and raw segments.
+  PackedCodes codes() const {
+    return std::visit([](const auto& c) { return c.codes(); }, codec_);
+  }
+
   /// Distinct values in the segment (the main "dictionary size" even for
   /// non-dictionary codecs).
   size_t distinct_count() const { return distinct_; }

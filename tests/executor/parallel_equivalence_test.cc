@@ -14,9 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
+#include "executor/batch_executor.h"
 #include "executor/database.h"
+#include "storage/column_table.h"
 #include "telemetry/metrics.h"
 #include "workload/synthetic.h"
 
@@ -200,6 +203,172 @@ TEST_P(ParallelEquivalenceTest, ParallelPathActuallyEngaged) {
 
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,
                          ::testing::Values(2, 8));
+
+// Code-keyed grouping (dictionary ids and FOR deltas combined into a flat
+// slot table) must be invisible: grouped aggregations over group-by columns
+// pinned to each codec return the same rows, in the same order, with
+// bit-identical aggregates as the raw-encoded twin, whose grouping takes the
+// generic Value-keyed path. Two 128-code columns fill the flat table
+// exactly (128 x 128 = 16384 slots); a 129-code column paired with a
+// 128-code one falls back. Delta rows share the last morsel with main rows
+// and tombstones straddle the first morsel boundary.
+class CodeGroupingEquivalenceTest : public ::testing::TestWithParam<int> {
+ protected:
+  // Main rows: the last morsel is partial and also holds the delta rows.
+  static constexpr size_t kRows = 40'000;
+  static constexpr ColumnId kA = 1;  // INT32, 128 codes
+  static constexpr ColumnId kB = 2;  // INT64, 128 codes from -64
+  static constexpr ColumnId kC = 3;  // INT32, 129 codes
+  static constexpr ColumnId kS = 4;  // VARCHAR, 7 values
+  static constexpr ColumnId kV = 5;  // DOUBLE key figure
+  static constexpr ColumnId kW = 6;  // INT64 key figure
+
+  static Row MakeRow(int64_t id) {
+    return {Value(id), Value(static_cast<int32_t>((id * 37) % 128)),
+            Value((id / 128) * 11 % 128 - 64),
+            Value(static_cast<int32_t>((id * 7) % 129)),
+            Value("ship" + std::to_string(id * 5 % 7)),
+            Value(static_cast<double>(id) * 0.1 + 1.0 / 3.0),
+            Value(id % 1000)};
+  }
+
+  /// The table with its group-by columns pinned to `group_encoding` and the
+  /// rest to the dictionary, at `threads` degree of parallelism.
+  static std::unique_ptr<Database> MakeDb(Encoding group_encoding,
+                                          int threads) {
+    Database::Options options;
+    options.num_threads = threads;
+    auto db = std::make_unique<Database>(options);
+    Schema schema = Schema::CreateOrDie({{"id", DataType::kInt64},
+                                         {"a", DataType::kInt32},
+                                         {"b", DataType::kInt64},
+                                         {"c", DataType::kInt32},
+                                         {"s", DataType::kVarchar},
+                                         {"v", DataType::kDouble},
+                                         {"w", DataType::kInt64}},
+                                        {0});
+    const TableLayout layout = TableLayout::SingleStore(StoreType::kColumn);
+    EXPECT_TRUE(db->CreateTable("g", schema, layout).ok());
+    LogicalTable* table = db->catalog().GetTable("g");
+    for (int64_t id = 0; id < static_cast<int64_t>(kRows); ++id) {
+      EXPECT_TRUE(table->Insert(MakeRow(id)).ok());
+    }
+    std::vector<Encoding> encodings(schema.num_columns(),
+                                    Encoding::kDictionary);
+    for (ColumnId col : {kA, kB, kC, kS}) encodings[col] = group_encoding;
+    EXPECT_TRUE(db->ApplyLayout("g", layout, encodings).ok());
+    for (int64_t id = kRows; id < static_cast<int64_t>(kRows) + 300; ++id) {
+      EXPECT_TRUE(db->Execute(InsertQuery{"g", MakeRow(id)}).ok());
+    }
+    DeleteQuery del;
+    del.table = "g";
+    del.predicate = {{{0, 0}, ValueRange::Between(Value(int64_t{16300}),
+                                                  Value(int64_t{16500}))}};
+    EXPECT_TRUE(db->Execute(Query(del)).ok());
+    return db;
+  }
+
+  static const ColumnTable& Table(Database& db) {
+    const PhysicalTable& table =
+        *db.catalog().GetTable("g")->groups()[0].fragments[0].table;
+    EXPECT_EQ(table.store(), StoreType::kColumn);
+    return static_cast<const ColumnTable&>(table);
+  }
+
+  static std::vector<Query> Battery() {
+    AggregationQuery q;
+    q.tables = {"g"};
+    q.aggregates = {{AggFn::kSum, {kV, 0}}, {AggFn::kCount, {}},
+                    {AggFn::kAvg, {kV, 0}}, {AggFn::kMin, {kW, 0}},
+                    {AggFn::kMax, {kV, 0}}};
+    std::vector<Query> queries;
+    auto add = [&](std::vector<ColumnId> group_by, Predicate predicate) {
+      q.group_by.clear();
+      for (ColumnId col : group_by) q.group_by.push_back({col, 0});
+      q.predicate = std::move(predicate);
+      queries.push_back(q);
+    };
+    const Predicate across_boundary = {
+        {{0, 0}, ValueRange::Between(Value(int64_t{9000}),
+                                     Value(int64_t{40'200}))}};
+    add({kA}, {});
+    add({kA, kB}, {});  // 128 x 128: the flat table exactly
+    add({kB, kC}, {});  // 128 x 129: falls back
+    add({kC}, {});
+    add({kS, kA}, across_boundary);
+    add({kB, kA}, across_boundary);
+    add({kC, kB},
+        {{{kW, 0}, ValueRange::Between(Value(int64_t{100}),
+                                       Value(int64_t{500}))}});
+    return queries;
+  }
+
+  /// Bit-identical: same shape, same row order, equal keys, and aggregates
+  /// equal down to the bit pattern.
+  static void ExpectIdentical(const Result<QueryResult>& want,
+                              const Result<QueryResult>& got,
+                              const std::string& what) {
+    ASSERT_TRUE(want.ok()) << what;
+    ASSERT_TRUE(got.ok()) << what;
+    ASSERT_EQ(want->rows.size(), got->rows.size()) << what;
+    for (size_t r = 0; r < want->rows.size(); ++r) {
+      const Row& a = want->rows[r];
+      const Row& b = got->rows[r];
+      ASSERT_EQ(a.size(), b.size()) << what;
+      for (size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i].type(), b[i].type()) << what << " row " << r;
+        if (a[i].type() == DataType::kDouble) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(a[i].as_double()),
+                    std::bit_cast<uint64_t>(b[i].as_double()))
+              << what << " row " << r << ": " << RowToString(a) << " vs "
+              << RowToString(b);
+        } else {
+          EXPECT_TRUE(a[i] == b[i]) << what << " row " << r << ": "
+                                    << RowToString(a) << " vs "
+                                    << RowToString(b);
+        }
+      }
+    }
+  }
+};
+
+TEST_P(CodeGroupingEquivalenceTest, EveryCodecMatchesTheRawTwin) {
+  const int threads = GetParam();
+  std::unique_ptr<Database> raw = MakeDb(Encoding::kRaw, threads);
+  EXPECT_EQ(Table(*raw).MainCodes(kA).packed, nullptr);
+  const std::vector<Query> queries = Battery();
+  std::vector<Result<QueryResult>> want;
+  for (const Query& q : queries) want.push_back(raw->Execute(q));
+
+  for (Encoding e : {Encoding::kDictionary, Encoding::kFrameOfReference,
+                     Encoding::kRle, Encoding::kRaw}) {
+    std::unique_ptr<Database> db = MakeDb(e, threads);
+    const ColumnTable& table = Table(*db);
+    ASSERT_EQ(table.ColumnEncoding(kA), e);
+    ASSERT_GT(table.delta_rows(), 0u);
+    if (e == Encoding::kDictionary || e == Encoding::kFrameOfReference) {
+      // The code spaces the flat-table rule sees.
+      EXPECT_EQ(table.MainCodes(kA).space, 128u);
+      EXPECT_EQ(table.MainCodes(kB).space, 128u);
+      EXPECT_EQ(table.MainCodes(kC).space, 129u);
+    }
+    const std::string name(EncodingName(e));
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectIdentical(want[i], db->Execute(queries[i]),
+                      name + " " + QueryToString(queries[i]));
+    }
+    std::vector<Result<QueryResult>> batch =
+        BatchExecutor(db.get()).ExecuteBatch(queries);
+    ASSERT_EQ(batch.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExpectIdentical(want[i], batch[i],
+                      name + " batch " + QueryToString(queries[i]));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadCounts, CodeGroupingEquivalenceTest,
+                         ::testing::Values(1, 4));
 
 }  // namespace
 }  // namespace hsdb
