@@ -17,6 +17,7 @@
 #include "storage/column_table.h"
 #include "storage/compression/encoded_segment.h"
 #include "storage/compression/simd/bitunpack.h"
+#include "tpch/dbgen.h"
 #include "workload/synthetic.h"
 
 namespace hsdb {
@@ -339,6 +340,54 @@ BENCHMARK_CAPTURE(BM_ColumnTableGroupedAggregate, encoding:for,
                   Encoding::kFrameOfReference);
 BENCHMARK_CAPTURE(BM_ColumnTableGroupedAggregate, encoding:raw,
                   Encoding::kRaw);
+
+// ---- Delta merge -------------------------------------------------------------
+
+/// Merges a delta of `rows` inserted rows into an empty main part: every
+/// column is profiled, encoded by its picked codec and the PK index kept.
+/// `make_row(i, rng)` builds row i; set-up inserts are not timed.
+template <typename MakeRow>
+void RunDeltaMerge(benchmark::State& state, const Schema& schema,
+                   MakeRow&& make_row) {
+  const auto rows = static_cast<int64_t>(state.range(0));
+  for (auto _ : state) {
+    state.PauseTiming();
+    ColumnTable::Options opts;
+    opts.auto_merge = false;
+    auto table = ColumnTable::Create(schema, opts);
+    Rng rng(5);
+    for (int64_t i = 0; i < rows; ++i) {
+      HSDB_CHECK(table->Insert(make_row(i, rng)).ok());
+    }
+    state.ResumeTiming();
+    table->MergeDelta();
+    benchmark::DoNotOptimize(table->main_rows());
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+
+/// The synthetic benchmark table: integer keys, filters and key figures.
+void BM_DeltaMerge(benchmark::State& state) {
+  SyntheticTableSpec spec;
+  RunDeltaMerge(state, spec.MakeSchema(), [&](int64_t i, Rng&) {
+    return SyntheticRow(spec, i);
+  });
+}
+BENCHMARK(BM_DeltaMerge)->Arg(10'000)->Arg(50'000)->ArgName("rows");
+
+/// TPC-H lineitem rows: besides keys, prices and dates it carries
+/// low-cardinality strings (l_shipmode, l_shipinstruct) and a near-unique
+/// l_comment, the columns whose encode cost the merge is most sensitive to.
+void BM_DeltaMergeLineitem(benchmark::State& state) {
+  RunDeltaMerge(state, tpch::SchemaFor("lineitem"), [](int64_t i, Rng& rng) {
+    return tpch::MakeLineitemRow(i / 4 + 1, static_cast<int32_t>(i % 4 + 1),
+                                 tpch::kMinOrderDate +
+                                     static_cast<int32_t>(i % 2400),
+                                 /*part_count=*/10'000,
+                                 /*supplier_count=*/500, rng);
+  });
+}
+BENCHMARK(BM_DeltaMergeLineitem)->Arg(50'000)->ArgName("rows");
 
 // ---- Morsel-parallel scans -------------------------------------------------
 // Thread-count-parameterized twins of the scan shapes above: the same work

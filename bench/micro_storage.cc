@@ -123,24 +123,6 @@ void BM_RangeSelect(benchmark::State& state) {
 }
 BENCHMARK(BM_RangeSelect)->Arg(0)->Arg(1)->ArgName("store");
 
-void BM_DeltaMerge(benchmark::State& state) {
-  SyntheticTableSpec spec = Spec();
-  for (auto _ : state) {
-    state.PauseTiming();
-    ColumnTable::Options opts;
-    opts.auto_merge = false;
-    auto table = ColumnTable::Create(spec.MakeSchema(), opts);
-    for (int64_t i = 0; i < static_cast<int64_t>(state.range(0)); ++i) {
-      HSDB_CHECK(table->Insert(SyntheticRow(spec, i)).ok());
-    }
-    state.ResumeTiming();
-    table->MergeDelta();
-    benchmark::DoNotOptimize(table->main_rows());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DeltaMerge)->Arg(10'000)->Arg(50'000)->ArgName("rows");
-
 }  // namespace
 }  // namespace hsdb
 

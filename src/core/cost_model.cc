@@ -71,8 +71,8 @@ CostModelParams CostModelParams::Default() {
   cs.c_encoding_scan[static_cast<int>(Encoding::kRle)] = 0.55;
   cs.c_encoding_scan[static_cast<int>(Encoding::kFrameOfReference)] = 0.8;
   cs.c_encoding_scan[static_cast<int>(Encoding::kRaw)] = 1.25;
-  // Analytic re-encode shape: the dictionary pays the profiling sort plus
-  // id packing, FOR repacks deltas, RLE emits runs, raw is a plain copy.
+  // Analytic re-encode shape: the dictionary pays the distinct-value sort
+  // plus id packing, FOR repacks deltas, RLE emits runs, raw is a move.
   // Calibration replaces these with measured per-codec encode throughput.
   cs.c_encoding_reencode[static_cast<int>(Encoding::kDictionary)] = 1.0;
   cs.c_encoding_reencode[static_cast<int>(Encoding::kRle)] = 0.6;

@@ -394,35 +394,37 @@ void ColumnTable::MergeDelta() {
         [&](auto& data) {
           using T = typename std::decay_t<decltype(data.delta)>::value_type;
           // Gather surviving values in slot order (main via the codec's
-          // selective decode, then the delta).
+          // selective decode, then the delta, moved).
           std::vector<T> values;
           values.reserve(new_n);
           data.main.ForEachIn(
               live_, [&](size_t, const T& v) { values.push_back(v); });
           live_.ForEachSetInRange(main_size_, live_.size(), [&](size_t rid) {
-            values.push_back(data.delta[rid - main_size_]);
+            values.push_back(std::move(data.delta[rid - main_size_]));
           });
           // Re-encode the main segment; the picker re-selects the codec
           // from the merged value distribution.
-          data.main =
-              compression::EncodedSegment<T>::Encode(values, picker);
+          data.main = compression::EncodedSegment<T>::Encode(
+              std::move(values), picker);
           data.delta.clear();
           data.delta.shrink_to_fit();
           data.delta_dict.clear();
         },
         columns_[col]);
   }
+  // Compaction shifts every live row down past the tombstones before it:
+  // its new id is its rank among the live slots. Without tombstones no id
+  // moves and the PK index stays as it is.
+  if (new_n != live_.size() && !pk_index_.empty()) {
+    std::vector<RowId> new_rid(live_.size());
+    RowId next = 0;
+    live_.ForEachSet([&](size_t rid) { new_rid[rid] = next++; });
+    for (auto& entry : pk_index_) entry.second = new_rid[entry.second];
+  }
   main_size_ = new_n;
   live_.Resize(new_n);
   for (size_t i = 0; i < new_n; ++i) live_.Set(i);
   live_count_ = new_n;
-  if (options_.build_pk_index && !schema_.primary_key().empty()) {
-    pk_index_.clear();
-    pk_index_.reserve(new_n);
-    for (RowId rid = 0; rid < new_n; ++rid) {
-      pk_index_.emplace(ExtractPk(rid), rid);
-    }
-  }
   ++merge_count_;
   // A merge re-encodes segments (codecs can change), so statistics derived
   // from the physical encoding are stale even though the values are not.

@@ -3,8 +3,9 @@
 // selects per column (order-preserving dictionary, run-length, frame-of-
 // reference or raw; storage/compression/) — and a write-optimized unsorted
 // "delta" of raw values. Deletes and updates tombstone the old slot; a merge
-// folds the delta into the main, compacts tombstones and re-encodes every
-// column segment.
+// folds the delta into the main, compacts tombstones, re-encodes every
+// column segment from one hashing pass over its values, and keeps the
+// primary-key index (row ids are remapped only past tombstones).
 //
 // Performance profile (the asymmetries the advisor's cost model measures):
 //  - column scans/aggregates: sequential segment decode (bit-packed ids +
@@ -90,10 +91,11 @@ class ColumnTable final : public PhysicalTable {
 
   // Column-store specific API -----------------------------------------------
 
-  /// Folds the delta into the main part: compacts tombstones, re-encodes
+  /// Folds the delta into the main part: compacts tombstones and re-encodes
   /// every column's main segment (the EncodingPicker re-selects codecs from
-  /// the merged value distribution) and rebuilds the PK index. Invalidates
-  /// all outstanding row ids.
+  /// the merged value distribution). The PK index is kept: with no
+  /// tombstones no row id changes, otherwise each entry moves to its row's
+  /// rank among the live slots. Invalidates row ids past a tombstone.
   void MergeDelta();
 
   size_t main_rows() const { return main_size_; }

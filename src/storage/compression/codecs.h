@@ -24,6 +24,7 @@
 #include "common/bitmap.h"
 #include "common/bitpack.h"
 #include "common/macros.h"
+#include "storage/compression/encoding_picker.h"
 #include "storage/compression/simd/bitunpack.h"
 
 namespace hsdb {
@@ -118,29 +119,32 @@ size_t PlainBytes(const std::vector<T>& values) {
 template <typename T>
 class DictionaryCodec {
  public:
-  static DictionaryCodec Encode(const std::vector<T>& values) {
-    std::vector<T> dict = values;
-    std::sort(dict.begin(), dict.end());
-    dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
-    dict.shrink_to_fit();
-    return Encode(values, std::move(dict));
-  }
-
-  /// Encode with a prebuilt sorted distinct-value dictionary (the profiling
-  /// pass already produced it — no second sort).
-  static DictionaryCodec Encode(const std::vector<T>& values,
-                                std::vector<T> dict) {
-    DictionaryCodec c;
-    uint32_t width =
-        dict.empty() ? 1 : BitPackedVector::WidthFor(dict.size() - 1);
-    BitPackedVector ids(width);
-    ids.Reserve(values.size());
-    for (const T& v : values) {
-      ids.Append(std::lower_bound(dict.begin(), dict.end(), v) -
-                 dict.begin());
+  /// Encodes from the values' first-seen codes (ProfileValues): only the
+  /// distinct values are sorted, and each row's id is the rank of its code.
+  /// The dictionary takes the distinct values out of `values`.
+  static DictionaryCodec Encode(std::vector<T> values,
+                                const FirstSeenCodes& codes) {
+    const size_t d = codes.first_rows.size();
+    std::vector<T> distinct;
+    distinct.reserve(d);
+    for (uint32_t row : codes.first_rows) {
+      distinct.push_back(std::move(values[row]));
     }
-    c.dict_ = std::move(dict);
-    c.ids_ = std::move(ids);
+    std::vector<uint32_t> order(d);
+    for (uint32_t code = 0; code < d; ++code) order[code] = code;
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return distinct[a] < distinct[b];
+    });
+    DictionaryCodec c;
+    std::vector<uint32_t> rank(d);
+    c.dict_.reserve(d);
+    for (uint32_t r = 0; r < d; ++r) {
+      rank[order[r]] = r;
+      c.dict_.push_back(std::move(distinct[order[r]]));
+    }
+    c.ids_ = BitPackedVector(d == 0 ? 1 : BitPackedVector::WidthFor(d - 1));
+    c.ids_.Reserve(codes.codes.size());
+    for (uint32_t code : codes.codes) c.ids_.Append(rank[code]);
     return c;
   }
 

@@ -23,29 +23,40 @@ class EncodedSegment {
   /// Empty dictionary segment (a freshly created column has no main part).
   EncodedSegment() : codec_(DictionaryCodec<T>()) {}
 
-  /// Profiles `values`, asks `picker` for the codec and encodes. For
-  /// numeric types the profiling sort doubles as the dictionary build when
-  /// the dictionary codec wins; for strings the profile sorts pointers, so
-  /// materializing the dictionary is deferred until the codec is known.
-  static EncodedSegment Encode(const std::vector<T>& values,
+  /// Profiles `values` in one hashing pass, asks `picker` for the codec
+  /// and encodes. A dictionary segment sorts only the distinct values the
+  /// pass found; a raw segment keeps `values` itself.
+  static EncodedSegment Encode(std::vector<T> values,
                                const EncodingPicker& picker) {
-    std::vector<T> dict;
-    std::vector<T>* dict_out = DictFromProfile() ? &dict : nullptr;
-    EncodingProfile profile = ProfileValues(values, dict_out);
-    return EncodeAs(values, picker.Pick(profile), profile, dict_out);
+    FirstSeenCodes codes;
+    const EncodingProfile profile = ProfileValues(values, &codes);
+    EncodedSegment seg;
+    seg.encoding_ = picker.Pick(profile);
+    seg.distinct_ = static_cast<size_t>(profile.distinct_count);
+    seg.plain_bytes_ = internal::PlainBytes(values);
+    switch (seg.encoding_) {
+      case Encoding::kDictionary:
+        seg.codec_ = DictionaryCodec<T>::Encode(std::move(values), codes);
+        break;
+      case Encoding::kRle:
+        seg.codec_ = RleCodec<T>::Encode(values);
+        break;
+      case Encoding::kFrameOfReference:
+        seg.codec_ = ForCodec<T>::Encode(values);
+        break;
+      case Encoding::kRaw:
+        seg.codec_ = RawCodec<T>::Encode(std::move(values));
+        break;
+    }
+    return seg;
   }
 
   /// Encodes with a fixed codec (benchmarks, tests). Falls back to the
   /// dictionary when `encoding` cannot represent the column.
-  static EncodedSegment Encode(const std::vector<T>& values,
-                               Encoding encoding) {
-    std::vector<T> dict;
-    std::vector<T>* dict_out = DictFromProfile() ? &dict : nullptr;
-    EncodingProfile profile = ProfileValues(values, dict_out);
-    if (!EncodingApplicable(encoding, profile)) {
-      encoding = Encoding::kDictionary;
-    }
-    return EncodeAs(values, encoding, profile, dict_out);
+  static EncodedSegment Encode(std::vector<T> values, Encoding encoding) {
+    EncodingPicker::Options forced;
+    forced.force = encoding;
+    return Encode(std::move(values), EncodingPicker(forced));
   }
 
   Encoding encoding() const { return encoding_; }
@@ -141,40 +152,6 @@ class EncodedSegment {
  private:
   using Variant = std::variant<DictionaryCodec<T>, RleCodec<T>, ForCodec<T>,
                                RawCodec<T>>;
-
-  /// Whether the profiling pass yields the dictionary as a free byproduct
-  /// (numeric sort) rather than an extra string copy.
-  static constexpr bool DictFromProfile() {
-    return !std::is_same_v<T, std::string>;
-  }
-
-  static EncodedSegment EncodeAs(const std::vector<T>& values,
-                                 Encoding encoding,
-                                 const EncodingProfile& profile,
-                                 std::vector<T>* dict) {
-    EncodedSegment seg;
-    seg.encoding_ = encoding;
-    seg.distinct_ = static_cast<size_t>(profile.distinct_count);
-    seg.plain_bytes_ = internal::PlainBytes(values);
-    switch (encoding) {
-      case Encoding::kDictionary:
-        seg.codec_ =
-            dict != nullptr
-                ? DictionaryCodec<T>::Encode(values, std::move(*dict))
-                : DictionaryCodec<T>::Encode(values);
-        break;
-      case Encoding::kRle:
-        seg.codec_ = RleCodec<T>::Encode(values);
-        break;
-      case Encoding::kFrameOfReference:
-        seg.codec_ = ForCodec<T>::Encode(values);
-        break;
-      case Encoding::kRaw:
-        seg.codec_ = RawCodec<T>::Encode(values);
-        break;
-    }
-    return seg;
-  }
 
   Variant codec_;
   Encoding encoding_ = Encoding::kDictionary;

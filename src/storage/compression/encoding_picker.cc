@@ -1,111 +1,115 @@
 #include "storage/compression/encoding_picker.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 #include <limits>
+#include <string_view>
+#include <type_traits>
 
 #include "common/bitpack.h"
+#include "common/hash.h"
+#include "common/macros.h"
 
 namespace hsdb {
 namespace compression {
 
 namespace {
 
-template <typename T>
-EncodingProfile ProfileNumeric(const std::vector<T>& values, bool is_integer,
-                               double plain_bytes,
-                               std::vector<T>* dict_out) {
-  EncodingProfile p;
-  p.row_count = values.size();
-  p.is_integer = is_integer;
-  p.plain_value_bytes = plain_bytes;
-  if (values.empty()) {
-    if (dict_out != nullptr) dict_out->clear();
-    return p;
-  }
-  // Distinct values via a sorted copy: exact, cheaper than hashing for the
-  // segment sizes a delta merge produces, and the deduplicated result *is*
-  // the order-preserving dictionary.
-  std::vector<T> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
-  if (is_integer) {
-    p.min_value = static_cast<int64_t>(sorted.front());
-    p.max_value = static_cast<int64_t>(sorted.back());
-  }
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  p.distinct_count = sorted.size();
-  p.run_count = 1;
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i] != values[i - 1]) ++p.run_count;
-  }
-  if (dict_out != nullptr) {
-    sorted.shrink_to_fit();
-    *dict_out = std::move(sorted);
-  }
-  return p;
+/// Hash of one value for the profiling table: numeric values hash their
+/// bits (-0.0 folded onto 0.0, which == treats as equal), strings their
+/// bytes.
+uint64_t HashValue(int32_t v) { return Mix64(static_cast<uint64_t>(v)); }
+uint64_t HashValue(int64_t v) { return Mix64(static_cast<uint64_t>(v)); }
+uint64_t HashValue(double v) {
+  return Mix64(std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v));
+}
+uint64_t HashValue(const std::string& v) {
+  return std::hash<std::string_view>{}(v);
 }
 
 }  // namespace
 
-EncodingProfile ProfileValues(const std::vector<int32_t>& values,
-                              std::vector<int32_t>* dict_out) {
-  return ProfileNumeric(values, /*is_integer=*/true, sizeof(int32_t),
-                        dict_out);
-}
-
-EncodingProfile ProfileValues(const std::vector<int64_t>& values,
-                              std::vector<int64_t>* dict_out) {
-  return ProfileNumeric(values, /*is_integer=*/true, sizeof(int64_t),
-                        dict_out);
-}
-
-EncodingProfile ProfileValues(const std::vector<double>& values,
-                              std::vector<double>* dict_out) {
-  return ProfileNumeric(values, /*is_integer=*/false, sizeof(double),
-                        dict_out);
-}
-
-EncodingProfile ProfileValues(const std::vector<std::string>& values,
-                              std::vector<std::string>* dict_out) {
+template <typename T>
+EncodingProfile ProfileValues(const std::vector<T>& values,
+                              FirstSeenCodes* codes) {
+  const size_t n = values.size();
   EncodingProfile p;
-  p.row_count = values.size();
-  p.is_integer = false;
-  if (values.empty()) {
-    p.plain_value_bytes = sizeof(std::string);
-    if (dict_out != nullptr) dict_out->clear();
-    return p;
-  }
-  std::vector<const std::string*> sorted;
-  sorted.reserve(values.size());
+  p.row_count = n;
+  p.is_integer = std::is_integral_v<T>;
+  p.plain_value_bytes = sizeof(T);
+  FirstSeenCodes local;
+  FirstSeenCodes& out = codes != nullptr ? *codes : local;
+  out.codes.resize(n);
+  out.first_rows.clear();
+  if (n == 0) return p;
+  HSDB_CHECK(n < std::numeric_limits<uint32_t>::max());
+
+  // Open addressing with linear probing over a power-of-two table that
+  // doubles once half full. A slot holds code + 1 (0 = empty) and the
+  // code's first row, so a probe compares against values[row] directly.
+  struct Slot {
+    uint32_t code_plus_one = 0;
+    uint32_t row = 0;
+  };
+  std::vector<Slot> slots(64);
+  size_t mask = slots.size() - 1;
   size_t payload = 0;
-  for (const std::string& s : values) {
-    sorted.push_back(&s);
-    payload += s.size();
+  if constexpr (std::is_integral_v<T>) {
+    p.min_value = p.max_value = values[0];
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const std::string* a, const std::string* b) { return *a < *b; });
-  p.distinct_count = 1;
-  for (size_t i = 1; i < sorted.size(); ++i) {
-    if (*sorted[i] != *sorted[i - 1]) ++p.distinct_count;
-  }
-  p.run_count = 1;
-  for (size_t i = 1; i < values.size(); ++i) {
-    if (values[i] != values[i - 1]) ++p.run_count;
-  }
-  p.plain_value_bytes =
-      sizeof(std::string) +
-      static_cast<double>(payload) / static_cast<double>(values.size());
-  if (dict_out != nullptr) {
-    dict_out->clear();
-    dict_out->reserve(p.distinct_count);
-    for (size_t i = 0; i < sorted.size(); ++i) {
-      if (i == 0 || *sorted[i] != *sorted[i - 1]) {
-        dict_out->push_back(*sorted[i]);
-      }
+  for (size_t i = 0; i < n; ++i) {
+    const T& v = values[i];
+    if constexpr (std::is_same_v<T, std::string>) payload += v.size();
+    if constexpr (std::is_integral_v<T>) {
+      p.min_value = std::min<int64_t>(p.min_value, v);
+      p.max_value = std::max<int64_t>(p.max_value, v);
     }
+    size_t s = HashValue(v) & mask;
+    while (slots[s].code_plus_one != 0 && !(values[slots[s].row] == v)) {
+      s = (s + 1) & mask;
+    }
+    if (slots[s].code_plus_one != 0) {
+      out.codes[i] = slots[s].code_plus_one - 1;
+      continue;
+    }
+    const auto code = static_cast<uint32_t>(out.first_rows.size());
+    out.codes[i] = code;
+    out.first_rows.push_back(static_cast<uint32_t>(i));
+    slots[s] = {code + 1, static_cast<uint32_t>(i)};
+    if (2 * out.first_rows.size() > slots.size()) {
+      std::vector<Slot> grown(2 * slots.size());
+      mask = grown.size() - 1;
+      for (const Slot& old : slots) {
+        if (old.code_plus_one == 0) continue;
+        size_t t = HashValue(values[old.row]) & mask;
+        while (grown[t].code_plus_one != 0) t = (t + 1) & mask;
+        grown[t] = old;
+      }
+      slots = std::move(grown);
+    }
+  }
+  p.distinct_count = out.first_rows.size();
+  p.run_count = 1;
+  for (size_t i = 1; i < n; ++i) {
+    if (out.codes[i] != out.codes[i - 1]) ++p.run_count;
+  }
+  if constexpr (std::is_same_v<T, std::string>) {
+    p.plain_value_bytes = sizeof(std::string) + static_cast<double>(payload) /
+                                                    static_cast<double>(n);
   }
   return p;
 }
+
+template EncodingProfile ProfileValues(const std::vector<int32_t>&,
+                                       FirstSeenCodes*);
+template EncodingProfile ProfileValues(const std::vector<int64_t>&,
+                                       FirstSeenCodes*);
+template EncodingProfile ProfileValues(const std::vector<double>&,
+                                       FirstSeenCodes*);
+template EncodingProfile ProfileValues(const std::vector<std::string>&,
+                                       FirstSeenCodes*);
 
 bool EncodingApplicable(Encoding encoding, const EncodingProfile& profile) {
   if (encoding == Encoding::kFrameOfReference) {

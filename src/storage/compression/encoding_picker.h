@@ -40,18 +40,23 @@ struct EncodingProfile {
   }
 };
 
-/// Exact profile of a typed value vector (in physical order). When
-/// `dict_out` is non-null it receives the sorted distinct values — the
-/// order-preserving dictionary — so encode paths reuse the profiling sort
-/// instead of sorting again.
-EncodingProfile ProfileValues(const std::vector<int32_t>& values,
-                              std::vector<int32_t>* dict_out = nullptr);
-EncodingProfile ProfileValues(const std::vector<int64_t>& values,
-                              std::vector<int64_t>* dict_out = nullptr);
-EncodingProfile ProfileValues(const std::vector<double>& values,
-                              std::vector<double>* dict_out = nullptr);
-EncodingProfile ProfileValues(const std::vector<std::string>& values,
-                              std::vector<std::string>* dict_out = nullptr);
+/// The distinct values of a value vector in first-seen order: code c is the
+/// c-th distinct value met walking the rows, first occurring at row
+/// first_rows[c]; codes[i] is the code of row i. Dictionary encoding sorts
+/// only the distinct values and maps each row through its code.
+struct FirstSeenCodes {
+  std::vector<uint32_t> codes;       // one per row
+  std::vector<uint32_t> first_rows;  // one per distinct value
+};
+
+/// Exact profile of a typed value vector (in physical order), computed in
+/// one pass through an open-addressing hash table of the distinct values
+/// (doubles compare with ==, so -0.0 and 0.0 are one value). When `codes`
+/// is non-null it receives each row's first-seen code. Instantiated for the
+/// four physical types (int32_t, int64_t, double, std::string).
+template <typename T>
+EncodingProfile ProfileValues(const std::vector<T>& values,
+                              FirstSeenCodes* codes = nullptr);
 
 /// True when `encoding` can represent a column with this profile at all
 /// (frame-of-reference needs an integer domain).

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 namespace hsdb {
 namespace {
 
@@ -229,6 +232,66 @@ TEST(ColumnTableTest, MergePreservesPkIndex) {
     ASSERT_TRUE(rid.has_value()) << i;
     ASSERT_EQ(t->GetValue(*rid, 0).as_int64(), i);
   }
+}
+
+TEST(ColumnTableTest, PkIndexSurvivesMergesWithTombstones) {
+  auto t = ColumnTable::Create(TestSchema(), NoAutoMerge());
+  for (int64_t i = 0; i < 300; ++i) ASSERT_TRUE(t->Insert(MakeTestRow(i)).ok());
+  t->MergeDelta();
+  for (int64_t i = 300; i < 400; ++i) {
+    ASSERT_TRUE(t->Insert(MakeTestRow(i)).ok());
+  }
+  auto pk = [](int64_t id) { return PrimaryKey::Of(Value(id)); };
+  std::set<int64_t> deleted;
+  std::set<int64_t> updated;
+  auto remove = [&](int64_t id) {
+    auto rid = t->FindByPk(pk(id));
+    ASSERT_TRUE(rid.has_value()) << id;
+    ASSERT_TRUE(t->DeleteRow(*rid).ok()) << id;
+    deleted.insert(id);
+  };
+  auto update = [&](int64_t id) {
+    auto rid = t->FindByPk(pk(id));
+    ASSERT_TRUE(rid.has_value()) << id;
+    ASSERT_TRUE(t->UpdateRow(*rid, {1}, {Value(int32_t{-1})}).ok()) << id;
+    updated.insert(id);
+  };
+  auto expect_index = [&](const std::string& when) {
+    EXPECT_EQ(t->live_count(), 400 - deleted.size()) << when;
+    for (int64_t id = 0; id < 400; ++id) {
+      auto rid = t->FindByPk(pk(id));
+      if (deleted.count(id) > 0) {
+        EXPECT_FALSE(rid.has_value()) << when << " id " << id;
+        continue;
+      }
+      ASSERT_TRUE(rid.has_value()) << when << " id " << id;
+      ASSERT_TRUE(t->IsLive(*rid)) << when << " id " << id;
+      EXPECT_EQ(t->GetValue(*rid, 0).as_int64(), id) << when;
+      EXPECT_EQ(t->GetValue(*rid, 1).as_int32(),
+                updated.count(id) > 0 ? -1 : int32_t(id % 10))
+          << when << " id " << id;
+    }
+  };
+  // Tombstones in the main (0, 150, 299) and in the delta (300, 350, 399);
+  // updates tombstone main (1, 200) and delta (320) rows and re-insert them.
+  for (int64_t id : {0, 150, 299, 300, 350, 399}) remove(id);
+  for (int64_t id : {1, 200, 320}) update(id);
+  expect_index("before merges");
+  t->MergeDelta();
+  expect_index("after the first merge");
+  remove(2);
+  update(250);
+  t->MergeDelta();
+  expect_index("after the second merge");
+  // A deleted key can come back; a live key still cannot be inserted twice.
+  ASSERT_TRUE(t->Insert(MakeTestRow(150)).ok());
+  deleted.erase(150);
+  EXPECT_EQ(t->Insert(MakeTestRow(151)).status().code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(t->Insert(MakeTestRow(250)).status().code(),
+            StatusCode::kAlreadyExists);
+  t->MergeDelta();  // no tombstones: the index is kept as it is
+  expect_index("after a merge without tombstones");
 }
 
 TEST(ColumnTableTest, EmptyMergeIsNoop) {

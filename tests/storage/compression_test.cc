@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <map>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -438,6 +442,229 @@ TEST(ColumnTableEncodingTest, RunStructuredColumnCompressesHarder) {
   // RLE on the run-structured column beats the dictionary's per-row ids.
   EXPECT_EQ(ta->ColumnEncoding(1), Encoding::kRle);
   EXPECT_LT(ta->CompressionRate(1), tl->CompressionRate(1));
+}
+
+// ---- Hash-built segments against a sorted-map reference --------------------
+
+/// Test value #k of each physical type; distinct k give distinct values.
+template <typename T>
+T TestValue(int64_t k) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return "v" + std::to_string(k);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return static_cast<double>(k) * 0.25 - 3.0;
+  } else if constexpr (std::is_same_v<T, int64_t>) {
+    return k * 1'000'000'007LL - 5;
+  } else {
+    return static_cast<T>(k * 7 - 300);
+  }
+}
+
+template <typename T>
+size_t ValueBytes(const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return sizeof(std::string) + v.size();
+  } else {
+    return sizeof(T);
+  }
+}
+
+/// Compares decoded values exactly: doubles bit for bit, so the sign of a
+/// zero counts.
+template <typename T>
+bool SameValue(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, double>) {
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+  } else {
+    return a == b;
+  }
+}
+
+/// What a segment over `values` must hold, from a std::map of the distinct
+/// values. std::map keeps the first-inserted of equivalent keys, so for a
+/// mix of 0.0 and -0.0 its key is the first-seen zero, which is also what
+/// the hash-built dictionary keeps.
+template <typename T>
+struct SegmentReference {
+  explicit SegmentReference(const std::vector<T>& values) : values(values) {
+    for (const T& v : values) dict.try_emplace(v, 0);
+    uint32_t rank = 0;
+    for (auto& entry : dict) entry.second = rank++;
+    for (size_t i = 0; i < values.size(); ++i) {
+      if (i == 0 || values[i] != values[i - 1]) run_starts.push_back(i);
+    }
+  }
+
+  EncodingProfile Profile() const {
+    EncodingProfile p;
+    p.row_count = values.size();
+    p.distinct_count = dict.size();
+    p.run_count = run_starts.size();
+    p.is_integer = std::is_integral_v<T>;
+    p.plain_value_bytes = sizeof(T);
+    if constexpr (std::is_integral_v<T>) {
+      if (!values.empty()) {
+        p.min_value = dict.begin()->first;
+        p.max_value = dict.rbegin()->first;
+      }
+    }
+    if constexpr (std::is_same_v<T, std::string>) {
+      if (!values.empty()) {
+        size_t payload = 0;
+        for (const T& v : values) payload += v.size();
+        p.plain_value_bytes +=
+            static_cast<double>(payload) / static_cast<double>(values.size());
+      }
+    }
+    return p;
+  }
+
+  /// Decoded row i under `encoding`: the dictionary's key, the value that
+  /// starts the row's run, or the row's own value.
+  T Decoded(Encoding encoding, size_t i) const {
+    switch (encoding) {
+      case Encoding::kDictionary:
+        return dict.find(values[i])->first;
+      case Encoding::kRle:
+        return values[*(std::upper_bound(run_starts.begin(),
+                                         run_starts.end(), i) -
+                        1)];
+      default:
+        return values[i];
+    }
+  }
+
+  size_t PayloadBytes(Encoding encoding) const {
+    const size_t n = values.size();
+    size_t bytes = 0;
+    switch (encoding) {
+      case Encoding::kDictionary: {
+        for (const auto& entry : dict) bytes += ValueBytes(entry.first);
+        const uint32_t width =
+            dict.empty() ? 1 : BitPackedVector::WidthFor(dict.size() - 1);
+        return bytes + n * width / 8;
+      }
+      case Encoding::kRle:
+        for (size_t start : run_starts) bytes += ValueBytes(values[start]);
+        return bytes + run_starts.size() * sizeof(uint32_t);
+      case Encoding::kFrameOfReference: {
+        const EncodingProfile p = Profile();
+        const uint32_t width = BitPackedVector::WidthFor(
+            static_cast<uint64_t>(p.max_value) -
+            static_cast<uint64_t>(p.min_value));
+        return sizeof(int64_t) + n * width / 8;
+      }
+      case Encoding::kRaw:
+        for (const T& v : values) bytes += ValueBytes(v);
+        return bytes;
+    }
+    return 0;
+  }
+
+  const std::vector<T>& values;
+  std::map<T, uint32_t> dict;  // distinct value -> dictionary rank
+  std::vector<size_t> run_starts;
+};
+
+template <typename T>
+void ExpectMatchesReference(const std::vector<T>& values,
+                            const std::string& label) {
+  const SegmentReference<T> ref(values);
+  const EncodingProfile want = ref.Profile();
+  const EncodingProfile got = ProfileValues(values);
+  EXPECT_EQ(got.row_count, want.row_count) << label;
+  EXPECT_EQ(got.distinct_count, want.distinct_count) << label;
+  EXPECT_EQ(got.run_count, want.run_count) << label;
+  EXPECT_EQ(got.is_integer, want.is_integer) << label;
+  EXPECT_EQ(got.min_value, want.min_value) << label;
+  EXPECT_EQ(got.max_value, want.max_value) << label;
+  EXPECT_DOUBLE_EQ(got.plain_value_bytes, want.plain_value_bytes) << label;
+
+  std::vector<std::pair<EncodedSegment<T>, Encoding>> segments;
+  segments.emplace_back(EncodedSegment<T>::Encode(values, EncodingPicker()),
+                        EncodingPicker().Pick(want));
+  for (Encoding e : {Encoding::kDictionary, Encoding::kRle,
+                     Encoding::kFrameOfReference, Encoding::kRaw}) {
+    segments.emplace_back(
+        EncodedSegment<T>::Encode(values, e),
+        EncodingApplicable(e, want) ? e : Encoding::kDictionary);
+  }
+  for (const auto& [seg, encoding] : segments) {
+    const std::string where =
+        label + " " + std::string(EncodingName(encoding));
+    ASSERT_EQ(seg.encoding(), encoding) << where;
+    EXPECT_EQ(seg.distinct_count(), ref.dict.size()) << where;
+    EXPECT_EQ(seg.payload_bytes(), ref.PayloadBytes(encoding)) << where;
+    ASSERT_EQ(seg.size(), values.size()) << where;
+    for (size_t i = 0; i < values.size(); ++i) {
+      ASSERT_TRUE(SameValue(seg.Get(i), ref.Decoded(encoding, i)))
+          << where << " row " << i;
+    }
+    if (encoding != Encoding::kDictionary) continue;
+    // Code i decodes to dictionary entry i and the ranks follow the map's
+    // order, so the dictionary is the sorted distinct values.
+    const PackedCodes codes = seg.codes();
+    ASSERT_NE(codes.packed, nullptr) << where;
+    EXPECT_EQ(codes.space, ref.dict.size()) << where;
+    ASSERT_EQ(codes.packed->size(), values.size()) << where;
+    for (size_t i = 0; i < values.size(); ++i) {
+      ASSERT_EQ(codes.packed->Get(i), ref.dict.find(values[i])->second)
+          << where << " row " << i;
+    }
+  }
+}
+
+template <typename T>
+class HashBuiltSegmentTest : public ::testing::Test {};
+
+using PhysicalTypes = ::testing::Types<int32_t, int64_t, double, std::string>;
+TYPED_TEST_SUITE(HashBuiltSegmentTest, PhysicalTypes);
+
+TYPED_TEST(HashBuiltSegmentTest, MatchesSortedMapReference) {
+  using T = TypeParam;
+  Rng rng(53);
+  auto shuffle = [&](std::vector<T>* v) {
+    for (size_t i = v->size(); i > 1; --i) {
+      std::swap((*v)[i - 1], (*v)[rng.Index(i)]);
+    }
+  };
+  ExpectMatchesReference(std::vector<T>{}, "empty");
+  ExpectMatchesReference(std::vector<T>{TestValue<T>(42)}, "one value");
+  ExpectMatchesReference(std::vector<T>(500, TestValue<T>(7)), "all equal");
+
+  std::vector<T> distinct;
+  for (int64_t k = 0; k < 1000; ++k) distinct.push_back(TestValue<T>(k));
+  shuffle(&distinct);
+  ExpectMatchesReference(distinct, "all distinct");
+
+  // 129 distinct values need 8-bit ids, one past the 7-bit boundary.
+  std::vector<T> d129;
+  for (int copy = 0; copy < 3; ++copy) {
+    for (int64_t k = 0; k < 129; ++k) d129.push_back(TestValue<T>(k * 3));
+  }
+  shuffle(&d129);
+  ExpectMatchesReference(d129, "129 distinct shuffled");
+
+  std::vector<T> runs;
+  for (int64_t run = 0; run < 40; ++run) {
+    runs.insert(runs.end(), 25, TestValue<T>((run * 7) % 10));
+  }
+  ExpectMatchesReference(runs, "runs");
+
+  // 5000 distinct values grow the profiling table from 64 slots to 16384.
+  std::vector<T> growth;
+  for (int64_t i = 0; i < 20'000; ++i) growth.push_back(TestValue<T>(i % 5000));
+  shuffle(&growth);
+  ExpectMatchesReference(growth, "table growth");
+
+  if constexpr (std::is_same_v<T, double>) {
+    // 0.0 == -0.0: one distinct value and one run per zero stretch; the
+    // dictionary keeps whichever zero comes first.
+    ExpectMatchesReference(std::vector<double>{-0.0, 0.0, 1.5, 0.0, -0.0},
+                           "negative zero first");
+    ExpectMatchesReference(std::vector<double>{0.0, -0.0, -0.0, 2.5, -0.0},
+                           "positive zero first");
+  }
 }
 
 // ---- Decode microprobes ----------------------------------------------------
