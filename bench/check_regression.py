@@ -121,7 +121,7 @@ def check_parallel_speedup(new, threshold):
     """Asserts the morsel-parallel scan path actually scales, within-run.
 
     BM_ParallelScan and BM_ParallelPackedFilter run the same scan at
-    threads:1 (serial code path) and threads:4; both rows come from the
+    threads:1 (the same kernel, inline) and threads:4; both rows come from the
     same binary on the same machine, so like the telemetry check the raw
     wall-clock ratio needs no fleet normalization. The bound only applies
     on a multi-core runner (>= 4 CPUs): on smaller machines the rows are

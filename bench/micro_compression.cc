@@ -291,9 +291,10 @@ void BM_ColumnTableAggregate(benchmark::State& state) {
 BENCHMARK(BM_ColumnTableAggregate)->Arg(0)->Arg(1)->ArgName("adaptive");
 
 /// SUM of a DOUBLE key figure over a 200k-row ColumnTable grouped by a
-/// 7-value column pinned to `encoding`, through the executor's aggregation
-/// kernel. Dictionary and FOR group on packed codes; raw takes the generic
-/// Value-keyed path and is the in-run reference.
+/// 7-value column pinned to `encoding`, through the executor's scan kernel
+/// at DOP 1 (a pool with no workers: the morsels run inline). Dictionary
+/// and FOR group on packed codes; raw takes the generic Value-keyed path
+/// and is the in-run reference.
 void BM_ColumnTableGroupedAggregate(benchmark::State& state,
                                     Encoding encoding) {
   ColumnTable::Options opts;
@@ -324,12 +325,14 @@ void BM_ColumnTableGroupedAggregate(benchmark::State& state,
   q.tables = {"t"};
   q.aggregates = {{AggFn::kSum, {2, 0}}};
   q.group_by = {{1, 0}};
-  const Bitmap& live = table.live_bitmap();
+  ThreadPool pool(0);
+  ParallelContext ctx;
+  ctx.pool = &pool;
   for (auto _ : state) {
     std::vector<AggState> totals(1);
     GroupMap groups;
-    readpath::AggregateFromBitmap(cover, live, q, /*grouped=*/true, &totals,
-                                  &groups);
+    readpath::AggregateCover(ctx, cover, /*terms=*/{}, q, /*grouped=*/true,
+                             &table.live_bitmap(), &totals, &groups);
     benchmark::DoNotOptimize(groups.size());
   }
   state.SetItemsProcessed(state.iterations() * table.live_count());
@@ -392,7 +395,7 @@ BENCHMARK(BM_DeltaMergeLineitem)->Arg(50'000)->ArgName("rows");
 // ---- Morsel-parallel scans -------------------------------------------------
 // Thread-count-parameterized twins of the scan shapes above: the same work
 // fanned over a ThreadPool in 16384-row morsels, at degree of parallelism
-// 1 (serial code path), 2 and 4. On a multi-core box the 4-thread rows
+// 1 (the same kernel, inline), 2 and 4. On a multi-core box the 4-thread rows
 // should sit near 2.5x+ over their threads:1 twins; on a single-core
 // runner they degenerate gracefully (the CI gate normalizes by the fleet
 // median, so only a *relative* rot of the parallel rows trips it).
@@ -503,7 +506,7 @@ Database& TelemetryBenchDb() {
 
 void BM_TelemetryOverhead(benchmark::State& state) {
   Database& db = TelemetryBenchDb();
-  Executor raw(&db.catalog());
+  Executor raw(&db.catalog(), db.parallel());
   AggregationQuery agg;
   agg.tables = {"bench"};
   AggregateExpr sum;

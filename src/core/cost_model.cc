@@ -385,9 +385,9 @@ double CostModel::SelectCost(StoreType store, size_t selected_columns,
                               : sp.f_selectivity_scan;
   cost *= ClampMultiplier(f_sel(selectivity));
   cost *= ClampMultiplier(sp.f_rows_select(rows));
-  // Morsel-parallel scan. Row-store index-seeded selections stay serial in
-  // the engine (the index path is already sub-linear), so only scan-shaped
-  // selections are scaled.
+  // Morsel-parallel scan. Row-store index-seeded selections seed their
+  // bitmap serially from the index (already sub-linear), which dominates
+  // them, so only scan-shaped selections are scaled.
   if (dop_ > 1 && !(store == StoreType::kRow && indexed)) {
     cost = cost / ParallelSpeedup(sp) + sp.c_parallel_merge_ms;
   }

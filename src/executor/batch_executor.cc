@@ -1,6 +1,5 @@
 #include "executor/batch_executor.h"
 
-#include <algorithm>
 #include <limits>
 #include <map>
 #include <memory>
@@ -11,7 +10,6 @@
 
 #include "common/epoch.h"
 #include "common/stopwatch.h"
-#include "common/thread_pool.h"
 #include "executor/read_path.h"
 #include "storage/scan_dispatch.h"
 #include "telemetry/trace.h"
@@ -126,15 +124,8 @@ void BatchExecutor::MaterializeMember(SharedRead* m) const {
     const size_t limit = q->limit.value_or(std::numeric_limits<size_t>::max());
     for (size_t g = 0; g < plan.groups.size(); ++g) {
       if (m->result.rows.size() >= limit) break;
-      const Fragment& cover = *plan.groups[g].cover;
-      if (plan.groups[g].path == rp::AccessPath::kMorselParallel) {
-        rp::ParallelSelectCover(parallel, cover, plan.terms,
-                                q->select_columns, limit, &m->bitmaps[g],
-                                &m->result);
-      } else {
-        rp::SelectFromBitmap(cover, m->bitmaps[g], q->select_columns, limit,
-                             &m->result);
-      }
+      rp::SelectCover(parallel, *plan.groups[g].cover, plan.terms,
+                      q->select_columns, limit, &m->bitmaps[g], &m->result);
     }
     return;
   }
@@ -143,14 +134,8 @@ void BatchExecutor::MaterializeMember(SharedRead* m) const {
   std::vector<AggState> totals(q.aggregates.size());
   GroupMap group_map;
   for (size_t g = 0; g < plan.groups.size(); ++g) {
-    const Fragment& cover = *plan.groups[g].cover;
-    if (plan.groups[g].path == rp::AccessPath::kMorselParallel) {
-      rp::ParallelAggregateCover(parallel, cover, plan.terms, q, grouped,
-                                 &m->bitmaps[g], &totals, &group_map);
-    } else {
-      rp::AggregateFromBitmap(cover, m->bitmaps[g], q, grouped, &totals,
-                              &group_map);
-    }
+    rp::AggregateCover(parallel, *plan.groups[g].cover, plan.terms, q, grouped,
+                       &m->bitmaps[g], &totals, &group_map);
   }
   m->result = rp::FinalizeAggregation(q, grouped, totals, group_map);
 }
@@ -176,7 +161,7 @@ void BatchExecutor::ExecuteSharedGroup(const std::string& table_name,
     // Bind every member; predict the shared ones under the same lock, before
     // the shared pass, exactly where a serial statement predicts.
     for (SharedRead& m : *members) {
-      Result<rp::ReadPlan> plan = rp::Bind(db_->catalog(), *m.query, parallel);
+      Result<rp::ReadPlan> plan = rp::Bind(db_->catalog(), *m.query);
       if (!plan.ok() || !plan->shareable) continue;
       m.plan = std::move(plan).value();
       m.bitmaps.resize(m.plan->groups.size());
@@ -190,9 +175,9 @@ void BatchExecutor::ExecuteSharedGroup(const std::string& table_name,
 
     // Shared predicate pass, per (row group, covering fragment): one
     // MultiFilterRangeSlice per predicate column narrows every member's
-    // bitmap in a single decode of the encoded segment. Morsel-parallel
-    // where the plans say so — disjoint 64-aligned slices of all the
-    // bitmaps, exactly like the single-query parallel scan.
+    // bitmap in a single decode of the encoded segment, morsel by morsel —
+    // disjoint 64-aligned slices of all the bitmaps, exactly like the
+    // single-query scan kernel.
     telemetry::ScopedSpan scan_span("scan_shared");
     const size_t num_groups = shared.front()->plan->groups.size();
     for (size_t g = 0; g < num_groups; ++g) {
@@ -210,26 +195,14 @@ void BatchExecutor::ExecuteSharedGroup(const std::string& table_name,
           }
         }
         if (by_col.empty()) continue;  // unfiltered scans: live bitmap is it
-        const size_t n = frag->table->slot_count();
-        if (ms.front()->plan->groups[g].path ==
-            rp::AccessPath::kMorselParallel) {
-          const size_t morsels = rp::MorselCount(n);
-          rp::NoteMorsels(parallel, morsels);
-          parallel.pool->ParallelFor(morsels, [&](size_t mi) {
-            const size_t begin = mi * rp::kMorselRows;
-            const size_t slice_end = std::min(begin + rp::kMorselRows, n);
-            for (auto& [col, targets] : by_col) {
-              frag->table->MultiFilterRangeSlice(col, targets.data(),
-                                                 targets.size(), begin,
-                                                 slice_end);
-            }
-          });
-        } else {
-          for (auto& [col, targets] : by_col) {
-            frag->table->MultiFilterRangeSlice(col, targets.data(),
-                                               targets.size(), 0, n);
-          }
-        }
+        rp::ForEachMorsel(
+            parallel, frag->table->slot_count(),
+            [&](size_t, size_t begin, size_t end) {
+              for (auto& [col, targets] : by_col) {
+                frag->table->MultiFilterRangeSlice(col, targets.data(),
+                                                   targets.size(), begin, end);
+              }
+            });
       }
     }
     for (SharedRead* m : shared) MaterializeMember(m);

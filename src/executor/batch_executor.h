@@ -8,21 +8,21 @@
 // single-table aggregations — execute as one shared group under a single
 // epoch pin and reader lock: every query's selection bitmap is produced by
 // one MultiFilterRangeSlice pass per predicate column (one decode of the
-// encoded segment fans out to all bitmaps, morsel-parallel when the scan
-// pool is installed), then each query materializes through the same
-// read-path code the serial executor uses. Each member is bound by
-// readpath::Bind, the binder the serial executor uses; a member whose plan
+// encoded segment fans out to all bitmaps, morsel by morsel on the scan
+// pool), then each query materializes through the same scan kernel the
+// per-statement executor uses. Each member is bound by readpath::Bind, the
+// binder the per-statement executor uses; a member whose plan
 // is not `shareable` — point-PK lookups, vertical-split stitches,
 // index-seeded row-store scans, validation failures — is delegated to
 // Database::Execute, as are DML and joins, so the batch path never changes
 // semantics, only cost.
 //
 // Equivalence guarantee (tests/executor/batch_equivalence_test.cc): per
-// query the result is bit-identical to serial execution at every thread
-// count. The shared pass computes the same selection bitmaps (conjunction
-// is order-independent and MultiFilterRangeSlice is bit-identical to the
-// per-term filters), and materialization reuses the serial code paths with
-// the same morsel structure and partial-merge order.
+// query the result is bit-identical to one-at-a-time execution at every
+// thread count. The shared pass computes the same selection bitmaps
+// (conjunction is order-independent and MultiFilterRangeSlice is
+// bit-identical to the per-term filters), and materialization reuses the
+// scan kernel with the same morsel structure and partial-merge order.
 //
 // Concurrency: a shared group holds the table's reader lock exactly like a
 // serial read statement (docs/CONCURRENCY.md); delegated queries run after

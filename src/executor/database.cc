@@ -30,6 +30,20 @@ int ResolveNumThreads(int requested) {
   return 1;
 }
 
+/// The scan kernel's context: `pool` plus the scan telemetry handles.
+ParallelContext ScanContext(ThreadPool* pool,
+                            telemetry::MetricsRegistry* metrics) {
+  ParallelContext ctx;
+  ctx.pool = pool;
+  ctx.morsels_total = &metrics->GetCounter(
+      "hsdb_scan_morsels_total", "Morsels dispatched by the scan path.");
+  ctx.queue_depth = &metrics->GetGauge(
+      "hsdb_scan_queue_depth",
+      "Worker-queue depth sampled at each scan dispatch (pending tasks plus "
+      "the dispatched morsels).");
+  return ctx;
+}
+
 bool IsDml(QueryKind kind) {
   return kind == QueryKind::kInsert || kind == QueryKind::kUpdate ||
          kind == QueryKind::kDelete;
@@ -70,34 +84,24 @@ struct StatementLocks {
 }  // namespace
 
 Database::Database(Options options)
-    : executor_(&catalog_),
-      num_threads_(ResolveNumThreads(options.num_threads)),
+    : num_threads_(ResolveNumThreads(options.num_threads)),
       migration_chunk_rows_(
           options.migration_chunk_rows > 0 ? options.migration_chunk_rows
                                            : 16384),
       migration_replay_rounds_(std::max(0, options.migration_replay_rounds)),
+      // d-way parallelism = the query thread + d-1 pool workers; at d = 1
+      // the pool has none and every scan's morsels run inline.
+      pool_(std::make_unique<ThreadPool>(static_cast<size_t>(num_threads_) -
+                                         1)),
       metrics_(options.metrics != nullptr
                    ? options.metrics
                    : &telemetry::MetricsRegistry::Global()),
+      executor_(&catalog_, ScanContext(pool_.get(), metrics_)),
       slowlog_(telemetry::Slowlog::Options{options.slowlog_threshold_ms,
                                            options.slowlog_capacity,
                                            options.slowlog_sample_every}) {
   // Before any table exists, so every TableSync is born instrumented.
   catalog_.set_metrics(metrics_);
-  if (num_threads_ > 1) {
-    // d-way parallelism = the query thread + d-1 pool workers.
-    pool_ = std::make_unique<ThreadPool>(static_cast<size_t>(num_threads_) - 1);
-    ParallelContext ctx;
-    ctx.pool = pool_.get();
-    ctx.morsels_total = &metrics_->GetCounter(
-        "hsdb_scan_morsels_total",
-        "Morsels dispatched by the parallel scan path.");
-    ctx.queue_depth = &metrics_->GetGauge(
-        "hsdb_scan_queue_depth",
-        "Worker-queue depth sampled at each parallel scan dispatch (pending "
-        "tasks plus the dispatched morsels).");
-    executor_.set_parallel(ctx);
-  }
   for (int i = 0; i < kNumQueryKinds; ++i) {
     const std::string kind(QueryKindName(static_cast<QueryKind>(i)));
     queries_total_[i] = &metrics_->GetCounter(

@@ -78,11 +78,11 @@ struct ShadowMigrationStats {
 class Database {
  public:
   struct Options {
-    /// Degree of parallelism for the morsel-parallel scan path. 1 keeps
-    /// every query on the serial path (no thread pool is created); d > 1
-    /// runs eligible scans on d threads (the caller plus d-1 pool workers).
-    /// 0 (the default) reads the HSDB_THREADS environment variable, falling
-    /// back to 1 when unset or unparsable.
+    /// Degree of parallelism d of the scan kernel: every covered scan runs
+    /// its morsels on d threads, the caller plus a pool of d-1 workers (at
+    /// d = 1 the pool has no workers and the morsels run inline). Results
+    /// are bit-identical at every d. 0 (the default) reads the HSDB_THREADS
+    /// environment variable, falling back to 1 when unset or unparsable.
     int num_threads = 0;
     /// Registry query telemetry lands in; nullptr = the process-wide
     /// MetricsRegistry::Global(). Injected by tests that need isolated
@@ -231,9 +231,9 @@ class Database {
   /// advisor reads this to configure the cost model's parallel scan factor.
   int num_threads() const { return num_threads_; }
 
-  /// The morsel-parallel scan context (null pool when serial). The
-  /// BatchExecutor and `explain` bind with it so shared scans and explained
-  /// paths parallelize exactly like single-statement scans do.
+  /// The scan kernel's context (its pool has num_threads() - 1 workers).
+  /// The BatchExecutor scans with it, so shared scans parallelize exactly
+  /// like single-statement scans do.
   const ParallelContext& parallel() const { return executor_.parallel(); }
 
  private:
@@ -267,15 +267,15 @@ class Database {
                                    const std::vector<Encoding>& encodings);
 
   Catalog catalog_;
-  Executor executor_;
   std::atomic<QueryObserver*> observer_{nullptr};
   std::atomic<uint64_t> layout_epoch_{0};
   int num_threads_ = 1;
   size_t migration_chunk_rows_ = 16384;
   int migration_replay_rounds_ = 4;
-  std::unique_ptr<ThreadPool> pool_;  // created only when num_threads_ > 1
+  std::unique_ptr<ThreadPool> pool_;  // num_threads_ - 1 workers
 
   telemetry::MetricsRegistry* metrics_;
+  Executor executor_;  // after pool_ and metrics_: its scan context uses both
   CostPredictor cost_predictor_;
   telemetry::CostFeedback cost_feedback_;
   telemetry::Slowlog slowlog_;

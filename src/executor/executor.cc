@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <unordered_map>
 
 #include "executor/aggregate.h"
@@ -30,8 +31,7 @@ Result<QueryResult> Executor::Execute(const Query& query) {
       std::get<AggregationQuery>(query).tables.size() != 1) {
     return StarJoinAggregation(std::get<AggregationQuery>(query));
   }
-  HSDB_ASSIGN_OR_RETURN(rp::ReadPlan plan,
-                        rp::Bind(*catalog_, query, parallel_));
+  HSDB_ASSIGN_OR_RETURN(rp::ReadPlan plan, rp::Bind(*catalog_, query));
   switch (kind) {
     case QueryKind::kSelect:
       return ExecuteSelect(std::get<SelectQuery>(query), plan);
@@ -59,30 +59,21 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectQuery& q,
   for (size_t g = 0; g < plan.groups.size(); ++g) {
     if (result.rows.size() >= limit) break;
     const rp::GroupPlan& group = plan.groups[g];
-    switch (group.path) {
-      case rp::AccessPath::kMorselParallel:
-        rp::ParallelSelectCover(parallel_, *group.cover, plan.terms,
-                                q.select_columns, limit,
-                                /*prefiltered=*/nullptr, &result);
-        break;
-      case rp::AccessPath::kStitch: {
-        // Vertical split: resolve keys, then stitch projections.
-        telemetry::ScopedSpan stitch_span("stitch");
-        HSDB_ASSIGN_OR_RETURN(
-            std::vector<PrimaryKey> pks,
-            rp::MatchingPksInGroup(plan.table->groups()[g], plan.terms));
-        for (const PrimaryKey& pk : pks) {
-          if (result.rows.size() >= limit) break;
-          HSDB_ASSIGN_OR_RETURN(Row row, plan.table->GetByPk(pk));
-          result.rows.push_back(ProjectRow(row, q.select_columns));
-        }
-        break;
-      }
-      default: {
-        Bitmap bm = rp::EvaluateOnFragment(*group.cover, plan.terms);
-        rp::SelectFromBitmap(*group.cover, bm, q.select_columns, limit,
-                             &result);
-      }
+    if (group.path != rp::AccessPath::kStitch) {
+      const std::optional<Bitmap> seeded = rp::SeedBitmap(group, plan.terms);
+      rp::SelectCover(parallel_, *group.cover, plan.terms, q.select_columns,
+                      limit, seeded ? &*seeded : nullptr, &result);
+      continue;
+    }
+    // Vertical split: resolve keys, then stitch projections.
+    telemetry::ScopedSpan stitch_span("stitch");
+    HSDB_ASSIGN_OR_RETURN(
+        std::vector<PrimaryKey> pks,
+        rp::MatchingPksInGroup(plan.table->groups()[g], plan.terms));
+    for (const PrimaryKey& pk : pks) {
+      if (result.rows.size() >= limit) break;
+      HSDB_ASSIGN_OR_RETURN(Row row, plan.table->GetByPk(pk));
+      result.rows.push_back(ProjectRow(row, q.select_columns));
     }
   }
   return result;
@@ -142,45 +133,36 @@ Result<QueryResult> Executor::SingleTableAggregation(
   telemetry::ScopedSpan scan_span("scan");
   for (size_t g = 0; g < plan.groups.size(); ++g) {
     const rp::GroupPlan& group = plan.groups[g];
-    switch (group.path) {
-      case rp::AccessPath::kMorselParallel:
-        rp::ParallelAggregateCover(parallel_, *group.cover, plan.terms, q,
-                                   grouped, /*prefiltered=*/nullptr, &totals,
-                                   &group_map);
-        break;
-      case rp::AccessPath::kStitch: {
-        // Stitch full logical rows (vertical-partition join).
-        telemetry::ScopedSpan stitch_span("stitch");
-        GroupKey key;
-        plan.table->ForEachRowInGroup(g, [&](const Row& row) {
-          for (const PredicateTerm* term : plan.terms) {
-            if (!term->range.Contains(row[term->column.column])) return;
-          }
-          std::vector<AggState>* states = &totals;
-          if (grouped) {
-            key.values.clear();
-            for (const ColumnRef& ref : q.group_by) {
-              key.values.push_back(row[ref.column]);
-            }
-            states = &GroupStates(&group_map, key, q.aggregates.size());
-          }
-          for (size_t i = 0; i < q.aggregates.size(); ++i) {
-            const AggregateExpr& agg = q.aggregates[i];
-            if (agg.fn == AggFn::kCount) {
-              (*states)[i].AddCount(1.0);
-            } else {
-              (*states)[i].Add(row[agg.column.column].AsNumeric());
-            }
-          }
-        });
-        break;
-      }
-      default: {
-        Bitmap bm = rp::EvaluateOnFragment(*group.cover, plan.terms);
-        rp::AggregateFromBitmap(*group.cover, bm, q, grouped, &totals,
-                                &group_map);
-      }
+    if (group.path != rp::AccessPath::kStitch) {
+      const std::optional<Bitmap> seeded = rp::SeedBitmap(group, plan.terms);
+      rp::AggregateCover(parallel_, *group.cover, plan.terms, q, grouped,
+                         seeded ? &*seeded : nullptr, &totals, &group_map);
+      continue;
     }
+    // Stitch full logical rows (vertical-partition join).
+    telemetry::ScopedSpan stitch_span("stitch");
+    GroupKey key;
+    plan.table->ForEachRowInGroup(g, [&](const Row& row) {
+      for (const PredicateTerm* term : plan.terms) {
+        if (!term->range.Contains(row[term->column.column])) return;
+      }
+      std::vector<AggState>* states = &totals;
+      if (grouped) {
+        key.values.clear();
+        for (const ColumnRef& ref : q.group_by) {
+          key.values.push_back(row[ref.column]);
+        }
+        states = &GroupStates(&group_map, key, q.aggregates.size());
+      }
+      for (size_t i = 0; i < q.aggregates.size(); ++i) {
+        const AggregateExpr& agg = q.aggregates[i];
+        if (agg.fn == AggFn::kCount) {
+          (*states)[i].AddCount(1.0);
+        } else {
+          (*states)[i].Add(row[agg.column.column].AsNumeric());
+        }
+      }
+    });
   }
   return rp::FinalizeAggregation(q, grouped, totals, group_map);
 }

@@ -21,9 +21,9 @@ namespace readpath {
 struct ReadPlan;
 }  // namespace readpath
 
-/// Shared-state handles for the morsel-parallel scan path. All members are
-/// optional: a null pool keeps every query on the serial path; null
-/// telemetry handles skip instrumentation.
+/// Shared-state handles of the scan kernel. The pool is required: every
+/// covered scan runs its morsels on it, inline on the caller when it has no
+/// workers (DOP 1). Null telemetry handles skip instrumentation.
 struct ParallelContext {
   ThreadPool* pool = nullptr;
   telemetry::Counter* morsels_total = nullptr;
@@ -32,16 +32,15 @@ struct ParallelContext {
 
 class Executor {
  public:
-  explicit Executor(Catalog* catalog) : catalog_(catalog) {}
+  /// `parallel` is the scan context every covered scan runs on (Database
+  /// passes its own); its pool must outlive the executor.
+  Executor(Catalog* catalog, const ParallelContext& parallel)
+      : catalog_(catalog), parallel_(parallel) {}
 
   /// Executes one query. DML maintenance (delta merges) is NOT triggered
   /// here; the Database facade calls AfterStatement at statement boundaries.
   Result<QueryResult> Execute(const Query& query);
 
-  /// Installs the morsel-parallel scan context (Database wires this up when
-  /// configured with more than one thread). Thread-compatible: set once
-  /// before queries run.
-  void set_parallel(const ParallelContext& ctx) { parallel_ = ctx; }
   const ParallelContext& parallel() const { return parallel_; }
 
  private:

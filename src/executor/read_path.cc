@@ -20,10 +20,8 @@ std::string_view AccessPathName(AccessPath path) {
       return "stitch";
     case AccessPath::kIndexSeed:
       return "index-seeded scan";
-    case AccessPath::kMorselParallel:
-      return "morsel-parallel scan";
     case AccessPath::kScan:
-      return "serial scan";
+      return "morsel scan";
   }
   return "unknown";
 }
@@ -76,8 +74,7 @@ Status BindAggregation(const AggregationQuery& q, const Schema& schema,
 
 }  // namespace
 
-Result<ReadPlan> Bind(const Catalog& catalog, const Query& query,
-                      const ParallelContext& parallel) {
+Result<ReadPlan> Bind(const Catalog& catalog, const Query& query) {
   ReadPlan plan;
   const Predicate* predicate = nullptr;
   const QueryKind kind = KindOf(query);
@@ -152,15 +149,12 @@ Result<ReadPlan> Bind(const Catalog& catalog, const Query& query,
     if (g.cover == nullptr) {
       g.path = AccessPath::kStitch;
     } else if (SeedTerm(*g.cover, plan.terms) != nullptr) {
-      // Already sub-linear: morselizing or sharing it would only add work.
+      // Already sub-linear: sharing its predicate pass would only add work.
       g.path = AccessPath::kIndexSeed;
-    } else if (read && parallel.pool != nullptr &&
-               g.cover->table->slot_count() > kMorselRows) {
-      g.path = AccessPath::kMorselParallel;
     }
     plan.path = std::min(plan.path, g.path);
   }
-  plan.shareable = read && plan.path >= AccessPath::kMorselParallel;
+  plan.shareable = read && plan.path == AccessPath::kScan;
   return plan;
 }
 
@@ -210,68 +204,77 @@ Bitmap EvaluateOnFragment(const Fragment& frag,
   return bm;
 }
 
-void NoteMorsels(const ParallelContext& ctx, size_t morsels) {
+std::optional<Bitmap> SeedBitmap(
+    const GroupPlan& group, const std::vector<const PredicateTerm*>& terms) {
+  if (group.path != AccessPath::kIndexSeed) return std::nullopt;
+  return EvaluateOnFragment(*group.cover, terms);
+}
+
+void ForEachMorsel(const ParallelContext& ctx, size_t n,
+                   const std::function<void(size_t, size_t, size_t)>& fn) {
+  const size_t morsels = MorselCount(n);
   if (ctx.morsels_total != nullptr) ctx.morsels_total->Increment(morsels);
   if (ctx.queue_depth != nullptr) {
     ctx.queue_depth->Set(
         static_cast<double>(ctx.pool->queue_depth() + morsels));
   }
-}
-
-void FilterMorsel(const Fragment& frag,
-                  const std::vector<const PredicateTerm*>& terms,
-                  size_t begin, size_t end, Bitmap* bm) {
-  for (const PredicateTerm* term : terms) {
-    frag.table->FilterRangeSlice(frag.FragColumn(term->column.column),
-                                 term->range, begin, end, bm);
-  }
-}
-
-void SelectFromBitmap(const Fragment& cover, const Bitmap& bm,
-                      const std::vector<ColumnId>& select_columns,
-                      size_t limit, QueryResult* result) {
-  bm.ForEachSet([&](size_t rid) {
-    if (result->rows.size() >= limit) return;
-    Row row;
-    row.reserve(select_columns.size());
-    for (ColumnId col : select_columns) {
-      row.push_back(cover.table->GetValue(rid, cover.FragColumn(col)));
-    }
-    result->rows.push_back(std::move(row));
-  });
-}
-
-void ParallelSelectCover(const ParallelContext& ctx, const Fragment& cover,
-                         const std::vector<const PredicateTerm*>& terms,
-                         const std::vector<ColumnId>& select_columns,
-                         size_t limit, const Bitmap* prefiltered,
-                         QueryResult* result) {
-  telemetry::ScopedSpan par_span("scan_parallel");
-  const size_t n = cover.table->slot_count();
-  const size_t morsels = MorselCount(n);
-  NoteMorsels(ctx, morsels);
-  Bitmap local;
-  const Bitmap* bm = prefiltered;
-  if (bm == nullptr) {
-    local = cover.table->live_bitmap();
-    bm = &local;
-  }
-  std::vector<std::vector<Row>> batches(morsels);
   ctx.pool->ParallelFor(morsels, [&](size_t m) {
     const size_t begin = m * kMorselRows;
-    const size_t end = std::min(begin + kMorselRows, n);
-    if (prefiltered == nullptr) FilterMorsel(cover, terms, begin, end, &local);
-    std::vector<Row>& rows = batches[m];
-    bm->ForEachSetInRange(begin, end, [&](size_t rid) {
-      if (rows.size() >= limit) return;  // no morsel needs more than `limit`
-      Row row;
-      row.reserve(select_columns.size());
-      for (ColumnId col : select_columns) {
-        row.push_back(cover.table->GetValue(rid, cover.FragColumn(col)));
-      }
-      rows.push_back(std::move(row));
-    });
+    fn(m, begin, std::min(begin + kMorselRows, n));
   });
+}
+
+namespace {
+
+/// The fused per-morsel loop of both scan kernels: narrows each morsel of
+/// a copy of the live bitmap by every term (skipped when `prefiltered`),
+/// then hands the morsel and the selection to `consume`.
+void ScanMorsels(
+    const ParallelContext& ctx, const Fragment& cover,
+    const std::vector<const PredicateTerm*>& terms, const Bitmap* prefiltered,
+    const std::function<void(size_t, size_t, size_t, const Bitmap&)>&
+        consume) {
+  Bitmap local;
+  if (prefiltered == nullptr) local = cover.table->live_bitmap();
+  const Bitmap& bm = prefiltered != nullptr ? *prefiltered : local;
+  ForEachMorsel(ctx, cover.table->slot_count(),
+                [&](size_t m, size_t begin, size_t end) {
+                  if (prefiltered == nullptr) {
+                    telemetry::ScopedSpan predicate_span("predicate");
+                    for (const PredicateTerm* term : terms) {
+                      cover.table->FilterRangeSlice(
+                          cover.FragColumn(term->column.column), term->range,
+                          begin, end, &local);
+                    }
+                  }
+                  telemetry::ScopedSpan decode_span("decode");
+                  consume(m, begin, end, bm);
+                });
+}
+
+}  // namespace
+
+void SelectCover(const ParallelContext& ctx, const Fragment& cover,
+                 const std::vector<const PredicateTerm*>& terms,
+                 const std::vector<ColumnId>& select_columns, size_t limit,
+                 const Bitmap* prefiltered, QueryResult* result) {
+  telemetry::ScopedSpan par_span("scan_parallel");
+  std::vector<std::vector<Row>> batches(MorselCount(cover.table->slot_count()));
+  ScanMorsels(ctx, cover, terms, prefiltered,
+              [&](size_t m, size_t begin, size_t end, const Bitmap& bm) {
+                std::vector<Row>& rows = batches[m];
+                bm.ForEachSetInRange(begin, end, [&](size_t rid) {
+                  // No morsel needs more than `limit` rows.
+                  if (rows.size() >= limit) return;
+                  Row row;
+                  row.reserve(select_columns.size());
+                  for (ColumnId col : select_columns) {
+                    row.push_back(
+                        cover.table->GetValue(rid, cover.FragColumn(col)));
+                  }
+                  rows.push_back(std::move(row));
+                });
+              });
   for (std::vector<Row>& rows : batches) {
     for (Row& row : rows) {
       if (result->rows.size() >= limit) return;
@@ -316,7 +319,8 @@ std::optional<CodeGrouping> PlanCodeGrouping(const Fragment& cover,
 }
 
 /// The aggregation kernel (contract in read_path.h): folds the rows of
-/// `cover` in [begin, end) selected by `bm` into `totals` or `group_map`.
+/// `cover` in morsel [begin, end) selected by `bm` into `totals` or
+/// `group_map`.
 void AggregateRange(const Fragment& cover, const Bitmap& bm, size_t begin,
                     size_t end, const AggregationQuery& q, bool grouped,
                     std::vector<AggState>* totals, GroupMap* group_map) {
@@ -337,7 +341,13 @@ void AggregateRange(const Fragment& cover, const Bitmap& bm, size_t begin,
     return;
   }
   const std::optional<CodeGrouping> code = PlanCodeGrouping(cover, q);
-  std::vector<AggState*> slot_states(code ? code->slots : 0, nullptr);
+  // Buffers kept by each thread across morsels (at most kMorselRows
+  // pointers each): freshly allocated, a morsel-sized buffer (up to
+  // 128 KiB) costs an mmap and its page faults on every morsel.
+  thread_local std::vector<AggState*> slot_states;
+  thread_local std::vector<AggState*> row_states;
+  slot_states.assign(code ? code->slots : 0, nullptr);
+  row_states.clear();
   GroupKey key;
   auto lookup = [&](size_t rid) {
     key.values.clear();
@@ -346,41 +356,36 @@ void AggregateRange(const Fragment& cover, const Bitmap& bm, size_t begin,
     }
     return GroupStates(group_map, key, num_aggs).data();
   };
-  // Per block: resolve every selected row's group states in row order, then
-  // decode each aggregate column once into them.
-  std::vector<AggState*> row_states;
-  for (size_t b = begin; b < end; b += kMorselRows) {
-    const size_t e = std::min(b + kMorselRows, end);
-    row_states.clear();
-    row_states.reserve(bm.CountInRange(b, e));
-    bm.ForEachSetInRange(b, e, [&](size_t rid) {
-      if (!code || rid >= code->main_rows) {
-        row_states.push_back(lookup(rid));
-        return;
-      }
-      size_t slot = 0;
-      for (size_t c = 0; c < code->codes.size(); ++c) {
-        slot += code->codes[c]->Get(rid) * code->strides[c];
-      }
-      AggState*& states = slot_states[slot];
-      if (states == nullptr) states = lookup(rid);
-      row_states.push_back(states);
-    });
-    for (size_t i = 0; i < num_aggs; ++i) {
-      const AggregateExpr& agg = q.aggregates[i];
-      if (agg.fn == AggFn::kCount) {
-        for (AggState* states : row_states) states[i].AddCount(1.0);
-        continue;
-      }
-      size_t j = 0;
-      ForEachNumericInRange(
-          table, cover.FragColumn(agg.column.column), bm, b, e,
-          [&](RowId, double v) { row_states[j++][i].Add(v); });
+  // Resolve every selected row's group states in row order, then decode
+  // each aggregate column once into them.
+  row_states.reserve(bm.CountInRange(begin, end));
+  bm.ForEachSetInRange(begin, end, [&](size_t rid) {
+    if (!code || rid >= code->main_rows) {
+      row_states.push_back(lookup(rid));
+      return;
     }
+    size_t slot = 0;
+    for (size_t c = 0; c < code->codes.size(); ++c) {
+      slot += code->codes[c]->Get(rid) * code->strides[c];
+    }
+    AggState*& states = slot_states[slot];
+    if (states == nullptr) states = lookup(rid);
+    row_states.push_back(states);
+  });
+  for (size_t i = 0; i < num_aggs; ++i) {
+    const AggregateExpr& agg = q.aggregates[i];
+    if (agg.fn == AggFn::kCount) {
+      for (AggState* states : row_states) states[i].AddCount(1.0);
+      continue;
+    }
+    size_t j = 0;
+    ForEachNumericInRange(
+        table, cover.FragColumn(agg.column.column), bm, begin, end,
+        [&](RowId, double v) { row_states[j++][i].Add(v); });
   }
 }
 
-/// Per-morsel partial aggregates, merged by the coordinator in morsel order.
+/// Per-morsel partial aggregates, merged by the caller in morsel order.
 struct MorselAgg {
   std::vector<AggState> totals;
   GroupMap groups;
@@ -388,39 +393,20 @@ struct MorselAgg {
 
 }  // namespace
 
-void AggregateFromBitmap(const Fragment& cover, const Bitmap& bm,
-                         const AggregationQuery& q, bool grouped,
-                         std::vector<AggState>* totals, GroupMap* group_map) {
-  telemetry::ScopedSpan decode_span("decode");
-  AggregateRange(cover, bm, 0, bm.size(), q, grouped, totals, group_map);
-}
-
-void ParallelAggregateCover(const ParallelContext& ctx, const Fragment& cover,
-                            const std::vector<const PredicateTerm*>& terms,
-                            const AggregationQuery& q, bool grouped,
-                            const Bitmap* prefiltered,
-                            std::vector<AggState>* totals,
-                            GroupMap* group_map) {
+void AggregateCover(const ParallelContext& ctx, const Fragment& cover,
+                    const std::vector<const PredicateTerm*>& terms,
+                    const AggregationQuery& q, bool grouped,
+                    const Bitmap* prefiltered, std::vector<AggState>* totals,
+                    GroupMap* group_map) {
   telemetry::ScopedSpan par_span("scan_parallel");
-  const size_t n = cover.table->slot_count();
-  const size_t morsels = MorselCount(n);
-  NoteMorsels(ctx, morsels);
-  Bitmap local;
-  const Bitmap* bm = prefiltered;
-  if (bm == nullptr) {
-    local = cover.table->live_bitmap();
-    bm = &local;
-  }
-  std::vector<MorselAgg> partials(morsels);
-  ctx.pool->ParallelFor(morsels, [&](size_t m) {
-    const size_t begin = m * kMorselRows;
-    const size_t end = std::min(begin + kMorselRows, n);
-    if (prefiltered == nullptr) FilterMorsel(cover, terms, begin, end, &local);
-    MorselAgg& partial = partials[m];
-    partial.totals.assign(q.aggregates.size(), AggState{});
-    AggregateRange(cover, *bm, begin, end, q, grouped, &partial.totals,
-                   &partial.groups);
-  });
+  std::vector<MorselAgg> partials(MorselCount(cover.table->slot_count()));
+  ScanMorsels(ctx, cover, terms, prefiltered,
+              [&](size_t m, size_t begin, size_t end, const Bitmap& bm) {
+                MorselAgg& partial = partials[m];
+                partial.totals.assign(q.aggregates.size(), AggState{});
+                AggregateRange(cover, bm, begin, end, q, grouped,
+                               &partial.totals, &partial.groups);
+              });
   for (MorselAgg& partial : partials) {
     if (!grouped) {
       for (size_t i = 0; i < partial.totals.size(); ++i) {

@@ -1,8 +1,8 @@
 // Shared read-scan machinery: the binder, predicate evaluation and result
 // materialization used by the per-statement Executor, the shared-scan
 // BatchExecutor and `explain`. Everything here is free-standing and
-// stateless — callers pass the fragment, the predicate terms and (for the
-// parallel paths) the ParallelContext.
+// stateless — callers pass the fragment, the predicate terms and the
+// ParallelContext.
 //
 // Bind is the one place that validates a single-table statement and picks
 // its access path. Its ReadPlan is what every consumer reads: the executor
@@ -10,18 +10,27 @@
 // `shareable`, and `explain` prints the plan's path — so none of them can
 // describe or take a path the others would not.
 //
-// The materialization entry points take an optional `prefiltered` bitmap:
-// the batch executor computes one selection bitmap per query in a shared
-// predicate pass (MultiFilterRangeSlice — one decode of the encoded segment
-// fans out to every query) and then materializes each query through the
-// exact same code the serial executor uses. Passing the prefiltered bitmap
-// through — instead of re-deriving it — keeps batch results bit-identical
-// to one-at-a-time execution for every thread count: the morsel structure,
-// partial-merge order and row order are the same in both modes.
+// A covered scan has one kernel (SelectCover / AggregateCover): the cover
+// is cut into kMorselRows-row morsels, and each morsel is filtered and
+// then materialized or aggregated in the same ParallelFor body. Every
+// degree of parallelism runs it; at DOP 1 the pool has no workers and the
+// morsels run inline, in order, on the calling thread. The entry points
+// take an optional `prefiltered` bitmap: the batch executor computes one
+// selection bitmap per query in a shared predicate pass
+// (MultiFilterRangeSlice — one decode of the encoded segment fans out to
+// every query), and an index-seeded group computes its bitmap from the
+// sorted index. Both then materialize through the same morsels, so the
+// morsel structure, partial-merge order and row order — and therefore the
+// result bits — are the same on every path and at every thread count.
+// Inside a morsel the filter step runs under a `predicate` span and the
+// materialize or aggregate step under `decode`; they record on the calling
+// thread only (pool workers have no tracer), which at DOP 1 is every morsel.
 #ifndef HSDB_EXECUTOR_READ_PATH_H_
 #define HSDB_EXECUTOR_READ_PATH_H_
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -36,7 +45,7 @@
 namespace hsdb {
 namespace readpath {
 
-/// Rows per morsel of the parallel scan path. A multiple of 64 so that
+/// Rows per morsel of the scan kernel. A multiple of 64 so that
 /// morsel boundaries fall on bitmap word boundaries: each worker then writes
 /// a disjoint word range of the shared selection bitmap, and results are
 /// bit-identical for every thread count. Fixed (not derived from the thread
@@ -54,11 +63,10 @@ inline size_t MorselCount(size_t n) {
 /// so a single stitched or index-seeded group makes the whole statement
 /// per-statement-only.
 enum class AccessPath : uint8_t {
-  kPointPk = 0,     // single equality on a single-column primary key
-  kStitch,          // no fragment covers the needed columns: PK stitch
-  kIndexSeed,       // row-store sorted index seeds the selection bitmap
-  kMorselParallel,  // covering fragment scanned morsel by morsel on the pool
-  kScan,            // covering fragment scanned serially
+  kPointPk = 0,  // single equality on a single-column primary key
+  kStitch,       // no fragment covers the needed columns: PK stitch
+  kIndexSeed,    // row-store sorted index seeds the selection bitmap
+  kScan,         // covering fragment scanned morsel by morsel
 };
 std::string_view AccessPathName(AccessPath path);
 
@@ -88,12 +96,9 @@ struct ReadPlan {
 
 /// Validates a single-table statement (SELECT, single-table aggregation,
 /// UPDATE, DELETE) against the live catalog and picks its path. Call under
-/// the statement's table locks. The morsel-parallel path is chosen only for
-/// reads, only when `parallel` has a pool, and only for covers spanning
-/// more than one morsel. INSERTs and star joins have no read plan:
+/// the statement's table locks. INSERTs and star joins have no read plan:
 /// NotSupported.
-Result<ReadPlan> Bind(const Catalog& catalog, const Query& query,
-                      const ParallelContext& parallel);
+Result<ReadPlan> Bind(const Catalog& catalog, const Query& query);
 
 /// The query's predicate terms that reference `table_index`.
 std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
@@ -108,42 +113,35 @@ Status ValidateTerms(const Schema& schema,
 Bitmap EvaluateOnFragment(const Fragment& frag,
                           const std::vector<const PredicateTerm*>& terms);
 
-/// Telemetry for one parallel dispatch: total morsels produced and the
-/// worker-queue depth at dispatch time (pending tasks already queued plus
-/// this scan's morsels).
-void NoteMorsels(const ParallelContext& ctx, size_t morsels);
+/// The selection bitmap of an index-seeded group (path kIndexSeed), which
+/// the scan kernel then takes as `prefiltered`; nullopt for a plain scan.
+std::optional<Bitmap> SeedBitmap(
+    const GroupPlan& group, const std::vector<const PredicateTerm*>& terms);
 
-/// Narrows morsel [begin, end) of the shared bitmap by every term. Each
-/// morsel touches only its own bitmap words (begin is 64-aligned), so
-/// concurrent calls for disjoint morsels are safe.
-void FilterMorsel(const Fragment& frag,
-                  const std::vector<const PredicateTerm*>& terms,
-                  size_t begin, size_t end, Bitmap* bm);
+/// Runs fn(m, begin, end) for every morsel m = [begin, end) of `n` slots on
+/// the context's pool (inline on the caller at DOP 1) and returns when all
+/// are done; counts the dispatch in the context's telemetry (total morsels,
+/// and the worker-queue depth: pending tasks already queued plus these
+/// morsels). Morsel begins are 64-aligned, so calls for different morsels
+/// write disjoint words of a shared bitmap.
+void ForEachMorsel(const ParallelContext& ctx, size_t n,
+                   const std::function<void(size_t, size_t, size_t)>& fn);
 
-/// Materializes select rows from an already-evaluated selection bitmap in
-/// ascending row-id order, up to `limit` (the serial SELECT tail).
-void SelectFromBitmap(const Fragment& cover, const Bitmap& bm,
-                      const std::vector<ColumnId>& select_columns,
-                      size_t limit, QueryResult* result);
+/// SELECT over a covering fragment: each morsel filters and materializes
+/// its own row batch; the caller concatenates the batches in morsel order,
+/// which is ascending row-id order, up to `limit`. When `prefiltered` is
+/// non-null the per-morsel filter step is skipped and rows come from that
+/// bitmap instead (already narrowed by the batch executor's shared
+/// predicate pass or by a sorted index).
+void SelectCover(const ParallelContext& ctx, const Fragment& cover,
+                 const std::vector<const PredicateTerm*>& terms,
+                 const std::vector<ColumnId>& select_columns, size_t limit,
+                 const Bitmap* prefiltered, QueryResult* result);
 
-/// Morsel-parallel SELECT over a covering fragment: workers filter and
-/// materialize per-morsel row batches; the coordinator concatenates them in
-/// morsel order, which makes the output bit-identical to the serial path
-/// for every thread count. When `prefiltered` is non-null the per-morsel
-/// filter step is skipped and rows come from that bitmap instead (the batch
-/// executor's shared predicate pass already narrowed it).
-void ParallelSelectCover(const ParallelContext& ctx, const Fragment& cover,
-                         const std::vector<const PredicateTerm*>& terms,
-                         const std::vector<ColumnId>& select_columns,
-                         size_t limit, const Bitmap* prefiltered,
-                         QueryResult* result);
-
-// Both aggregation entry points below run one kernel (AggregateRange in
-// read_path.cc), which folds the rows of a range [begin, end) of the cover
-// selected by the bitmap into the totals (ungrouped: one AggState per
-// aggregate) or the group map (grouped). The serial tail runs it over the
-// whole fragment, the morsel path once per morsel, and the batch
-// executor's shared members reach it through both.
+// AggregateCover folds each morsel with one kernel (AggregateRange in
+// read_path.cc): the rows of the morsel selected by the bitmap go into the
+// morsel's own totals (ungrouped: one AggState per aggregate) or group map
+// (grouped).
 //
 // Grouped, on a column-store cover whose group-by columns are all
 // dictionary- or frame-of-reference-coded with code spaces multiplying to at
@@ -157,27 +155,17 @@ void ParallelSelectCover(const ParallelContext& ctx, const Fragment& cover,
 // aggregate column is decoded straight into the groups' states in blocks of
 // kMorselRows rows, and every AggState receives its rows' Add calls in
 // ascending row-id order — so the code path's output (aggregates, group
-// rows and their order) is bit-identical to the generic path's. A range is
-// one fold: the serial tail and the morsel path associate floating-point
-// sums differently.
+// rows and their order) is bit-identical to the generic path's.
 
-/// The serial single-table aggregation tail: the kernel over the whole of
-/// an already-evaluated selection bitmap.
-void AggregateFromBitmap(const Fragment& cover, const Bitmap& bm,
-                         const AggregationQuery& q, bool grouped,
-                         std::vector<AggState>* totals, GroupMap* group_map);
-
-/// Morsel-parallel aggregation over a covering fragment: each worker runs
-/// the kernel over its morsel into private partials (AggState vector or
-/// GroupMap); the coordinator merges them in morsel order, so results are
-/// identical for every thread count. `prefiltered` as in
-/// ParallelSelectCover.
-void ParallelAggregateCover(const ParallelContext& ctx, const Fragment& cover,
-                            const std::vector<const PredicateTerm*>& terms,
-                            const AggregationQuery& q, bool grouped,
-                            const Bitmap* prefiltered,
-                            std::vector<AggState>* totals,
-                            GroupMap* group_map);
+/// Aggregation over a covering fragment: each morsel runs the kernel into
+/// private partials (AggState vector or GroupMap); the caller merges them
+/// in morsel order, so floating-point sums associate the same way at every
+/// thread count and on every path. `prefiltered` as in SelectCover.
+void AggregateCover(const ParallelContext& ctx, const Fragment& cover,
+                    const std::vector<const PredicateTerm*>& terms,
+                    const AggregationQuery& q, bool grouped,
+                    const Bitmap* prefiltered, std::vector<AggState>* totals,
+                    GroupMap* group_map);
 
 /// Folds accumulated aggregation state into the result shape: one value per
 /// aggregate (ungrouped) or one row per group (grouped).

@@ -72,16 +72,15 @@ void AppendTableLines(const Catalog& catalog, const std::string& name,
 /// and whether the batch worker could share its scan.
 void AppendPathLines(Database* db, const Query& query,
                      std::vector<std::string>* out) {
-  Result<readpath::ReadPlan> plan =
-      readpath::Bind(db->catalog(), query, db->parallel());
+  Result<readpath::ReadPlan> plan = readpath::Bind(db->catalog(), query);
   if (!plan.ok()) {
     out->push_back("path: per-statement (" + plan.status().message() + ")");
     out->push_back("batch_shareable: no (per-statement path)");
     return;
   }
   std::string path = "path: " + std::string(AccessPathName(plan->path));
-  if (plan->path == readpath::AccessPath::kMorselParallel) {
-    path += " over " + std::to_string(db->num_threads()) + " threads";
+  if (plan->path >= readpath::AccessPath::kIndexSeed) {  // a covered scan
+    path += " at DOP " + std::to_string(db->num_threads());
   }
   out->push_back(path);
   out->push_back(plan->shareable
@@ -130,7 +129,7 @@ Result<std::vector<std::string>> ExplainAnalyzeLines(Database* db,
   // traffic (the counter is process-wide); exact when the server is quiet.
   telemetry::Counter& morsels = db->metrics().GetCounter(
       "hsdb_scan_morsels_total",
-      "Morsels dispatched by the parallel scan path.");
+      "Morsels dispatched by the scan path.");
   const uint64_t morsels_before = morsels.value();
   HSDB_ASSIGN_OR_RETURN(QueryResult result, db->Execute(query));
   const uint64_t morsels_after = morsels.value();

@@ -1,9 +1,8 @@
-// Shared-scan batches must be *bit-identical* to one-at-a-time serial
-// execution: the BatchExecutor computes every member's selection bitmap in
-// one MultiFilterRangeSlice pass per predicate column and then materializes
-// through the exact serial read-path code, so — unlike the morsel-parallel
-// serial/parallel comparison — even floating-point sums and group output
-// order must match exactly at every thread count. The fixture reuses the
+// Shared-scan batches must be *bit-identical* to one-at-a-time execution:
+// the BatchExecutor computes every member's selection bitmap in one
+// MultiFilterRangeSlice pass per predicate column and then materializes
+// through the same scan kernel, so even floating-point sums and group
+// output order must match exactly at every thread count. The fixture reuses the
 // shapes that stress the slice plumbing: both stores, all four codecs
 // pinned across the columns, a tail that is neither morsel- nor
 // word-aligned, live delta rows and delete tombstones; batches of widths
@@ -28,8 +27,8 @@ namespace {
 
 class BatchEquivalenceTest : public ::testing::TestWithParam<int> {
  protected:
-  // > kMorselRows (16384) so the parallel gate opens at threads=4; % 64 !=
-  // 0 so the last morsel ends mid-word; % 16384 != 0 so it is partial.
+  // > kMorselRows (16384) so scans span several morsels; % 64 != 0 so the
+  // last morsel ends mid-word; % 16384 != 0 so it is partial.
   static constexpr size_t kRows = 36'901;
 
   void SetUp() override {

@@ -4,8 +4,8 @@
 // `explain analyze` renders and the slow-query log summarizes, so its shape
 // is contract, not decoration. Shared members are also accounted like
 // serial statements (prediction, cost feedback, counters, slow-query log).
-// Runs at dop 1 and 4: the morsel-parallel shared pass must produce the
-// same span structure as the serial one.
+// Runs at dop 1 and 4: the shared pass must produce the same span
+// structure whether its morsels run inline or on pool workers.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,7 +23,7 @@ namespace {
 
 class BatchTraceTest : public ::testing::TestWithParam<int> {
  protected:
-  // > kMorselRows so the parallel gate opens at threads=4.
+  // > kMorselRows so scans span several morsels.
   static constexpr size_t kRows = 20'000;
 
   void SetUp() override {

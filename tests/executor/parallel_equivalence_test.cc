@@ -1,21 +1,16 @@
-// Morsel-parallel scans must be observationally equivalent to the serial
-// path: same rows (bit-identical, in the same order) for selects, same
-// aggregates for scans that reduce. The fixture builds serial (threads=1)
-// and parallel twins of the same table for both stores, with the table
-// sized past the morsel threshold and ending in a tail that is neither
-// morsel- nor word-aligned, the column store pinned across all four
-// codecs, and live deltas plus delete tombstones in place — the shapes the
-// slice plumbing (FilterRangeSlice / ForEachNumericRange) has to get right
-// at the boundaries.
-//
-// Floating-point sums associate differently across morsels, so SUM/AVG on
-// DOUBLE columns compare with a relative tolerance; COUNT/MIN/MAX and sums
-// of integer-valued columns are order-independent and compare exactly.
+// Every degree of parallelism runs the same morsel kernel, so a scan must
+// return the same bits at every thread count: same rows in the same order
+// for selects, and aggregates — floating-point SUM/AVG included — equal
+// down to the bit pattern, grouped rows in the same order. The fixture
+// builds DOP-1 and DOP-d twins of the same table for both stores, with the
+// table sized past one morsel and ending in a tail that is neither morsel-
+// nor word-aligned, the column store pinned across all four codecs, and
+// live deltas plus delete tombstones in place — the shapes the slice
+// plumbing (FilterRangeSlice / ForEachNumericRange) has to get right at the
+// boundaries.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "executor/batch_executor.h"
 #include "executor/database.h"
@@ -28,8 +23,8 @@ namespace {
 
 class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {
  protected:
-  // > kMorselRows (16384) so the parallel gate opens; % 64 != 0 so the
-  // last morsel ends mid-word; % 16384 != 0 so it is a partial morsel.
+  // > kMorselRows (16384) so the scan spans several morsels; % 64 != 0 so
+  // the last morsel ends mid-word; % 16384 != 0 so it is a partial morsel.
   static constexpr size_t kRows = 36'901;
 
   void SetUp() override {
@@ -81,23 +76,19 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {
     return db;
   }
 
-  /// Runs `q` on the serial and parallel twin of one store; selects must
-  /// match bit-for-bit in row order, aggregates per `exact`.
-  void ExpectEquivalent(const Query& q, Database& serial, Database& parallel,
-                        bool exact, bool sort_rows = false) {
+  /// Runs `q` on the DOP-1 and DOP-d twin of one store; rows must match
+  /// in order and aggregates bit for bit.
+  void ExpectEquivalent(const Query& q, Database& serial, Database& parallel) {
     Result<QueryResult> a = serial.Execute(q);
     Result<QueryResult> b = parallel.Execute(q);
     ASSERT_EQ(a.ok(), b.ok()) << QueryToString(q);
     if (!a.ok()) return;
     ASSERT_EQ(a->aggregates.size(), b->aggregates.size()) << QueryToString(q);
     for (size_t i = 0; i < a->aggregates.size(); ++i) {
-      if (exact) {
-        EXPECT_EQ(a->aggregates[i], b->aggregates[i]) << QueryToString(q);
-      } else {
-        EXPECT_NEAR(a->aggregates[i], b->aggregates[i],
-                    1e-9 * (1.0 + std::abs(a->aggregates[i])))
-            << QueryToString(q);
-      }
+      EXPECT_EQ(std::bit_cast<uint64_t>(a->aggregates[i]),
+                std::bit_cast<uint64_t>(b->aggregates[i]))
+          << QueryToString(q) << ": " << a->aggregates[i] << " vs "
+          << b->aggregates[i];
     }
     ASSERT_EQ(a->rows.size(), b->rows.size()) << QueryToString(q);
     std::vector<std::string> ra, rb;
@@ -105,12 +96,6 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {
     rb.reserve(b->rows.size());
     for (const Row& r : a->rows) ra.push_back(RowToString(r));
     for (const Row& r : b->rows) rb.push_back(RowToString(r));
-    if (sort_rows) {
-      // Group-by output order is deterministic per thread count but not
-      // across thread counts; the row *set* must match exactly.
-      std::sort(ra.begin(), ra.end());
-      std::sort(rb.begin(), rb.end());
-    }
     EXPECT_EQ(ra, rb) << QueryToString(q);
   }
 
@@ -122,12 +107,12 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {
     sel.select_columns = {0, spec_.keyfigure(0), spec_.filter(1)};
     sel.predicate = {{{0, 0}, ValueRange::Between(Value(int64_t{8000}),
                                                   Value(int64_t{33000}))}};
-    ExpectEquivalent(Query(sel), serial, parallel, /*exact=*/true);
+    ExpectEquivalent(Query(sel), serial, parallel);
 
-    // The same select with a limit: the first-N-in-rid-order contract
-    // holds on the parallel path too.
+    // The same select with a limit: the first N rows in rid order at every
+    // thread count.
     sel.limit = 777;
-    ExpectEquivalent(Query(sel), serial, parallel, /*exact=*/true);
+    ExpectEquivalent(Query(sel), serial, parallel);
     sel.limit.reset();
 
     // Select on an INT32 filter column (dictionary/RLE/FOR slice paths).
@@ -137,9 +122,9 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {
     fsel.predicate = {{{spec_.filter(0), 0},
                        ValueRange::Between(Value(int32_t{100}),
                                            Value(int32_t{400}))}};
-    ExpectEquivalent(Query(fsel), serial, parallel, /*exact=*/true);
+    ExpectEquivalent(Query(fsel), serial, parallel);
 
-    // Order-independent aggregates: exact across thread counts.
+    // Order-independent aggregates.
     AggregationQuery exact_agg;
     exact_agg.tables = {"t"};
     exact_agg.aggregates = {{AggFn::kCount, {}},
@@ -147,32 +132,30 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {
                             {AggFn::kMax, {spec_.keyfigure(1), 0}},
                             // Integer-valued sum: exact in a double.
                             {AggFn::kSum, {spec_.filter(0), 0}}};
-    ExpectEquivalent(Query(exact_agg), serial, parallel, /*exact=*/true);
+    ExpectEquivalent(Query(exact_agg), serial, parallel);
     exact_agg.predicate = {{{spec_.filter(1), 0},
                             ValueRange::Between(Value(int32_t{0}),
                                                 Value(int32_t{700}))}};
-    ExpectEquivalent(Query(exact_agg), serial, parallel, /*exact=*/true);
+    ExpectEquivalent(Query(exact_agg), serial, parallel);
 
-    // DOUBLE sums associate per-morsel: relative tolerance.
+    // DOUBLE sums: every thread count folds each morsel alone and merges
+    // the partials in morsel order, so these are bit-identical too.
     AggregationQuery fp_agg;
     fp_agg.tables = {"t"};
     fp_agg.aggregates = {{AggFn::kSum, {spec_.keyfigure(0), 0}},
                          {AggFn::kAvg, {spec_.keyfigure(1), 0}}};
-    ExpectEquivalent(Query(fp_agg), serial, parallel, /*exact=*/false);
+    ExpectEquivalent(Query(fp_agg), serial, parallel);
 
-    // Grouped aggregation with order-independent aggregates: same groups,
-    // same values, order normalized.
+    // Grouped aggregation: same groups, same values, same row order.
     AggregationQuery grouped;
     grouped.tables = {"t"};
     grouped.aggregates = {{AggFn::kSum, {spec_.filter(0), 0}},
                           {AggFn::kCount, {}},
                           {AggFn::kMax, {spec_.keyfigure(0), 0}}};
     grouped.group_by = {{spec_.group(0), 0}};
-    ExpectEquivalent(Query(grouped), serial, parallel, /*exact=*/true,
-                     /*sort_rows=*/true);
+    ExpectEquivalent(Query(grouped), serial, parallel);
     grouped.group_by.push_back({spec_.group(1), 0});
-    ExpectEquivalent(Query(grouped), serial, parallel, /*exact=*/true,
-                     /*sort_rows=*/true);
+    ExpectEquivalent(Query(grouped), serial, parallel);
   }
 
   SyntheticTableSpec spec_;
@@ -195,8 +178,7 @@ TEST_P(ParallelEquivalenceTest, ParallelPathActuallyEngaged) {
   RunBattery(*serial_rs_, *parallel_rs_);
   RunBattery(*serial_cs_, *parallel_cs_);
   if (telemetry::kCompiledIn) {
-    // The batteries above must have gone through the morsel path, not
-    // silently fallen back to the serial scan.
+    // The batteries above must have dispatched morsels.
     EXPECT_GT(metrics_.GetCounter("hsdb_scan_morsels_total").value(), 0u);
   }
 }
@@ -207,11 +189,12 @@ INSTANTIATE_TEST_SUITE_P(ThreadCounts, ParallelEquivalenceTest,
 // Code-keyed grouping (dictionary ids and FOR deltas combined into a flat
 // slot table) must be invisible: grouped aggregations over group-by columns
 // pinned to each codec return the same rows, in the same order, with
-// bit-identical aggregates as the raw-encoded twin, whose grouping takes the
-// generic Value-keyed path. Two 128-code columns fill the flat table
-// exactly (128 x 128 = 16384 slots); a 129-code column paired with a
-// 128-code one falls back. Delta rows share the last morsel with main rows
-// and tombstones straddle the first morsel boundary.
+// bit-identical aggregates as the raw-encoded twin at DOP 1, whose grouping
+// takes the generic Value-keyed path — at every degree of parallelism, so
+// the raw table at the parameter's DOP is one more input. Two 128-code
+// columns fill the flat table exactly (128 x 128 = 16384 slots); a 129-code
+// column paired with a 128-code one falls back. Delta rows share the last
+// morsel with main rows and tombstones straddle the first morsel boundary.
 class CodeGroupingEquivalenceTest : public ::testing::TestWithParam<int> {
  protected:
   // Main rows: the last morsel is partial and also holds the delta rows.
@@ -334,7 +317,7 @@ class CodeGroupingEquivalenceTest : public ::testing::TestWithParam<int> {
 
 TEST_P(CodeGroupingEquivalenceTest, EveryCodecMatchesTheRawTwin) {
   const int threads = GetParam();
-  std::unique_ptr<Database> raw = MakeDb(Encoding::kRaw, threads);
+  std::unique_ptr<Database> raw = MakeDb(Encoding::kRaw, /*threads=*/1);
   EXPECT_EQ(Table(*raw).MainCodes(kA).packed, nullptr);
   const std::vector<Query> queries = Battery();
   std::vector<Result<QueryResult>> want;

@@ -8,6 +8,7 @@
 // one fixture per access path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -175,9 +176,9 @@ TEST_F(ExplainWireTest, ExplainPredictionLineWhenPredictorInstalled) {
 }
 
 /// `explain` prints the binder's path and shareability; `explain analyze`
-/// must then observe that path: morsels exactly on the morsel-parallel
-/// path, a stitch span exactly on the stitch path. DOP 2, so every path is
-/// reachable.
+/// must then observe that path: morsels exactly on the covered scans (the
+/// morsel kernel, plain or index-seeded, at any size), a stitch span
+/// exactly on the stitch path.
 TEST(ExplainPathTest, ExplainNamesThePathThatRuns) {
   SyntheticTableSpec spec;
   spec.num_keyfigures = 2;
@@ -212,11 +213,11 @@ TEST(ExplainPathTest, ExplainNamesThePathThatRuns) {
   big_sum.tables = {"big"};
   big_sum.aggregates = {{AggFn::kSum, {spec.keyfigure(0), 0}}};
   big_sum.predicate = {{{spec.filter(1), 0}, below100}};
-  SelectQuery small_select;  // one morsel or less: serial
+  SelectQuery small_select;  // a single morsel
   small_select.table = "small";
   small_select.select_columns = {0, spec.keyfigure(0)};
   small_select.predicate = {{{spec.filter(0), 0}, below100}};
-  AggregationQuery indexed_count;  // sorted index beats the morsel path
+  AggregationQuery indexed_count;  // sorted index seeds the kernel
   indexed_count.tables = {"indexed"};
   indexed_count.aggregates = {{AggFn::kCount, {}}};
   indexed_count.predicate = {{{spec.filter(0), 0}, below100}};
@@ -233,9 +234,9 @@ TEST(ExplainPathTest, ExplainNamesThePathThatRuns) {
     bool shareable;
   };
   const std::vector<Case> cases = {
-      {big_sum, "morsel-parallel scan over 2 threads", true},
-      {small_select, "serial scan", true},
-      {indexed_count, "index-seeded scan", false},
+      {big_sum, "morsel scan at DOP 2", true},
+      {small_select, "morsel scan at DOP 2", true},
+      {indexed_count, "index-seeded scan at DOP 2", false},
       {split_select, "stitch", false},
       {point, "point-PK lookup", false},
   };
@@ -258,16 +259,55 @@ TEST(ExplainPathTest, ExplainNamesThePathThatRuns) {
         server::ExplainAnalyzeLines(&db, c.query);
     ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
     if (!telemetry::kCompiledIn) continue;  // no counters, no trace
-    const bool parallel = c.path.rfind("morsel-parallel", 0) == 0;
+    const bool covered = c.path.find("scan at DOP") != std::string::npos;
     EXPECT_EQ(line_with(*analyzed, "morsels_dispatched:") !=
                   "morsels_dispatched: 0",
-              parallel);
+              covered);
     bool stitch_span = false;
     for (const std::string& line : *analyzed) {
       if (line.find(" stitch ") != std::string::npos) stitch_span = true;
     }
     EXPECT_EQ(stitch_span, c.path == "stitch");
   }
+}
+
+/// At DOP 1 the kernel's morsels run inline on the statement's thread, so
+/// the trace attributes them: a column-store aggregation over several
+/// morsels shows `predicate` and `decode` spans under `scan_parallel`.
+TEST(ExplainPathTest, DopOneTracesTheMorselKernel) {
+  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
+  SyntheticTableSpec spec;
+  spec.name = "t";
+  Database::Options options;
+  options.num_threads = 1;
+  Database db(options);
+  ASSERT_TRUE(db.CreateTable("t", spec.MakeSchema(),
+                             TableLayout::SingleStore(StoreType::kColumn))
+                  .ok());
+  ASSERT_TRUE(
+      PopulateSynthetic(db.catalog().GetTable("t"), spec, 40'000).ok());
+  AggregationQuery sum;
+  sum.tables = {"t"};
+  sum.aggregates = {{AggFn::kSum, {spec.keyfigure(0), 0}}};
+  sum.predicate = {
+      {{spec.filter(0), 0}, ValueRange::Less(Value(int32_t{500}))}};
+  const std::vector<std::string> plan = server::ExplainLines(&db, sum);
+  EXPECT_NE(std::find(plan.begin(), plan.end(), "path: morsel scan at DOP 1"),
+            plan.end());
+
+  Result<QueryResult> result = db.Execute(sum);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(result->trace, nullptr);
+  const telemetry::TraceSpan* scan = result->trace->Find("scan_parallel");
+  ASSERT_NE(scan, nullptr) << result->trace->ToString();
+  size_t predicate = 0, decode = 0;
+  for (const telemetry::TraceSpan& child : scan->children) {
+    predicate += child.name == "predicate";
+    decode += child.name == "decode";
+  }
+  // 40,000 rows are three morsels, each filtered and then aggregated.
+  EXPECT_EQ(predicate, 3u) << result->trace->ToString();
+  EXPECT_EQ(decode, 3u) << result->trace->ToString();
 }
 
 }  // namespace
