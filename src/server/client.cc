@@ -7,7 +7,8 @@
 
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
+
+#include "server/listener.h"
 
 namespace hsdb {
 namespace server {
@@ -17,9 +18,7 @@ Client::~Client() { Close(); }
 Status Client::Connect(const std::string& host, uint16_t port) {
   if (fd_ != -1) return Status::FailedPrecondition("already connected");
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket(): ") + std::strerror(errno));
-  }
+  if (fd < 0) return Errno("socket");
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -28,8 +27,7 @@ Status Client::Connect(const std::string& host, uint16_t port) {
     return Status::InvalidArgument("bad IPv4 address '" + host + "'");
   }
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status s =
-        Status::Internal(std::string("connect(): ") + std::strerror(errno));
+    Status s = Errno("connect");
     ::close(fd);
     return s;
   }
@@ -58,26 +56,14 @@ Status Client::ReadLine(std::string* out) {
     char chunk[4096];
     ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
     if (n == 0) return Status::Internal("connection closed by server");
-    if (n < 0) {
-      return Status::Internal(std::string("recv(): ") + std::strerror(errno));
-    }
+    if (n < 0) return Errno("recv");
     buffer_.append(chunk, static_cast<size_t>(n));
   }
 }
 
 Result<Reply> Client::RoundTrip(const std::string& request) {
   if (fd_ == -1) return Status::FailedPrecondition("not connected");
-  std::string wire = request;
-  wire.push_back('\n');
-  size_t sent = 0;
-  while (sent < wire.size()) {
-    ssize_t n =
-        ::send(fd_, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      return Status::Internal(std::string("send(): ") + std::strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
+  if (!SendAll(fd_, request + '\n')) return Errno("send");
   std::string head;
   HSDB_RETURN_IF_ERROR(ReadLine(&head));
   Reply reply;

@@ -6,6 +6,7 @@
 
 #include "catalog/catalog.h"
 #include "executor/read_path.h"
+#include "server/protocol.h"
 #include "storage/compression/encoding.h"
 
 namespace hsdb {
@@ -16,18 +17,6 @@ namespace {
 std::string FormatMs(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
-}
-
-/// Matches the wire protocol's aggregate rendering (protocol.cc): integral
-/// results print without a fraction, so `explain analyze count t` shows the
-/// exact value `count t` returns.
-std::string FormatAggregate(double v) {
-  if (v == static_cast<double>(static_cast<int64_t>(v))) {
-    return std::to_string(static_cast<int64_t>(v));
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 

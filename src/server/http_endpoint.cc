@@ -1,35 +1,13 @@
 #include "server/http_endpoint.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <sstream>
-#include <utility>
 
 namespace hsdb {
 namespace server {
 
 namespace {
-
-Status Errno(const char* call) {
-  return Status::Internal(std::string(call) + "(): " + std::strerror(errno));
-}
-
-bool SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
 
 std::string HttpResponse(int code, const char* reason,
                          const std::string& content_type,
@@ -57,7 +35,10 @@ constexpr char kIndexBody[] =
 }  // namespace
 
 HttpEndpoint::HttpEndpoint(Database* db, Options options)
-    : db_(db), options_(options) {
+    : db_(db),
+      options_(options),
+      listener_(&db->metrics(), "http",
+                [this](int fd) { ServeConnection(fd); }) {
   telemetry::MetricsRegistry& metrics = db_->metrics();
   http_requests_total_ = &metrics.GetCounter(
       "hsdb_http_requests_total",
@@ -80,86 +61,13 @@ HttpEndpoint::HttpEndpoint(Database* db) : HttpEndpoint(db, Options()) {}
 HttpEndpoint::~HttpEndpoint() { Stop(); }
 
 Status HttpEndpoint::Start() {
-  if (listen_fd_ != -1) return Status::FailedPrecondition("already started");
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Errno("socket");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status s = Errno("bind");
-    ::close(fd);
-    return s;
-  }
-  if (::listen(fd, 16) != 0) {
-    Status s = Errno("listen");
-    ::close(fd);
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    Status s = Errno("getsockname");
-    ::close(fd);
-    return s;
-  }
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
   started_at_ = std::chrono::steady_clock::now();
-  stopping_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread(&HttpEndpoint::AcceptLoop, this);
-  return Status::OK();
+  return listener_.Start(options_.port);
 }
 
-void HttpEndpoint::Stop() {
-  if (listen_fd_ == -1 && !accept_thread_.joinable()) return;
-  stopping_.store(true, std::memory_order_release);
-  if (listen_fd_ != -1) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ != -1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) {
-      if (fd != -1) ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    readers.swap(conn_threads_);
-  }
-  for (std::thread& t : readers) t.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.clear();
-  }
-}
+void HttpEndpoint::Stop() { listener_.Stop(); }
 
-void HttpEndpoint::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
-    }
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    size_t slot = conn_fds_.size();
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(
-        [this, fd, slot] { ServeConnection(fd, slot); });
-  }
-}
-
-void HttpEndpoint::ServeConnection(int fd, size_t slot) {
+void HttpEndpoint::ServeConnection(int fd) {
   // One request per connection: read until the blank line that ends the
   // request head (any body is ignored — the routes are GETs), answer, close.
   std::string head;
@@ -187,9 +95,6 @@ void HttpEndpoint::ServeConnection(int fd, size_t slot) {
     response = HandleHead(head);
   }
   if (!response.empty()) SendAll(fd, response);
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_[slot] = -1;
 }
 
 std::string HttpEndpoint::HandleHead(const std::string& head) {
@@ -265,20 +170,19 @@ std::string HttpEndpoint::StatusJson() {
   out += ",\"p50_latency_ms\":" + JsonNumber(report.p50_latency_ms);
   out += ",\"p95_latency_ms\":" + JsonNumber(report.p95_latency_ms);
   out += ",\"p99_latency_ms\":" + JsonNumber(report.p99_latency_ms);
+  // Reading through GetCounter/GetGauge registers the family when its
+  // owner has not yet (no server started, no controller ticked), so pass
+  // the owner's help string — a help-less registration would fail the
+  // /metrics format contract.
+  auto counter = [&metrics](const char* name, const char* help) {
+    return std::to_string(metrics.GetCounter(name, help).value());
+  };
   out += ",\"connections_total\":" +
-         std::to_string(
-             metrics
-                 .GetCounter(
-                     "hsdb_server_connections_total",
-                     "Client connections accepted by the socket server.")
-                 .value());
+         counter("hsdb_server_connections_total",
+                 "Client connections accepted by the socket server.");
   out += ",\"rejected_total\":" +
-         std::to_string(
-             metrics
-                 .GetCounter(
-                     "hsdb_server_rejected_total",
-                     "Queries refused because the admission queue was full.")
-                 .value());
+         counter("hsdb_server_rejected_total",
+                 "Queries refused because the admission queue was full.");
   out += ",\"queue_depth\":" +
          std::to_string(server_ != nullptr ? server_->queue_depth() : 0);
   out += ",\"slow_queries\":" + std::to_string(db_->slowlog().slow_total());
@@ -288,35 +192,21 @@ std::string HttpEndpoint::StatusJson() {
   out += ",\"oldest_pin_age_ms\":" + JsonNumber(epochs.OldestPinAgeMs());
   out += ",\"retired\":" + std::to_string(epochs.retired_count());
   out += "},\"controller\":{";
-  // Reading through GetCounter/GetGauge registers the family when no
-  // controller has ticked yet, so pass the controller's help strings —
-  // a help-less registration would fail the /metrics format contract.
   out += "\"drift_score\":" +
-         JsonNumber(
-             metrics
-                 .GetGauge("hsdb_adapt_drift_score",
-                           "Query-weighted mean drift score at the last "
-                           "judged tick.")
-                 .value());
+         JsonNumber(metrics
+                        .GetGauge("hsdb_adapt_drift_score",
+                                  "Query-weighted mean drift score at the "
+                                  "last judged tick.")
+                        .value());
   out += ",\"ticks_total\":" +
-         std::to_string(
-             metrics
-                 .GetCounter("hsdb_adapt_ticks_total",
-                             "Adaptation controller ticks, by decision.")
-                 .value());
+         counter("hsdb_adapt_ticks_total",
+                 "Adaptation controller ticks, by decision.");
   out += ",\"researches_total\":" +
-         std::to_string(
-             metrics
-                 .GetCounter("hsdb_adapt_researches_total",
-                             "Joint-search re-runs the controller triggered.")
-                 .value());
+         counter("hsdb_adapt_researches_total",
+                 "Joint-search re-runs the controller triggered.");
   out += ",\"adaptations_total\":" +
-         std::to_string(
-             metrics
-                 .GetCounter("hsdb_adapt_adaptations_total",
-                             "Re-searches that changed the design and began "
-                             "migrating.")
-                 .value());
+         counter("hsdb_adapt_adaptations_total",
+                 "Re-searches that changed the design and began migrating.");
   out += "},\"cost_feedback\":{";
   out += "\"samples\":" + std::to_string(report.cost.global.samples);
   out += ",\"mean_rel_error\":" + JsonNumber(report.cost.global.mean_rel_error);

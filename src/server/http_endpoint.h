@@ -1,10 +1,10 @@
 // HttpEndpoint: the pull-based introspection surface of a serving engine —
-// a deliberately minimal HTTP/1.1 listener (GET only, one request per
+// a deliberately minimal HTTP/1.1 server (GET only, one request per
 // connection, Connection: close) that exposes the live MetricsRegistry in
-// Prometheus text format plus JSON status and the slow-query log. It reuses
-// the SocketServer's plumbing discipline: its own accept thread, one short-
-// lived reader thread per connection, every socket shut down and every
-// thread joined by Stop().
+// Prometheus text format plus JSON status and the slow-query log. It runs
+// on the same Listener (listener.h) as the SocketServer: one short-lived
+// reader thread per connection, reaped once the connection closes; every
+// socket shut down and every thread joined by Stop().
 //
 //   GET /         index of the routes below (text/plain)
 //   GET /metrics  Prometheus text exposition 0.0.4 of the live registry
@@ -20,15 +20,12 @@
 #ifndef HSDB_SERVER_HTTP_ENDPOINT_H_
 #define HSDB_SERVER_HTTP_ENDPOINT_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "executor/database.h"
+#include "server/listener.h"
 #include "server/server.h"
 
 namespace hsdb {
@@ -57,7 +54,7 @@ class HttpEndpoint {
   /// outlive the endpoint.
   void set_server(const SocketServer* server) { server_ = server; }
 
-  /// Binds 127.0.0.1:<port> and starts the accept thread.
+  /// Binds 127.0.0.1:<port> and starts the listener.
   Status Start();
 
   /// Stops accepting, shuts down open connections, joins all threads.
@@ -65,7 +62,7 @@ class HttpEndpoint {
   void Stop();
 
   /// The bound port (valid after Start); 0 before.
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// Route handler, exposed for tests and the --connect scraper fallback:
   /// returns the response body for a target path ("/metrics", "/status",
@@ -73,8 +70,8 @@ class HttpEndpoint {
   std::string BodyFor(const std::string& target);
 
  private:
-  void AcceptLoop();
-  void ServeConnection(int fd, size_t slot);
+  /// Reads one request head and answers it (the listener's handler).
+  void ServeConnection(int fd);
   /// Parses the request head and builds the full HTTP response bytes.
   std::string HandleHead(const std::string& head);
   std::string StatusJson();
@@ -83,19 +80,16 @@ class HttpEndpoint {
   Options options_;
   const SocketServer* server_ = nullptr;
 
-  std::atomic<bool> stopping_{false};
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
   std::chrono::steady_clock::time_point started_at_;
-  std::thread accept_thread_;
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
 
   telemetry::Counter* http_requests_total_ = nullptr;
   telemetry::Counter* http_errors_total_ = nullptr;
   telemetry::Gauge* epoch_pin_age_ms_ = nullptr;
   telemetry::Gauge* epoch_pinned_readers_ = nullptr;
+
+  /// Last member: its destructor joins the readers, which touch all of the
+  /// above.
+  Listener listener_;
 };
 
 }  // namespace server

@@ -336,17 +336,6 @@ Result<Request> ParseDelete(const std::vector<std::string>& tokens,
   return req;
 }
 
-/// Round-trip-exact rendering for aggregate doubles; integral results print
-/// without a fraction so goldens read naturally.
-std::string FormatDouble(double v) {
-  if (v == static_cast<double>(static_cast<int64_t>(v))) {
-    return std::to_string(static_cast<int64_t>(v));
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 void AppendRow(const Row& row, std::string* out) {
   for (size_t i = 0; i < row.size(); ++i) {
     if (i > 0) out->push_back('\t');
@@ -429,6 +418,15 @@ Result<Request> ParseRequest(const std::string& line,
   return ParseQueryCommand(tokens, resolver);
 }
 
+std::string FormatAggregate(double v) {
+  if (v == static_cast<double>(static_cast<int64_t>(v))) {
+    return std::to_string(static_cast<int64_t>(v));
+  }
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
 std::string FormatResponse(const QueryResult& result, QueryKind kind) {
   std::string out;
   switch (kind) {
@@ -446,7 +444,7 @@ std::string FormatResponse(const QueryResult& result, QueryKind kind) {
       out = "ok 1\n";
       for (size_t i = 0; i < result.aggregates.size(); ++i) {
         if (i > 0) out.push_back('\t');
-        out.append(FormatDouble(result.aggregates[i]));
+        out.append(FormatAggregate(result.aggregates[i]));
       }
       out.push_back('\n');
       return out;

@@ -82,6 +82,10 @@ using SchemaResolver = std::function<const Schema*(const std::string&)>;
 Result<Request> ParseRequest(const std::string& line,
                              const SchemaResolver& resolver);
 
+/// Round-trip-exact rendering of an aggregate value; integral results print
+/// without a fraction, so `count t` answers "42".
+std::string FormatAggregate(double v);
+
 /// Serializes a query result as a response block (SELECT/grouped rows as
 /// tab-separated lines, ungrouped aggregates as one line of values, DML as
 /// one affected-row count line).

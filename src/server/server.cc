@@ -1,14 +1,9 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
@@ -19,27 +14,13 @@
 namespace hsdb {
 namespace server {
 
-namespace {
-
-Status Errno(const char* call) {
-  return Status::Internal(std::string(call) + "(): " + std::strerror(errno));
-}
-
-bool SendAll(int fd, const std::string& data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    ssize_t n =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) return false;
-    sent += static_cast<size_t>(n);
-  }
-  return true;
-}
-
-}  // namespace
-
 SocketServer::SocketServer(Database* db, Options options)
-    : db_(db), options_(options), queue_(options.queue_capacity), batch_(db) {
+    : db_(db),
+      options_(options),
+      queue_(options.queue_capacity),
+      batch_(db),
+      listener_(&db->metrics(), "line",
+                [this](int fd) { ServeConnection(fd); }) {
   telemetry::MetricsRegistry& metrics = db_->metrics();
   connections_total_ = &metrics.GetCounter(
       "hsdb_server_connections_total",
@@ -84,90 +65,21 @@ bool SocketServer::TelemetryOn() const {
 }
 
 Status SocketServer::Start() {
-  if (listen_fd_ != -1) return Status::FailedPrecondition("already started");
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return Errno("socket");
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    Status s = Errno("bind");
-    ::close(fd);
-    return s;
-  }
-  if (::listen(fd, 64) != 0) {
-    Status s = Errno("listen");
-    ::close(fd);
-    return s;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    Status s = Errno("getsockname");
-    ::close(fd);
-    return s;
-  }
-  port_ = ntohs(addr.sin_port);
-  listen_fd_ = fd;
   stopping_.store(false, std::memory_order_release);
+  HSDB_RETURN_IF_ERROR(listener_.Start(options_.port));
   worker_thread_ = std::thread(&SocketServer::WorkerLoop, this);
-  accept_thread_ = std::thread(&SocketServer::AcceptLoop, this);
   return Status::OK();
 }
 
 void SocketServer::Stop() {
-  if (listen_fd_ == -1 && !worker_thread_.joinable()) return;
+  if (!worker_thread_.joinable()) return;
   stopping_.store(true, std::memory_order_release);
-  // Unblock accept() first: no new connections from here on.
-  if (listen_fd_ != -1) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ != -1) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  // Unblock every reader's recv(). Readers waiting on an admitted query's
-  // future are woken by the worker, which must therefore outlive them:
-  // join readers before closing the queue.
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    for (int fd : conn_fds_) {
-      if (fd != -1) ::shutdown(fd, SHUT_RDWR);
-    }
-  }
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    readers.swap(conn_threads_);
-  }
-  for (std::thread& t : readers) t.join();
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_fds_.clear();
-  }
+  // Readers may be blocked on futures only the worker fulfills, so the
+  // worker must outlive them: stop the listener (which joins every reader)
+  // before closing the queue; the worker drains it and exits.
+  listener_.Stop();
   queue_.Close();
-  if (worker_thread_.joinable()) worker_thread_.join();
-}
-
-void SocketServer::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down
-    }
-    if (stopping_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      break;
-    }
-    if (TelemetryOn()) connections_total_->Increment();
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    size_t slot = conn_fds_.size();
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back(
-        [this, fd, slot] { ServeConnection(fd, slot); });
-  }
+  worker_thread_.join();
 }
 
 void SocketServer::WorkerLoop() {
@@ -305,7 +217,8 @@ std::string SocketServer::HandleQuery(Query query) {
   return FormatResponse(*result, kind);
 }
 
-void SocketServer::ServeConnection(int fd, size_t slot) {
+void SocketServer::ServeConnection(int fd) {
+  if (TelemetryOn()) connections_total_->Increment();
   std::string buffer;
   char chunk[4096];
   bool close_conn = false;
@@ -335,9 +248,6 @@ void SocketServer::ServeConnection(int fd, size_t slot) {
       break;
     }
   }
-  ::close(fd);
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  conn_fds_[slot] = -1;
 }
 
 }  // namespace server

@@ -1,6 +1,6 @@
-// SocketServer: the TCP serving front-end over a Database. One accept
-// thread hands each client connection to its own reader thread; reader
-// threads parse line-protocol requests (protocol.h), answer control
+// SocketServer: the TCP serving front-end over a Database. Its Listener
+// (listener.h) accepts each client connection onto its own reader thread;
+// reader threads parse line-protocol requests (protocol.h), answer control
 // commands inline, and admit queries into a bounded AdmissionQueue; a
 // single batch worker drains the queue through a BatchExecutor, so queries
 // that arrive concurrently on different connections execute as shared-scan
@@ -12,21 +12,20 @@
 // requests get an "err" reply and the connection stays open; an oversized
 // line (no newline within kMaxLineBytes) or a transport error closes that
 // connection only. The server never crashes or leaks a thread on bad input;
-// Stop() (or destruction) joins every thread it ever started.
+// a closed connection's thread is reaped by the listener, and Stop() (or
+// destruction) joins every thread still running.
 #ifndef HSDB_SERVER_SERVER_H_
 #define HSDB_SERVER_SERVER_H_
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "executor/batch_executor.h"
 #include "executor/database.h"
 #include "server/admission_queue.h"
+#include "server/listener.h"
 #include "server/protocol.h"
 
 namespace hsdb {
@@ -52,23 +51,23 @@ class SocketServer {
   ~SocketServer();  // calls Stop()
   HSDB_DISALLOW_COPY_AND_ASSIGN(SocketServer);
 
-  /// Binds 127.0.0.1:<port>, starts the accept thread and the batch worker.
+  /// Binds 127.0.0.1:<port>, starts the listener and the batch worker.
   Status Start();
 
-  /// Stops accepting, shuts down every open connection, drains the
-  /// admission queue and joins all threads. Idempotent.
+  /// Stops the listener (which shuts down and joins every reader), then
+  /// closes the admission queue and joins the worker once it has drained
+  /// it. Idempotent.
   void Stop();
 
   /// The bound port (valid after Start); 0 before.
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// Live admission-queue depth (the HTTP /status endpoint reads this).
   size_t queue_depth() const { return queue_.depth(); }
 
  private:
-  void AcceptLoop();
-  /// Reader loop of one connection; `slot` is its index in conn_fds_.
-  void ServeConnection(int fd, size_t slot);
+  /// Reader loop of one connection (the listener's handler).
+  void ServeConnection(int fd);
   void WorkerLoop();
   /// Handles one complete request line; returns the response block and
   /// whether the connection should close (quit).
@@ -87,16 +86,7 @@ class SocketServer {
   BatchExecutor batch_;
 
   std::atomic<bool> stopping_{false};
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread accept_thread_;
   std::thread worker_thread_;
-  /// Reader threads and their sockets, guarded by conn_mu_. Slots are
-  /// appended by the accept loop and joined by Stop; fds are set to -1 by
-  /// the owning reader when it closes its socket.
-  std::mutex conn_mu_;
-  std::vector<std::thread> conn_threads_;
-  std::vector<int> conn_fds_;
 
   telemetry::Counter* connections_total_ = nullptr;
   telemetry::Counter* requests_total_ = nullptr;
@@ -107,6 +97,10 @@ class SocketServer {
   telemetry::LogHistogram* queue_wait_ms_ = nullptr;
   telemetry::LogHistogram* batch_formation_ms_ = nullptr;
   telemetry::Gauge* queue_depth_ = nullptr;
+
+  /// Last member: its destructor joins the readers, which touch all of the
+  /// above.
+  Listener listener_;
 };
 
 }  // namespace server

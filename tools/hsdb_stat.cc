@@ -24,6 +24,7 @@
 
 #include "core/advisor.h"
 #include "online/controller.h"
+#include "server/listener.h"
 #include "workload/generator.h"
 #include "workload/runner.h"
 
@@ -79,15 +80,10 @@ bool HttpGet(const std::string& host, int port, const std::string& target,
   ::freeaddrinfo(res);
   const std::string request = "GET " + target + " HTTP/1.1\r\nHost: " + host +
                               "\r\nConnection: close\r\n\r\n";
-  size_t sent = 0;
-  while (sent < request.size()) {
-    ssize_t n = ::send(fd, request.data() + sent, request.size() - sent, 0);
-    if (n <= 0) {
-      *error = std::string("send: ") + std::strerror(errno);
-      ::close(fd);
-      return false;
-    }
-    sent += static_cast<size_t>(n);
+  if (!server::SendAll(fd, request)) {
+    *error = std::string("send: ") + std::strerror(errno);
+    ::close(fd);
+    return false;
   }
   std::string response;
   char chunk[4096];
