@@ -7,8 +7,8 @@
 // column, fanned out to every member query).
 //
 // The advisor rides the same stream: StartRecording installs the
-// WorkloadRecorder as the database's query observer, and the BatchExecutor
-// notifies it for every served statement — the wire workload IS the
+// WorkloadRecorder as the database's query observer, and every served
+// statement, shared or not, notifies it — the wire workload IS the
 // recorded workload. When the clients shift from transactional point
 // lookups to analytic scans, the AdaptationController notices the drift
 // and migrates the table on the non-blocking MigrateShadow path while the

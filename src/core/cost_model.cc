@@ -392,8 +392,7 @@ double CostModel::SelectCost(StoreType store, size_t selected_columns,
     cost = cost / ParallelSpeedup(sp) + sp.c_parallel_merge_ms;
   }
   // Scan-shaped selections share a batch's decode pass; index-seeded
-  // row-store selections are delegated out of shared groups and stay
-  // unscaled.
+  // row-store selections never join a shared group and stay unscaled.
   if (!(store == StoreType::kRow && indexed)) {
     cost /= BatchSpeedup(sp);
   }

@@ -18,7 +18,8 @@ class EngineProbeRunner : public ProbeRunner {
   struct Options {
     /// Repetitions per read probe (median taken).
     int repeats = 3;
-    /// Rows inserted per insert probe (averaged per statement).
+    /// Rows inserted per insert probe (averaged per statement); a column-
+    /// store probe goes on until its delta merges.
     size_t insert_batch = 256;
   };
 

@@ -18,17 +18,19 @@ namespace hsdb {
 
 namespace rp = readpath;
 
-/// One member of a batch group. `plan` is set when the member binds to a
-/// shareable plan; everything else is delegated to Database::Execute. The
-/// plan's pointers are followed only under the group's lock; after it, the
-/// plan just marks the member as shared. `bitmaps` is indexed by row group.
+/// One member of a batch. `plan` is set when the member binds to a
+/// shareable plan in a group of two or more; every other read takes the
+/// per-statement path. The plan's pointers are followed only under the
+/// group's lock; after it, the plan just marks the member as shared.
+/// `bitmaps` is indexed by row group.
 struct BatchExecutor::SharedRead {
   const Query* query = nullptr;
   double queue_wait_ms = 0.0;
   std::optional<rp::ReadPlan> plan;
   double predicted_ms = -1.0;
   std::vector<Bitmap> bitmaps;
-  QueryResult result;
+  Result<QueryResult> result = Status::InvalidArgument(
+      "not a single-table read: a batch executes reads only");
 };
 
 BatchExecutor::BatchExecutor(Database* db) : db_(db) {
@@ -38,7 +40,7 @@ BatchExecutor::BatchExecutor(Database* db) : db_(db) {
       "Shared-scan groups executed by the batch executor.");
   batch_shared_queries_total_ = &metrics.GetCounter(
       "hsdb_batch_shared_queries_total",
-      "Queries answered from a shared scan (excludes delegated queries).");
+      "Queries answered from a shared scan (excludes per-statement ones).");
   batch_width_ = &metrics.GetHistogram(
       "hsdb_batch_width",
       "Queries per executed shared-scan group (the amortization width).");
@@ -58,74 +60,62 @@ const std::string* BatchExecutor::ShareableTable(const Query& query) {
   }
 }
 
+bool BatchExecutor::Shareable(const Query& query) const {
+  const std::string* table = ShareableTable(query);
+  if (table == nullptr) return false;
+  CatalogReadLock lock(db_->catalog(), {*table});
+  Result<rp::ReadPlan> plan = rp::Bind(db_->catalog(), query);
+  return plan.ok() && plan->shareable;
+}
+
 std::vector<Result<QueryResult>> BatchExecutor::ExecuteBatch(
     const std::vector<Query>& queries,
     const std::vector<double>* queue_waits_ms) {
-  const auto wait_of = [&](size_t index) {
-    return queue_waits_ms != nullptr && index < queue_waits_ms->size()
-               ? (*queue_waits_ms)[index]
-               : 0.0;
-  };
-  std::vector<Result<QueryResult>> out;
-  out.reserve(queries.size());
-  size_t i = 0;
-  while (i < queries.size()) {
-    const std::string* table = ShareableTable(queries[i]);
-    // Collect the maximal run of shareable reads on the same table. A DML
-    // statement (or a read of another table) ends the run: reads grouped
-    // across it could otherwise miss its effects.
-    size_t end = i + 1;
-    while (table != nullptr && end < queries.size()) {
-      const std::string* t = ShareableTable(queries[end]);
-      if (t == nullptr || *t != *table) break;
-      ++end;
+  std::vector<SharedRead> members(queries.size());
+  std::map<std::string, std::vector<SharedRead*>> groups;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    members[i].query = &queries[i];
+    if (queue_waits_ms != nullptr && i < queue_waits_ms->size()) {
+      members[i].queue_wait_ms = (*queue_waits_ms)[i];
     }
-    if (end - i == 1) {
-      // Not shareable, or a lone read that gains nothing from the shared
-      // pass: the per-statement path.
-      telemetry::ScopedQueueWait wait(wait_of(i));
-      out.push_back(db_->Execute(queries[i]));
-      ++i;
-      continue;
+    if (const std::string* table = ShareableTable(queries[i])) {
+      groups[*table].push_back(&members[i]);
     }
-    std::vector<SharedRead> members(end - i);
-    for (size_t j = i; j < end; ++j) {
-      members[j - i].query = &queries[j];
-      members[j - i].queue_wait_ms = wait_of(j);
-    }
-    ExecuteSharedGroup(*table, &members);
-    // Shared members are accounted first, back to back, so their slow-query
-    // records stay adjacent; delegated members run afterwards, outside the
-    // group's reader lock (see header).
-    for (SharedRead& m : members) {
-      if (!m.plan.has_value()) continue;
-      telemetry::ScopedQueueWait wait(m.queue_wait_ms);
-      m.result = db_->FinishStatement(*m.query, std::move(m.result),
-                                      m.predicted_ms, /*shared=*/true)
-                     .value();
-    }
-    for (SharedRead& m : members) {
-      if (m.plan.has_value()) {
-        out.push_back(std::move(m.result));
-      } else {
-        telemetry::ScopedQueueWait wait(m.queue_wait_ms);
-        out.push_back(db_->Execute(*m.query));
-      }
-    }
-    i = end;
   }
+  for (const auto& [table, group] : groups) {
+    // A lone read gains nothing from the shared pass.
+    if (group.size() > 1) ExecuteSharedGroup(table, group);
+    // Shared members are accounted first, back to back, so their slow-query
+    // records stay adjacent; the rest run per statement afterwards, outside
+    // the group's reader lock (see header).
+    for (SharedRead* m : group) {
+      if (!m->plan.has_value()) continue;
+      telemetry::ScopedQueueWait wait(m->queue_wait_ms);
+      m->result = db_->FinishStatement(*m->query, std::move(m->result),
+                                       m->predicted_ms, /*shared=*/true);
+    }
+    for (SharedRead* m : group) {
+      if (m->plan.has_value()) continue;
+      telemetry::ScopedQueueWait wait(m->queue_wait_ms);
+      m->result = db_->Execute(*m->query);
+    }
+  }
+  std::vector<Result<QueryResult>> out;
+  out.reserve(members.size());
+  for (SharedRead& m : members) out.push_back(std::move(m.result));
   return out;
 }
 
 void BatchExecutor::MaterializeMember(SharedRead* m) const {
   const rp::ReadPlan& plan = *m->plan;
+  QueryResult& result = *m->result;
   const ParallelContext& parallel = db_->parallel();
   if (const auto* q = std::get_if<SelectQuery>(m->query)) {
     const size_t limit = q->limit.value_or(std::numeric_limits<size_t>::max());
     for (size_t g = 0; g < plan.groups.size(); ++g) {
-      if (m->result.rows.size() >= limit) break;
+      if (result.rows.size() >= limit) break;
       rp::SelectCover(parallel, *plan.groups[g].cover, plan.terms,
-                      q->select_columns, limit, &m->bitmaps[g], &m->result);
+                      q->select_columns, limit, &m->bitmaps[g], &result);
     }
     return;
   }
@@ -137,11 +127,11 @@ void BatchExecutor::MaterializeMember(SharedRead* m) const {
     rp::AggregateCover(parallel, *plan.groups[g].cover, plan.terms, q, grouped,
                        &m->bitmaps[g], &totals, &group_map);
   }
-  m->result = rp::FinalizeAggregation(q, grouped, totals, group_map);
+  result = rp::FinalizeAggregation(q, grouped, totals, group_map);
 }
 
-void BatchExecutor::ExecuteSharedGroup(const std::string& table_name,
-                                       std::vector<SharedRead>* members) {
+void BatchExecutor::ExecuteSharedGroup(
+    const std::string& table_name, const std::vector<SharedRead*>& members) {
   Stopwatch sw;
   const ParallelContext& parallel = db_->parallel();
   // The batch worker thread has no tracer installed, so without this the
@@ -160,13 +150,14 @@ void BatchExecutor::ExecuteSharedGroup(const std::string& table_name,
 
     // Bind every member; predict the shared ones under the same lock, before
     // the shared pass, exactly where a serial statement predicts.
-    for (SharedRead& m : *members) {
-      Result<rp::ReadPlan> plan = rp::Bind(db_->catalog(), *m.query);
+    for (SharedRead* m : members) {
+      Result<rp::ReadPlan> plan = rp::Bind(db_->catalog(), *m->query);
       if (!plan.ok() || !plan->shareable) continue;
-      m.plan = std::move(plan).value();
-      m.bitmaps.resize(m.plan->groups.size());
-      if (tracer.has_value()) m.predicted_ms = db_->PredictCost(*m.query);
-      shared.push_back(&m);
+      m->plan = std::move(plan).value();
+      m->bitmaps.resize(m->plan->groups.size());
+      m->result = QueryResult();
+      if (tracer.has_value()) m->predicted_ms = db_->PredictCost(*m->query);
+      shared.push_back(m);
     }
     if (shared.empty()) return;
     // As for a serial statement, lock wait and prediction are not part of
@@ -219,8 +210,8 @@ void BatchExecutor::ExecuteSharedGroup(const std::string& table_name,
     batch_width_->Observe(static_cast<double>(shared.size()));
   }
   for (SharedRead* m : shared) {
-    m->result.elapsed_ms = share_ms;
-    m->result.trace = tree;
+    m->result->elapsed_ms = share_ms;
+    m->result->trace = tree;
   }
 }
 

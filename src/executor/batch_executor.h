@@ -2,20 +2,17 @@
 // serving-side complement: many concurrent analytic clients hit the same
 // hot tables, so co-running their scans amortizes the decode cost).
 //
-// ExecuteBatch takes a batch of queries and returns results identical to
-// executing them through Database::Execute one at a time in order. Runs of
-// consecutive *shareable* reads on the same table — covering SELECTs and
-// single-table aggregations — execute as one shared group under a single
-// epoch pin and reader lock: every query's selection bitmap is produced by
-// one MultiFilterRangeSlice pass per predicate column (one decode of the
-// encoded segment fans out to all bitmaps, morsel by morsel on the scan
-// pool), then each query materializes through the same scan kernel the
-// per-statement executor uses. Each member is bound by readpath::Bind, the
-// binder the per-statement executor uses; a member whose plan
-// is not `shareable` — point-PK lookups, vertical-split stitches,
-// index-seeded row-store scans, validation failures — is delegated to
-// Database::Execute, as are DML and joins, so the batch path never changes
-// semantics, only cost.
+// The server admits a query only if Shareable(): a single-table read whose
+// readpath::Bind plan is `shareable`; everything else runs per statement
+// on the connection's thread. ExecuteBatch executes reads only (any other
+// member gets an error, unrun) and groups them by table. A group of two or
+// more runs under one epoch pin and reader lock: one MultiFilterRangeSlice
+// pass per predicate column fills every member's selection bitmap (one
+// decode fans out to all bitmaps, morsel by morsel on the scan pool), then
+// each member materializes through the per-statement scan kernel. A lone
+// member, or one whose plan stopped being shareable since admission (e.g.
+// a MigrateShadow cut-over), runs through Database::Execute, so the batch
+// path never changes semantics, only cost.
 //
 // Equivalence guarantee (tests/executor/batch_equivalence_test.cc): per
 // query the result is bit-identical to one-at-a-time execution at every
@@ -25,18 +22,18 @@
 // scan kernel with the same morsel structure and partial-merge order.
 //
 // Concurrency: a shared group holds the table's reader lock exactly like a
-// serial read statement (docs/CONCURRENCY.md); delegated queries run after
-// the group's lock is released, never under it — re-entering Execute while
-// holding the shared lock could deadlock behind a queued writer.
+// serial read statement (docs/CONCURRENCY.md); per-statement members run
+// after the group's lock is released, never under it — re-entering Execute
+// while holding the shared lock could deadlock behind a queued writer.
 //
 // Reported elapsed_ms of a shared query is its amortized share (group wall
 // time / group width): that is the cost a co-running client actually pays,
 // and it is what the workload recorder should feed the advisor's batch-
 // aware cost model. Shared members are accounted by the same
-// Database::FinishStatement step as serial statements: with telemetry on
-// each gets a prediction taken under the group's reader lock before the
-// shared pass, and its share feeds the cost-residual stream (the cost model
-// prices shared scans through its batch width).
+// Database::FinishStatement step as serial statements, back to back per
+// group: with telemetry on each gets a prediction taken under the group's
+// reader lock before the shared pass, and its share feeds the cost-residual
+// stream (the cost model prices shared scans through its batch width).
 #ifndef HSDB_EXECUTOR_BATCH_EXECUTOR_H_
 #define HSDB_EXECUTOR_BATCH_EXECUTOR_H_
 
@@ -54,32 +51,35 @@ class BatchExecutor {
   explicit BatchExecutor(Database* db);
   HSDB_DISALLOW_COPY_AND_ASSIGN(BatchExecutor);
 
-  /// Executes `queries` in order; result i corresponds to queries[i].
+  /// Executes the reads in `queries`; result i corresponds to queries[i].
+  /// A query ShareableTable rejects is answered InvalidArgument, unrun.
   /// Thread-compatible: concurrent ExecuteBatch calls are safe (the shared
   /// state is the Database, which synchronizes per table), but one batch is
   /// executed by the calling thread.
   ///
   /// `queue_waits_ms` (optional, parallel to `queries`) is each query's
-  /// admission-queue wait; it is attributed to slow-query-log records and
-  /// the thread-local queue-wait context of delegated executions.
+  /// admission-queue wait; it is attributed to slow-query-log records.
   std::vector<Result<QueryResult>> ExecuteBatch(
       const std::vector<Query>& queries,
       const std::vector<double>* queue_waits_ms = nullptr);
 
   /// Table name of a read that may join a shared-scan group (SELECT /
-  /// single-table aggregation), or nullptr when the query must take the
-  /// per-statement path. This only forms the runs; whether a member really
-  /// shares is decided by its bound plan (readpath::ReadPlan::shareable).
+  /// single-table aggregation), or nullptr for any other statement.
   static const std::string* ShareableTable(const Query& query);
+
+  /// The admission decision: whether `query` is a ShareableTable read whose
+  /// bound plan is `shareable` right now. Binds under CatalogReadLock, the
+  /// view `explain` prints `batch_shareable:` from.
+  bool Shareable(const Query& query) const;
 
  private:
   struct SharedRead;
 
-  /// Executes one same-table group of shareable reads under a single epoch
-  /// pin + reader lock. Members whose plan is shareable get their plan,
-  /// prediction and result filled; the rest are left for delegation.
+  /// Executes one same-table group of reads under a single epoch pin +
+  /// reader lock. Members whose plan is shareable get their plan,
+  /// prediction and result filled; the rest are left unrun.
   void ExecuteSharedGroup(const std::string& table_name,
-                          std::vector<SharedRead>* members);
+                          const std::vector<SharedRead*>& members);
 
   /// Materializes one member's result from its shared-pass bitmaps through
   /// the serial read-path code.

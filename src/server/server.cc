@@ -198,7 +198,16 @@ std::string SocketServer::HandleControl(const Request& request) {
 }
 
 std::string SocketServer::HandleQuery(Query query) {
-  QueryKind kind = KindOf(query);
+  const QueryKind kind = KindOf(query);
+  // Only a shareable read gains from the batch worker; everything else runs
+  // here, on the connection's own thread.
+  Result<QueryResult> result =
+      batch_.Shareable(query) ? Admit(std::move(query)) : db_->Execute(query);
+  if (!result.ok()) return FormatError(result.status());
+  return FormatResponse(*result, kind);
+}
+
+Result<QueryResult> SocketServer::Admit(Query query) {
   Admitted item;
   item.query = std::move(query);
   item.admitted_at = std::chrono::steady_clock::now();
@@ -206,15 +215,13 @@ std::string SocketServer::HandleQuery(Query query) {
   if (!queue_.TryPush(std::move(item))) {
     if (TelemetryOn()) rejected_total_->Increment();
     bool down = stopping_.load(std::memory_order_acquire);
-    return FormatError(Status::FailedPrecondition(
-        down ? "server shutting down" : "admission queue full"));
+    return Status::FailedPrecondition(down ? "server shutting down"
+                                           : "admission queue full");
   }
   if (TelemetryOn()) {
     queue_depth_->Set(static_cast<double>(queue_.depth()));
   }
-  Result<QueryResult> result = reply.get();
-  if (!result.ok()) return FormatError(result.status());
-  return FormatResponse(*result, kind);
+  return reply.get();
 }
 
 void SocketServer::ServeConnection(int fd) {

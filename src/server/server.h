@@ -1,12 +1,14 @@
 // SocketServer: the TCP serving front-end over a Database. Its Listener
 // (listener.h) accepts each client connection onto its own reader thread;
 // reader threads parse line-protocol requests (protocol.h), answer control
-// commands inline, and admit queries into a bounded AdmissionQueue; a
-// single batch worker drains the queue through a BatchExecutor, so queries
-// that arrive concurrently on different connections execute as shared-scan
-// batches (ARCHITECTURE.md §9). Each connection has at most one request in
-// flight — batch width comes from client concurrency, exactly the paper's
-// serving scenario of many analytic clients hitting the same hot tables.
+// commands inline, and run every query BatchExecutor::Shareable rejects
+// (writes, point lookups, joins) through Database::Execute themselves.
+// Shareable reads go into a bounded AdmissionQueue that a single batch
+// worker drains through a BatchExecutor, so scans arriving together on
+// different connections execute as shared-scan batches (ARCHITECTURE.md
+// §9). Each connection has at most one request in flight — batch width
+// comes from client concurrency, the paper's serving scenario of many
+// analytic clients hitting the same hot tables.
 //
 // Robustness contract (tests/server/protocol_fuzz_test.cc): malformed
 // requests get an "err" reply and the connection stays open; an oversized
@@ -37,7 +39,7 @@ class SocketServer {
     /// TCP port to listen on (loopback only); 0 picks an ephemeral port,
     /// readable from port() after Start().
     uint16_t port = 0;
-    /// Admission-queue capacity; pushes beyond it are answered "err busy".
+    /// Admission-queue capacity; shareable reads beyond it get "err busy".
     size_t queue_capacity = 256;
     /// Most queries the worker drains into one shared-scan batch.
     size_t max_batch = 32;
@@ -74,6 +76,8 @@ class SocketServer {
   std::string HandleLine(const std::string& line, bool* close_conn);
   std::string HandleControl(const Request& request);
   std::string HandleQuery(Query query);
+  /// Queues a shareable read and waits for the worker's result.
+  Result<QueryResult> Admit(Query query);
   /// explain / explain analyze run inline on the reader thread (they are
   /// introspection, not traffic — they skip the admission queue so a full
   /// queue can still be diagnosed).

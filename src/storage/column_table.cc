@@ -132,7 +132,13 @@ Result<RowId> ColumnTable::Insert(Row row) {
     }
   }
   for (ColumnId col = 0; col < row.size(); ++col) {
-    AppendToDelta(col, row[col]);
+    std::visit(
+        [&](auto& data) {
+          using T = typename std::decay_t<decltype(data.delta)>::value_type;
+          data.delta.push_back(
+              PhysicalCast<T>(schema_.column(col).type, row[col]));
+        },
+        columns_[col]);
   }
   RowId rid = live_.size();
   live_.PushBack(true);
@@ -230,9 +236,9 @@ void ColumnTable::FilterRangeSlice(ColumnId col, const ValueRange& range,
   HSDB_DCHECK(begin % 64 == 0 && begin <= end && end <= live_.size());
   // The slice may straddle the main/delta boundary (main_size_ is not
   // morsel-aligned): the encoded-segment part covers [begin, main_end), the
-  // raw delta part [delta_begin, end).
+  // raw delta part [delta_begin, end) — empty for a slice that ends in main.
   const size_t main_end = std::min(end, main_size_);
-  const size_t delta_begin = std::max(begin, main_size_);
+  const size_t delta_begin = std::clamp(main_size_, begin, end);
   const DataType type = schema_.column(col).type;
   if (type == DataType::kVarchar) {
     const auto& data = std::get<ColumnData<std::string>>(columns_[col]);
@@ -279,7 +285,7 @@ void ColumnTable::MultiFilterRangeSlice(ColumnId col,
   }
   HSDB_DCHECK(begin % 64 == 0 && begin <= end && end <= live_.size());
   const size_t main_end = std::min(end, main_size_);
-  const size_t delta_begin = std::max(begin, main_size_);
+  const size_t delta_begin = std::clamp(main_size_, begin, end);
   const DataType type = schema_.column(col).type;
   if (type == DataType::kVarchar) {
     const auto& data = std::get<ColumnData<std::string>>(columns_[col]);
@@ -408,7 +414,6 @@ void ColumnTable::MergeDelta() {
               std::move(values), picker);
           data.delta.clear();
           data.delta.shrink_to_fit();
-          data.delta_dict.clear();
         },
         columns_[col]);
   }
@@ -440,19 +445,6 @@ size_t ColumnTable::DictionarySize(ColumnId col) const {
 Encoding ColumnTable::ColumnEncoding(ColumnId col) const {
   return std::visit([](const auto& data) { return data.main.encoding(); },
                     columns_[col]);
-}
-
-void ColumnTable::AppendToDelta(ColumnId col, const Value& value) {
-  DataType type = schema_.column(col).type;
-  std::visit(
-      [&](auto& data) {
-        using T = typename std::decay_t<decltype(data.delta)>::value_type;
-        T v = PhysicalCast<T>(type, value);
-        data.delta_dict.try_emplace(
-            v, static_cast<uint32_t>(data.delta.size()));
-        data.delta.push_back(std::move(v));
-      },
-      columns_[col]);
 }
 
 PrimaryKey ColumnTable::ExtractPk(RowId rid) const {

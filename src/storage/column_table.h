@@ -141,11 +141,6 @@ class ColumnTable final : public PhysicalTable {
   struct ColumnData {
     compression::EncodedSegment<T> main;  // encoded main segment
     std::vector<T> delta;                 // raw values, one per delta slot
-    /// Unsorted delta dictionary (value -> first delta position), maintained
-    /// on every insert like a real write-optimized delta; this is the
-    /// per-column dictionary work that makes column-store inserts more
-    /// expensive than row-store appends.
-    std::unordered_map<T, uint32_t> delta_dict;
   };
 
   using ColumnVariant =
@@ -153,9 +148,6 @@ class ColumnTable final : public PhysicalTable {
                    ColumnData<double>, ColumnData<std::string>>;
 
   ColumnTable(Schema schema, Options options);
-
-  /// Appends `value` (schema-typed) to the delta of `col`.
-  void AppendToDelta(ColumnId col, const Value& value);
 
   /// Reads slot `rid` of `col` without wrapping in a Value.
   template <typename T>
@@ -235,7 +227,7 @@ void ColumnTable::ForEachNumericRange(ColumnId col, const Bitmap& filter,
                                    });
         }
         // Delta part: raw vector lookups.
-        const size_t delta_begin = std::max(begin, main_size_);
+        const size_t delta_begin = std::clamp(main_size_, begin, end);
         filter.ForEachSetInRange(delta_begin, end, [&](size_t rid) {
           fn(rid, internal::NumericCast(data.delta[rid - main_size_]));
         });

@@ -108,8 +108,8 @@ class Slowlog {
 /// Thread-local admission-queue wait attribution: the serving layer knows
 /// how long a query sat in the admission queue, but the slow-query record is
 /// built deep inside Database::Execute. A ScopedQueueWait installed around
-/// the delegated Execute call makes the wait visible there without threading
-/// a parameter through every layer.
+/// the batch worker's Execute or FinishStatement call makes the wait visible
+/// there without threading a parameter through every layer.
 class ScopedQueueWait {
  public:
   explicit ScopedQueueWait(double wait_ms);

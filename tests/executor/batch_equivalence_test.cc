@@ -8,13 +8,14 @@
 // word-aligned, live delta rows and delete tombstones; batches of widths
 // 2, 8 and 16 run at HSDB_THREADS 1 and 4 (the test parameter).
 //
-// Delegation is covered too: DML, point-PK lookups and unknown-table
-// queries ride inside a batch and must behave exactly as if issued
-// stand-alone, including their effect on subsequent queries in the same
-// batch (the batch contract is "as if executed in order").
+// A batch executes reads only. Reads the shared pass does not take —
+// point-PK lookups, unknown tables, a lone read — run per statement inside
+// the batch and must match stand-alone execution; members are grouped by
+// table, not by adjacency; and a DML member is refused without effect.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "executor/batch_executor.h"
@@ -123,6 +124,13 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<int> {
     return sel;
   }
 
+  static AggregationQuery CountAll(const std::string& table) {
+    AggregationQuery count;
+    count.tables = {table};
+    count.aggregates = {{AggFn::kCount, {}}};
+    return count;
+  }
+
   std::vector<Query> Width8Battery() const {
     std::vector<Query> queries;
     // Two overlapping range selects, one with a limit.
@@ -217,37 +225,16 @@ TEST_P(BatchEquivalenceTest, MixedBatchDelegatesInOrder) {
     std::unique_ptr<Database> batched = MakeDb(store, nullptr);
 
     std::vector<Query> queries;
-    // Shared run of 2 ...
+    // Shareable reads ...
     queries.push_back(Query(RangeSelect(8000, 33000)));
-    AggregationQuery count_all;
-    count_all.tables = {"t"};
-    count_all.aggregates = {{AggFn::kCount, {}}};
-    queries.push_back(Query(count_all));
-    // ... broken by DML (delegated; later queries must see its effect) ...
-    queries.push_back(
-        Query(InsertQuery{"t", SyntheticRow(spec_, 90'000)}));
-    // ... a count that must include the fresh row ...
-    queries.push_back(Query(count_all));
-    // ... a point-PK lookup (delegated fast path) inside a shared run ...
+    queries.push_back(Query(CountAll("t")));
+    // ... a point-PK lookup (the per-statement fast path) among them ...
     SelectQuery point;
     point.table = "t";
     point.select_columns = {0, spec_.keyfigure(0)};
-    point.predicate = {{{0, 0}, ValueRange::Eq(Value(int64_t{90'000}))}};
+    point.predicate = {{{0, 0}, ValueRange::Eq(Value(int64_t{36'950}))}};
     queries.push_back(Query(point));
     queries.push_back(Query(RangeSelect(0, 500)));
-    // ... an update + delete pair ...
-    UpdateQuery upd;
-    upd.table = "t";
-    upd.predicate = {{{0, 0}, ValueRange::Between(Value(int64_t{10}),
-                                                  Value(int64_t{20}))}};
-    upd.set_columns = {spec_.filter(0)};
-    upd.set_values = {Value(int32_t{123})};
-    queries.push_back(Query(upd));
-    DeleteQuery del;
-    del.table = "t";
-    del.predicate = {{{0, 0}, ValueRange::Eq(Value(int64_t{90'000}))}};
-    queries.push_back(Query(del));
-    queries.push_back(Query(count_all));
     // ... errors must surface identically per member ...
     SelectQuery missing;
     missing.table = "nope";
@@ -257,8 +244,72 @@ TEST_P(BatchEquivalenceTest, MixedBatchDelegatesInOrder) {
     // ... and the batch tail still shares.
     queries.push_back(Query(RangeSelect(100, 36'000)));
     queries.push_back(Query(RangeSelect(16'000, 17'000)));
-
     ExpectBatchEquivalent(queries, *serial, *batched);
+
+    // A lone read gains nothing from sharing and runs per statement.
+    ExpectBatchEquivalent({Query(RangeSelect(8000, 33000))}, *serial,
+                          *batched);
+  }
+}
+
+TEST_P(BatchEquivalenceTest, InterleavedTablesFormOneGroupEach) {
+  telemetry::MetricsRegistry metrics;
+  std::unique_ptr<Database> serial = MakeDb(StoreType::kColumn, nullptr);
+  std::unique_ptr<Database> batched = MakeDb(StoreType::kColumn, &metrics);
+  for (Database* db : {serial.get(), batched.get()}) {
+    ASSERT_TRUE(db->CreateTable("u", spec_.MakeSchema(),
+                                TableLayout::SingleStore(StoreType::kColumn))
+                    .ok());
+    ASSERT_TRUE(
+        PopulateSynthetic(db->catalog().GetTable("u"), spec_, 5'000).ok());
+  }
+  SelectQuery u_range = RangeSelect(1000, 2000);
+  u_range.table = "u";
+  const std::vector<Query> queries = {
+      Query(RangeSelect(8000, 33000)), Query(CountAll("u")),
+      Query(CountAll("t")), Query(u_range)};
+  telemetry::Counter& groups = metrics.GetCounter("hsdb_batch_groups_total");
+  telemetry::LogHistogram& width = metrics.GetHistogram("hsdb_batch_width");
+  const uint64_t groups_before = groups.value();
+  const uint64_t widths_before = width.count();
+  const double width_sum_before = width.sum();
+  ExpectBatchEquivalent(queries, *serial, *batched);
+  if (telemetry::kCompiledIn) {
+    EXPECT_EQ(groups.value() - groups_before, 2u);
+    EXPECT_EQ(width.count() - widths_before, 2u);
+    EXPECT_EQ(width.sum() - width_sum_before, 4.0);  // widths 2 and 2
+  }
+}
+
+TEST_P(BatchEquivalenceTest, DmlMemberIsRefusedWithoutEffect) {
+  std::unique_ptr<Database> serial = MakeDb(StoreType::kColumn, nullptr);
+  std::unique_ptr<Database> batched = MakeDb(StoreType::kColumn, nullptr);
+  UpdateQuery upd;
+  upd.table = "t";
+  upd.predicate = {{{0, 0}, ValueRange::Between(Value(int64_t{10}),
+                                                Value(int64_t{20}))}};
+  upd.set_columns = {spec_.filter(0)};
+  upd.set_values = {Value(int32_t{123})};
+  DeleteQuery del;
+  del.table = "t";
+  del.predicate = {{{0, 0}, ValueRange::Between(Value(int64_t{0}),
+                                                Value(int64_t{999}))}};
+  const std::vector<Query> queries = {
+      Query(InsertQuery{"t", SyntheticRow(spec_, 90'000)}),
+      Query(CountAll("t")), Query(upd), Query(del),
+      Query(RangeSelect(0, 500))};
+  std::vector<Result<QueryResult>> results =
+      BatchExecutor(batched.get()).ExecuteBatch(queries);
+  ASSERT_EQ(results.size(), queries.size());
+  for (size_t i : {size_t{0}, size_t{2}, size_t{3}}) {
+    ASSERT_FALSE(results[i].ok()) << QueryToString(queries[i]);
+    EXPECT_EQ(results[i].status().code(), StatusCode::kInvalidArgument);
+  }
+  // The reads still ran, and neither they nor any later read sees a write.
+  ExpectIdentical(serial->Execute(queries[1]), results[1], queries[1]);
+  ExpectIdentical(serial->Execute(queries[4]), results[4], queries[4]);
+  for (const Query& q : Width8Battery()) {
+    ExpectIdentical(serial->Execute(q), batched->Execute(q), q);
   }
 }
 

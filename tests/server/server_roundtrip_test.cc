@@ -8,12 +8,19 @@
 // must read consistent epochs through the swaps and keep every answer
 // bit-identical.
 //
+// Only shareable reads are admitted to the batch worker: writes, point
+// lookups and errors are answered on the connection's own reader thread
+// without touching the admission queue, and scans that co-run with a
+// writer on the same table still see only states the table actually had.
+//
 // Runs at whatever HSDB_THREADS says (the CI concurrency matrix sets 4),
 // so shared-scan batches execute morsel-parallel under TSan here.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -188,6 +195,108 @@ TEST_F(ServerRoundtripTest, DmlVisibleAcrossConnections) {
   ASSERT_TRUE(after.ok());
   ASSERT_TRUE(after->ok);
   EXPECT_EQ(after->lines, before->lines);
+}
+
+TEST_F(ServerRoundtripTest, NonShareableRequestsBypassTheQueue) {
+  telemetry::Counter& batches =
+      metrics_.GetCounter("hsdb_server_batches_total");
+  telemetry::LogHistogram& waits =
+      metrics_.GetHistogram("hsdb_server_queue_wait_ms");
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
+  const auto expect_reply = [&](const std::string& request,
+                                const std::vector<std::string>& lines) {
+    Result<server::Reply> reply = client.RoundTrip(request);
+    ASSERT_TRUE(reply.ok()) << request;
+    ASSERT_TRUE(reply->ok) << request << ": " << reply->error;
+    EXPECT_EQ(reply->lines, lines) << request;
+  };
+  const uint64_t batches_before = batches.value();
+  const uint64_t waits_before = waits.count();
+
+  // Point-PK selects, inserts, updates and a delete: the per-statement
+  // path, run by the reader thread itself.
+  expect_reply("select events id where id=17", {"17"});
+  expect_reply("insert events 777777,1.5,2.5,10,20,3,4", {"1"});
+  expect_reply("insert events 777778,1.5,2.5,11,20,3,4", {"1"});
+  expect_reply("update events f0=99 where id=777777", {"1"});
+  expect_reply("select events id,f0 where id=777777", {"777777\t99"});
+  expect_reply("select events id,f0 where id=777778", {"777778\t11"});
+  expect_reply("delete events where id=777778", {"1"});
+  expect_reply("select events id,f0 where id=777778", {});
+  Result<server::Reply> unknown = client.RoundTrip("select nope id");
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_FALSE(unknown->ok);
+  if (telemetry::kCompiledIn) {
+    EXPECT_EQ(batches.value(), batches_before);
+    EXPECT_EQ(waits.count(), waits_before);
+  }
+
+  // A shareable scan is admitted, and sees the rows written above.
+  expect_reply("count events where id>=777777", {"1"});
+  if (telemetry::kCompiledIn) {
+    EXPECT_EQ(batches.value(), batches_before + 1);
+    EXPECT_EQ(waits.count(), waits_before + 1);
+  }
+}
+
+TEST_F(ServerRoundtripTest, ScansBesideAWriterSeeRealTableStates) {
+  // The writer flips f0 of rows [0, 1000) in and out of `f0<100` with one
+  // statement each time, and inserts and deletes one in-range row. A scan
+  // reading a half-applied statement would count something in between.
+  const auto count = [](server::Client& client, const std::string& request,
+                        int64_t* out) {
+    Result<server::Reply> reply = client.RoundTrip(request);
+    if (!reply.ok() || !reply->ok || reply->lines.size() != 1) return false;
+    *out = std::stoll(reply->lines[0]);
+    return true;
+  };
+  server::Client writer;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", server_->port()).ok());
+  int64_t initial = 0;
+  int64_t rest = 0;  // rows the writer never touches
+  ASSERT_TRUE(count(writer, "count events where f0<100", &initial));
+  ASSERT_TRUE(count(writer, "count events where id>=1000 f0<100", &rest));
+  const std::set<int64_t> states = {initial, rest, rest + 1, rest + 1000,
+                                    rest + 1001};
+
+  constexpr int kScanners = 3;
+  constexpr int kScans = 40;
+  std::atomic<bool> writer_done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> impossible{0};
+  std::vector<std::thread> scanners;
+  for (int c = 0; c < kScanners; ++c) {
+    scanners.emplace_back([&] {
+      server::Client client;
+      if (!client.Connect("127.0.0.1", server_->port()).ok()) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (int i = 0; i < kScans || !writer_done.load(); ++i) {
+        int64_t n = 0;
+        if (!count(client, "count events where f0<100", &n)) {
+          failures.fetch_add(1);
+          return;
+        }
+        if (states.count(n) == 0) impossible.fetch_add(1);
+      }
+    });
+  }
+  for (int round = 0; round < 10; ++round) {
+    for (const char* request :
+         {"update events f0=50 where id<1000",
+          "insert events 888888,1.5,2.5,50,20,3,4",
+          "update events f0=500 where id<1000",
+          "delete events where id=888888"}) {
+      Result<server::Reply> reply = writer.RoundTrip(request);
+      EXPECT_TRUE(reply.ok() && reply->ok) << request;
+    }
+  }
+  writer_done.store(true);  // before any assertion can leave the test
+  for (std::thread& t : scanners) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(impossible.load(), 0);
 }
 
 TEST_F(ServerRoundtripTest, StopWhileClientsConnected) {

@@ -183,6 +183,76 @@ TEST(ColumnTableTest, FilterRangeAcrossMainAndDelta) {
   EXPECT_EQ(bm.Count(), 2u);  // ids 45 and 55
 }
 
+// A morsel slice that ends inside the main segment while delta rows exist
+// has an empty delta part; the slice filters must narrow only [0, end) and
+// the slice reader must visit only [0, end).
+TEST(ColumnTableTest, SlicesEndingInMainSkipTheDelta) {
+  auto t = ColumnTable::Create(TestSchema(), NoAutoMerge());
+  for (int64_t i = 0; i < 200; ++i) {
+    ASSERT_TRUE(t->Insert(MakeTestRow(i)).ok());
+  }
+  t->MergeDelta();
+  for (int64_t i = 200; i < 250; ++i) {
+    ASSERT_TRUE(t->Insert(MakeTestRow(i)).ok());
+  }
+  ASSERT_EQ(t->main_rows(), 200u);
+  ASSERT_GT(t->delta_rows(), 0u);
+  constexpr size_t kEnd = 128;  // 64-aligned, before main_rows()
+  const ValueRange qty = ValueRange::Eq(Value(int32_t{5}));
+  const ValueRange name = ValueRange::Eq(Value("name_2"));
+  const ValueRange low_id =
+      ValueRange::Between(Value(int64_t{0}), Value(int64_t{99}));
+  // Rows outside the slice keep their live bit; inside, the predicate holds.
+  const auto expect_slice = [&](const Bitmap& bm, auto keep) {
+    for (size_t rid = 0; rid < bm.size(); ++rid) {
+      const bool want = rid >= kEnd || keep(static_cast<int64_t>(rid));
+      EXPECT_EQ(bm.Test(rid), want) << "row " << rid;
+    }
+  };
+  const auto qty_keep = [](int64_t id) { return id % 10 == 5; };
+  const auto name_keep = [](int64_t id) { return id % 7 == 2; };
+
+  Bitmap by_qty = t->live_bitmap();
+  t->FilterRangeSlice(1, qty, 0, kEnd, &by_qty);
+  expect_slice(by_qty, qty_keep);
+  Bitmap by_name = t->live_bitmap();
+  t->FilterRangeSlice(3, name, 0, kEnd, &by_name);
+  expect_slice(by_name, name_keep);
+
+  // One target takes the single-predicate path, two the shared one.
+  Bitmap one = t->live_bitmap();
+  RangeScanTarget single{&qty, &one};
+  t->MultiFilterRangeSlice(1, &single, 1, 0, kEnd);
+  expect_slice(one, qty_keep);
+  Bitmap a = t->live_bitmap();
+  Bitmap b = t->live_bitmap();
+  const RangeScanTarget pair[] = {{&qty, &a}, {&qty, &b}};
+  t->MultiFilterRangeSlice(1, pair, 2, 0, kEnd);
+  expect_slice(a, qty_keep);
+  expect_slice(b, qty_keep);
+  Bitmap c = t->live_bitmap();
+  Bitmap d = t->live_bitmap();
+  const RangeScanTarget strings[] = {{&name, &c}, {&name, &d}};
+  t->MultiFilterRangeSlice(3, strings, 2, 0, kEnd);
+  expect_slice(c, name_keep);
+  expect_slice(d, name_keep);
+  Bitmap e = t->live_bitmap();
+  Bitmap f = t->live_bitmap();
+  const RangeScanTarget ids[] = {{&low_id, &e}, {&low_id, &f}};
+  t->MultiFilterRangeSlice(0, ids, 2, 0, kEnd);
+  expect_slice(e, [](int64_t id) { return id <= 99; });
+  expect_slice(f, [](int64_t id) { return id <= 99; });
+
+  size_t visited = 0;
+  t->ForEachNumericRange(1, t->live_bitmap(), 0, kEnd,
+                         [&](size_t rid, double v) {
+                           EXPECT_LT(rid, kEnd);
+                           EXPECT_EQ(v, static_cast<double>(rid % 10));
+                           ++visited;
+                         });
+  EXPECT_EQ(visited, kEnd);
+}
+
 TEST(ColumnTableTest, FilterRangeVarcharViaDictionary) {
   auto t = ColumnTable::Create(TestSchema(), NoAutoMerge());
   for (int64_t i = 0; i < 70; ++i) ASSERT_TRUE(t->Insert(MakeTestRow(i)).ok());

@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       PopulateSynthetic(db.catalog().GetTable(spec.name), spec, rows).ok());
   db.catalog().UpdateAllStatistics();
 
-  // Every served query (shared-scan and delegated alike) lands in the
+  // Every served query (shared-scan and per-statement alike) lands in the
   // recorder, so an advisor run over this database sees the real traffic.
   WorkloadRecorder recorder(&db.catalog());
   db.set_observer(&recorder);
