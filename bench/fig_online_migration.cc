@@ -1,18 +1,15 @@
 // Does a layout migration block queries? One synthetic table under a mixed
 // point-select / range-aggregate / insert / update client, measured in
-// three regimes:
+// two regimes:
 //   idle       no migration running — the latency floor,
 //   shadow     Database::MigrateShadow flips the base store column<->row on
-//              a background thread (the non-blocking online path),
-//   blocking   Database::ApplyLayout performs the same flips (the
-//              stop-the-world baseline, writers latched out per rebuild).
+//              a background thread (the engine's one layout-change path).
 // Expected shape: the shadow regime's statement p95 stays within a small
 // factor of idle, because concurrent statements only ever wait for the
 // cut-over window — whose length is bounded by the replay tail, not by
-// table size. The blocking regime's p95 absorbs whole rebuilds. The run
-// exits nonzero when the shadow p95 blows past the idle floor, when any
-// cut-over window exceeds an absolute bound, or when any flip degraded to
-// the blocking fallback (docs/CONCURRENCY.md section 4).
+// table size. The run exits nonzero when the shadow p95 blows past the
+// idle floor, when any cut-over window exceeds an absolute bound, or when
+// any flip failed (docs/CONCURRENCY.md section 4).
 //
 // --json PATH writes the idle/shadow p95s and the mean background build
 // time in google-benchmark JSON format for CI's perf gate
@@ -82,8 +79,8 @@ double Percentile(std::vector<double> samples, double p) {
 }
 
 /// One client statement from the fixed mix: 35% point select, 20% range
-/// aggregate, 25% insert, 20% point update. The DML share is what makes the
-/// blocking regime visible — readers are never latched in either mode.
+/// aggregate, 25% insert, 20% point update. The DML share is what feels the
+/// cut-over window — readers are never latched.
 Query MakeStatement(const SyntheticTableSpec& spec, size_t base_rows,
                     Rng* rng, std::atomic<int64_t>* next_id) {
   const int roll = static_cast<int>(rng->UniformInt(0, 99));
@@ -146,7 +143,7 @@ PhaseResult RunClient(Database* db, const SyntheticTableSpec& spec,
 
 struct MigrationTotals {
   int flips = 0;
-  int failures = 0;       // errored, no-op, or fallback_blocking flips
+  int failures = 0;       // errored or no-op flips
   double cutover_max_ms = 0.0;
   double build_sum_ms = 0.0;
   uint64_t replayed_ops = 0;
@@ -167,8 +164,7 @@ void Run(const std::string& json_path) {
       "online migration (non-blocking shadow rebuilds)",
       "mixed select/aggregate/insert/update client vs. background "
       "column<->row flips of the same table: MigrateShadow (shadow copy + "
-      "op-log replay + epoch swap) against the ApplyLayout stop-the-world "
-      "baseline",
+      "op-log replay + epoch swap)",
       "statement p95 while migrating stays near idle; every cut-over "
       "window is bounded and table-size independent");
 
@@ -205,8 +201,7 @@ void Run(const std::string& json_path) {
       Result<ShadowMigrationStats> m =
           db.MigrateShadow(spec.name, TableLayout::SingleStore(next));
       ++shadow.flips;
-      if (!m.ok() || !m.value().rematerialized ||
-          m.value().fallback_blocking) {
+      if (!m.ok() || !m.value().rematerialized) {
         ++shadow.failures;
         continue;
       }
@@ -221,33 +216,16 @@ void Run(const std::string& json_path) {
       RunClient(&db, spec, rows, &next_id, &shadow_done, kMinStatements, 13);
   shadow_thread.join();
 
-  // --- Regime 3: blocking baseline ----------------------------------------
-  int blocking_failures = 0;
-  std::atomic<bool> blocking_done{false};
-  std::thread blocking_thread([&] {
-    for (int i = 0; i < kFlips; ++i) {
-      const StoreType next = i % 2 == 0 ? StoreType::kColumn : StoreType::kRow;
-      Status applied = db.ApplyLayout(spec.name, TableLayout::SingleStore(next));
-      if (!applied.ok()) ++blocking_failures;
-    }
-    blocking_done.store(true, std::memory_order_release);
-  });
-  PhaseResult blocking =
-      RunClient(&db, spec, rows, &next_id, &blocking_done, kMinStatements, 17);
-  blocking_thread.join();
-
   const double p95_idle = Percentile(idle.latencies_ms, 0.95);
   const double p95_shadow = Percentile(migrating.latencies_ms, 0.95);
-  const double p95_blocking = Percentile(blocking.latencies_ms, 0.95);
   const double max_idle = Percentile(idle.latencies_ms, 1.0);
   const double max_shadow = Percentile(migrating.latencies_ms, 1.0);
-  const double max_blocking = Percentile(blocking.latencies_ms, 1.0);
   const double build_mean_ms =
       shadow.flips > shadow.failures
           ? shadow.build_sum_ms / (shadow.flips - shadow.failures)
           : 0.0;
 
-  std::printf("%zu rows, %d flips per migrating regime, mix 55%% read / "
+  std::printf("%zu rows, %d flips in the shadow regime, mix 55%% read / "
               "45%% DML\n\n",
               rows, kFlips);
   std::printf("%-10s %10s %10s %10s %8s\n", "regime", "stmts", "p95 ms",
@@ -258,9 +236,6 @@ void Run(const std::string& json_path) {
   std::printf("%-10s %10zu %10.3f %10.3f %8d\n", "shadow",
               migrating.latencies_ms.size(), p95_shadow, max_shadow,
               migrating.errors);
-  std::printf("%-10s %10zu %10.3f %10.3f %8d\n", "blocking",
-              blocking.latencies_ms.size(), p95_blocking, max_blocking,
-              blocking.errors);
   bench::PrintRule();
   std::printf(
       "shadow flips: %d (%d failed)  build mean %.2f ms  cut-over max "
@@ -271,14 +246,12 @@ void Run(const std::string& json_path) {
   // Self-gates: the properties this figure exists to demonstrate.
   bool ok = true;
   const double p95_bound = std::max(kP95Factor * p95_idle, kP95FloorMs);
-  if (idle.errors + migrating.errors + blocking.errors > 0 ||
-      blocking_failures > 0) {
-    std::printf("FAIL: statements or layout flips errored\n");
+  if (idle.errors + migrating.errors > 0) {
+    std::printf("FAIL: statements errored\n");
     ok = false;
   }
   if (shadow.failures > 0) {
-    std::printf("FAIL: %d shadow flip(s) errored or fell back to the "
-                "blocking path\n",
+    std::printf("FAIL: %d shadow flip(s) errored or did not rebuild\n",
                 shadow.failures);
     ok = false;
   }
@@ -295,7 +268,7 @@ void Run(const std::string& json_path) {
   }
   if (ok) {
     std::printf("PASS: migrating p95 %.3f <= %.3f ms; cut-over max %.3f <= "
-                "%.0f ms; all %d flips non-blocking\n",
+                "%.0f ms; all %d flips rebuilt\n",
                 p95_shadow, p95_bound, shadow.cutover_max_ms, kCutoverBoundMs,
                 shadow.flips);
   }

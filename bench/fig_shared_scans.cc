@@ -117,10 +117,10 @@ int Run(const char* json_path) {
   // Pin the dictionary codec everywhere: the predicate column (id) must be
   // dictionary-encoded for the gather path, not left to the advisor.
   std::vector<Encoding> encodings(spec.num_columns(), Encoding::kDictionary);
-  if (!db.ApplyLayout("sales", TableLayout::SingleStore(StoreType::kColumn),
-                      encodings)
+  if (!db.MigrateShadow("sales", TableLayout::SingleStore(StoreType::kColumn),
+                        encodings)
            .ok()) {
-    std::fprintf(stderr, "ApplyLayout failed\n");
+    std::fprintf(stderr, "MigrateShadow failed\n");
     return 1;
   }
   db.catalog().UpdateAllStatistics();

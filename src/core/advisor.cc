@@ -535,7 +535,8 @@ Status StorageAdvisor::Apply(const Recommendation& recommendation) {
     // The searched per-column codecs are applied with the layout: the
     // rebuild's bulk-load merge encodes every column-store piece with the
     // recommended codec instead of re-running the footprint-greedy picker.
-    HSDB_RETURN_IF_ERROR(db_->ApplyLayout(name, ctx.layout, ctx.encodings));
+    HSDB_RETURN_IF_ERROR(
+        db_->MigrateShadow(name, ctx.layout, ctx.encodings).status());
   }
   return Status::OK();
 }

@@ -201,7 +201,9 @@ class StorageAdvisor {
   // --- Applying recommendations -------------------------------------------
 
   /// Executes the layout changes against the database (the "ask the storage
-  /// advisor to apply the recommended storage layout" path in §4).
+  /// advisor to apply the recommended storage layout" path in §4): one
+  /// Database::MigrateShadow per changed table, so writers stall only for
+  /// each table's cut-over, never for a whole rebuild.
   Status Apply(const Recommendation& recommendation);
 
  private:

@@ -147,8 +147,11 @@ double ClampMultiplier(double m) { return std::max(m, 1e-4); }
 // (c_parallel_core, c_parallel_merge_ms); pre-parallel caches are rejected
 // so they recalibrate with the parallel probe. v6 adds the shared-scan
 // batch term (c_batch_scan_share) the serving front-end's amortized
-// per-query costs divide by.
-constexpr char kSerializationMagic[] = "hsdb_cost_model_v6";
+// per-query costs divide by. v7 changes no field but marks the amortized
+// insert probe: EngineProbeRunner::MeasureInsert times a column-store insert
+// window through one statement-boundary delta merge, so v6 caches still
+// carry the merge-free base_insert terms and must recalibrate.
+constexpr char kSerializationMagic[] = "hsdb_cost_model_v7";
 
 void PutFn(std::ostream& os, const LinearFn& fn) {
   os << fn.intercept << " " << fn.slope << "\n";

@@ -190,10 +190,7 @@ std::vector<WeightedQuery> BuildWorkloadModel(const WorkloadStatistics& stats,
       }
       AggregationQuery a;
       a.tables = {name, partner};
-      a.joins = {{0, agg_col, 1,
-                  dim->schema().primary_key().empty()
-                      ? 0
-                      : dim->schema().primary_key()[0]}};
+      a.joins = {{0, agg_col, 1, dim->schema().primary_key()[0]}};
       a.aggregates = {{AggFn::kSum, {agg_col, 0}}};
       if (group_uses > 0) a.group_by = {{group_col, 0}};
       model.push_back({Query(a), static_cast<double>(count)});

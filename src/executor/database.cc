@@ -11,7 +11,6 @@
 
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
-#include "storage/conversion.h"
 #include "storage/shadow_rebuild.h"
 #include "telemetry/trace.h"
 
@@ -284,77 +283,15 @@ std::string TelemetryReport::ToString() const {
   return os.str();
 }
 
-Status Database::MoveTable(const std::string& name, StoreType store) {
-  return ApplyLayout(name, TableLayout::SingleStore(store));
-}
-
-Database::LayoutChange Database::ResolveLayoutChange(
-    const LogicalTable& table, const TableLayout& layout,
-    const std::vector<Encoding>& encodings) {
-  LayoutChange change;
-  change.options = table.physical_options();
-  if (!encodings.empty()) {
-    change.options.column.column_encodings.assign(encodings.begin(),
-                                                  encodings.end());
-  }
-  // A layout without a column-store piece has no encoded segments: drop any
-  // codec pins instead of carrying them along, so a later move back to the
-  // column store re-enters the adaptive picker rather than resurrecting
-  // codecs that were solved for an old layout or budget.
-  if (!HasColumnStorePiece(layout)) {
-    change.options.column.column_encodings.clear();
-  }
-  // No-op only when both the layout and the pinned codecs already match;
-  // an encoding-only change still rematerializes (the re-encode happens at
-  // the bulk-load merge).
-  change.noop =
-      table.layout() == layout &&
-      change.options.column.column_encodings ==
-          table.physical_options().column.column_encodings;
-  return change;
-}
-
-Status Database::ApplyLayout(const std::string& name,
-                             const TableLayout& layout,
-                             const std::vector<Encoding>& encodings) {
-  EpochPin pin(&catalog_.epochs());
-  std::shared_ptr<TableSync> sync = catalog_.sync(name);
-  // Writers are excluded for the whole rebuild (readers never: they finish
-  // against the retired version). The resolve happens under the latch so
-  // no writer sneaks a row in between the copy and the swap.
-  WriterLatchGuard latch(sync.get());
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_.Find(name));
-  const LayoutChange change = ResolveLayoutChange(*table, layout, encodings);
-  if (change.noop) return Status::OK();
-  HSDB_ASSIGN_OR_RETURN(std::unique_ptr<LogicalTable> rebuilt,
-                        Rematerialize(*table, layout, change.options));
-  HSDB_RETURN_IF_ERROR(catalog_.ReplaceTable(name, std::move(rebuilt)));
-  layout_epoch_.fetch_add(1, std::memory_order_acq_rel);
-  catalog_.epochs().Advance();
-  if (TelemetryOn()) rematerializations_total_->Increment();
-  return catalog_.UpdateStatistics(name);
-}
-
 Result<ShadowMigrationStats> Database::MigrateShadow(
     const std::string& name, const TableLayout& layout,
     const std::vector<Encoding>& encodings) {
   ShadowMigrationStats stats;
   EpochPin pin(&catalog_.epochs());
-  HSDB_ASSIGN_OR_RETURN(LogicalTable * table, catalog_.Find(name));
-  if (table->schema().primary_key().empty()) {
-    // Replay identifies rows by primary key; without one the delta cannot
-    // be applied onto the shadow. Degrade to the writer-blocking rebuild.
-    pin.Release();
-    HSDB_RETURN_IF_ERROR(ApplyLayout(name, layout, encodings));
-    stats.rematerialized = true;
-    stats.fallback_blocking = true;
-    return stats;
-  }
-  const LayoutChange change = ResolveLayoutChange(*table, layout, encodings);
-  if (change.noop) return stats;
-
   std::shared_ptr<TableSync> sync = catalog_.sync(name);
   TableOpLog log;
+  LogicalTable* table = nullptr;
+  PhysicalOptions options;
   {
     // Attach under the writer latch: every statement is entirely before
     // (its rows are seen by the chunked copy) or entirely after (its ops
@@ -362,6 +299,30 @@ Result<ShadowMigrationStats> Database::MigrateShadow(
     // keeping the copy's row-id cursor sound.
     WriterLatchGuard latch(sync.get());
     HSDB_ASSIGN_OR_RETURN(table, catalog_.Find(name));
+    if (table->HasOpLog()) {
+      return Status::FailedPrecondition("a layout change of table " + name +
+                                        " is already in flight");
+    }
+    options = table->physical_options();
+    if (!encodings.empty()) {
+      options.column.column_encodings.assign(encodings.begin(),
+                                             encodings.end());
+    }
+    // A layout without a column-store piece has no encoded segments: drop
+    // any codec pins instead of carrying them along, so a later move back
+    // to the column store re-enters the adaptive picker rather than
+    // resurrecting codecs that were solved for an old layout or budget.
+    if (!HasColumnStorePiece(layout)) {
+      options.column.column_encodings.clear();
+    }
+    // No-op only when both the layout and the pinned codecs already match;
+    // an encoding-only change still rebuilds (the re-encode happens at the
+    // shadow's bulk-load merge).
+    if (table->layout() == layout &&
+        options.column.column_encodings ==
+            table->physical_options().column.column_encodings) {
+      return stats;
+    }
     table->AttachOpLog(&log);
   }
   // From here on every early return must detach the log again.
@@ -374,7 +335,7 @@ Result<ShadowMigrationStats> Database::MigrateShadow(
   Result<std::unique_ptr<LogicalTable>> shadow_or = [&] {
     telemetry::ScopedSpan span("migration_build");
     Result<std::unique_ptr<LogicalTable>> made =
-        MakeEmptyLike(*table, layout, change.options);
+        LogicalTable::Create(name, table->schema(), layout, options);
     if (!made.ok()) return made;
     std::unique_ptr<LogicalTable> shadow = std::move(made).value();
 
@@ -398,7 +359,9 @@ Result<ShadowMigrationStats> Database::MigrateShadow(
           }
           const size_t hi = std::min(cursor + migration_chunk_rows_, bound);
           if (cursor >= hi) break;
-          CollectGroupRows(*table, g, cursor, hi, &buffer);
+          table->ForEachRowInGroupRange(g, cursor, hi, [&](Row row) {
+            buffer.push_back(std::move(row));
+          });
           cursor = hi;
         }
         for (Row& row : buffer) {

@@ -12,10 +12,10 @@
 // Concurrency (docs/CONCURRENCY.md): Execute is safe to call from many
 // threads. Each statement pins the catalog's reclamation epoch, then takes
 // the touched tables' locks — readers shared, DML the writer latch plus the
-// exclusive lock. Layout changes come in two flavors: ApplyLayout blocks
-// writers for the whole rebuild (readers never), while MigrateShadow blocks
-// writers only for a short cut-over window and is what the online
-// MigrationExecutor uses.
+// exclusive lock. Every layout change — StorageAdvisor::Apply, the online
+// MigrationExecutor, tests and benches alike — is a MigrateShadow: a shadow
+// rebuild that never blocks readers and blocks writers only for a short
+// cut-over window.
 #ifndef HSDB_EXECUTOR_DATABASE_H_
 #define HSDB_EXECUTOR_DATABASE_H_
 
@@ -59,9 +59,6 @@ struct TelemetryReport {
 struct ShadowMigrationStats {
   /// False when the table already matched the target (no-op).
   bool rematerialized = false;
-  /// True when the table has no primary key, so writes cannot be replayed
-  /// and the call degraded to the writer-blocking ApplyLayout path.
-  bool fallback_blocking = false;
   /// Rows copied out of the live version by the chunked background scan.
   uint64_t rows_copied = 0;
   /// Ops replayed onto the shadow, background rounds + cut-over tail.
@@ -118,7 +115,8 @@ class Database {
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
 
-  /// Creates a table (convenience passthrough).
+  /// Creates a table (convenience passthrough). Every table needs a primary
+  /// key: an empty one is InvalidArgument.
   Status CreateTable(const std::string& name, Schema schema,
                      TableLayout layout, PhysicalOptions options = {}) {
     return catalog_.CreateTable(name, std::move(schema), std::move(layout),
@@ -186,43 +184,34 @@ class Database {
 
   // Layout DDL -----------------------------------------------------------
 
-  /// Moves a table to a single-store unpartitioned layout
-  /// ("ALTER TABLE name MOVE TO <store>").
-  Status MoveTable(const std::string& name, StoreType store);
-
   /// Reorganizes a table under an arbitrary layout (partitioned or not) and
-  /// refreshes its statistics. A non-empty `encodings` (one codec per
-  /// logical column) pins the column-store pieces' per-column codecs — the
-  /// engine-side realization of the advisor's ENCODING (...) clauses; empty
-  /// keeps the adaptive EncodingPicker behavior. Moving to a layout with no
-  /// column-store piece (e.g. a budget-driven row-store flip) clears any
-  /// existing pins, so a later move back to the column store starts from
-  /// the adaptive picker again.
+  /// refreshes its statistics — the one code path that changes a table's
+  /// layout. A non-empty `encodings` (one codec per logical column) pins the
+  /// column-store pieces' per-column codecs — the engine-side realization
+  /// of the advisor's ENCODING (...) clauses; empty keeps the adaptive
+  /// EncodingPicker behavior. Moving to a layout with no column-store piece
+  /// (e.g. a budget-driven row-store flip) clears any existing pins, so a
+  /// later move back to the column store starts from the adaptive picker
+  /// again.
   ///
-  /// Holds the table's writer latch for the whole rebuild: readers are
-  /// never blocked (they finish on the retired version), writers wait for
-  /// the full rematerialization. The online path uses MigrateShadow.
-  Status ApplyLayout(const std::string& name, const TableLayout& layout,
-                     const std::vector<Encoding>& encodings = {});
-
-  /// The non-blocking form of ApplyLayout: builds the target representation
-  /// into a shadow copy in bounded chunks while readers and writers keep
-  /// hitting the live version (writes are captured in a TableOpLog),
-  /// replays the captured writes, and publishes the shadow with an
-  /// epoch-based atomic swap inside a short writer-latch cut-over window.
-  /// Readers are never blocked; writers only for cutover_ms. Tables without
-  /// a primary key fall back to ApplyLayout (stats.fallback_blocking).
-  /// Concurrent migrations of the same table are the caller's to exclude —
-  /// the AdaptationController serializes its ticks.
+  /// Builds the target representation into a shadow copy in bounded chunks
+  /// while readers and writers keep hitting the live version (writes are
+  /// captured in a TableOpLog), replays the captured writes, and publishes
+  /// the shadow with an epoch-based atomic swap inside a short writer-latch
+  /// cut-over window. Readers are never blocked; writers only for
+  /// cutover_ms. At most one layout change per table is in flight: a call
+  /// that finds another one's op log attached returns FailedPrecondition
+  /// and leaves that migration undisturbed (the MigrationExecutor keeps
+  /// its cursor on the step and retries on the next tick).
   Result<ShadowMigrationStats> MigrateShadow(
       const std::string& name, const TableLayout& layout,
       const std::vector<Encoding>& encodings = {});
 
-  /// Counts physical reorganizations: +1 for every ApplyLayout/MoveTable/
-  /// MigrateShadow that actually rematerialized a table (no-op calls don't
-  /// count). The online migration executor applies a recommendation as
-  /// several budgeted steps; this counter is how its callers (and tests)
-  /// observe that the convergence really happened incrementally.
+  /// Counts physical reorganizations: +1 for every MigrateShadow that
+  /// actually rebuilt a table (no-op calls don't count). The online
+  /// migration executor applies a recommendation as several budgeted steps;
+  /// this counter is how its callers (and tests) observe that the
+  /// convergence really happened incrementally.
   uint64_t layout_epoch() const {
     return layout_epoch_.load(std::memory_order_acquire);
   }
@@ -256,15 +245,6 @@ class Database {
   QueryObserver* observer() const {
     return observer_.load(std::memory_order_acquire);
   }
-  /// Shared tail of ApplyLayout/MigrateShadow: resolves the target
-  /// physical options (encoding pins) and whether the move is a no-op.
-  struct LayoutChange {
-    PhysicalOptions options;
-    bool noop = false;
-  };
-  LayoutChange ResolveLayoutChange(const LogicalTable& table,
-                                   const TableLayout& layout,
-                                   const std::vector<Encoding>& encodings);
 
   Catalog catalog_;
   std::atomic<QueryObserver*> observer_{nullptr};

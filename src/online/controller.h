@@ -5,7 +5,7 @@
 // the currently applied design was solved for (drift.h), re-runs the
 // advisor's joint search only when the drift exceeds its thresholds, and
 // converges toward a new recommendation through budgeted incremental
-// migration steps (migration.h) instead of a stop-the-world Apply.
+// migration steps (migration.h) instead of one all-tables Apply.
 //
 // Damping, in the dynamical-systems sense: the advisor's 2% hysteresis
 // keeps cost-near-equal designs stable within a re-search; the controller's

@@ -176,9 +176,7 @@ MigrationExecutor::Progress MigrationExecutor::ExecuteSteps(
           db_->MigrateShadow(step.table, step.target_layout, step.encodings);
       if (migrated.ok()) {
         progress.status = Status::OK();
-        step.observed_cutover_ms = migrated.value().fallback_blocking
-                                       ? -1.0
-                                       : migrated.value().cutover_ms;
+        step.observed_cutover_ms = migrated.value().cutover_ms;
         step.replayed_ops = migrated.value().replayed_ops;
       } else {
         progress.status = migrated.status();

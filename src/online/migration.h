@@ -1,7 +1,7 @@
 // Incremental migration executor — the actuation half of the online
 // adaptation loop. A fresh recommendation may move several tables at once;
-// applying it as one stop-the-world StorageAdvisor::Apply stalls the system
-// for the sum of all rebuilds. The executor instead turns the
+// applying it in one StorageAdvisor::Apply runs every rebuild back to back
+// in one call. The executor instead turns the
 // recommendation into an ordered plan of per-table steps (layout flip,
 // re-encode, partition change), each carrying a split cost estimate —
 // background build vs foreground cut-over — and a gain estimate
@@ -34,9 +34,9 @@ enum class MigrationStepKind {
 const char* MigrationStepKindName(MigrationStepKind kind);
 
 /// One per-table unit of migration work: move `table` to `target_layout`
-/// with `encodings` pinned (the same arguments a direct ApplyLayout or
-/// MigrateShadow call would take — a plan is a scheduled decomposition of
-/// Apply, not a different endpoint).
+/// with `encodings` pinned (the same arguments a direct MigrateShadow call
+/// would take — a plan is a scheduled decomposition of
+/// StorageAdvisor::Apply, not a different endpoint).
 ///
 /// Steps execute as two phases (Database::MigrateShadow): a background
 /// build that overlaps query execution, and a foreground cut-over that
@@ -70,7 +70,7 @@ struct MigrationStep {
   /// observed-vs-predicted residual.
   double observed_cost_ms = -1.0;
   /// Measured writer-latch hold time (ms) of the step's cut-over window;
-  /// negative = not executed (or executed via the blocking fallback).
+  /// negative = not executed.
   double observed_cutover_ms = -1.0;
   /// Write ops replayed onto the step's shadow copy (0 when no write raced
   /// the rebuild).

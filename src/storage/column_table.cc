@@ -122,14 +122,9 @@ ColumnTable::ColumnTable(Schema schema, Options options)
 
 Result<RowId> ColumnTable::Insert(Row row) {
   HSDB_RETURN_IF_ERROR(ValidateAndCoerceRow(schema_, &row));
-  const bool track_pk =
-      options_.build_pk_index && !schema_.primary_key().empty();
-  PrimaryKey pk;
-  if (track_pk) {
-    pk = PrimaryKey::FromRow(schema_, row);
-    if (pk_index_.find(pk) != pk_index_.end()) {
-      return Status::AlreadyExists("duplicate primary key " + pk.ToString());
-    }
+  PrimaryKey pk = PrimaryKey::FromRow(schema_, row);
+  if (pk_index_.find(pk) != pk_index_.end()) {
+    return Status::AlreadyExists("duplicate primary key " + pk.ToString());
   }
   for (ColumnId col = 0; col < row.size(); ++col) {
     std::visit(
@@ -143,7 +138,7 @@ Result<RowId> ColumnTable::Insert(Row row) {
   RowId rid = live_.size();
   live_.PushBack(true);
   ++live_count_;
-  if (track_pk) pk_index_.emplace(std::move(pk), rid);
+  pk_index_.emplace(std::move(pk), rid);
   BumpDataVersion();
   return rid;
 }
@@ -183,9 +178,7 @@ Status ColumnTable::UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
 
 Status ColumnTable::DeleteRow(RowId rid) {
   if (!IsLive(rid)) return Status::NotFound("row id not live");
-  if (options_.build_pk_index && !schema_.primary_key().empty()) {
-    pk_index_.erase(ExtractPk(rid));
-  }
+  pk_index_.erase(ExtractPk(rid));
   live_.Clear(rid);
   --live_count_;
   BumpDataVersion();
@@ -193,18 +186,9 @@ Status ColumnTable::DeleteRow(RowId rid) {
 }
 
 std::optional<RowId> ColumnTable::FindByPk(const PrimaryKey& pk) const {
-  if (options_.build_pk_index && !schema_.primary_key().empty()) {
-    auto it = pk_index_.find(pk);
-    if (it == pk_index_.end()) return std::nullopt;
-    return it->second;
-  }
-  // Fallback scan (index-ablation mode).
-  std::optional<RowId> found;
-  live_.ForEachSet([&](size_t rid) {
-    if (found.has_value()) return;
-    if (ExtractPk(rid) == pk) found = rid;
-  });
-  return found;
+  auto it = pk_index_.find(pk);
+  if (it == pk_index_.end()) return std::nullopt;
+  return it->second;
 }
 
 Value ColumnTable::GetValue(RowId rid, ColumnId col) const {

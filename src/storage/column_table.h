@@ -36,8 +36,6 @@ namespace hsdb {
 class ColumnTable final : public PhysicalTable {
  public:
   struct Options {
-    /// Maintain the primary-key hash index (uniqueness checks, point access).
-    bool build_pk_index = true;
     /// Merge when the delta exceeds max(min_merge_rows,
     /// merge_fraction * main rows) at a statement boundary.
     size_t min_merge_rows = 4096;

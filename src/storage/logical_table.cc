@@ -24,9 +24,8 @@ Result<std::unique_ptr<LogicalTable>> LogicalTable::Create(
     std::string name, Schema schema, TableLayout layout,
     PhysicalOptions options) {
   HSDB_RETURN_IF_ERROR(layout.Validate(schema));
-  if (schema.primary_key().empty() && layout.IsPartitioned()) {
-    return Status::InvalidArgument(
-        "partitioned tables require a primary key");
+  if (schema.primary_key().empty()) {
+    return Status::InvalidArgument("tables require a primary key");
   }
   auto table = std::unique_ptr<LogicalTable>(new LogicalTable(
       std::move(name), std::move(schema), std::move(layout), options));
@@ -138,12 +137,10 @@ size_t LogicalTable::RouteInsert(const Row& row) const {
 
 Status LogicalTable::Insert(Row row) {
   HSDB_RETURN_IF_ERROR(ValidateAndCoerceRow(schema_, &row));
-  if (!schema_.primary_key().empty()) {
-    PrimaryKey pk = PrimaryKey::FromRow(schema_, row);
-    size_t group_index;
-    if (FindGroupByPk(pk, &group_index)) {
-      return Status::AlreadyExists("duplicate primary key " + pk.ToString());
-    }
+  PrimaryKey pk = PrimaryKey::FromRow(schema_, row);
+  size_t group_index;
+  if (FindGroupByPk(pk, &group_index)) {
+    return Status::AlreadyExists("duplicate primary key " + pk.ToString());
   }
   RowGroup& group = groups_[RouteInsert(row)];
   for (Fragment& frag : group.fragments) {

@@ -58,7 +58,9 @@ struct RowGroup {
 class LogicalTable {
  public:
   /// Creates an empty logical table with the given layout. Validates the
-  /// layout against the schema.
+  /// layout against the schema; a schema without a primary key is
+  /// InvalidArgument (DML, replay and the physical stores address rows by
+  /// key).
   static Result<std::unique_ptr<LogicalTable>> Create(
       std::string name, Schema schema, TableLayout layout,
       PhysicalOptions options = {});
@@ -155,7 +157,9 @@ class LogicalTable {
   /// suppressed (rid stability for the concurrent chunked copy). Call under
   /// the table's writer latch so no statement straddles the transition; the
   /// log must outlive the attachment. Detach (same latch rule) before the
-  /// table version is retired.
+  /// table version is retired. At most one log is attached at a time:
+  /// MigrateShadow checks HasOpLog under the same latch and refuses a
+  /// second layout change while one is in flight.
   void AttachOpLog(TableOpLog* log) { op_log_ = log; }
   void DetachOpLog() { op_log_ = nullptr; }
   bool HasOpLog() const { return op_log_ != nullptr; }

@@ -1,6 +1,9 @@
 // PhysicalTable: the interface shared by the row store and the column store.
 // A physical table owns the bytes of one table (or one partition piece).
 //
+// Every physical table is keyed: its schema has a non-empty primary key and
+// each store keeps a hash index on it (uniqueness checks, FindByPk).
+//
 // Row ids returned by this interface are *transient*: they identify physical
 // slots and stay valid only until the next delta merge (column store) — the
 // engine therefore only defers merges to statement boundaries
@@ -117,7 +120,10 @@ class PhysicalTable {
   uint64_t data_version() const { return data_version_; }
 
  protected:
-  explicit PhysicalTable(Schema schema) : schema_(std::move(schema)) {}
+  explicit PhysicalTable(Schema schema) : schema_(std::move(schema)) {
+    HSDB_CHECK_MSG(!schema_.primary_key().empty(),
+                   "physical tables require a primary key");
+  }
 
   void BumpDataVersion() { ++data_version_; }
 

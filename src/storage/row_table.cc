@@ -10,20 +10,13 @@ std::unique_ptr<RowTable> RowTable::Create(Schema schema, Options options) {
 }
 
 RowTable::RowTable(Schema schema, Options options)
-    : PhysicalTable(std::move(schema)),
-      options_(options),
-      arena_(options.arena_chunk_bytes) {}
+    : PhysicalTable(std::move(schema)), arena_(options.arena_chunk_bytes) {}
 
 Result<RowId> RowTable::Insert(Row row) {
   HSDB_RETURN_IF_ERROR(ValidateAndCoerceRow(schema_, &row));
-  const bool track_pk =
-      options_.build_pk_index && !schema_.primary_key().empty();
-  PrimaryKey pk;
-  if (track_pk) {
-    pk = PrimaryKey::FromRow(schema_, row);
-    if (pk_index_.find(pk) != pk_index_.end()) {
-      return Status::AlreadyExists("duplicate primary key " + pk.ToString());
-    }
+  PrimaryKey pk = PrimaryKey::FromRow(schema_, row);
+  if (pk_index_.find(pk) != pk_index_.end()) {
+    return Status::AlreadyExists("duplicate primary key " + pk.ToString());
   }
   std::byte* slot = arena_.Allocate(schema_.row_stride());
   for (ColumnId col = 0; col < row.size(); ++col) {
@@ -33,7 +26,7 @@ Result<RowId> RowTable::Insert(Row row) {
   slots_.push_back(slot);
   live_.PushBack(true);
   ++live_count_;
-  if (track_pk) pk_index_.emplace(std::move(pk), rid);
+  pk_index_.emplace(std::move(pk), rid);
   for (auto& [col, index] : indexes_) {
     (void)index;
     IndexInsert(col, rid);
@@ -88,10 +81,7 @@ Status RowTable::DeleteRow(RowId rid) {
     (void)index;
     IndexErase(col, rid);
   }
-  if (options_.build_pk_index && !schema_.primary_key().empty()) {
-    Row row = GetRow(rid);
-    pk_index_.erase(PrimaryKey::FromRow(schema_, row));
-  }
+  pk_index_.erase(PrimaryKey::FromRow(schema_, GetRow(rid)));
   live_.Clear(rid);
   --live_count_;
   BumpDataVersion();
@@ -99,18 +89,9 @@ Status RowTable::DeleteRow(RowId rid) {
 }
 
 std::optional<RowId> RowTable::FindByPk(const PrimaryKey& pk) const {
-  if (options_.build_pk_index && !schema_.primary_key().empty()) {
-    auto it = pk_index_.find(pk);
-    if (it == pk_index_.end()) return std::nullopt;
-    return it->second;
-  }
-  // Fallback scan (index-ablation mode).
-  std::optional<RowId> found;
-  live_.ForEachSet([&](size_t rid) {
-    if (found.has_value()) return;
-    if (PrimaryKey::FromRow(schema_, GetRow(rid)) == pk) found = rid;
-  });
-  return found;
+  auto it = pk_index_.find(pk);
+  if (it == pk_index_.end()) return std::nullopt;
+  return it->second;
 }
 
 Value RowTable::GetValue(RowId rid, ColumnId col) const {

@@ -29,9 +29,6 @@ namespace hsdb {
 class RowTable final : public PhysicalTable {
  public:
   struct Options {
-    /// Maintain the primary-key hash index (required for uniqueness checks
-    /// and point access; disable only for index-ablation experiments).
-    bool build_pk_index = true;
     size_t arena_chunk_bytes = 1 << 20;
   };
 
@@ -189,7 +186,6 @@ class RowTable final : public PhysicalTable {
   void IndexInsert(ColumnId col, RowId rid);
   void IndexErase(ColumnId col, RowId rid);
 
-  Options options_;
   Arena arena_;
   std::vector<std::byte*> slots_;
   Bitmap live_;

@@ -1,22 +1,6 @@
 #include "storage/shadow_rebuild.h"
 
-#include <utility>
-
 namespace hsdb {
-
-Result<std::unique_ptr<LogicalTable>> MakeEmptyLike(
-    const LogicalTable& src, TableLayout layout,
-    const PhysicalOptions& options) {
-  return LogicalTable::Create(src.name(), src.schema(), std::move(layout),
-                              options);
-}
-
-void CollectGroupRows(const LogicalTable& src, size_t group_index,
-                      size_t begin_rid, size_t end_rid,
-                      std::vector<Row>* rows) {
-  src.ForEachRowInGroupRange(group_index, begin_rid, end_rid,
-                             [&](Row row) { rows->push_back(std::move(row)); });
-}
 
 Status ReplayOps(LogicalTable* shadow, const std::vector<TableOp>& ops,
                  uint64_t* applied) {

@@ -1,38 +1,22 @@
-// Building blocks of a non-blocking table rebuild: create an empty shadow
-// under the target layout, copy the live rows over in bounded chunks, and
-// replay the writes that landed in the meantime from a TableOpLog.
+// Replay half of a non-blocking table rebuild: apply the writes a
+// TableOpLog captured while Database::MigrateShadow copied the live rows
+// into a shadow under the target layout.
 //
-// The pieces are deliberately lock-free — the caller (Database::
-// MigrateShadow) owns the locking protocol: the chunked copy runs each
-// chunk under the source's reader lock, replay touches only the private
-// shadow, and the final drain happens inside the writer-latch cut-over
-// window. docs/CONCURRENCY.md walks the full timeline.
+// Replay is lock-free — MigrateShadow owns the locking protocol: the
+// chunked copy runs each chunk under the source's reader lock, replay
+// touches only the private shadow, and the final drain happens inside the
+// writer-latch cut-over window. docs/CONCURRENCY.md walks the full
+// timeline.
 #ifndef HSDB_STORAGE_SHADOW_REBUILD_H_
 #define HSDB_STORAGE_SHADOW_REBUILD_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "storage/logical_table.h"
 #include "storage/table_version.h"
 
 namespace hsdb {
-
-/// Creates an empty clone of `src` under `layout` — same name, schema and
-/// physical options; no rows. The first half of Rematerialize, split out so
-/// the copy can proceed in chunks instead of one stop-the-world pass.
-Result<std::unique_ptr<LogicalTable>> MakeEmptyLike(
-    const LogicalTable& src, TableLayout layout,
-    const PhysicalOptions& options);
-
-/// Copies the live rows of `src` group `group_index` with lead-fragment
-/// slots in [begin_rid, end_rid) into `*rows` (appending). The caller must
-/// hold the source's reader lock across the call; inserting the collected
-/// rows into the shadow happens outside it.
-void CollectGroupRows(const LogicalTable& src, size_t group_index,
-                      size_t begin_rid, size_t end_rid,
-                      std::vector<Row>* rows);
 
 /// Applies drained ops onto the shadow, idempotently: an upsert removes any
 /// existing row with the same primary key before inserting, a delete of an

@@ -35,7 +35,7 @@ TableWorkloadStats& WorkloadStatistics::TableEntry(const std::string& name,
   // available, a generous default otherwise.
   int64_t lo = 0;
   int64_t hi = int64_t{1} << 20;
-  if (table != nullptr && !table->schema().primary_key().empty()) {
+  if (table != nullptr) {
     const TableStatistics* ts = catalog.GetStatistics(name);
     if (ts != nullptr) {
       const ColumnStatistics& pk_stats =

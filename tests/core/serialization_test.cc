@@ -175,19 +175,20 @@ TEST(CostModelSerializationTest, EncodingTermsRoundTrip) {
 
 TEST(CostModelSerializationTest, RejectsStaleFormatVersions) {
   std::string text = CostModelParams::Default().Serialize();
-  ASSERT_NE(text.find("hsdb_cost_model_v6"), std::string::npos);
+  ASSERT_NE(text.find("hsdb_cost_model_v7"), std::string::npos);
   // A v1 cache (no encoding terms at all), a v2 cache (scan terms but no
   // re-encode terms), a v3 cache (same fields, but calibrated against the
   // scalar decode loops the SIMD kernels replaced), a v4 cache (no
-  // morsel-parallel scan terms) and a v5 cache (no shared-scan batch term)
-  // must all fail deserialization — the caller's cue to recalibrate rather
-  // than run with a silently incomplete or stale model.
+  // morsel-parallel scan terms), a v5 cache (no shared-scan batch term)
+  // and a v6 cache (same fields, but merge-free insert terms) must all
+  // fail deserialization — the caller's cue to recalibrate rather than run
+  // with a silently incomplete or stale model.
   for (const char* stale :
        {"hsdb_cost_model_v1", "hsdb_cost_model_v2", "hsdb_cost_model_v3",
-        "hsdb_cost_model_v4", "hsdb_cost_model_v5"}) {
+        "hsdb_cost_model_v4", "hsdb_cost_model_v5", "hsdb_cost_model_v6"}) {
     std::string stale_text = text;
-    stale_text.replace(stale_text.find("hsdb_cost_model_v6"),
-                       std::string("hsdb_cost_model_v6").size(), stale);
+    stale_text.replace(stale_text.find("hsdb_cost_model_v7"),
+                       std::string("hsdb_cost_model_v7").size(), stale);
     EXPECT_FALSE(CostModelParams::Deserialize(stale_text).ok()) << stale;
   }
 }

@@ -58,7 +58,7 @@ class BatchEquivalenceTest : public ::testing::TestWithParam<int> {
         encodings.push_back(static_cast<Encoding>(c % kNumEncodings));
       }
       EXPECT_TRUE(
-          db->ApplyLayout("t", TableLayout::SingleStore(store), encodings)
+          db->MigrateShadow("t", TableLayout::SingleStore(store), encodings)
               .ok());
     }
     // Fresh rows stay in the column store's delta; tombstones span the

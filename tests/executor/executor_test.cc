@@ -273,13 +273,27 @@ TEST_F(ExecutorTest, ObserverSeesQueries) {
   db_.set_observer(nullptr);
 }
 
-TEST_F(ExecutorTest, MoveTablePreservesResults) {
+TEST_F(ExecutorTest, CreateTableRequiresPrimaryKey) {
+  Schema keyless = Schema::CreateOrDie(
+      {{"a", DataType::kInt64}, {"b", DataType::kInt32}}, {});
+  for (StoreType store : {StoreType::kRow, StoreType::kColumn}) {
+    Status created = db_.CreateTable("keyless", keyless,
+                                     TableLayout::SingleStore(store));
+    EXPECT_EQ(created.code(), StatusCode::kInvalidArgument)
+        << created.ToString();
+  }
+  EXPECT_EQ(db_.catalog().GetTable("keyless"), nullptr);
+}
+
+TEST_F(ExecutorTest, MigrateShadowPreservesResults) {
   AggregationQuery a;
   a.tables = {"sales"};
   a.aggregates = {{AggFn::kSum, {2, 0}}};
   auto before = db_.Execute(Query(a));
   ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(db_.MoveTable("sales", StoreType::kColumn).ok());
+  ASSERT_TRUE(
+      db_.MigrateShadow("sales", TableLayout::SingleStore(StoreType::kColumn))
+          .ok());
   auto after = db_.Execute(Query(a));
   ASSERT_TRUE(after.ok());
   EXPECT_DOUBLE_EQ(before->aggregates[0], after->aggregates[0]);
@@ -287,6 +301,31 @@ TEST_F(ExecutorTest, MoveTablePreservesResults) {
   const TableStatistics* stats = db_.catalog().GetStatistics("sales");
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->row_count, 100u);
+}
+
+TEST_F(ExecutorTest, MigrateShadowRefusesASecondLayoutChange) {
+  // Stands in for a rebuild in flight: its op log is attached.
+  TableOpLog log;
+  db_.catalog().GetTable("sales")->AttachOpLog(&log);
+  Result<ShadowMigrationStats> second = db_.MigrateShadow(
+      "sales", TableLayout::SingleStore(StoreType::kColumn));
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition)
+      << second.status().ToString();
+  // The first migration keeps its log: later writes still reach it.
+  LogicalTable* table = db_.catalog().GetTable("sales");
+  ASSERT_TRUE(table->HasOpLog());
+  ASSERT_TRUE(db_.Execute(Query(InsertQuery{"sales", SaleRow(100)})).ok());
+  EXPECT_EQ(log.Drain().size(), 1u);
+  EXPECT_EQ(table->layout().base_store, StoreType::kRow);
+  EXPECT_EQ(db_.layout_epoch(), 0u);
+
+  // Once it detaches, the next layout change goes through.
+  table->DetachOpLog();
+  Result<ShadowMigrationStats> retried = db_.MigrateShadow(
+      "sales", TableLayout::SingleStore(StoreType::kColumn));
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  EXPECT_TRUE(retried->rematerialized);
+  EXPECT_EQ(db_.catalog().GetTable("sales")->row_count(), 101u);
 }
 
 TEST_F(ExecutorTest, QueryToStringSmoke) {

@@ -58,7 +58,7 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<int> {
         encodings.push_back(static_cast<Encoding>(c % kNumEncodings));
       }
       EXPECT_TRUE(
-          db->ApplyLayout("t", TableLayout::SingleStore(store), encodings)
+          db->MigrateShadow("t", TableLayout::SingleStore(store), encodings)
               .ok());
     }
     // Fresh rows stay in the column store's delta (below the merge
@@ -239,7 +239,7 @@ class CodeGroupingEquivalenceTest : public ::testing::TestWithParam<int> {
     std::vector<Encoding> encodings(schema.num_columns(),
                                     Encoding::kDictionary);
     for (ColumnId col : {kA, kB, kC, kS}) encodings[col] = group_encoding;
-    EXPECT_TRUE(db->ApplyLayout("g", layout, encodings).ok());
+    EXPECT_TRUE(db->MigrateShadow("g", layout, encodings).ok());
     for (int64_t id = kRows; id < static_cast<int64_t>(kRows) + 300; ++id) {
       EXPECT_TRUE(db->Execute(InsertQuery{"g", MakeRow(id)}).ok());
     }

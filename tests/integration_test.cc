@@ -150,7 +150,7 @@ TEST(IntegrationTest, RepeatedReorganizationsAreStable) {
       TableLayout::SingleStore(StoreType::kRow)};
   for (int round = 0; round < 2; ++round) {
     for (const TableLayout& layout : cycle) {
-      ASSERT_TRUE(db.ApplyLayout("t", layout).ok()) << layout.ToString();
+      ASSERT_TRUE(db.MigrateShadow("t", layout).ok()) << layout.ToString();
       LogicalTable* t = db.catalog().GetTable("t");
       ASSERT_EQ(t->row_count(), 1000u) << layout.ToString();
       auto row = t->GetByPk(PrimaryKey::Of(Value(int64_t{500})));

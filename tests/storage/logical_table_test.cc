@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "storage/conversion.h"
+#include "executor/database.h"
 
 namespace hsdb {
 namespace {
@@ -185,52 +185,75 @@ TEST(LogicalTableTest, ForEachRowStitchesAcrossFragments) {
   EXPECT_DOUBLE_EQ(amount_sum, 2.0 * 45);
 }
 
-TEST(LogicalTableTest, RematerializeChangesLayout) {
-  auto t = Make(TableLayout::SingleStore(StoreType::kRow));
-  for (int64_t i = 0; i < 200; ++i) ASSERT_TRUE(t->Insert(OrderRow(i)).ok());
+// Builds a database holding "orders" (row store, ids 0..n-1) with id 10
+// deleted.
+void FillOrders(Database& db, int64_t n) {
+  ASSERT_TRUE(db.CreateTable("orders", OrdersSchema(),
+                             TableLayout::SingleStore(StoreType::kRow))
+                  .ok());
+  LogicalTable* t = db.catalog().GetTable("orders");
+  for (int64_t i = 0; i < n; ++i) ASSERT_TRUE(t->Insert(OrderRow(i)).ok());
+  ASSERT_TRUE(t->DeleteByPk(PrimaryKey::Of(Value(int64_t{10}))).ok());
+}
 
-  TableLayout new_layout;
-  new_layout.base_store = StoreType::kColumn;
-  new_layout.horizontal = HorizontalSpec{0, 150.0, StoreType::kRow};
-  new_layout.vertical = VerticalSpec{{1}};
-  auto result = Rematerialize(*t, new_layout);
-  ASSERT_TRUE(result.ok());
-  auto& nt = *result;
-  EXPECT_EQ(nt->row_count(), 200u);
-  EXPECT_EQ(nt->layout().ToString(), new_layout.ToString());
-  // Hot group got the top 50 keys.
-  EXPECT_EQ(nt->groups()[0].fragments[0].table->live_count(), 50u);
-  // Cold CS piece is merged (compact main, empty delta).
-  auto* cs = dynamic_cast<ColumnTable*>(
-      nt->groups()[1].fragments[1].table.get());
-  ASSERT_NE(cs, nullptr);
-  EXPECT_EQ(cs->delta_rows(), 0u);
-  // Data intact.
-  for (int64_t i : {0, 149, 150, 199}) {
-    auto row = nt->GetByPk(PrimaryKey::Of(Value(i)));
-    ASSERT_TRUE(row.ok());
-    EXPECT_DOUBLE_EQ((*row)[2].as_double(), i * 2.0);
+// Every row but the deleted one survives a move, field for field.
+void ExpectEveryRowButTen(const Database& db, int64_t n) {
+  const LogicalTable* t = db.catalog().GetTable("orders");
+  EXPECT_EQ(t->row_count(), static_cast<size_t>(n - 1));
+  for (int64_t i = 0; i < n; ++i) {
+    Result<Row> row = t->GetByPk(PrimaryKey::Of(Value(i)));
+    ASSERT_EQ(row.ok(), i != 10) << i;
+    if (row.ok()) {
+      EXPECT_EQ(*row, OrderRow(i)) << i;
+    }
   }
 }
 
+TEST(LogicalTableTest, RematerializeChangesLayout) {
+  Database db;
+  FillOrders(db, 200);
+
+  TableLayout column;
+  column.base_store = StoreType::kColumn;
+  column.horizontal = HorizontalSpec{0, 150.0, StoreType::kRow};
+  column.vertical = VerticalSpec{{1}};
+  Result<ShadowMigrationStats> moved = db.MigrateShadow("orders", column);
+  ASSERT_TRUE(moved.ok()) << moved.status().ToString();
+  EXPECT_TRUE(moved->rematerialized);
+  EXPECT_EQ(moved->rows_copied, 199u);
+  const LogicalTable* t = db.catalog().GetTable("orders");
+  EXPECT_EQ(t->layout().ToString(), column.ToString());
+  // Hot group got the top 50 keys.
+  EXPECT_EQ(t->groups()[0].fragments[0].table->live_count(), 50u);
+  // Cold CS piece is merged (compact main, empty delta).
+  auto* cs =
+      dynamic_cast<ColumnTable*>(t->groups()[1].fragments[1].table.get());
+  ASSERT_NE(cs, nullptr);
+  EXPECT_EQ(cs->delta_rows(), 0u);
+  ExpectEveryRowButTen(db, 200);
+}
+
 TEST(LogicalTableTest, ConvertStoreRoundTrip) {
-  auto rs = RowTable::Create(OrdersSchema());
-  for (int64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(rs->Insert(OrderRow(i)).ok());
-  }
-  ASSERT_TRUE(rs->DeleteRow(10).ok());
-  PhysicalOptions opts;
-  auto cs = ConvertStore(*rs, StoreType::kColumn, opts);
-  EXPECT_EQ(cs->store(), StoreType::kColumn);
-  EXPECT_EQ(cs->live_count(), 99u);
-  auto back = ConvertStore(*cs, StoreType::kRow, opts);
-  EXPECT_EQ(back->store(), StoreType::kRow);
-  EXPECT_EQ(back->live_count(), 99u);
-  auto rid = back->FindByPk(PrimaryKey::Of(Value(int64_t{42})));
-  ASSERT_TRUE(rid.has_value());
-  EXPECT_EQ(back->GetValue(*rid, 3).as_string(), "r2");
-  EXPECT_FALSE(
-      back->FindByPk(PrimaryKey::Of(Value(int64_t{10}))).has_value());
+  Database db;
+  FillOrders(db, 100);
+
+  const TableLayout column = TableLayout::SingleStore(StoreType::kColumn);
+  ASSERT_TRUE(db.MigrateShadow("orders", column).ok());
+  const LogicalTable* t = db.catalog().GetTable("orders");
+  EXPECT_EQ(t->layout().ToString(), column.ToString());
+  ASSERT_EQ(t->groups().size(), 1u);
+  EXPECT_EQ(t->groups()[0].fragments[0].table->store(), StoreType::kColumn);
+  EXPECT_EQ(t->groups()[0].fragments[0].table->live_count(), 99u);
+  ExpectEveryRowButTen(db, 100);
+
+  const TableLayout row = TableLayout::SingleStore(StoreType::kRow);
+  ASSERT_TRUE(db.MigrateShadow("orders", row).ok());
+  t = db.catalog().GetTable("orders");
+  EXPECT_EQ(t->layout().ToString(), row.ToString());
+  ASSERT_EQ(t->groups().size(), 1u);
+  EXPECT_EQ(t->groups()[0].fragments[0].table->store(), StoreType::kRow);
+  EXPECT_EQ(t->groups()[0].fragments[0].table->live_count(), 99u);
+  ExpectEveryRowButTen(db, 100);
 }
 
 TEST(LogicalTableTest, CreateSortedIndexOnRowPieces) {

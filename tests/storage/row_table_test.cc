@@ -209,15 +209,5 @@ TEST(RowTableTest, MemoryGrowsWithRows) {
   EXPECT_GT(t->memory_bytes(), before);
 }
 
-TEST(RowTableTest, NoPkIndexFallbackScan) {
-  RowTable::Options opts;
-  opts.build_pk_index = false;
-  auto t = RowTable::Create(TestSchema(), opts);
-  for (int64_t i = 0; i < 50; ++i) ASSERT_TRUE(t->Insert(MakeTestRow(i)).ok());
-  auto rid = t->FindByPk(PrimaryKey::Of(Value(int64_t{30})));
-  ASSERT_TRUE(rid.has_value());
-  EXPECT_EQ(t->GetValue(*rid, 0).as_int64(), 30);
-}
-
 }  // namespace
 }  // namespace hsdb

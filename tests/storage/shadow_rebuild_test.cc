@@ -1,5 +1,5 @@
 // Storage-level tests of the shadow-rebuild building blocks: the op log
-// LogicalTable maintains while one is attached, the chunked row collection,
+// LogicalTable maintains while one is attached, the chunked row-range scan,
 // and the idempotent replay that reconciles a shadow copy with writes that
 // raced it. Database::MigrateShadow composes exactly these pieces under its
 // locking protocol; here they are exercised deterministically, interleaved
@@ -46,15 +46,14 @@ class ShadowRebuildTest : public ::testing::Test {
   /// Full unchunked copy of the source into a fresh shadow (bound frozen
   /// up front, like MigrateShadow's first chunk).
   std::unique_ptr<LogicalTable> CopyAll() {
-    Result<std::unique_ptr<LogicalTable>> made = MakeEmptyLike(
-        *table_, TableLayout::SingleStore(StoreType::kColumn),
-        table_->physical_options());
+    Result<std::unique_ptr<LogicalTable>> made = LogicalTable::Create(
+        "t", TwoColumnSchema(), TableLayout::SingleStore(StoreType::kColumn));
     HSDB_CHECK(made.ok());
     std::unique_ptr<LogicalTable> shadow = std::move(made).value();
     for (size_t g = 0; g < table_->groups().size(); ++g) {
-      std::vector<Row> rows;
-      CollectGroupRows(*table_, g, 0, table_->GroupSlotCount(g), &rows);
-      for (Row& row : rows) HSDB_CHECK(shadow->Insert(std::move(row)).ok());
+      table_->ForEachRowInGroupRange(
+          g, 0, table_->GroupSlotCount(g),
+          [&](Row row) { HSDB_CHECK(shadow->Insert(std::move(row)).ok()); });
     }
     return shadow;
   }
@@ -62,30 +61,21 @@ class ShadowRebuildTest : public ::testing::Test {
   std::unique_ptr<LogicalTable> table_;
 };
 
-TEST_F(ShadowRebuildTest, MakeEmptyLikeClonesShapeNotRows) {
-  Result<std::unique_ptr<LogicalTable>> made = MakeEmptyLike(
-      *table_, TableLayout::SingleStore(StoreType::kColumn),
-      table_->physical_options());
-  ASSERT_TRUE(made.ok());
-  EXPECT_EQ(made.value()->name(), "t");
-  EXPECT_EQ(made.value()->row_count(), 0u);
-  EXPECT_EQ(made.value()->layout().base_store, StoreType::kColumn);
-  EXPECT_TRUE(made.value()->schema() == table_->schema());
+TEST_F(ShadowRebuildTest, ForEachRowInGroupRangeHonorsTheRidWindow) {
+  std::vector<int64_t> ids;
+  table_->ForEachRowInGroupRange(
+      0, 10, 20, [&](const Row& row) { ids.push_back(row[0].as_int64()); });
+  // Nothing deleted yet: the window is exactly the rows in slots 10..19.
+  std::vector<int64_t> expected;
+  for (int64_t id = 10; id < 20; ++id) expected.push_back(id);
+  EXPECT_EQ(ids, expected);
 }
 
-TEST_F(ShadowRebuildTest, CollectGroupRowsHonorsTheRidWindow) {
-  std::vector<Row> rows;
-  CollectGroupRows(*table_, 0, 10, 20, &rows);
-  EXPECT_EQ(rows.size(), 10u);  // nothing deleted yet: window = live rows
-  CollectGroupRows(*table_, 0, 10, 20, &rows);  // appends, never clears
-  EXPECT_EQ(rows.size(), 20u);
-}
-
-TEST_F(ShadowRebuildTest, CollectGroupRowsSkipsDeletedSlots) {
+TEST_F(ShadowRebuildTest, ForEachRowInGroupRangeSkipsDeletedSlots) {
   ASSERT_TRUE(table_->DeleteByPk(PrimaryKey::Of(Value(int64_t{15}))).ok());
-  std::vector<Row> rows;
-  CollectGroupRows(*table_, 0, 10, 20, &rows);
-  EXPECT_EQ(rows.size(), 9u);
+  size_t rows = 0;
+  table_->ForEachRowInGroupRange(0, 10, 20, [&](const Row&) { ++rows; });
+  EXPECT_EQ(rows, 9u);
 }
 
 TEST_F(ShadowRebuildTest, AttachedLogRecordsPostImagesOfEveryDml) {

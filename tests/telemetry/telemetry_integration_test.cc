@@ -169,7 +169,8 @@ TEST_F(TelemetryIntegrationTest, SnapshotAggregatesCounts) {
 
 TEST_F(TelemetryIntegrationTest, RematerializationsCount) {
   if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
-  ASSERT_TRUE(db_->MoveTable("t", StoreType::kRow).ok());
+  ASSERT_TRUE(
+      db_->MigrateShadow("t", TableLayout::SingleStore(StoreType::kRow)).ok());
   EXPECT_EQ(registry_.GetCounter("hsdb_rematerializations_total").value(),
             1u);
   EXPECT_EQ(db_->layout_epoch(), 1u);
