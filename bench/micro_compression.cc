@@ -257,9 +257,8 @@ std::unique_ptr<ColumnTable> MakeTable(bool adaptive) {
   const std::vector<int64_t>& buckets = RunStructuredColumn();
   constexpr size_t kTableRows = 200'000;
   for (size_t i = 0; i < kTableRows; ++i) {
-    HSDB_CHECK(t->Insert({static_cast<int64_t>(i), buckets[i],
-                          static_cast<double>(i % 97)})
-                   .ok());
+    t->Insert({static_cast<int64_t>(i), buckets[i],
+               static_cast<double>(i % 97)});
   }
   t->MergeDelta();
   return t;
@@ -312,11 +311,9 @@ void BM_ColumnTableGroupedAggregate(benchmark::State& state,
   Rng rng(7);
   constexpr size_t kTableRows = 200'000;
   for (size_t i = 0; i < kTableRows; ++i) {
-    HSDB_CHECK(cover.table
-                   ->Insert({static_cast<int64_t>(i),
-                             static_cast<int32_t>(rng.UniformInt(0, 6)),
-                             static_cast<double>(i % 997) * 0.25})
-                   .ok());
+    cover.table->Insert({static_cast<int64_t>(i),
+                         static_cast<int32_t>(rng.UniformInt(0, 6)),
+                         static_cast<double>(i % 997) * 0.25});
   }
   auto& table = static_cast<ColumnTable&>(*cover.table);
   table.MergeDelta();
@@ -360,7 +357,7 @@ void RunDeltaMerge(benchmark::State& state, const Schema& schema,
     auto table = ColumnTable::Create(schema, opts);
     Rng rng(5);
     for (int64_t i = 0; i < rows; ++i) {
-      HSDB_CHECK(table->Insert(make_row(i, rng)).ok());
+      table->Insert(make_row(i, rng));
     }
     state.ResumeTiming();
     table->MergeDelta();

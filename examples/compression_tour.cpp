@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
   raw_opts.encoding.force = Encoding::kRaw;
   auto raw_table = ColumnTable::Create(schema, raw_opts);
   fact->ForEachRow([&](const Row& row) {
-    HSDB_CHECK(raw_table->Insert(Row(row)).ok());
+    raw_table->Insert(Row(row));
   });
   raw_table->MergeDelta();
   sw.Restart();

@@ -10,22 +10,24 @@ Status ValidateAndCoerceRow(const Schema& schema, Row* row) {
         std::to_string(schema.num_columns()));
   }
   for (ColumnId id = 0; id < row->size(); ++id) {
-    Value& cell = (*row)[id];
-    if (!cell.is_valid()) {
-      return Status::InvalidArgument("invalid value for column " +
-                                     schema.column(id).name);
-    }
-    DataType expected = schema.column(id).type;
-    if (cell.type() == expected) continue;
-    Value coerced;
-    if (!cell.CoerceTo(expected, &coerced)) {
-      return Status::InvalidArgument(
-          "type mismatch for column " + schema.column(id).name + ": got " +
-          std::string(DataTypeName(cell.type())) + ", want " +
-          std::string(DataTypeName(expected)));
-    }
-    cell = std::move(coerced);
+    HSDB_RETURN_IF_ERROR(CoerceCell(schema.column(id), &(*row)[id]));
   }
+  return Status::OK();
+}
+
+Status CoerceCell(const ColumnDef& column, Value* cell) {
+  if (!cell->is_valid()) {
+    return Status::InvalidArgument("invalid value for column " + column.name);
+  }
+  if (cell->type() == column.type) return Status::OK();
+  Value coerced;
+  if (!cell->CoerceTo(column.type, &coerced)) {
+    return Status::InvalidArgument(
+        "type mismatch for column " + column.name + ": got " +
+        std::string(DataTypeName(cell->type())) + ", want " +
+        std::string(DataTypeName(column.type)));
+  }
+  *cell = std::move(coerced);
   return Status::OK();
 }
 

@@ -18,6 +18,10 @@ using Row = std::vector<Value>;
 /// lossless numeric coercion applied in place).
 Status ValidateAndCoerceRow(const Schema& schema, Row* row);
 
+/// Coerces one cell in place to `column`'s type (lossless numeric coercion);
+/// InvalidArgument for an invalid value or one that does not convert.
+Status CoerceCell(const ColumnDef& column, Value* cell);
+
 /// Returns the subset of `row` at `column_ids`, in the given order.
 Row ProjectRow(const Row& row, const std::vector<ColumnId>& column_ids);
 

@@ -120,12 +120,12 @@ ColumnTable::ColumnTable(Schema schema, Options options)
   }
 }
 
-Result<RowId> ColumnTable::Insert(Row row) {
-  HSDB_RETURN_IF_ERROR(ValidateAndCoerceRow(schema_, &row));
-  PrimaryKey pk = PrimaryKey::FromRow(schema_, row);
-  if (pk_index_.find(pk) != pk_index_.end()) {
-    return Status::AlreadyExists("duplicate primary key " + pk.ToString());
-  }
+RowId ColumnTable::Insert(Row row) {
+  HSDB_DCHECK(IsTypedRow(row));
+  const RowId rid = live_.size();
+  const bool indexed =
+      pk_index_.emplace(PrimaryKey::FromRow(schema_, row), rid).second;
+  HSDB_CHECK_MSG(indexed, "duplicate primary key reached the column store");
   for (ColumnId col = 0; col < row.size(); ++col) {
     std::visit(
         [&](auto& data) {
@@ -135,54 +135,31 @@ Result<RowId> ColumnTable::Insert(Row row) {
         },
         columns_[col]);
   }
-  RowId rid = live_.size();
   live_.PushBack(true);
   ++live_count_;
-  pk_index_.emplace(std::move(pk), rid);
   BumpDataVersion();
   return rid;
 }
 
-Status ColumnTable::UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
-                              const Row& values) {
-  if (!IsLive(rid)) return Status::NotFound("row id not live");
-  if (columns.size() != values.size()) {
-    return Status::InvalidArgument("columns/values arity mismatch");
-  }
-  for (ColumnId col : columns) {
-    if (col >= schema_.num_columns()) {
-      return Status::InvalidArgument("column id out of range");
-    }
-    if (schema_.IsPrimaryKeyColumn(col)) {
-      return Status::NotSupported("updating primary-key columns");
-    }
-  }
+void ColumnTable::UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
+                            const Row& values) {
+  HSDB_CHECK(IsLive(rid));
+  HSDB_DCHECK(IsTypedUpdate(columns, values));
   // Tuple reconstruction: read the full row, tombstone it and re-insert the
   // modified tuple into the delta. This is the column store's expensive
   // update path the cost model charges f_affectedColumns for.
   Row row = GetRow(rid);
-  for (size_t i = 0; i < columns.size(); ++i) {
-    Value coerced;
-    if (!values[i].is_valid()) {
-      return Status::InvalidArgument("invalid update value");
-    }
-    if (!values[i].CoerceTo(schema_.column(columns[i]).type, &coerced)) {
-      return Status::InvalidArgument("type mismatch updating column " +
-                                     schema_.column(columns[i]).name);
-    }
-    row[columns[i]] = std::move(coerced);
-  }
-  HSDB_RETURN_IF_ERROR(DeleteRow(rid));
-  return Insert(std::move(row)).status();
+  for (size_t i = 0; i < columns.size(); ++i) row[columns[i]] = values[i];
+  DeleteRow(rid);
+  Insert(std::move(row));
 }
 
-Status ColumnTable::DeleteRow(RowId rid) {
-  if (!IsLive(rid)) return Status::NotFound("row id not live");
-  pk_index_.erase(ExtractPk(rid));
+void ColumnTable::DeleteRow(RowId rid) {
+  HSDB_CHECK(IsLive(rid));
+  pk_index_.erase(KeyAt(rid));
   live_.Clear(rid);
   --live_count_;
   BumpDataVersion();
-  return Status::OK();
 }
 
 std::optional<RowId> ColumnTable::FindByPk(const PrimaryKey& pk) const {
@@ -429,15 +406,6 @@ size_t ColumnTable::DictionarySize(ColumnId col) const {
 Encoding ColumnTable::ColumnEncoding(ColumnId col) const {
   return std::visit([](const auto& data) { return data.main.encoding(); },
                     columns_[col]);
-}
-
-PrimaryKey ColumnTable::ExtractPk(RowId rid) const {
-  PrimaryKey pk;
-  pk.values.reserve(schema_.primary_key().size());
-  for (ColumnId col : schema_.primary_key()) {
-    pk.values.push_back(GetValue(rid, col));
-  }
-  return pk;
 }
 
 }  // namespace hsdb

@@ -69,10 +69,10 @@ class ColumnTable final : public PhysicalTable {
   }
   const Bitmap& live_bitmap() const override { return live_; }
 
-  Result<RowId> Insert(Row row) override;
-  Status UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
-                   const Row& values) override;
-  Status DeleteRow(RowId rid) override;
+  RowId Insert(Row row) override;
+  void UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
+                 const Row& values) override;
+  void DeleteRow(RowId rid) override;
   std::optional<RowId> FindByPk(const PrimaryKey& pk) const override;
   Value GetValue(RowId rid, ColumnId col) const override;
   Row GetRow(RowId rid) const override;
@@ -153,8 +153,6 @@ class ColumnTable final : public PhysicalTable {
     if (rid < main_size_) return data.main.Get(rid);
     return data.delta[rid - main_size_];
   }
-
-  PrimaryKey ExtractPk(RowId rid) const;
 
   Options options_;
   std::vector<ColumnVariant> columns_;

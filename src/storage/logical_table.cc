@@ -5,6 +5,18 @@
 
 namespace hsdb {
 
+namespace {
+
+/// Slot of `pk` in one fragment of the group that holds the key: every
+/// fragment of a group holds every row of the group.
+RowId FragmentRid(const Fragment& frag, const PrimaryKey& pk) {
+  std::optional<RowId> rid = frag.table->FindByPk(pk);
+  HSDB_CHECK_MSG(rid.has_value(), "fragment lost row");
+  return *rid;
+}
+
+}  // namespace
+
 std::unique_ptr<PhysicalTable> MakePhysicalTable(
     Schema schema, StoreType store, const PhysicalOptions& options) {
   if (store == StoreType::kRow) {
@@ -137,19 +149,23 @@ size_t LogicalTable::RouteInsert(const Row& row) const {
 
 Status LogicalTable::Insert(Row row) {
   HSDB_RETURN_IF_ERROR(ValidateAndCoerceRow(schema_, &row));
-  PrimaryKey pk = PrimaryKey::FromRow(schema_, row);
+  const PrimaryKey pk = PrimaryKey::FromRow(schema_, row);
   size_t group_index;
   if (FindGroupByPk(pk, &group_index)) {
     return Status::AlreadyExists("duplicate primary key " + pk.ToString());
   }
-  RowGroup& group = groups_[RouteInsert(row)];
-  for (Fragment& frag : group.fragments) {
-    Result<RowId> rid = frag.table->Insert(ProjectRow(row, frag.columns));
-    // The logical-level PK check makes fragment-level duplicates impossible;
-    // any failure here indicates an engine bug.
-    HSDB_CHECK_MSG(rid.ok(), rid.status().ToString().c_str());
+  // Typed and new to every group: no store can reject the row now. The op
+  // log copies it only while attached; a single-fragment group takes it by
+  // move.
+  if (op_log_ != nullptr) op_log_->Append(TableOp::Upsert(row));
+  std::vector<Fragment>& fragments = groups_[RouteInsert(row)].fragments;
+  if (fragments.size() == 1) {
+    fragments.front().table->Insert(std::move(row));
+    return Status::OK();
   }
-  if (op_log_ != nullptr) op_log_->Append(TableOp::Upsert(std::move(row)));
+  for (Fragment& frag : fragments) {
+    frag.table->Insert(ProjectRow(row, frag.columns));
+  }
   return Status::OK();
 }
 
@@ -170,38 +186,37 @@ Status LogicalTable::UpdateByPk(const PrimaryKey& pk,
   if (columns.size() != values.size()) {
     return Status::InvalidArgument("columns/values arity mismatch");
   }
-  if (layout_.horizontal.has_value()) {
-    for (ColumnId col : columns) {
-      if (col == layout_.horizontal->column) {
-        return Status::NotSupported(
-            "updating the horizontal partition column");
-      }
+  Row coerced = values;
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const ColumnId col = columns[i];
+    if (col >= schema_.num_columns()) {
+      return Status::InvalidArgument("column id out of range");
     }
+    if (schema_.IsPrimaryKeyColumn(col)) {
+      return Status::NotSupported("updating primary-key columns");
+    }
+    if (layout_.horizontal.has_value() && col == layout_.horizontal->column) {
+      return Status::NotSupported("updating the horizontal partition column");
+    }
+    HSDB_RETURN_IF_ERROR(CoerceCell(schema_.column(col), &coerced[i]));
   }
   size_t group_index;
   if (!FindGroupByPk(pk, &group_index)) {
     return Status::NotFound("no row with primary key " + pk.ToString());
   }
-  RowGroup& group = groups_[group_index];
-  for (Fragment& frag : group.fragments) {
-    // Collect the updated columns that live in this fragment.
+  for (Fragment& frag : groups_[group_index].fragments) {
+    // The updated columns that live in this fragment; a non-key column
+    // lives in exactly one fragment, so its value can move.
     std::vector<ColumnId> frag_cols;
     Row frag_vals;
     for (size_t i = 0; i < columns.size(); ++i) {
-      if (columns[i] >= schema_.num_columns()) {
-        return Status::InvalidArgument("column id out of range");
-      }
       if (frag.Contains(columns[i])) {
         frag_cols.push_back(frag.FragColumn(columns[i]));
-        frag_vals.push_back(values[i]);
+        frag_vals.push_back(std::move(coerced[i]));
       }
     }
     if (frag_cols.empty()) continue;
-    std::optional<RowId> rid = frag.table->FindByPk(pk);
-    if (!rid.has_value()) {
-      return Status::Internal("fragment lost row for pk " + pk.ToString());
-    }
-    HSDB_RETURN_IF_ERROR(frag.table->UpdateRow(*rid, frag_cols, frag_vals));
+    frag.table->UpdateRow(FragmentRid(frag, pk), frag_cols, frag_vals);
   }
   if (op_log_ != nullptr) {
     // Full post-image upsert: the shadow may hold no pre-image for this pk
@@ -220,11 +235,7 @@ Status LogicalTable::DeleteByPk(const PrimaryKey& pk) {
     return Status::NotFound("no row with primary key " + pk.ToString());
   }
   for (Fragment& frag : groups_[group_index].fragments) {
-    std::optional<RowId> rid = frag.table->FindByPk(pk);
-    if (!rid.has_value()) {
-      return Status::Internal("fragment lost row for pk " + pk.ToString());
-    }
-    HSDB_RETURN_IF_ERROR(frag.table->DeleteRow(*rid));
+    frag.table->DeleteRow(FragmentRid(frag, pk));
   }
   if (op_log_ != nullptr) op_log_->Append(TableOp::Delete(pk));
   return Status::OK();
@@ -235,15 +246,11 @@ Result<Row> LogicalTable::GetByPk(const PrimaryKey& pk) const {
   if (!FindGroupByPk(pk, &group_index)) {
     return Status::NotFound("no row with primary key " + pk.ToString());
   }
-  const RowGroup& group = groups_[group_index];
   Row out(schema_.num_columns());
-  for (const Fragment& frag : group.fragments) {
-    std::optional<RowId> rid = frag.table->FindByPk(pk);
-    if (!rid.has_value()) {
-      return Status::Internal("fragment lost row for pk " + pk.ToString());
-    }
+  for (const Fragment& frag : groups_[group_index].fragments) {
+    const RowId rid = FragmentRid(frag, pk);
     for (size_t i = 0; i < frag.columns.size(); ++i) {
-      out[frag.columns[i]] = frag.table->GetValue(*rid, i);
+      out[frag.columns[i]] = frag.table->GetValue(rid, i);
     }
   }
   return out;
@@ -263,10 +270,9 @@ Row LogicalTable::StitchRow(const RowGroup& group, const Fragment& lead,
   if (group.fragments.size() > 1) {
     for (size_t f = 1; f < group.fragments.size(); ++f) {
       const Fragment& frag = group.fragments[f];
-      std::optional<RowId> frid = frag.table->FindByPk(pk);
-      HSDB_CHECK_MSG(frid.has_value(), "fragment lost row");
+      const RowId frid = FragmentRid(frag, pk);
       for (size_t i = 0; i < frag.columns.size(); ++i) {
-        out[frag.columns[i]] = frag.table->GetValue(*frid, i);
+        out[frag.columns[i]] = frag.table->GetValue(frid, i);
       }
     }
   }
@@ -303,8 +309,7 @@ Status LogicalTable::CreateSortedIndex(ColumnId col) {
     for (Fragment& frag : group.fragments) {
       if (!frag.Contains(col)) continue;
       if (auto* rs = dynamic_cast<RowTable*>(frag.table.get())) {
-        Status s = rs->CreateSortedIndex(frag.FragColumn(col));
-        if (!s.ok() && s.code() != StatusCode::kAlreadyExists) return s;
+        HSDB_RETURN_IF_ERROR(rs->CreateSortedIndex(frag.FragColumn(col)));
       }
     }
   }

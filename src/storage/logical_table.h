@@ -2,7 +2,7 @@
 // partition pieces according to a TableLayout. Row groups split the rows
 // (horizontal partitioning); fragments within a group split the columns
 // (vertical partitioning, primary key replicated). The executor plans
-// against groups/fragments; DML is routed here.
+// against groups/fragments; DML is validated once and routed here.
 #ifndef HSDB_STORAGE_LOGICAL_TABLE_H_
 #define HSDB_STORAGE_LOGICAL_TABLE_H_
 
@@ -84,14 +84,16 @@ class LogicalTable {
   /// column — on this counter.
   uint64_t data_version() const;
 
-  // DML (routed across pieces) ----------------------------------------------
+  // DML: the one validation boundary; the pieces trust it --------------------
 
-  /// Inserts a row; enforces primary-key uniqueness across all groups.
+  /// Validates and coerces `row`, enforces primary-key uniqueness across all
+  /// groups and routes the row to one group's fragments.
   Status Insert(Row row);
 
   /// Updates `columns` of the row with primary key `pk`. Updating the
   /// horizontal partition column (it could migrate the row across groups) or
-  /// primary-key columns is not supported.
+  /// primary-key columns is not supported. Every check and coercion runs
+  /// before the first fragment is written: a rejected update changes nothing.
   Status UpdateByPk(const PrimaryKey& pk, const std::vector<ColumnId>& columns,
                     const Row& values);
 

@@ -2,7 +2,8 @@
 // A physical table owns the bytes of one table (or one partition piece).
 //
 // Every physical table is keyed: its schema has a non-empty primary key and
-// each store keeps a hash index on it (uniqueness checks, FindByPk).
+// each store keeps a hash index on it (FindByPk; LogicalTable probes it for
+// uniqueness before every insert).
 //
 // Row ids returned by this interface are *transient*: they identify physical
 // slots and stay valid only until the next delta merge (column store) — the
@@ -47,17 +48,37 @@ class PhysicalTable {
   /// Liveness bitmap over all slots; used to seed filter evaluation.
   virtual const Bitmap& live_bitmap() const = 0;
 
-  /// Inserts a row (validated and coerced against the schema). Fails with
-  /// AlreadyExists when the primary key is already present — the uniqueness
-  /// verification the paper's insert cost term models.
-  virtual Result<RowId> Insert(Row row) = 0;
+  // DML. LogicalTable is the one validation boundary: it checks arity and
+  // column ranges, coerces every cell to its column's type, rejects updates
+  // of key columns and probes the primary key across all row groups before
+  // it calls a store. The stores trust that work: they re-check the typing
+  // only in Debug builds (HSDB_DCHECK) and keep two release-mode invariants,
+  // a live row id and a key that is not yet indexed (HSDB_CHECK aborts).
+
+  /// Appends `row` and indexes its key. Preconditions: `row` has the
+  /// schema's arity and every cell its column's type; its primary key is not
+  /// indexed yet (LogicalTable ran the uniqueness probe the paper's insert
+  /// cost term models).
+  virtual RowId Insert(Row row) = 0;
 
   /// Overwrites the cells `columns` of row `rid` with `values` (parallel
-  /// arrays). Primary-key columns must not be updated.
-  virtual Status UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
-                           const Row& values) = 0;
+  /// arrays). Preconditions: `rid` is live; every column is in range and not
+  /// a primary-key column; every value has its column's type.
+  virtual void UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
+                         const Row& values) = 0;
 
-  virtual Status DeleteRow(RowId rid) = 0;
+  /// Tombstones row `rid` and drops its key. Precondition: `rid` is live.
+  virtual void DeleteRow(RowId rid) = 0;
+
+  /// Primary key of slot `rid`, read from the key cells only.
+  PrimaryKey KeyAt(RowId rid) const {
+    PrimaryKey pk;
+    pk.values.reserve(schema_.primary_key().size());
+    for (ColumnId col : schema_.primary_key()) {
+      pk.values.push_back(GetValue(rid, col));
+    }
+    return pk;
+  }
 
   /// Point lookup through the primary key.
   virtual std::optional<RowId> FindByPk(const PrimaryKey& pk) const = 0;
@@ -127,9 +148,32 @@ class PhysicalTable {
 
   void BumpDataVersion() { ++data_version_; }
 
+  /// Debug checks of the Insert/UpdateRow preconditions.
+  bool IsTypedRow(const Row& row) const {
+    bool ok = row.size() == schema_.num_columns();
+    for (ColumnId col = 0; ok && col < row.size(); ++col) {
+      ok = HasColumnType(col, row[col]);
+    }
+    return ok;
+  }
+  bool IsTypedUpdate(const std::vector<ColumnId>& columns,
+                     const Row& values) const {
+    bool ok = columns.size() == values.size();
+    for (size_t i = 0; ok && i < columns.size(); ++i) {
+      ok = columns[i] < schema_.num_columns() &&
+           !schema_.IsPrimaryKeyColumn(columns[i]) &&
+           HasColumnType(columns[i], values[i]);
+    }
+    return ok;
+  }
+
   Schema schema_;
 
  private:
+  bool HasColumnType(ColumnId col, const Value& value) const {
+    return value.is_valid() && value.type() == schema_.column(col).type;
+  }
+
   uint64_t data_version_ = 0;
 };
 

@@ -12,21 +12,19 @@ std::unique_ptr<RowTable> RowTable::Create(Schema schema, Options options) {
 RowTable::RowTable(Schema schema, Options options)
     : PhysicalTable(std::move(schema)), arena_(options.arena_chunk_bytes) {}
 
-Result<RowId> RowTable::Insert(Row row) {
-  HSDB_RETURN_IF_ERROR(ValidateAndCoerceRow(schema_, &row));
-  PrimaryKey pk = PrimaryKey::FromRow(schema_, row);
-  if (pk_index_.find(pk) != pk_index_.end()) {
-    return Status::AlreadyExists("duplicate primary key " + pk.ToString());
-  }
+RowId RowTable::Insert(Row row) {
+  HSDB_DCHECK(IsTypedRow(row));
+  const RowId rid = slots_.size();
+  const bool indexed =
+      pk_index_.emplace(PrimaryKey::FromRow(schema_, row), rid).second;
+  HSDB_CHECK_MSG(indexed, "duplicate primary key reached the row store");
   std::byte* slot = arena_.Allocate(schema_.row_stride());
   for (ColumnId col = 0; col < row.size(); ++col) {
     WriteCell(slot, col, row[col]);
   }
-  RowId rid = slots_.size();
   slots_.push_back(slot);
   live_.PushBack(true);
   ++live_count_;
-  pk_index_.emplace(std::move(pk), rid);
   for (auto& [col, index] : indexes_) {
     (void)index;
     IndexInsert(col, rid);
@@ -35,57 +33,30 @@ Result<RowId> RowTable::Insert(Row row) {
   return rid;
 }
 
-Status RowTable::UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
-                           const Row& values) {
-  if (!IsLive(rid)) return Status::NotFound("row id not live");
-  if (columns.size() != values.size()) {
-    return Status::InvalidArgument("columns/values arity mismatch");
-  }
-  // Validate + coerce before mutating anything.
-  Row coerced = values;
-  for (size_t i = 0; i < columns.size(); ++i) {
-    ColumnId col = columns[i];
-    if (col >= schema_.num_columns()) {
-      return Status::InvalidArgument("column id out of range");
-    }
-    if (schema_.IsPrimaryKeyColumn(col)) {
-      return Status::NotSupported("updating primary-key columns");
-    }
-    DataType want = schema_.column(col).type;
-    if (!coerced[i].is_valid()) {
-      return Status::InvalidArgument("invalid update value");
-    }
-    if (coerced[i].type() != want) {
-      Value out;
-      if (!coerced[i].CoerceTo(want, &out)) {
-        return Status::InvalidArgument("type mismatch updating column " +
-                                       schema_.column(col).name);
-      }
-      coerced[i] = std::move(out);
-    }
-  }
+void RowTable::UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
+                         const Row& values) {
+  HSDB_CHECK(IsLive(rid));
+  HSDB_DCHECK(IsTypedUpdate(columns, values));
   std::byte* slot = slots_[rid];
   for (size_t i = 0; i < columns.size(); ++i) {
     ColumnId col = columns[i];
     if (indexes_.find(col) != indexes_.end()) IndexErase(col, rid);
-    WriteCell(slot, col, coerced[i]);
+    WriteCell(slot, col, values[i]);
     if (indexes_.find(col) != indexes_.end()) IndexInsert(col, rid);
   }
   BumpDataVersion();
-  return Status::OK();
 }
 
-Status RowTable::DeleteRow(RowId rid) {
-  if (!IsLive(rid)) return Status::NotFound("row id not live");
+void RowTable::DeleteRow(RowId rid) {
+  HSDB_CHECK(IsLive(rid));
   for (auto& [col, index] : indexes_) {
     (void)index;
     IndexErase(col, rid);
   }
-  pk_index_.erase(PrimaryKey::FromRow(schema_, GetRow(rid)));
+  pk_index_.erase(KeyAt(rid));
   live_.Clear(rid);
   --live_count_;
   BumpDataVersion();
-  return Status::OK();
 }
 
 std::optional<RowId> RowTable::FindByPk(const PrimaryKey& pk) const {
@@ -185,9 +156,7 @@ Status RowTable::CreateSortedIndex(ColumnId col) {
   if (schema_.column(col).type == DataType::kVarchar) {
     return Status::NotSupported("sorted index on VARCHAR column");
   }
-  if (HasSortedIndex(col)) {
-    return Status::AlreadyExists("index already exists");
-  }
+  if (HasSortedIndex(col)) return Status::OK();
   auto [it, ok] = indexes_.emplace(col, BPlusTree<IndexKey>());
   (void)ok;
   live_.ForEachSet([&](size_t rid) {

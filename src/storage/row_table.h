@@ -47,10 +47,10 @@ class RowTable final : public PhysicalTable {
   }
   const Bitmap& live_bitmap() const override { return live_; }
 
-  Result<RowId> Insert(Row row) override;
-  Status UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
-                   const Row& values) override;
-  Status DeleteRow(RowId rid) override;
+  RowId Insert(Row row) override;
+  void UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
+                 const Row& values) override;
+  void DeleteRow(RowId rid) override;
   std::optional<RowId> FindByPk(const PrimaryKey& pk) const override;
   Value GetValue(RowId rid, ColumnId col) const override;
   Row GetRow(RowId rid) const override;
@@ -64,7 +64,8 @@ class RowTable final : public PhysicalTable {
   // Row-store specific API --------------------------------------------------
 
   /// Builds a B+-tree index over a numeric column. Existing rows are
-  /// indexed; subsequent mutations maintain the index.
+  /// indexed; subsequent mutations maintain the index. A second call for
+  /// the same column is a no-op.
   Status CreateSortedIndex(ColumnId col);
   bool HasSortedIndex(ColumnId col) const {
     return indexes_.find(col) != indexes_.end();

@@ -25,6 +25,17 @@ std::unique_ptr<LogicalTable> Make(TableLayout layout) {
   return std::move(r).value();
 }
 
+// The layouts every DML-boundary test runs over: both single stores and a
+// vertical split (status in a row-store piece, the rest in a column store).
+std::vector<TableLayout> DmlLayouts() {
+  TableLayout split = TableLayout::SingleStore(StoreType::kColumn);
+  split.vertical = VerticalSpec{{1}};
+  return {TableLayout::SingleStore(StoreType::kRow),
+          TableLayout::SingleStore(StoreType::kColumn), split};
+}
+
+PrimaryKey Pk(int64_t id) { return PrimaryKey::Of(Value(id)); }
+
 TEST(LogicalTableTest, UnpartitionedSingleFragment) {
   auto t = Make(TableLayout::SingleStore(StoreType::kRow));
   ASSERT_EQ(t->groups().size(), 1u);
@@ -156,16 +167,19 @@ TEST(LogicalTableTest, UpdatePartitionColumnRejected) {
 }
 
 TEST(LogicalTableTest, DeleteRemovesFromAllFragments) {
-  TableLayout layout;
-  layout.base_store = StoreType::kColumn;
-  layout.vertical = VerticalSpec{{1}};
-  auto t = Make(layout);
-  for (int64_t i = 0; i < 10; ++i) ASSERT_TRUE(t->Insert(OrderRow(i)).ok());
-  ASSERT_TRUE(t->DeleteByPk(PrimaryKey::Of(Value(int64_t{4}))).ok());
-  EXPECT_EQ(t->row_count(), 9u);
-  EXPECT_FALSE(t->GetByPk(PrimaryKey::Of(Value(int64_t{4}))).ok());
-  EXPECT_EQ(t->DeleteByPk(PrimaryKey::Of(Value(int64_t{4}))).code(),
-            StatusCode::kNotFound);
+  for (const TableLayout& layout : DmlLayouts()) {
+    SCOPED_TRACE(layout.ToString());
+    auto t = Make(layout);
+    for (int64_t i = 0; i < 10; ++i) ASSERT_TRUE(t->Insert(OrderRow(i)).ok());
+    const PrimaryKey pk = PrimaryKey::Of(Value(int64_t{4}));
+    ASSERT_TRUE(t->DeleteByPk(pk).ok());
+    EXPECT_EQ(t->row_count(), 9u);
+    EXPECT_FALSE(t->GetByPk(pk).ok());
+    EXPECT_EQ(t->DeleteByPk(pk).code(), StatusCode::kNotFound);
+    // The deleted key can come back.
+    ASSERT_TRUE(t->Insert(OrderRow(4)).ok());
+    EXPECT_EQ(*t->GetByPk(pk), OrderRow(4));
+  }
 }
 
 TEST(LogicalTableTest, ForEachRowStitchesAcrossFragments) {
@@ -183,6 +197,92 @@ TEST(LogicalTableTest, ForEachRowStitchesAcrossFragments) {
   });
   EXPECT_EQ(rows, 10u);
   EXPECT_DOUBLE_EQ(amount_sum, 2.0 * 45);
+}
+
+TEST(LogicalTableTest, InsertValidatesArityAndTypes) {
+  for (const TableLayout& layout : DmlLayouts()) {
+    SCOPED_TRACE(layout.ToString());
+    auto t = Make(layout);
+    EXPECT_EQ(t->Insert({int64_t{1}}).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(t->Insert({int64_t{1}, "x", 1.0, "y"}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(t->Insert({int64_t{1}, Value(), 1.0, "y"}).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(t->row_count(), 0u);
+    // int32 literals coerce to the INT64 id and DOUBLE amount columns.
+    ASSERT_TRUE(t->Insert({int32_t{2}, int32_t{1}, int32_t{3}, "y"}).ok());
+    Result<Row> row = t->GetByPk(PrimaryKey::Of(Value(int64_t{2})));
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(*row, (Row{int64_t{2}, int32_t{1}, 3.0, "y"}));
+  }
+}
+
+TEST(LogicalTableTest, InsertRejectsDuplicateKey) {
+  for (const TableLayout& layout : DmlLayouts()) {
+    SCOPED_TRACE(layout.ToString());
+    auto t = Make(layout);
+    ASSERT_TRUE(t->Insert(OrderRow(1)).ok());
+    t->ForceMerge();
+    // 1 is in the main part of column pieces now; 2 stays in the delta.
+    EXPECT_EQ(t->Insert(OrderRow(1)).code(), StatusCode::kAlreadyExists);
+    ASSERT_TRUE(t->Insert(OrderRow(2)).ok());
+    EXPECT_EQ(t->Insert(OrderRow(2)).code(), StatusCode::kAlreadyExists);
+    EXPECT_EQ(t->row_count(), 2u);
+  }
+}
+
+TEST(LogicalTableTest, UpdateRejectsBadInput) {
+  for (const TableLayout& layout : DmlLayouts()) {
+    SCOPED_TRACE(layout.ToString());
+    auto t = Make(layout);
+    ASSERT_TRUE(t->Insert(OrderRow(1)).ok());
+    EXPECT_EQ(t->UpdateByPk(Pk(1), {1}, {}).code(),
+              StatusCode::kInvalidArgument);  // arity
+    EXPECT_EQ(t->UpdateByPk(Pk(1), {1}, {Value("x")}).code(),
+              StatusCode::kInvalidArgument);  // type
+    EXPECT_EQ(t->UpdateByPk(Pk(1), {2}, {Value()}).code(),
+              StatusCode::kInvalidArgument);  // invalid value
+    EXPECT_EQ(t->UpdateByPk(Pk(1), {9}, {Value(1.0)}).code(),
+              StatusCode::kInvalidArgument);  // column range
+    EXPECT_EQ(t->UpdateByPk(Pk(99), {1}, {int32_t{5}}).code(),
+              StatusCode::kNotFound);  // unknown key
+    EXPECT_EQ(*t->GetByPk(Pk(1)), OrderRow(1));
+    // A lossless literal coerces to the column type before any store sees it.
+    ASSERT_TRUE(t->UpdateByPk(Pk(1), {2}, {int32_t{5}}).ok());
+    const Value amount = (*t->GetByPk(Pk(1)))[2];
+    EXPECT_EQ(amount.type(), DataType::kDouble);
+    EXPECT_DOUBLE_EQ(amount.as_double(), 5.0);
+  }
+}
+
+TEST(LogicalTableTest, UpdateRejectsPkColumn) {
+  for (const TableLayout& layout : DmlLayouts()) {
+    SCOPED_TRACE(layout.ToString());
+    auto t = Make(layout);
+    ASSERT_TRUE(t->Insert(OrderRow(1)).ok());
+    EXPECT_EQ(t->UpdateByPk(Pk(1), {0}, {int64_t{2}}).code(),
+              StatusCode::kNotSupported);
+    EXPECT_EQ(*t->GetByPk(Pk(1)), OrderRow(1));
+  }
+}
+
+// A vertical split writes its fragments one after the other: a value the
+// second fragment cannot take must be rejected before the first is written,
+// with or without a shadow rebuild's op log attached.
+TEST(LogicalTableTest, RejectedUpdateLeavesEveryFragmentUnchanged) {
+  for (bool logged : {false, true}) {
+    SCOPED_TRACE(logged ? "op log attached" : "no op log");
+    auto t = Make(DmlLayouts()[2]);
+    ASSERT_TRUE(t->Insert(OrderRow(1)).ok());
+    TableOpLog log;
+    if (logged) t->AttachOpLog(&log);
+    EXPECT_EQ(
+        t->UpdateByPk(Pk(1), {1, 2}, {int32_t{42}, "not-a-number"}).code(),
+        StatusCode::kInvalidArgument);
+    EXPECT_EQ(*t->GetByPk(Pk(1)), OrderRow(1));
+    EXPECT_EQ(log.pending(), 0u);
+    t->DetachOpLog();
+  }
 }
 
 // Builds a database holding "orders" (row store, ids 0..n-1) with id 10
