@@ -144,6 +144,8 @@ RowId ColumnTable::Insert(Row row) {
 void ColumnTable::UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
                             const Row& values) {
   HSDB_CHECK(IsLive(rid));
+  HSDB_CHECK_MSG(!UpdatesKey(columns),
+                 "primary-key column update reached the column store");
   HSDB_DCHECK(IsTypedUpdate(columns, values));
   // Tuple reconstruction: read the full row, tombstone it and re-insert the
   // modified tuple into the delta. This is the column store's expensive

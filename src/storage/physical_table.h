@@ -52,8 +52,9 @@ class PhysicalTable {
   // column ranges, coerces every cell to its column's type, rejects updates
   // of key columns and probes the primary key across all row groups before
   // it calls a store. The stores trust that work: they re-check the typing
-  // only in Debug builds (HSDB_DCHECK) and keep two release-mode invariants,
-  // a live row id and a key that is not yet indexed (HSDB_CHECK aborts).
+  // only in Debug builds (HSDB_DCHECK) and keep three release-mode
+  // invariants, a live row id, a key that is not yet indexed and no update of
+  // a key column (HSDB_CHECK aborts).
 
   /// Appends `row` and indexes its key. Preconditions: `row` has the
   /// schema's arity and every cell its column's type; its primary key is not
@@ -161,10 +162,17 @@ class PhysicalTable {
     bool ok = columns.size() == values.size();
     for (size_t i = 0; ok && i < columns.size(); ++i) {
       ok = columns[i] < schema_.num_columns() &&
-           !schema_.IsPrimaryKeyColumn(columns[i]) &&
            HasColumnType(columns[i], values[i]);
     }
     return ok;
+  }
+
+  /// Release-mode check that an update leaves the key cells alone.
+  bool UpdatesKey(const std::vector<ColumnId>& columns) const {
+    for (ColumnId col : columns) {
+      if (schema_.IsPrimaryKeyColumn(col)) return true;
+    }
+    return false;
   }
 
   Schema schema_;

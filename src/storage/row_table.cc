@@ -36,6 +36,8 @@ RowId RowTable::Insert(Row row) {
 void RowTable::UpdateRow(RowId rid, const std::vector<ColumnId>& columns,
                          const Row& values) {
   HSDB_CHECK(IsLive(rid));
+  HSDB_CHECK_MSG(!UpdatesKey(columns),
+                 "primary-key column update reached the row store");
   HSDB_DCHECK(IsTypedUpdate(columns, values));
   std::byte* slot = slots_[rid];
   for (size_t i = 0; i < columns.size(); ++i) {

@@ -95,6 +95,22 @@ TEST(ColumnTableTest, DuplicatePkRejectedAcrossMainAndDelta) {
   EXPECT_DEATH(t->Insert(MakeTestRow(2)), "duplicate primary key");
 }
 
+// LogicalTable rejects key-column updates with NotSupported
+// (LogicalTableTest.UpdateRejectsPkColumn); one that still reaches the store
+// is an engine bug and aborts, for a row in main and in the delta.
+TEST(ColumnTableTest, UpdateRejectsPkColumn) {
+  auto t = ColumnTable::Create(TestSchema(), NoAutoMerge());
+  RowId in_main = t->Insert(MakeTestRow(1));
+  t->MergeDelta();
+  RowId in_delta = t->Insert(MakeTestRow(2));
+  EXPECT_DEATH(t->UpdateRow(in_main, {0}, {int64_t{3}}),
+               "primary-key column update");
+  EXPECT_DEATH(t->UpdateRow(in_delta, {0}, {int64_t{3}}),
+               "primary-key column update");
+  EXPECT_EQ(t->GetRow(in_main), MakeTestRow(1));
+  EXPECT_EQ(t->GetRow(in_delta), MakeTestRow(2));
+}
+
 TEST(ColumnTableTest, UpdateIsTombstonePlusReinsert) {
   auto t = ColumnTable::Create(TestSchema(), NoAutoMerge());
   for (int64_t i = 0; i < 10; ++i) t->Insert(MakeTestRow(i));

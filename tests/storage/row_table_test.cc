@@ -39,6 +39,17 @@ TEST(RowTableTest, DuplicatePkRejected) {
   EXPECT_DEATH(t->Insert(MakeTestRow(1)), "duplicate primary key");
 }
 
+// LogicalTable rejects key-column updates with NotSupported
+// (LogicalTableTest.UpdateRejectsPkColumn); one that still reaches the store
+// would desynchronize its key index, so it aborts.
+TEST(RowTableTest, UpdateRejectsPkColumn) {
+  auto t = RowTable::Create(TestSchema());
+  RowId rid = t->Insert(MakeTestRow(1));
+  EXPECT_DEATH(t->UpdateRow(rid, {0}, {int64_t{2}}),
+               "primary-key column update");
+  EXPECT_EQ(t->GetRow(rid), MakeTestRow(1));
+}
+
 TEST(RowTableTest, FindByPk) {
   auto t = RowTable::Create(TestSchema());
   for (int64_t i = 0; i < 100; ++i) t->Insert(MakeTestRow(i));
