@@ -1,9 +1,11 @@
 // Serving tour: the full client/server path from docs/ARCHITECTURE.md §9.
 // An in-process SocketServer fronts the database; every statement in this
 // demo travels the wire as a line-protocol request from a server::Client —
-// nothing calls Database::Execute directly. Four concurrent client threads
-// are enough for the admission queue to drain multi-query batches, so the
-// analytic phase runs as shared-scan groups (one decode pass per predicate
+// nothing calls Database::Execute directly. A client's connection thread
+// drains the admission queue itself while one of the server's drain slots
+// (one per core the scan pool leaves free) is free. The tour runs twice as
+// many client threads as there are slots, so the analytic phase's extra
+// scans queue and run as shared-scan groups (one decode pass per predicate
 // column, fanned out to every member query).
 //
 // The advisor rides the same stream: StartRecording installs the
@@ -31,30 +33,30 @@ using namespace hsdb;
 
 namespace {
 
-constexpr int kClients = 4;
-
-/// Issues every request in `reqs` striped across kClients connections (one
-/// server::Client per thread — concurrency across connections is what lets
-/// the server form shared-scan batches). Returns transport + "err" counts.
-size_t RunOverTheWire(uint16_t port, const std::vector<std::string>& reqs) {
-  std::vector<size_t> failed(kClients, 0);
+/// Issues every request in `reqs` striped across `clients` connections (one
+/// server::Client per thread — concurrency across connections beyond the
+/// drain slots is what lets the server form shared-scan batches). Returns
+/// transport + "err" counts.
+size_t RunOverTheWire(uint16_t port, size_t clients,
+                      const std::vector<std::string>& reqs) {
+  std::vector<size_t> failed(clients, 0);
   std::vector<std::thread> threads;
-  threads.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
+  threads.reserve(clients);
+  for (size_t c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       server::Client client;
       if (!client.Connect("127.0.0.1", port).ok()) {
-        failed[c] = (reqs.size() + kClients - 1 - c) / kClients;
+        failed[c] = (reqs.size() + clients - 1 - c) / clients;
         return;
       }
-      for (size_t i = c; i < reqs.size(); i += kClients) {
+      for (size_t i = c; i < reqs.size(); i += clients) {
         Result<server::Reply> reply = client.RoundTrip(reqs[i]);
         if (!reply.ok() || !reply->ok) ++failed[c];
       }
     });
   }
   size_t total = 0;
-  for (int c = 0; c < kClients; ++c) {
+  for (size_t c = 0; c < clients; ++c) {
     threads[c].join();
     total += failed[c];
   }
@@ -157,8 +159,10 @@ int main() {
 
   server::SocketServer server(&db);
   HSDB_CHECK(server.Start().ok());
-  std::printf("serving on 127.0.0.1:%u (%d wire clients)\n\n", server.port(),
-              kClients);
+  const size_t clients = 2 * server.drain_slots();
+  std::printf(
+      "serving on 127.0.0.1:%u (%zu drain slots, %zu wire clients)\n\n",
+      server.port(), server.drain_slots(), clients);
 
   // A taste of the protocol on one quiet connection — including an error
   // reply, which is connection-local: the same connection keeps working.
@@ -179,7 +183,8 @@ int main() {
 
   // Transactional period over the wire, then the initial online design.
   std::printf("phase 1: OLTP over the wire (600 requests)...\n");
-  size_t failed = RunOverTheWire(server.port(), OltpRequests(rows, 600, 1));
+  size_t failed =
+      RunOverTheWire(server.port(), clients, OltpRequests(rows, 600, 1));
   if (failed > 0) std::printf("  !! %zu request(s) failed\n", failed);
   Result<Recommendation> rec = advisor.RecommendOnline();
   HSDB_CHECK(rec.ok());
@@ -197,9 +202,9 @@ int main() {
   AdaptationController& controller = advisor.StartAutoAdapt(options);
 
   std::printf("\nphase 2: analytic shift over the wire (600 requests)...\n");
-  failed = RunOverTheWire(server.port(), OlapRequests(300, 2));
+  failed = RunOverTheWire(server.port(), clients, OlapRequests(300, 2));
   std::thread overlap([&] {
-    failed += RunOverTheWire(server.port(), OlapRequests(300, 3));
+    failed += RunOverTheWire(server.port(), clients, OlapRequests(300, 3));
   });
   AdaptationLogEntry entry = controller.Tick();
   overlap.join();

@@ -84,15 +84,17 @@ std::vector<Result<QueryResult>> BatchExecutor::ExecuteBatch(
   }
   for (const auto& [table, group] : groups) {
     // A lone read gains nothing from the shared pass.
-    if (group.size() > 1) ExecuteSharedGroup(table, group);
-    // Shared members are accounted first, back to back, so their slow-query
-    // records stay adjacent; the rest run per statement afterwards, outside
-    // the group's reader lock (see header).
+    const size_t width =
+        group.size() > 1 ? ExecuteSharedGroup(table, group) : 0;
+    // Shared members are accounted first, each with the group's width (its
+    // slow-query record need not sit next to its co-members': concurrent
+    // drainers interleave records); the rest run per statement afterwards,
+    // outside the group's reader lock (see header).
     for (SharedRead* m : group) {
       if (!m->plan.has_value()) continue;
       telemetry::ScopedQueueWait wait(m->queue_wait_ms);
       m->result = db_->FinishStatement(*m->query, std::move(m->result),
-                                       m->predicted_ms, /*shared=*/true);
+                                       m->predicted_ms, width);
     }
     for (SharedRead* m : group) {
       if (m->plan.has_value()) continue;
@@ -130,11 +132,11 @@ void BatchExecutor::MaterializeMember(SharedRead* m) const {
   result = rp::FinalizeAggregation(q, grouped, totals, group_map);
 }
 
-void BatchExecutor::ExecuteSharedGroup(
+size_t BatchExecutor::ExecuteSharedGroup(
     const std::string& table_name, const std::vector<SharedRead*>& members) {
   Stopwatch sw;
   const ParallelContext& parallel = db_->parallel();
-  // The batch worker thread has no tracer installed, so without this the
+  // No per-statement tracer is installed around a batch, so without this the
   // scan_shared span would vanish. One tracer covers the whole group; every
   // shared member gets the same finished tree (the group IS their
   // execution), which is what `explain analyze` renders for batched reads.
@@ -149,17 +151,23 @@ void BatchExecutor::ExecuteSharedGroup(
     std::shared_lock<std::shared_mutex> rd(sync->rw);
 
     // Bind every member; predict the shared ones under the same lock, before
-    // the shared pass, exactly where a serial statement predicts.
+    // the shared pass, exactly where a serial statement predicts. Fewer than
+    // two shareable plans share nothing: those run per statement.
     for (SharedRead* m : members) {
       Result<rp::ReadPlan> plan = rp::Bind(db_->catalog(), *m->query);
       if (!plan.ok() || !plan->shareable) continue;
       m->plan = std::move(plan).value();
+      shared.push_back(m);
+    }
+    if (shared.size() < 2) {
+      for (SharedRead* m : shared) m->plan.reset();
+      return 0;
+    }
+    for (SharedRead* m : shared) {
       m->bitmaps.resize(m->plan->groups.size());
       m->result = QueryResult();
       if (tracer.has_value()) m->predicted_ms = db_->PredictCost(*m->query);
-      shared.push_back(m);
     }
-    if (shared.empty()) return;
     // As for a serial statement, lock wait and prediction are not part of
     // the observed time.
     sw.Restart();
@@ -213,6 +221,7 @@ void BatchExecutor::ExecuteSharedGroup(
     m->result->elapsed_ms = share_ms;
     m->result->trace = tree;
   }
+  return shared.size();
 }
 
 }  // namespace hsdb

@@ -5,14 +5,14 @@
 // The server admits a query only if Shareable(): a single-table read whose
 // readpath::Bind plan is `shareable`; everything else runs per statement
 // on the connection's thread. ExecuteBatch executes reads only (any other
-// member gets an error, unrun) and groups them by table. A group of two or
-// more runs under one epoch pin and reader lock: one MultiFilterRangeSlice
-// pass per predicate column fills every member's selection bitmap (one
-// decode fans out to all bitmaps, morsel by morsel on the scan pool), then
-// each member materializes through the per-statement scan kernel. A lone
-// member, or one whose plan stopped being shareable since admission (e.g.
-// a MigrateShadow cut-over), runs through Database::Execute, so the batch
-// path never changes semantics, only cost.
+// member gets an error, unrun) and groups them by table. A group with two
+// or more shareable plans runs them under one epoch pin and reader lock:
+// one MultiFilterRangeSlice pass per predicate column fills every member's
+// selection bitmap (one decode fans out to all bitmaps, morsel by morsel on
+// the scan pool), then each member materializes through the per-statement
+// scan kernel. A lone member, or one whose plan stopped being shareable
+// since admission (e.g. a MigrateShadow cut-over), runs through
+// Database::Execute, so the batch path never changes semantics, only cost.
 //
 // Equivalence guarantee (tests/executor/batch_equivalence_test.cc): per
 // query the result is bit-identical to one-at-a-time execution at every
@@ -30,10 +30,16 @@
 // time / group width): that is the cost a co-running client actually pays,
 // and it is what the workload recorder should feed the advisor's batch-
 // aware cost model. Shared members are accounted by the same
-// Database::FinishStatement step as serial statements, back to back per
-// group: with telemetry on each gets a prediction taken under the group's
-// reader lock before the shared pass, and its share feeds the cost-residual
-// stream (the cost model prices shared scans through its batch width).
+// Database::FinishStatement step as serial statements, each with its
+// group's width (SlowlogRecord::group_width): with telemetry on each gets a
+// prediction taken under the group's reader lock before the shared pass,
+// and its share feeds the cost-residual stream (the cost model prices
+// shared scans through its batch width).
+//
+// The server calls ExecuteBatch from every reader that holds a drain slot
+// (server/admission_queue.h), so batches run concurrently; they share only
+// the Database and its scan pool, whose ParallelFor takes concurrent
+// callers.
 #ifndef HSDB_EXECUTOR_BATCH_EXECUTOR_H_
 #define HSDB_EXECUTOR_BATCH_EXECUTOR_H_
 
@@ -76,10 +82,11 @@ class BatchExecutor {
   struct SharedRead;
 
   /// Executes one same-table group of reads under a single epoch pin +
-  /// reader lock. Members whose plan is shareable get their plan,
-  /// prediction and result filled; the rest are left unrun.
-  void ExecuteSharedGroup(const std::string& table_name,
-                          const std::vector<SharedRead*>& members);
+  /// reader lock. When two or more members' plans are shareable, those get
+  /// their plan, prediction and result filled and their count (the group's
+  /// width) is returned; otherwise 0. Every other member is left unrun.
+  size_t ExecuteSharedGroup(const std::string& table_name,
+                            const std::vector<SharedRead*>& members);
 
   /// Materializes one member's result from its shared-pass bitmaps through
   /// the serial read-path code.

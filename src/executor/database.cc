@@ -180,13 +180,13 @@ Result<QueryResult> Database::Execute(const Query& query) {
     }
   }
   return FinishStatement(query, std::move(executed), predicted_ms,
-                         /*shared=*/false);
+                         /*group_width=*/1);
 }
 
 Result<QueryResult> Database::FinishStatement(const Query& query,
                                               Result<QueryResult> executed,
                                               double predicted_ms,
-                                              bool shared) {
+                                              size_t group_width) {
   const QueryKind kind = KindOf(query);
   const bool telemetry_on = TelemetryOn();
   if (!executed.ok()) {
@@ -211,7 +211,8 @@ Result<QueryResult> Database::FinishStatement(const Query& query,
         record.elapsed_ms = result.elapsed_ms;
         record.queue_wait_ms = telemetry::CurrentQueueWaitMs();
         record.predicted_cost_ms = predicted_ms;
-        record.shared = shared;
+        record.shared = group_width > 1;
+        record.group_width = group_width;
         if (result.trace != nullptr) {
           std::ostringstream phases;
           for (size_t i = 0; i < result.trace->children.size(); ++i) {

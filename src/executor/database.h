@@ -236,11 +236,12 @@ class Database {
   /// error counters, the latency histogram, the slow-query record and — when
   /// `predicted_ms` >= 0 — the prediction stamp and the cost-feedback
   /// residual. Always: observer notification. `executed` carries its
-  /// elapsed_ms and trace; `shared` marks a shared-scan batch member, whose
-  /// elapsed_ms is its amortized share of the group.
+  /// elapsed_ms and trace; `group_width` is 1 for a per-statement run and
+  /// the group's width for a shared-scan batch member, whose elapsed_ms is
+  /// its amortized share of the group.
   Result<QueryResult> FinishStatement(const Query& query,
                                       Result<QueryResult> executed,
-                                      double predicted_ms, bool shared);
+                                      double predicted_ms, size_t group_width);
   void AfterStatementMaintenance(const Query& query);
   QueryObserver* observer() const {
     return observer_.load(std::memory_order_acquire);

@@ -1,23 +1,31 @@
-// AdmissionQueue: the bounded hand-off between connection threads and the
-// batch worker. Connection threads TryPush one admitted query each (and are
-// told "busy" instead of blocking when the queue is full — back-pressure is
-// the client's problem, not the server's memory); the worker PopBatches up
-// to max_batch queued queries at once, which is where shared-scan batches
-// come from: concurrency in the queue *is* the batch width.
+// AdmissionQueue: the bounded hand-off between the connection readers that
+// admit shareable reads and the readers that drain them. A reader TryPushes
+// one admitted query (and is told "busy" instead of blocking when the queue
+// is full — back-pressure is the client's problem, not the server's
+// memory). While fewer than `slots` drainers are active, the push also makes
+// the pusher a drainer: it PopBatchOrRetires up to max_batch queued queries
+// at a time and executes them until the queue is empty. Once every slot is
+// taken, pushes just queue, and the active drainers pick them up as one
+// shared-scan batch: concurrency beyond the slot count *is* the batch width.
+//
+// The invariant: every queued item has an active drainer. A drainer retires
+// only from PopBatchOrRetire, and only when it finds the queue empty, in the
+// same critical section as the pop; a push that finds every slot taken
+// therefore always has a drainer that will pop it before retiring.
 //
 // Lock rules (docs/CONCURRENCY.md): the queue's internal mutex is a leaf —
 // no table lock, catalog lock or epoch pin is ever taken while holding it,
-// and none of its methods call back into the engine. Connection threads
-// block only on the future of their own admitted query, never on the queue;
-// the worker is the only popper. Close() wakes the worker for shutdown;
-// items still queued at Close are drained by the worker before PopBatch
-// returns false, so every admitted promise is eventually fulfilled.
+// and none of its methods call back into the engine (the only other write
+// under it is the depth gauge's atomic store). Drainers execute their
+// batches outside it. Readers block only on the future of their own admitted
+// query, and only when another drainer owns it. Close() rejects further
+// pushes; items queued before it are still drained by the active drainers,
+// so every admitted promise is eventually fulfilled.
 #ifndef HSDB_SERVER_ADMISSION_QUEUE_H_
 #define HSDB_SERVER_ADMISSION_QUEUE_H_
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <future>
 #include <mutex>
@@ -26,61 +34,84 @@
 #include "common/macros.h"
 #include "executor/query.h"
 #include "executor/result.h"
+#include "telemetry/metrics.h"
 
 namespace hsdb {
 namespace server {
 
-/// One admitted query and the promise its connection thread waits on.
+/// One admitted query and the promise its connection reader waits on.
 struct Admitted {
   Query query;
   std::promise<Result<QueryResult>> reply;
-  /// Stamped at admission; the worker turns it into the queue-wait
+  /// Stamped at admission; the drainer turns it into the queue-wait
   /// histogram and the slow-query log's queue_wait_ms attribution.
   std::chrono::steady_clock::time_point admitted_at;
 };
 
+/// How many readers may drain at once: one per core the scan pool leaves
+/// free. A drainer runs its batch at the database's DOP, which adds
+/// `num_threads - 1` pool workers, so `slots` drainers plus the pool stay
+/// within `hardware_threads` cores. At least 1; 0 cores (unknown) counts
+/// as 1.
+inline size_t DrainSlots(unsigned hardware_threads, int num_threads) {
+  const long cores = std::max(1L, static_cast<long>(hardware_threads));
+  const long pool_workers = std::max(0L, static_cast<long>(num_threads) - 1);
+  return static_cast<size_t>(std::max(1L, cores - pool_workers));
+}
+
 class AdmissionQueue {
  public:
-  explicit AdmissionQueue(size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
+  enum class Push {
+    kRejected,  // full or closed: nothing was queued
+    kQueued,    // queued; an active drainer will execute it
+    kDrain,     // queued, and the caller now holds a drain slot
+  };
+
+  /// `depth_gauge` (optional) is set to the queue depth after every push
+  /// and pop, under the queue mutex, so its last value is the real depth.
+  AdmissionQueue(size_t capacity, size_t slots,
+                 telemetry::Gauge* depth_gauge = nullptr)
+      : capacity_(capacity == 0 ? 1 : capacity),
+        slots_(slots == 0 ? 1 : slots),
+        depth_gauge_(depth_gauge) {}
   HSDB_DISALLOW_COPY_AND_ASSIGN(AdmissionQueue);
 
-  /// Admits one query; false when the queue is full or closed (the caller
-  /// answers "err busy" / "err shutting down" itself).
-  bool TryPush(Admitted item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_one();
-    return true;
+  /// Admits one query. On kDrain the caller must PopBatchOrRetire until it
+  /// returns false; on kRejected it answers "err busy" / "err shutting
+  /// down" itself.
+  Push TryPush(Admitted item) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_ || items_.size() >= capacity_) return Push::kRejected;
+    items_.push_back(std::move(item));
+    SampleDepth();
+    if (drainers_ >= slots_) return Push::kQueued;
+    ++drainers_;
+    return Push::kDrain;
   }
 
-  /// Blocks until at least one item is queued (or the queue is closed),
-  /// then moves up to `max_batch` items into `*out` (cleared first).
-  /// Returns false only when closed *and* drained — the worker's exit
-  /// condition.
-  bool PopBatch(size_t max_batch, std::vector<Admitted>* out) {
+  /// A drainer's next step: moves up to `max_batch` items into `*out`
+  /// (cleared first) and returns true; or, when the queue is empty,
+  /// releases the caller's drain slot and returns false.
+  bool PopBatchOrRetire(size_t max_batch, std::vector<Admitted>* out) {
     out->clear();
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return false;
-    size_t n = std::min(max_batch, items_.size());
+    std::lock_guard<std::mutex> lock(mu_);
+    if (items_.empty()) {
+      --drainers_;
+      return false;
+    }
+    const size_t n = std::min(max_batch, items_.size());
     for (size_t i = 0; i < n; ++i) {
       out->push_back(std::move(items_.front()));
       items_.pop_front();
     }
+    SampleDepth();
     return true;
   }
 
-  /// Rejects further pushes and wakes the worker. Idempotent.
+  /// Rejects further pushes. Idempotent.
   void Close() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
   }
 
   size_t depth() const {
@@ -88,11 +119,27 @@ class AdmissionQueue {
     return items_.size();
   }
 
+  /// Drainers currently holding a slot.
+  size_t drainers() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return drainers_;
+  }
+
+  size_t slots() const { return slots_; }
+
  private:
+  void SampleDepth() {
+    if (depth_gauge_ != nullptr) {
+      depth_gauge_->Set(static_cast<double>(items_.size()));
+    }
+  }
+
   const size_t capacity_;
+  const size_t slots_;
+  telemetry::Gauge* const depth_gauge_;
   mutable std::mutex mu_;
-  std::condition_variable cv_;
   std::deque<Admitted> items_;
+  size_t drainers_ = 0;
   bool closed_ = false;
 };
 

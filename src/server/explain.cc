@@ -58,7 +58,8 @@ void AppendTableLines(const Catalog& catalog, const std::string& name,
 }
 
 /// The access path readpath::Bind picks — the plan the executor runs —
-/// and whether the batch worker could share its scan.
+/// and whether the server would admit it to the admission queue, where it
+/// can share its scan with co-queued reads.
 void AppendPathLines(Database* db, const Query& query,
                      std::vector<std::string>* out) {
   Result<readpath::ReadPlan> plan = readpath::Bind(db->catalog(), query);

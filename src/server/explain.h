@@ -2,7 +2,8 @@
 // window into the advisor's cost model. `explain` shows what the engine
 // *predicts* — per-table layout, per-column codecs, the estimated cost from
 // the installed predictor, and the access path readpath::Bind picks (the
-// plan the executor runs) with whether the batch worker could share it.
+// plan the executor runs) with whether the server would admit it to the
+// admission queue, where it can join a shared-scan batch.
 // `explain analyze` executes the query and puts the observed trace-span
 // tree next to the prediction, making the cost model's honesty inspectable
 // one query at a time (the aggregate form lives in the cost-feedback

@@ -185,6 +185,8 @@ std::string HttpEndpoint::StatusJson() {
                  "Queries refused because the admission queue was full.");
   out += ",\"queue_depth\":" +
          std::to_string(server_ != nullptr ? server_->queue_depth() : 0);
+  out += ",\"drain_slots\":" +
+         std::to_string(server_ != nullptr ? server_->drain_slots() : 0);
   out += ",\"slow_queries\":" + std::to_string(db_->slowlog().slow_total());
   out += ",\"epoch\":{";
   out += "\"current\":" + std::to_string(epochs.epoch());

@@ -10,8 +10,8 @@
 //   GET /metrics  Prometheus text exposition 0.0.4 of the live registry
 //   GET /status   engine status as one JSON object: uptime, layout epoch,
 //                 query/error counts, latency percentiles, admission-queue
-//                 depth, epoch-pin state, adaptation-controller state,
-//                 cost-feedback residuals
+//                 depth and drain slots, epoch-pin state, adaptation-
+//                 controller state, cost-feedback residuals
 //   GET /slowlog  recent slow queries as a JSON array (telemetry/slowlog.h)
 //
 // Robustness mirrors the line-protocol contract: malformed or oversized
@@ -50,8 +50,8 @@ class HttpEndpoint {
   HSDB_DISALLOW_COPY_AND_ASSIGN(HttpEndpoint);
 
   /// Attaches the query-serving front-end so /status can report the live
-  /// admission-queue depth. Optional; call before Start. The server must
-  /// outlive the endpoint.
+  /// admission-queue depth and its drain slots. Optional; call before
+  /// Start. The server must outlive the endpoint.
   void set_server(const SocketServer* server) { server_ = server; }
 
   /// Binds 127.0.0.1:<port> and starts the listener.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "common/epoch.h"
@@ -14,10 +15,24 @@
 namespace hsdb {
 namespace server {
 
+namespace {
+
+telemetry::Gauge* QueueDepthGauge(Database* db) {
+  if (!telemetry::kCompiledIn) return nullptr;
+  return &db->metrics().GetGauge(
+      "hsdb_server_queue_depth",
+      "Admission-queue depth after the latest admit or drain.");
+}
+
+}  // namespace
+
 SocketServer::SocketServer(Database* db, Options options)
     : db_(db),
       options_(options),
-      queue_(options.queue_capacity),
+      queue_(options.queue_capacity,
+             DrainSlots(std::thread::hardware_concurrency(),
+                        db->num_threads()),
+             QueueDepthGauge(db)),
       batch_(db),
       listener_(&db->metrics(), "line",
                 [this](int fd) { ServeConnection(fd); }) {
@@ -36,7 +51,7 @@ SocketServer::SocketServer(Database* db, Options options)
       "Queries refused because the admission queue was full.");
   batches_total_ = &metrics.GetCounter(
       "hsdb_server_batches_total",
-      "Admission-queue batches drained by the serving worker.");
+      "Admission-queue batches drained by connection readers.");
   batch_width_ = &metrics.GetHistogram(
       "hsdb_server_batch_width",
       "Queries per drained admission batch (shared-scan width).");
@@ -50,9 +65,6 @@ SocketServer::SocketServer(Database* db, Options options)
       "Batch-group formation latency: the oldest member's queue wait when "
       "its batch was drained.",
       {}, /*min_bound=*/1e-4);
-  queue_depth_ = &metrics.GetGauge(
-      "hsdb_server_queue_depth",
-      "Admission-queue depth sampled after each admit and drain.");
 }
 
 SocketServer::SocketServer(Database* db)
@@ -66,27 +78,23 @@ bool SocketServer::TelemetryOn() const {
 
 Status SocketServer::Start() {
   stopping_.store(false, std::memory_order_release);
-  HSDB_RETURN_IF_ERROR(listener_.Start(options_.port));
-  worker_thread_ = std::thread(&SocketServer::WorkerLoop, this);
-  return Status::OK();
+  return listener_.Start(options_.port);
 }
 
 void SocketServer::Stop() {
-  if (!worker_thread_.joinable()) return;
   stopping_.store(true, std::memory_order_release);
-  // Readers may be blocked on futures only the worker fulfills, so the
-  // worker must outlive them: stop the listener (which joins every reader)
-  // before closing the queue; the worker drains it and exits.
+  // A reader that holds a drain slot keeps it until the queue is empty, so
+  // joining the readers drains every admitted read; nothing can push after
+  // that, and Close() only makes late pushes fail fast.
   listener_.Stop();
   queue_.Close();
-  worker_thread_.join();
 }
 
-void SocketServer::WorkerLoop() {
+void SocketServer::Drain() {
   std::vector<Admitted> batch;
   std::vector<Query> queries;
   std::vector<double> waits_ms;
-  while (queue_.PopBatch(options_.max_batch, &batch)) {
+  while (queue_.PopBatchOrRetire(options_.max_batch, &batch)) {
     const auto drained_at = std::chrono::steady_clock::now();
     queries.clear();
     queries.reserve(batch.size());
@@ -105,11 +113,10 @@ void SocketServer::WorkerLoop() {
       batches_total_->Increment();
       batch_width_->Observe(static_cast<double>(batch.size()));
       // Formation latency = how long the batch's oldest member waited for
-      // enough co-runners (or for the worker) — the number a future
-      // scheduler's drain policy will be tuned against.
+      // co-runners or for a drainer — the number a future scheduler's
+      // drain policy will be tuned against.
       batch_formation_ms_->Observe(oldest_wait_ms);
       for (double wait_ms : waits_ms) queue_wait_ms_->Observe(wait_ms);
-      queue_depth_->Set(static_cast<double>(queue_.depth()));
     }
     std::vector<Result<QueryResult>> results =
         batch_.ExecuteBatch(queries, &waits_ms);
@@ -199,8 +206,8 @@ std::string SocketServer::HandleControl(const Request& request) {
 
 std::string SocketServer::HandleQuery(Query query) {
   const QueryKind kind = KindOf(query);
-  // Only a shareable read gains from the batch worker; everything else runs
-  // here, on the connection's own thread.
+  // Only a shareable read goes through the admission queue, where it can
+  // join a shared-scan batch; everything else runs here directly.
   Result<QueryResult> result =
       batch_.Shareable(query) ? Admit(std::move(query)) : db_->Execute(query);
   if (!result.ok()) return FormatError(result.status());
@@ -212,14 +219,18 @@ Result<QueryResult> SocketServer::Admit(Query query) {
   item.query = std::move(query);
   item.admitted_at = std::chrono::steady_clock::now();
   std::future<Result<QueryResult>> reply = item.reply.get_future();
-  if (!queue_.TryPush(std::move(item))) {
-    if (TelemetryOn()) rejected_total_->Increment();
-    bool down = stopping_.load(std::memory_order_acquire);
-    return Status::FailedPrecondition(down ? "server shutting down"
-                                           : "admission queue full");
-  }
-  if (TelemetryOn()) {
-    queue_depth_->Set(static_cast<double>(queue_.depth()));
+  switch (queue_.TryPush(std::move(item))) {
+    case AdmissionQueue::Push::kRejected: {
+      if (TelemetryOn()) rejected_total_->Increment();
+      bool down = stopping_.load(std::memory_order_acquire);
+      return Status::FailedPrecondition(down ? "server shutting down"
+                                             : "admission queue full");
+    }
+    case AdmissionQueue::Push::kDrain:
+      Drain();
+      break;
+    case AdmissionQueue::Push::kQueued:
+      break;
   }
   return reply.get();
 }

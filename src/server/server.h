@@ -3,12 +3,15 @@
 // reader threads parse line-protocol requests (protocol.h), answer control
 // commands inline, and run every query BatchExecutor::Shareable rejects
 // (writes, point lookups, joins) through Database::Execute themselves.
-// Shareable reads go into a bounded AdmissionQueue that a single batch
-// worker drains through a BatchExecutor, so scans arriving together on
-// different connections execute as shared-scan batches (ARCHITECTURE.md
-// §9). Each connection has at most one request in flight — batch width
-// comes from client concurrency, the paper's serving scenario of many
-// analytic clients hitting the same hot tables.
+// Shareable reads go into a bounded AdmissionQueue, and the reader that
+// admits one drains the queue itself through a BatchExecutor while one of
+// drain_slots() slots is free. Up to that many reads therefore run at once,
+// each on its own reader; beyond it, reads queue and the active drainers
+// execute them as shared-scan batches (ARCHITECTURE.md §9). There is no
+// server-owned worker thread. Each connection has at most one request in
+// flight — batch width comes from client concurrency beyond the slot count,
+// the paper's serving scenario of many analytic clients hitting the same
+// hot tables.
 //
 // Robustness contract (tests/server/protocol_fuzz_test.cc): malformed
 // requests get an "err" reply and the connection stays open; an oversized
@@ -22,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <thread>
 
 #include "executor/batch_executor.h"
 #include "executor/database.h"
@@ -41,7 +43,7 @@ class SocketServer {
     uint16_t port = 0;
     /// Admission-queue capacity; shareable reads beyond it get "err busy".
     size_t queue_capacity = 256;
-    /// Most queries the worker drains into one shared-scan batch.
+    /// Most queries a drainer pops into one shared-scan batch.
     size_t max_batch = 32;
   };
 
@@ -53,12 +55,12 @@ class SocketServer {
   ~SocketServer();  // calls Stop()
   HSDB_DISALLOW_COPY_AND_ASSIGN(SocketServer);
 
-  /// Binds 127.0.0.1:<port>, starts the listener and the batch worker.
+  /// Binds 127.0.0.1:<port> and starts the listener.
   Status Start();
 
-  /// Stops the listener (which shuts down and joins every reader), then
-  /// closes the admission queue and joins the worker once it has drained
-  /// it. Idempotent.
+  /// Stops the listener, which shuts down every connection and joins every
+  /// reader once any drain it is running has emptied the queue, then
+  /// closes the admission queue. Idempotent.
   void Stop();
 
   /// The bound port (valid after Start); 0 before.
@@ -67,16 +69,23 @@ class SocketServer {
   /// Live admission-queue depth (the HTTP /status endpoint reads this).
   size_t queue_depth() const { return queue_.depth(); }
 
+  /// How many readers may drain the admission queue at once:
+  /// DrainSlots(hardware cores, the database's DOP), fixed at construction.
+  size_t drain_slots() const { return queue_.slots(); }
+
  private:
   /// Reader loop of one connection (the listener's handler).
   void ServeConnection(int fd);
-  void WorkerLoop();
+  /// Executes queued batches on the calling reader until the queue is
+  /// empty, then releases the drain slot TryPush granted.
+  void Drain();
   /// Handles one complete request line; returns the response block and
   /// whether the connection should close (quit).
   std::string HandleLine(const std::string& line, bool* close_conn);
   std::string HandleControl(const Request& request);
   std::string HandleQuery(Query query);
-  /// Queues a shareable read and waits for the worker's result.
+  /// Queues a shareable read, drains the queue if granted a slot, and
+  /// returns the read's result.
   Result<QueryResult> Admit(Query query);
   /// explain / explain analyze run inline on the reader thread (they are
   /// introspection, not traffic — they skip the admission queue so a full
@@ -90,7 +99,6 @@ class SocketServer {
   BatchExecutor batch_;
 
   std::atomic<bool> stopping_{false};
-  std::thread worker_thread_;
 
   telemetry::Counter* connections_total_ = nullptr;
   telemetry::Counter* requests_total_ = nullptr;
@@ -100,7 +108,6 @@ class SocketServer {
   telemetry::LogHistogram* batch_width_ = nullptr;
   telemetry::LogHistogram* queue_wait_ms_ = nullptr;
   telemetry::LogHistogram* batch_formation_ms_ = nullptr;
-  telemetry::Gauge* queue_depth_ = nullptr;
 
   /// Last member: its destructor joins the readers, which touch all of the
   /// above.

@@ -77,6 +77,8 @@ std::string SlowlogRecord::ToJson() const {
   AppendJsonString(&out, trace_summary);
   out.append(",\"shared\":");
   out.append(shared ? "true" : "false");
+  out.append(",\"group_width\":");
+  out.append(std::to_string(group_width));
   out.push_back('}');
   return out;
 }

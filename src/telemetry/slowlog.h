@@ -14,6 +14,7 @@
 #define HSDB_TELEMETRY_SLOWLOG_H_
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -38,8 +39,12 @@ struct SlowlogRecord {
   /// Top-level trace phases as "name=ms" pairs ("execute=1.20 delta_merge=0.01").
   std::string trace_summary;
   /// True when the query was answered from a shared-scan batch (elapsed is
-  /// the amortized group share; no per-query prediction exists).
+  /// the amortized group share); the same as group_width > 1.
   bool shared = false;
+  /// Members one shared scan answered together, or 1 for a per-statement
+  /// run. Concurrent drainers interleave their groups' records, so this,
+  /// not adjacency in the ring, is how a reader sizes a record's group.
+  size_t group_width = 1;
 
   /// One JSON object (single line, keys sorted as declared).
   std::string ToJson() const;
@@ -108,7 +113,7 @@ class Slowlog {
 /// Thread-local admission-queue wait attribution: the serving layer knows
 /// how long a query sat in the admission queue, but the slow-query record is
 /// built deep inside Database::Execute. A ScopedQueueWait installed around
-/// the batch worker's Execute or FinishStatement call makes the wait visible
+/// a drainer's Execute or FinishStatement call makes the wait visible
 /// there without threading a parameter through every layer.
 class ScopedQueueWait {
  public:

@@ -152,8 +152,8 @@ TEST_P(BatchTraceTest, MixedBatchSplitsTraceShapes) {
 TEST_P(BatchTraceTest, SharedMembersAreAccountedLikeSerialStatements) {
   // Shared members go through the same accounting step as serial
   // statements: a prediction, a cost-feedback sample, the query counters
-  // and the latency histogram — and slow-query records that keep the
-  // back-to-back, same-share, same-summary shape of one group.
+  // and the latency histogram — and slow-query records that carry the
+  // group's width, share and summary.
   db_->set_cost_predictor([](const Query&) { return 0.5; });
   db_->slowlog().Configure({1e-9, 64, 1});
   telemetry::MetricsRegistry& metrics = db_->metrics();
@@ -204,11 +204,58 @@ TEST_P(BatchTraceTest, SharedMembersAreAccountedLikeSerialStatements) {
   ASSERT_EQ(records.size(), n);
   for (const telemetry::SlowlogRecord& record : records) {
     EXPECT_TRUE(record.shared);
+    EXPECT_EQ(record.group_width, n);
     EXPECT_EQ(record.elapsed_ms, records.front().elapsed_ms);
     EXPECT_EQ(record.trace_summary, records.front().trace_summary);
     EXPECT_EQ(record.predicted_cost_ms, 0.5);
   }
   db_->set_cost_predictor(nullptr);
+}
+
+TEST_P(BatchTraceTest, LoneMembersRecordWidthOne) {
+  // A read alone on its table runs per statement, inside a batch or not:
+  // its record says width 1 and not shared. So does one that shares a
+  // batch, but not a table, with a shared group.
+  db_->slowlog().Configure({1e-9, 64, 1});
+  const std::vector<Query> group = ShareableBatch();
+  BatchExecutor batch(db_.get());
+
+  ASSERT_TRUE(batch.ExecuteBatch({group.front()}).front().ok());
+  ASSERT_TRUE(db_->Execute(group.front()).ok());
+  std::vector<telemetry::SlowlogRecord> records = db_->slowlog().Snapshot();
+  ASSERT_EQ(records.size(), 2u);
+  for (const telemetry::SlowlogRecord& record : records) {
+    EXPECT_FALSE(record.shared);
+    EXPECT_EQ(record.group_width, 1u);
+    EXPECT_NE(record.ToJson().find("\"group_width\":1}"), std::string::npos)
+        << record.ToJson();
+  }
+
+  ASSERT_TRUE(db_->CreateTable("other", spec_.MakeSchema(),
+                               TableLayout::SingleStore(StoreType::kColumn))
+                  .ok());
+  ASSERT_TRUE(
+      PopulateSynthetic(db_->catalog().GetTable("other"), spec_, 1'000).ok());
+  AggregationQuery lone;
+  lone.tables = {"other"};
+  lone.aggregates = {{AggFn::kCount, {}}};
+  std::vector<Query> mixed = group;
+  mixed.emplace_back(lone);
+  db_->slowlog().Clear();
+  for (const Result<QueryResult>& r : batch.ExecuteBatch(mixed)) {
+    ASSERT_TRUE(r.ok());
+  }
+  records = db_->slowlog().Snapshot();
+  ASSERT_EQ(records.size(), mixed.size());
+  size_t lone_records = 0;
+  for (const telemetry::SlowlogRecord& record : records) {
+    const bool is_lone = record.query.find("other") != std::string::npos;
+    lone_records += is_lone ? 1 : 0;
+    EXPECT_EQ(record.group_width, is_lone ? 1u : group.size())
+        << record.query;
+    EXPECT_EQ(record.shared, !is_lone) << record.query;
+  }
+  EXPECT_EQ(lone_records, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Dop, BatchTraceTest, ::testing::Values(1, 4),

@@ -1,6 +1,6 @@
 // HTTP introspection round-trip and robustness: a live HttpEndpoint over a
 // served database answers /metrics (Prometheus text identical in family set
-// to MetricsRegistry::ExportText), /status (JSON with live queue depth) and
+// to MetricsRegistry::ExportText), /status (JSON with live queue depth and drain slots) and
 // /slowlog (JSON array), and survives the same abuse the line protocol
 // does — malformed request lines, oversized heads, binary garbage, vanishing
 // clients — answering 4xx per connection while staying healthy for the next
@@ -197,12 +197,18 @@ TEST_F(HttpEndpointTest, StatusReportsEngineStateAsJson) {
   EXPECT_NE(r.head.find("application/json"), std::string::npos) << r.head;
   for (const char* key :
        {"\"uptime_s\":", "\"layout_epoch\":", "\"queries\":",
-        "\"queue_depth\":", "\"epoch\":", "\"controller\":",
-        "\"cost_feedback\":", "\"slow_queries\":"}) {
+        "\"queue_depth\":", "\"drain_slots\":", "\"epoch\":",
+        "\"controller\":", "\"cost_feedback\":", "\"slow_queries\":"}) {
     EXPECT_NE(r.body.find(key), std::string::npos) << key << " in " << r.body;
   }
   EXPECT_EQ(r.body.front(), '{');
   EXPECT_EQ(r.body.back(), '}');
+  // The attached server's slot count, not the unattached default of 0.
+  ASSERT_GE(server_->drain_slots(), 1u);
+  EXPECT_NE(r.body.find("\"drain_slots\":" +
+                        std::to_string(server_->drain_slots())),
+            std::string::npos)
+      << r.body;
 }
 
 TEST_F(HttpEndpointTest, SlowlogServesRecordedQueries) {
@@ -215,6 +221,7 @@ TEST_F(HttpEndpointTest, SlowlogServesRecordedQueries) {
   // store the normalized QueryToString rendering, not the wire text.
   EXPECT_NE(r.body.find("FROM events"), std::string::npos) << r.body;
   EXPECT_NE(r.body.find("\"elapsed_ms\":"), std::string::npos);
+  EXPECT_NE(r.body.find("\"group_width\":"), std::string::npos);
   EXPECT_EQ(r.body.front(), '[');
 }
 

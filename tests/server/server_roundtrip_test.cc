@@ -8,16 +8,20 @@
 // must read consistent epochs through the swaps and keep every answer
 // bit-identical.
 //
-// Only shareable reads are admitted to the batch worker: writes, point
-// lookups and errors are answered on the connection's own reader thread
-// without touching the admission queue, and scans that co-run with a
-// writer on the same table still see only states the table actually had.
+// Only shareable reads enter the admission queue, where the readers that
+// hold drain slots execute them: writes, point lookups and errors are
+// answered on the connection's own reader thread without touching the
+// queue, and scans that co-run with a writer on the same table still see
+// only states the table actually had. With more clients than drain slots,
+// reads queue and share batches, and Stop() still returns under load.
 //
 // Runs at whatever HSDB_THREADS says (the CI concurrency matrix sets 4),
 // so shared-scan batches execute morsel-parallel under TSan here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -149,8 +153,8 @@ TEST_F(ServerRoundtripTest, ConcurrentClientsMatchGoldenAnswers) {
   EXPECT_EQ(mismatches.load(), 0);
 
   if (telemetry::kCompiledIn) {
-    // The storm went through the serving path, and concurrent clients
-    // actually formed multi-query batches at least occasionally.
+    // The storm went through the serving path, and its shareable reads
+    // through the admission queue's drainers.
     EXPECT_GT(metrics_.GetCounter("hsdb_server_requests_total").value(), 0u);
     EXPECT_GT(metrics_.GetCounter("hsdb_server_batches_total").value(), 0u);
   }
@@ -297,6 +301,90 @@ TEST_F(ServerRoundtripTest, ScansBesideAWriterSeeRealTableStates) {
   for (std::thread& t : scanners) t.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(impossible.load(), 0);
+}
+
+TEST_F(ServerRoundtripTest, MoreClientsThanDrainSlots) {
+  // A second column-store table, so shareable reads form batches with
+  // members on two tables (one shared group per table).
+  SyntheticTableSpec ledger = spec_;
+  ledger.name = "ledger";
+  ASSERT_TRUE(db_->CreateTable("ledger", ledger.MakeSchema(),
+                               TableLayout::SingleStore(StoreType::kColumn))
+                  .ok());
+  ASSERT_TRUE(
+      PopulateSynthetic(db_->catalog().GetTable("ledger"), ledger, 5'000)
+          .ok());
+  db_->catalog().UpdateStatistics("ledger");
+  const std::vector<std::string> requests = {
+      "count events where f0<100",
+      "sum events f0 where g0=3",
+      "max events kf1 where f0<500",
+      "select events id where f0<5 limit 25",
+      "count ledger where f1<300",
+      "sum ledger f1 where g1=2",
+      "min ledger kf0 where f0>=10",
+      "count ledger where g0=1 g1=2",
+  };
+  std::vector<std::vector<std::string>> goldens;
+  {
+    server::Client probe;
+    ASSERT_TRUE(probe.Connect("127.0.0.1", server_->port()).ok());
+    for (const std::string& request : requests) {
+      Result<server::Reply> reply = probe.RoundTrip(request);
+      ASSERT_TRUE(reply.ok()) << request;
+      ASSERT_TRUE(reply->ok) << request << ": " << reply->error;
+      goldens.push_back(reply->lines);
+    }
+  }
+
+  // More closed-loop clients than drain slots: reads beyond the slot count
+  // queue and ride the active drainers' batches.
+  // Capped at the queue capacity, so no read is ever refused as busy.
+  const int clients_n = static_cast<int>(
+      std::min(std::max<size_t>(8, 4 * server_->drain_slots()),
+               server::SocketServer::Options().queue_capacity));
+  constexpr int kPasses = 3;
+  std::atomic<int> passed{0};  // clients done with their checked passes
+  std::atomic<int> mismatches{0};
+  std::atomic<int> transport_errors{0};
+  std::vector<std::unique_ptr<server::Client>> conns;
+  for (int c = 0; c < clients_n; ++c) {
+    conns.push_back(std::make_unique<server::Client>());
+    ASSERT_TRUE(conns.back()->Connect("127.0.0.1", server_->port()).ok());
+  }
+  std::vector<std::thread> clients;
+  for (int c = 0; c < clients_n; ++c) {
+    clients.emplace_back([&, c] {
+      server::Client& client = *conns[c];
+      // Checked passes, then keep the load on until Stop() cuts the
+      // connection: every reply that does arrive must still be right.
+      for (size_t n = 0;; ++n) {
+        if (n == kPasses * requests.size()) passed.fetch_add(1);
+        const size_t at = (n + static_cast<size_t>(c)) % requests.size();
+        Result<server::Reply> reply = client.RoundTrip(requests[at]);
+        if (!reply.ok()) {
+          if (n < kPasses * requests.size()) transport_errors.fetch_add(1);
+          return;
+        }
+        if (!reply->ok || reply->lines != goldens[at]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  while (passed.load() < clients_n) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Stop() returns while every client is still connected and sending.
+  server_->Stop();
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(transport_errors.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(server_->queue_depth(), 0u);
+  if (telemetry::kCompiledIn) {
+    EXPECT_EQ(metrics_.GetGauge("hsdb_server_queue_depth").value(), 0.0);
+    EXPECT_EQ(metrics_.GetCounter("hsdb_server_rejected_total").value(), 0u);
+  }
 }
 
 TEST_F(ServerRoundtripTest, StopWhileClientsConnected) {
