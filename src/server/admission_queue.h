@@ -4,21 +4,24 @@
 // is full — back-pressure is the client's problem, not the server's
 // memory). While fewer than `slots` drainers are active, the push also makes
 // the pusher a drainer: it PopBatchOrRetires up to max_batch queued queries
-// at a time and executes them until the queue is empty. Once every slot is
-// taken, pushes just queue, and the active drainers pick them up as one
-// shared-scan batch: concurrency beyond the slot count *is* the batch width.
+// at a time and executes them. Once every slot is taken, pushes just queue,
+// and the active drainers pick them up as one shared-scan batch:
+// concurrency beyond the slot count *is* the batch width.
 //
-// The invariant: every queued item has an active drainer. A drainer retires
-// only from PopBatchOrRetire, and only when it finds the queue empty, in the
-// same critical section as the pop; a push that finds every slot taken
-// therefore always has a drainer that will pop it before retiring.
+// A drainer stops as soon as its own query is answered, so its client never
+// waits on other clients' reads: it releases the slot when the queue is
+// empty or another drainer is active, and otherwise hands the slot to the
+// reader of the oldest queued query, whose future it fulfils with a Wakeup
+// that carries the slot. The invariant: every queued item has an active
+// drainer. The slot count only changes inside the queue mutex, and a slot
+// is released only when the queue is empty or another drainer holds one.
 //
 // Lock rules (docs/CONCURRENCY.md): the queue's internal mutex is a leaf —
 // no table lock, catalog lock or epoch pin is ever taken while holding it,
 // and none of its methods call back into the engine (the only other write
 // under it is the depth gauge's atomic store). Drainers execute their
-// batches outside it. Readers block only on the future of their own admitted
-// query, and only when another drainer owns it. Close() rejects further
+// batches, and a hand-off fulfils its promise, outside it. Readers block
+// only on the future of their own admitted query. Close() rejects further
 // pushes; items queued before it are still drained by the active drainers,
 // so every admitted promise is eventually fulfilled.
 #ifndef HSDB_SERVER_ADMISSION_QUEUE_H_
@@ -28,7 +31,9 @@
 #include <chrono>
 #include <deque>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -39,10 +44,19 @@
 namespace hsdb {
 namespace server {
 
+/// What a reader waiting on its admitted query is woken with. Normally the
+/// query's result. When the last drainer stops with the reader's query
+/// still queued, `handoff` is set instead: the reader now holds that
+/// drainer's slot, and its query stays queued under this new future.
+struct Wakeup {
+  Result<QueryResult> result = Status::Internal("drain slot handed over");
+  std::unique_ptr<std::future<Wakeup>> handoff;
+};
+
 /// One admitted query and the promise its connection reader waits on.
 struct Admitted {
   Query query;
-  std::promise<Result<QueryResult>> reply;
+  std::promise<Wakeup> reply;
   /// Stamped at admission; the drainer turns it into the queue-wait
   /// histogram and the slow-query log's queue_wait_ms attribution.
   std::chrono::steady_clock::time_point admitted_at;
@@ -52,7 +66,10 @@ struct Admitted {
 /// free. A drainer runs its batch at the database's DOP, which adds
 /// `num_threads - 1` pool workers, so `slots` drainers plus the pool stay
 /// within `hardware_threads` cores. At least 1; 0 cores (unknown) counts
-/// as 1.
+/// as 1. The server passes std::thread::hardware_concurrency(), which
+/// counts online CPUs and ignores a cgroup CPU quota: under a quota smaller
+/// than the machine, the slots oversubscribe the quota and reads rarely
+/// queue to share a batch.
 inline size_t DrainSlots(unsigned hardware_threads, int num_threads) {
   const long cores = std::max(1L, static_cast<long>(hardware_threads));
   const long pool_workers = std::max(0L, static_cast<long>(num_threads) - 1);
@@ -67,13 +84,20 @@ class AdmissionQueue {
     kDrain,     // queued, and the caller now holds a drain slot
   };
 
-  /// `depth_gauge` (optional) is set to the queue depth after every push
-  /// and pop, under the queue mutex, so its last value is the real depth.
+  /// With `metrics` (optional), the queue keeps the hsdb_server_queue_depth
+  /// gauge: while the registry is enabled, it is set after every push and
+  /// pop, under the queue mutex, so its last value is the real depth.
   AdmissionQueue(size_t capacity, size_t slots,
-                 telemetry::Gauge* depth_gauge = nullptr)
+                 telemetry::MetricsRegistry* metrics = nullptr)
       : capacity_(capacity == 0 ? 1 : capacity),
         slots_(slots == 0 ? 1 : slots),
-        depth_gauge_(depth_gauge) {}
+        metrics_(metrics),
+        depth_gauge_(metrics != nullptr && telemetry::kCompiledIn
+                         ? &metrics->GetGauge(
+                               "hsdb_server_queue_depth",
+                               "Admission-queue depth after the latest admit "
+                               "or drain.")
+                         : nullptr) {}
   HSDB_DISALLOW_COPY_AND_ASSIGN(AdmissionQueue);
 
   /// Admits one query. On kDrain the caller must PopBatchOrRetire until it
@@ -90,22 +114,42 @@ class AdmissionQueue {
   }
 
   /// A drainer's next step: moves up to `max_batch` items into `*out`
-  /// (cleared first) and returns true; or, when the queue is empty,
-  /// releases the caller's drain slot and returns false.
-  bool PopBatchOrRetire(size_t max_batch, std::vector<Admitted>* out) {
+  /// (cleared first) and returns true; or gives up the caller's drain slot
+  /// and returns false. Until the caller's own query is answered
+  /// (`own_answered`), it pops whenever the queue is not empty. After, it
+  /// never pops: it releases the slot if the queue is empty or another
+  /// drainer is active, and otherwise hands the slot to the reader of the
+  /// oldest queued item (see Wakeup).
+  bool PopBatchOrRetire(size_t max_batch, bool own_answered,
+                        std::vector<Admitted>* out) {
     out->clear();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) {
-      --drainers_;
-      return false;
+    std::promise<Wakeup> woken;
+    Wakeup slot;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (items_.empty() || (own_answered && drainers_ > 1)) {
+        --drainers_;
+        return false;
+      }
+      if (!own_answered) {
+        const size_t n = std::min(max_batch, items_.size());
+        for (size_t i = 0; i < n; ++i) {
+          out->push_back(std::move(items_.front()));
+          items_.pop_front();
+        }
+        SampleDepth();
+        return true;
+      }
+      // The only drainer, answered, with reads still queued. Every queued
+      // item's reader is waiting on its future, so the oldest one takes the
+      // slot; its item stays queued under a fresh promise.
+      Admitted& oldest = items_.front();
+      woken = std::exchange(oldest.reply, std::promise<Wakeup>());
+      slot.handoff =
+          std::make_unique<std::future<Wakeup>>(oldest.reply.get_future());
     }
-    const size_t n = std::min(max_batch, items_.size());
-    for (size_t i = 0; i < n; ++i) {
-      out->push_back(std::move(items_.front()));
-      items_.pop_front();
-    }
-    SampleDepth();
-    return true;
+    woken.set_value(std::move(slot));
+    return false;
   }
 
   /// Rejects further pushes. Idempotent.
@@ -119,23 +163,18 @@ class AdmissionQueue {
     return items_.size();
   }
 
-  /// Drainers currently holding a slot.
-  size_t drainers() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return drainers_;
-  }
-
   size_t slots() const { return slots_; }
 
  private:
   void SampleDepth() {
-    if (depth_gauge_ != nullptr) {
+    if (depth_gauge_ != nullptr && metrics_->enabled()) {
       depth_gauge_->Set(static_cast<double>(items_.size()));
     }
   }
 
   const size_t capacity_;
   const size_t slots_;
+  const telemetry::MetricsRegistry* const metrics_;
   telemetry::Gauge* const depth_gauge_;
   mutable std::mutex mu_;
   std::deque<Admitted> items_;

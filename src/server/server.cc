@@ -15,24 +15,13 @@
 namespace hsdb {
 namespace server {
 
-namespace {
-
-telemetry::Gauge* QueueDepthGauge(Database* db) {
-  if (!telemetry::kCompiledIn) return nullptr;
-  return &db->metrics().GetGauge(
-      "hsdb_server_queue_depth",
-      "Admission-queue depth after the latest admit or drain.");
-}
-
-}  // namespace
-
 SocketServer::SocketServer(Database* db, Options options)
     : db_(db),
       options_(options),
       queue_(options.queue_capacity,
              DrainSlots(std::thread::hardware_concurrency(),
                         db->num_threads()),
-             QueueDepthGauge(db)),
+             &db->metrics()),
       batch_(db),
       listener_(&db->metrics(), "line",
                 [this](int fd) { ServeConnection(fd); }) {
@@ -83,18 +72,22 @@ Status SocketServer::Start() {
 
 void SocketServer::Stop() {
   stopping_.store(true, std::memory_order_release);
-  // A reader that holds a drain slot keeps it until the queue is empty, so
-  // joining the readers drains every admitted read; nothing can push after
-  // that, and Close() only makes late pushes fail fast.
+  // Every queued read has a drainer, and a drainer is a reader waiting for
+  // its own answer, so joining the readers drains every admitted read;
+  // nothing can push after that, and Close() only makes late pushes fail
+  // fast.
   listener_.Stop();
   queue_.Close();
 }
 
-void SocketServer::Drain() {
+void SocketServer::Drain(const std::future<Wakeup>& own) {
   std::vector<Admitted> batch;
   std::vector<Query> queries;
   std::vector<double> waits_ms;
-  while (queue_.PopBatchOrRetire(options_.max_batch, &batch)) {
+  const auto answered = [&own] {
+    return own.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+  };
+  while (queue_.PopBatchOrRetire(options_.max_batch, answered(), &batch)) {
     const auto drained_at = std::chrono::steady_clock::now();
     queries.clear();
     queries.reserve(batch.size());
@@ -121,7 +114,9 @@ void SocketServer::Drain() {
     std::vector<Result<QueryResult>> results =
         batch_.ExecuteBatch(queries, &waits_ms);
     for (size_t i = 0; i < batch.size(); ++i) {
-      batch[i].reply.set_value(std::move(results[i]));
+      Wakeup answer;
+      answer.result = std::move(results[i]);
+      batch[i].reply.set_value(std::move(answer));
     }
   }
 }
@@ -218,7 +213,7 @@ Result<QueryResult> SocketServer::Admit(Query query) {
   Admitted item;
   item.query = std::move(query);
   item.admitted_at = std::chrono::steady_clock::now();
-  std::future<Result<QueryResult>> reply = item.reply.get_future();
+  std::future<Wakeup> reply = item.reply.get_future();
   switch (queue_.TryPush(std::move(item))) {
     case AdmissionQueue::Push::kRejected: {
       if (TelemetryOn()) rejected_total_->Increment();
@@ -227,12 +222,19 @@ Result<QueryResult> SocketServer::Admit(Query query) {
                                              : "admission queue full");
     }
     case AdmissionQueue::Push::kDrain:
-      Drain();
+      Drain(reply);
       break;
     case AdmissionQueue::Push::kQueued:
       break;
   }
-  return reply.get();
+  for (;;) {
+    Wakeup woken = reply.get();
+    if (woken.handoff == nullptr) return std::move(woken.result);
+    // The last drainer stopped and handed this reader its slot; the read is
+    // still queued under the new future.
+    reply = std::move(*woken.handoff);
+    Drain(reply);
+  }
 }
 
 void SocketServer::ServeConnection(int fd) {

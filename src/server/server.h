@@ -7,11 +7,13 @@
 // admits one drains the queue itself through a BatchExecutor while one of
 // drain_slots() slots is free. Up to that many reads therefore run at once,
 // each on its own reader; beyond it, reads queue and the active drainers
-// execute them as shared-scan batches (ARCHITECTURE.md §9). There is no
-// server-owned worker thread. Each connection has at most one request in
-// flight — batch width comes from client concurrency beyond the slot count,
-// the paper's serving scenario of many analytic clients hitting the same
-// hot tables.
+// execute them as shared-scan batches (ARCHITECTURE.md §9). A drainer stops
+// once its own read is answered, handing its slot to a waiting reader if it
+// was the last, so no client waits on other clients' reads beyond the
+// batches ahead of its own. There is no server-owned worker thread. Each
+// connection has at most one request in flight — batch width comes from
+// client concurrency beyond the slot count, the paper's serving scenario of
+// many analytic clients hitting the same hot tables.
 //
 // Robustness contract (tests/server/protocol_fuzz_test.cc): malformed
 // requests get an "err" reply and the connection stays open; an oversized
@@ -24,6 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <string>
 
 #include "executor/batch_executor.h"
@@ -59,8 +62,8 @@ class SocketServer {
   Status Start();
 
   /// Stops the listener, which shuts down every connection and joins every
-  /// reader once any drain it is running has emptied the queue, then
-  /// closes the admission queue. Idempotent.
+  /// reader once its read in flight is answered (by its own drain or
+  /// another's), then closes the admission queue. Idempotent.
   void Stop();
 
   /// The bound port (valid after Start); 0 before.
@@ -76,16 +79,18 @@ class SocketServer {
  private:
   /// Reader loop of one connection (the listener's handler).
   void ServeConnection(int fd);
-  /// Executes queued batches on the calling reader until the queue is
-  /// empty, then releases the drain slot TryPush granted.
-  void Drain();
+  /// Executes queued batches on the calling reader, which holds a drain
+  /// slot, until the read behind `own` is answered or the queue is empty;
+  /// then gives the slot up (AdmissionQueue::PopBatchOrRetire).
+  void Drain(const std::future<Wakeup>& own);
   /// Handles one complete request line; returns the response block and
   /// whether the connection should close (quit).
   std::string HandleLine(const std::string& line, bool* close_conn);
   std::string HandleControl(const Request& request);
   std::string HandleQuery(Query query);
-  /// Queues a shareable read, drains the queue if granted a slot, and
-  /// returns the read's result.
+  /// Queues a shareable read, drains the queue while it holds a slot
+  /// (granted at the push or handed over later), and returns the read's
+  /// result.
   Result<QueryResult> Admit(Query query);
   /// explain / explain analyze run inline on the reader thread (they are
   /// introspection, not traffic — they skip the admission queue so a full

@@ -338,7 +338,9 @@ TEST_F(ServerRoundtripTest, MoreClientsThanDrainSlots) {
   }
 
   // More closed-loop clients than drain slots: reads beyond the slot count
-  // queue and ride the active drainers' batches.
+  // queue and ride the active drainers' batches. Every client must finish
+  // its checked passes while the others keep the queue busy, drainers
+  // included: a drainer stops once its own read is answered.
   // Capped at the queue capacity, so no read is ever refused as busy.
   const int clients_n = static_cast<int>(
       std::min(std::max<size_t>(8, 4 * server_->drain_slots()),
