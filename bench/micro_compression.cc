@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark) of the compressed column-store
 // subsystem: per-codec sequential decode throughput, predicate scans on
-// encoded data vs. the raw baseline, and end-to-end ColumnTable aggregation
-// with adaptive codecs vs. uncompressed segments. Each encoded benchmark
-// reports the codec's compression ratio as a counter. Run in Release mode.
+// encoded data vs. the raw baseline, end-to-end ColumnTable aggregation
+// with adaptive codecs vs. uncompressed segments, and a TPC-H star join.
+// Each encoded benchmark reports the codec's compression ratio as a
+// counter. Run in Release mode.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "storage/compression/encoded_segment.h"
 #include "storage/compression/simd/bitunpack.h"
 #include "tpch/dbgen.h"
+#include "tpch/schema.h"
 #include "workload/synthetic.h"
 
 namespace hsdb {
@@ -329,7 +332,8 @@ void BM_ColumnTableGroupedAggregate(benchmark::State& state,
     std::vector<AggState> totals(1);
     GroupMap groups;
     readpath::AggregateCover(ctx, cover, /*terms=*/{}, q, /*grouped=*/true,
-                             &table.live_bitmap(), &totals, &groups);
+                             &table.live_bitmap(), /*dims=*/{}, &totals,
+                             &groups);
     benchmark::DoNotOptimize(groups.size());
   }
   state.SetItemsProcessed(state.iterations() * table.live_count());
@@ -470,6 +474,48 @@ void BM_ParallelPackedFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelPackedFilter)->Arg(1)->Arg(2)->Arg(4)
     ->ArgName("threads");
+
+// ---- Star join -------------------------------------------------------------
+// The TPC-H revenue-by-order-priority join (lineitem ⋈ orders, both in the
+// column store, sf 0.05, seed 1) at DOP 1 and 4: the orders hash build plus
+// the lineitem probe in morsels. Not one of the rows check_regression.py
+// gates for parallel speedup.
+
+void BM_StarJoinAggregate(benchmark::State& state) {
+  const int dop = static_cast<int>(state.range(0));
+  static telemetry::MetricsRegistry registry;
+  static std::unique_ptr<Database> dbs[5];
+  if (!dbs[dop]) {
+    Database::Options options;
+    options.num_threads = dop;
+    options.metrics = &registry;
+    dbs[dop] = std::make_unique<Database>(options);
+    tpch::DbgenOptions dbgen;
+    dbgen.scale_factor = 0.05;
+    dbgen.seed = 1;
+    for (const char* table : {"lineitem", "orders"}) {
+      dbgen.layouts[table] = TableLayout::SingleStore(StoreType::kColumn);
+    }
+    HSDB_CHECK(tpch::LoadTpch(*dbs[dop], dbgen).ok());
+  }
+  AggregationQuery q;
+  q.tables = {"lineitem", "orders"};
+  q.joins = {{0, tpch::col::kLOrderKey, 1, tpch::col::kOrderKey}};
+  q.aggregates = {{AggFn::kSum, {tpch::col::kLExtendedPrice, 0}},
+                  {AggFn::kCount, {}}};
+  q.group_by = {{tpch::col::kOrderPriority, 1}};
+  const Query query(q);
+  for (auto _ : state) {
+    Result<QueryResult> result = dbs[dop]->Execute(query);
+    HSDB_CHECK(result.ok());
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(
+      state.iterations() *
+      dbs[dop]->catalog().GetTable("lineitem")->row_count());
+}
+BENCHMARK(BM_StarJoinAggregate)->Arg(1)->Arg(4)->ArgName("threads")
+    ->Unit(benchmark::kMillisecond);
 
 // ---- Telemetry overhead ----------------------------------------------------
 // The observability layer's acceptance gate: per-query telemetry (trace

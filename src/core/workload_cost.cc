@@ -49,15 +49,6 @@ bool Covered(const std::vector<bool>& piece,
   return true;
 }
 
-std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
-                                                int table_index) {
-  std::vector<const PredicateTerm*> terms;
-  for (const PredicateTerm& term : predicate) {
-    if (term.column.table_index == table_index) terms.push_back(&term);
-  }
-  return terms;
-}
-
 }  // namespace
 
 double EncodedRowFraction(const LayoutContext& ctx, const Schema& schema,

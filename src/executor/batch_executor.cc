@@ -127,7 +127,7 @@ void BatchExecutor::MaterializeMember(SharedRead* m) const {
   GroupMap group_map;
   for (size_t g = 0; g < plan.groups.size(); ++g) {
     rp::AggregateCover(parallel, *plan.groups[g].cover, plan.terms, q, grouped,
-                       &m->bitmaps[g], &totals, &group_map);
+                       &m->bitmaps[g], /*dims=*/{}, &totals, &group_map);
   }
   result = rp::FinalizeAggregation(q, grouped, totals, group_map);
 }

@@ -44,18 +44,18 @@ class Executor {
   const ParallelContext& parallel() const { return parallel_; }
 
  private:
-  // The single-table statements run the plan readpath::Bind made for them.
+  // Every statement but INSERT runs the plan readpath::Bind made for it.
   Result<QueryResult> ExecuteSelect(const SelectQuery& q,
                                     const readpath::ReadPlan& plan);
-  Result<QueryResult> SingleTableAggregation(const AggregationQuery& q,
-                                             const readpath::ReadPlan& plan);
+  /// Single-table or star-join aggregation (a single-table one is a join
+  /// with no dimensions): builds each dimension under `join_build`, then
+  /// folds the fact table's groups under `probe` (`scan` without a join).
+  Result<QueryResult> ExecuteAggregation(const AggregationQuery& q,
+                                         const readpath::ReadPlan& plan);
   /// UPDATE and DELETE: point-PK write, or collect matching keys then write.
   Result<QueryResult> ExecuteKeyedWrite(const Query& query,
                                         const readpath::ReadPlan& plan);
   Result<QueryResult> ExecuteInsert(const InsertQuery& q);
-  /// Validates and runs a multi-table aggregation (joins never batch, so
-  /// their checks live here rather than in the binder).
-  Result<QueryResult> StarJoinAggregation(const AggregationQuery& q);
 
   Catalog* catalog_;
   ParallelContext parallel_;

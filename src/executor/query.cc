@@ -131,6 +131,15 @@ std::string QueryToString(const Query& query) {
   return os.str();
 }
 
+std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
+                                                int table_index) {
+  std::vector<const PredicateTerm*> terms;
+  for (const PredicateTerm& term : predicate) {
+    if (term.column.table_index == table_index) terms.push_back(&term);
+  }
+  return terms;
+}
+
 bool IsPointPredicateOn(const Predicate& predicate, ColumnId pk_column) {
   return predicate.size() == 1 && predicate[0].column.table_index == 0 &&
          predicate[0].column.column == pk_column &&

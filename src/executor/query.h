@@ -47,9 +47,10 @@ struct PredicateTerm {
 /// language; disjunctions are out of scope, as in the paper's workloads).
 using Predicate = std::vector<PredicateTerm>;
 
-/// Equi-join edge between two of the query's tables. The current executor
-/// supports star joins: left_table must be 0 (the fact table) and each edge
-/// joins it to a distinct dimension table.
+/// Equi-join edge between two of the query's tables. The engine runs star
+/// joins: left_table must be 0 (the fact table), each edge joins it to a
+/// distinct dimension table, and right_column must be that dimension's
+/// single-column primary key.
 struct JoinEdge {
   int left_table = 0;
   ColumnId left_column = 0;
@@ -118,6 +119,10 @@ std::vector<std::string> TablesOf(const Query& query);
 
 /// Compact human-readable rendering for logs and examples.
 std::string QueryToString(const Query& query);
+
+/// The predicate's terms that reference `table_index`.
+std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
+                                                int table_index);
 
 /// True when the predicate consists of exactly one equality term on
 /// `pk_column` (the executor's point fast path).

@@ -4,9 +4,9 @@
 // stateless — callers pass the fragment, the predicate terms and the
 // ParallelContext.
 //
-// Bind is the one place that validates a single-table statement and picks
-// its access path. Its ReadPlan is what every consumer reads: the executor
-// runs the plan's path, the batch executor shares exactly the plans marked
+// Bind is the one place that validates a statement and picks its access
+// path. Its ReadPlan is what every consumer reads: the executor runs the
+// plan's path, the batch executor shares exactly the plans marked
 // `shareable`, and `explain` prints the plan's path — so none of them can
 // describe or take a path the others would not.
 //
@@ -25,9 +25,15 @@
 // Inside a morsel the filter step runs under a `predicate` span and the
 // materialize or aggregate step under `decode`; they record on the calling
 // thread only (pool workers have no tracer), which at DOP 1 is every morsel.
+//
+// A star join is its fact table's aggregation plus one DimPlan per
+// dimension. Each dimension is built into a DimTable first; a probe step at
+// the head of every fact morsel's aggregate step then drops the rows that
+// miss a dimension and hands the matched entries to the kernel.
 #ifndef HSDB_EXECUTOR_READ_PATH_H_
 #define HSDB_EXECUTOR_READ_PATH_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -78,40 +84,42 @@ struct GroupPlan {
   AccessPath path = AccessPath::kScan;
 };
 
-/// A validated single-table statement and its access path. Pointers refer
-/// into the bound query and the table version that was current under the
-/// caller's locks; the plan is valid only while both are.
+/// One dimension of a star join: its edge joins `fact_key` to the
+/// dimension's single-column primary key.
+struct DimPlan {
+  LogicalTable* table = nullptr;
+  ColumnId fact_key = 0;
+  /// Its group-by and aggregate columns: what the build keeps per key.
+  std::vector<ColumnId> values;
+  std::vector<const PredicateTerm*> terms;
+  /// Indexed by row group: the build's cover, or none (kStitch).
+  std::vector<GroupPlan> groups;
+  AccessPath path = AccessPath::kScan;  // the highest-ranked group path
+};
+
+/// A validated statement and its access path. Pointers refer into the bound
+/// query and the table versions that were current under the caller's locks;
+/// the plan is valid only while both are.
 struct ReadPlan {
+  /// The statement's table; a star join's fact table.
   LogicalTable* table = nullptr;
   std::vector<const PredicateTerm*> terms;
-  /// Sorted, deduplicated logical columns the statement reads.
-  std::vector<ColumnId> needed;
   /// Indexed by row group; empty on the point-PK path.
   std::vector<GroupPlan> groups;
   AccessPath path = AccessPath::kScan;
-  /// A read whose every group is a plain covered scan: the batch executor
-  /// may answer it from a shared predicate pass.
+  /// A star join's dimensions, indexed by table index - 1; empty for a
+  /// single-table statement.
+  std::vector<DimPlan> dims;
+  /// A single-table read whose every group is a plain covered scan: the
+  /// batch executor may answer it from a shared predicate pass.
   bool shareable = false;
 };
 
-/// Validates a single-table statement (SELECT, single-table aggregation,
-/// UPDATE, DELETE) against the live catalog and picks its path. Call under
-/// the statement's table locks. INSERTs and star joins have no read plan:
-/// NotSupported.
+/// Validates a SELECT, aggregation, UPDATE or DELETE against the live
+/// catalog and picks its path. Call under the statement's table locks. A
+/// join edge must reach the dimension's single-column primary key and an
+/// INSERT has no read plan: NotSupported.
 Result<ReadPlan> Bind(const Catalog& catalog, const Query& query);
-
-/// The query's predicate terms that reference `table_index`.
-std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
-                                                int table_index);
-
-Status ValidateTerms(const Schema& schema,
-                     const std::vector<const PredicateTerm*>& terms);
-
-/// Evaluates a conjunction of terms on one fragment. All term columns must
-/// be contained in the fragment. Uses a row-store sorted index to seed the
-/// bitmap when one is available for a term's column.
-Bitmap EvaluateOnFragment(const Fragment& frag,
-                          const std::vector<const PredicateTerm*>& terms);
 
 /// The selection bitmap of an index-seeded group (path kIndexSeed), which
 /// the scan kernel then takes as `prefiltered`; nullopt for a plain scan.
@@ -157,15 +165,49 @@ void SelectCover(const ParallelContext& ctx, const Fragment& cover,
 // ascending row-id order — so the code path's output (aggregates, group
 // rows and their order) is bit-identical to the generic path's.
 
+/// A dimension's hash build. Entry e is a dimension row that passed the
+/// terms: its primary key keys[e] and its values of DimPlan::values,
+/// entry-major; `slots` indexes the entries by key hash (open addressing).
+struct DimTable {
+  static constexpr uint32_t kNoEntry = UINT32_MAX;
+  const DimPlan* plan = nullptr;
+  std::vector<Value> keys;
+  std::vector<Value> values;
+  std::vector<uint32_t> slots;
+
+  /// The entry whose key equals `key`, or kNoEntry.
+  uint32_t Find(const Value& key) const;
+  const Value& At(uint32_t entry, ColumnId col) const {
+    const auto& cols = plan->values;
+    return values[entry * cols.size() +
+                  (std::find(cols.begin(), cols.end(), col) - cols.begin())];
+  }
+};
+
+/// Builds a dimension, reading only the key, the values and the terms'
+/// columns from each group's cover (or stitching a group with none).
+DimTable BuildDim(const DimPlan& dim);
+
 /// Aggregation over a covering fragment: each morsel runs the kernel into
 /// private partials (AggState vector or GroupMap); the caller merges them
 /// in morsel order, so floating-point sums associate the same way at every
-/// thread count and on every path. `prefiltered` as in SelectCover.
+/// thread count and on every path. `prefiltered` as in SelectCover. With
+/// `dims` non-empty (a star join, indexed like ReadPlan::dims) each morsel
+/// first probes them and aggregates only the rows that match all of them.
 void AggregateCover(const ParallelContext& ctx, const Fragment& cover,
                     const std::vector<const PredicateTerm*>& terms,
                     const AggregationQuery& q, bool grouped,
-                    const Bitmap* prefiltered, std::vector<AggState>* totals,
-                    GroupMap* group_map);
+                    const Bitmap* prefiltered,
+                    const std::vector<DimTable>& dims,
+                    std::vector<AggState>* totals, GroupMap* group_map);
+
+/// The row-at-a-time stitch of a group no fragment covers, folded into a
+/// partial that merges like one morsel's.
+void AggregateStitched(const LogicalTable& table, size_t g,
+                       const std::vector<const PredicateTerm*>& terms,
+                       const AggregationQuery& q, bool grouped,
+                       const std::vector<DimTable>& dims,
+                       std::vector<AggState>* totals, GroupMap* group_map);
 
 /// Folds accumulated aggregation state into the result shape: one value per
 /// aggregate (ungrouped) or one row per group (grouped).
@@ -173,21 +215,12 @@ QueryResult FinalizeAggregation(const AggregationQuery& q, bool grouped,
                                 const std::vector<AggState>& totals,
                                 const GroupMap& group_map);
 
-/// First fragment of the group containing every column, or nullptr.
-const Fragment* CoveringFragment(const RowGroup& group,
-                                 const std::vector<ColumnId>& columns);
-
-PrimaryKey PkOfFragmentRow(const Fragment& frag, RowId rid);
-
-/// Primary keys of the group's rows matching the predicate. Handles the
-/// vertical-split case where no single fragment covers all predicate
-/// columns by intersecting per-fragment key sets (the cost of queries that
-/// span vertical partitions).
-Result<std::vector<PrimaryKey>> MatchingPksInGroup(
-    const RowGroup& group, const std::vector<const PredicateTerm*>& terms);
-
-/// Sorted, deduplicated column list.
-std::vector<ColumnId> UniqueColumns(std::vector<ColumnId> cols);
+/// Primary keys of the rows of `table`'s group `g` matching the predicate,
+/// in row order: evaluated on the first fragment holding every term column,
+/// or, where the terms span a vertical split, by the row-at-a-time stitch.
+std::vector<PrimaryKey> MatchingPksInGroup(
+    const LogicalTable& table, size_t g,
+    const std::vector<const PredicateTerm*>& terms);
 
 }  // namespace readpath
 }  // namespace hsdb

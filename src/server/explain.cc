@@ -57,6 +57,26 @@ void AppendTableLines(const Catalog& catalog, const std::string& name,
   }
 }
 
+/// One line per star-join dimension: the edge, the columns its hash build
+/// keeps and how the build reads them.
+void AppendJoinLines(const readpath::ReadPlan& plan,
+                     std::vector<std::string>* out) {
+  for (const readpath::DimPlan& dim : plan.dims) {
+    const Schema& schema = dim.table->schema();
+    std::string line = "join " + dim.table->name() + ": " +
+                       plan.table->schema().column(dim.fact_key).name +
+                       " = " + schema.column(schema.primary_key()[0]).name +
+                       ", build columns (";
+    for (ColumnId c : dim.values) {
+      line += schema.column(c).name + (c == dim.values.back() ? "" : ", ");
+    }
+    out->push_back(line + "), build access: " +
+                   (dim.path == readpath::AccessPath::kStitch
+                        ? "stitch"
+                        : "covering-fragment scan"));
+  }
+}
+
 /// The access path readpath::Bind picks — the plan the executor runs —
 /// and whether the server would admit it to the admission queue, where it
 /// can share its scan with co-queued reads.
@@ -73,6 +93,7 @@ void AppendPathLines(Database* db, const Query& query,
     path += " at DOP " + std::to_string(db->num_threads());
   }
   out->push_back(path);
+  AppendJoinLines(*plan, out);
   out->push_back(plan->shareable
                      ? "batch_shareable: yes (shared-scan group on " +
                            plan->table->name() + ")"

@@ -75,23 +75,6 @@ class RowTable final : public PhysicalTable {
   /// sorted index. The produced bitmap is sized slot_count().
   Result<Bitmap> IndexFilter(ColumnId col, const ValueRange& range) const;
 
-  /// Numeric cell without Value materialization (engine-internal fast path).
-  double NumericAt(RowId rid, ColumnId col) const {
-    const std::byte* p = slots_[rid] + schema_.fixed_offset(col);
-    switch (schema_.column(col).type) {
-      case DataType::kInt32:
-      case DataType::kDate:
-        return static_cast<double>(LoadAs<int32_t>(p));
-      case DataType::kInt64:
-        return static_cast<double>(LoadAs<int64_t>(p));
-      case DataType::kDouble:
-        return LoadAs<double>(p);
-      case DataType::kVarchar:
-        HSDB_CHECK_MSG(false, "NumericAt on VARCHAR column");
-    }
-    return 0.0;
-  }
-
   /// Calls fn(RowId, double) for each live row's numeric `col` value,
   /// restricted to `filter` when non-null (filter sized slot_count()).
   /// The type dispatch is hoisted out of the loop, and fully live tables

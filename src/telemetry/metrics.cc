@@ -92,15 +92,22 @@ void LogHistogram::Observe(double value) {
   buckets_[idx].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(value, std::memory_order_relaxed);
+  // New extremes only; a failed exchange reloads the current one.
+  for (double lo = min_.load(std::memory_order_relaxed); value < lo &&
+       !min_.compare_exchange_weak(lo, value, std::memory_order_relaxed);) {
+  }
+  for (double hi = max_.load(std::memory_order_relaxed); value > hi &&
+       !max_.compare_exchange_weak(hi, value, std::memory_order_relaxed);) {
+  }
 }
 
 double LogHistogram::Quantile(double q) const {
   const uint64_t total = count();
   if (total == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(total);
+  const double target = std::clamp(q, 0.0, 1.0) * static_cast<double>(total);
+  double estimate = UpperBound(num_buckets_ - 1);
   uint64_t cumulative = 0;
-  for (int i = 0; i <= num_buckets_; ++i) {
+  for (int i = 0; i < num_buckets_; ++i) {
     const uint64_t in_bucket = BucketCount(i);
     if (in_bucket == 0) continue;
     if (static_cast<double>(cumulative + in_bucket) >= target) {
@@ -108,17 +115,20 @@ double LogHistogram::Quantile(double q) const {
           std::clamp((target - static_cast<double>(cumulative)) /
                          static_cast<double>(in_bucket),
                      0.0, 1.0);
-      if (i >= num_buckets_) return UpperBound(num_buckets_ - 1);
       const double hi = UpperBound(i);
+      const double lo = i == 0 ? 0.0 : UpperBound(i - 1);
       // Log-linear interpolation inside the bucket; the first bucket has
       // no positive lower bound, interpolate linearly from 0 instead.
-      if (i == 0) return hi * frac;
-      const double lo = UpperBound(i - 1);
-      return lo * std::pow(hi / lo, frac);
+      estimate = i == 0 ? hi * frac : lo * std::pow(hi / lo, frac);
+      break;
     }
     cumulative += in_bucket;
   }
-  return UpperBound(num_buckets_ - 1);
+  // Never below the smallest or above the largest observation (NaNs alone
+  // leave no extremes).
+  const double min = min_.load(std::memory_order_relaxed);
+  const double max = max_.load(std::memory_order_relaxed);
+  return min <= max ? std::clamp(estimate, min, max) : estimate;
 }
 
 void LogHistogram::Reset() {
@@ -127,6 +137,10 @@ void LogHistogram::Reset() {
   }
   count_.store(0, std::memory_order_relaxed);
   sum_.store(0.0, std::memory_order_relaxed);
+  min_.store(std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
+  max_.store(-std::numeric_limits<double>::infinity(),
+             std::memory_order_relaxed);
 }
 
 // ---- MetricsRegistry -------------------------------------------------------

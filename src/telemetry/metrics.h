@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -74,7 +75,8 @@ class LogHistogram {
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  /// q in [0, 1]; 0 with no observations.
+  /// q in [0, 1]; 0 with no observations. Interpolated inside the bucket
+  /// holding the q-th observation and clamped to the observed min and max.
   double Quantile(double q) const;
 
   int num_buckets() const { return num_buckets_; }
@@ -94,6 +96,9 @@ class LogHistogram {
   std::unique_ptr<std::atomic<uint64_t>[]> buckets_;
   std::atomic<uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
+  /// Observed extremes, written only when a new one arrives.
+  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
+  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
 };
 
 /// Sorted key=value pairs identifying one series of a metric family.

@@ -487,7 +487,8 @@ std::vector<NamedQuery> ReferenceQueries() {
     q.group_by = {{kFPart, 0}};
     q.predicate = {
         {{kFId, 0}, ValueRange::Less(Value(int64_t{12000}))},
-        {{kFQty, 0}, ValueRange::Between(Value(int32_t{2}), Value(int32_t{5}))}};
+        {{kFQty, 0},
+         ValueRange::Between(Value(int32_t{2}), Value(int32_t{5}))}};
     qs.push_back({"fact_predicate", q});
   }
   {
@@ -524,7 +525,8 @@ std::vector<NamedQuery> ReferenceQueries() {
     AggregationQuery q;
     q.tables = {"fact", "customer"};
     q.joins = {to_customer};
-    q.aggregates = {{AggFn::kSum, {kFAmount, 0}}, {AggFn::kMin, {kCBalance, 1}}};
+    q.aggregates = {{AggFn::kSum, {kFAmount, 0}},
+                    {AggFn::kMin, {kCBalance, 1}}};
     q.group_by = {{kCName, 1}};
     qs.push_back({"group_by_dim_string", q});
   }
@@ -586,6 +588,22 @@ TEST_P(JoinReferenceTest, MatchesNestedLoopReference) {
             << what << ": group order differs from the row-store DOP-1 run";
       }
     }
+  }
+}
+
+// An edge to a dimension column that is not its primary key could match
+// several dimension rows per fact row; the hash build keeps one row per key,
+// so the executor refuses the edge instead of answering wrongly.
+TEST(JoinEdgeTest, NonKeyJoinEdgeNotSupported) {
+  for (Shape shape : {Shape::kRs, Shape::kCs}) {
+    std::unique_ptr<Database> db = MakeStarDb(shape, shape, /*threads=*/1);
+    AggregationQuery q;
+    q.tables = {"fact", "customer"};
+    q.joins = {{0, kFCust, 1, kCNation}};  // nation repeats across customers
+    q.aggregates = {{AggFn::kSum, {kFAmount, 0}}, {AggFn::kCount, {}}};
+    EXPECT_EQ(db->Execute(Query(q)).status().code(),
+              StatusCode::kNotSupported)
+        << ShapeName(shape);
   }
 }
 

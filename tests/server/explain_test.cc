@@ -310,5 +310,83 @@ TEST(ExplainPathTest, DopOneTracesTheMorselKernel) {
   EXPECT_EQ(decode, 3u) << result->trace->ToString();
 }
 
+/// A star join binds to a plan: `explain` prints the fact path at its DOP
+/// and one line per dimension, and the traced run has exactly a
+/// `join_build` and then a `probe` span under `execute`, the fact scan's
+/// morsels under `probe`.
+TEST(ExplainPathTest, StarJoinPlanAndSpans) {
+  Database::Options options;
+  options.num_threads = 2;
+  Database db(options);
+  const Schema sales = Schema::CreateOrDie({{"id", DataType::kInt64},
+                                            {"cust", DataType::kInt64},
+                                            {"amount", DataType::kDouble}},
+                                           {0});
+  ASSERT_TRUE(db.CreateTable("sales", sales,
+                             TableLayout::SingleStore(StoreType::kColumn))
+                  .ok());
+  TableLayout split;  // segment apart from the key's other columns
+  split.base_store = StoreType::kColumn;
+  split.vertical = VerticalSpec{{1}};
+  ASSERT_TRUE(db.CreateTable("cust",
+                             Schema::CreateOrDie({{"cust_id", DataType::kInt64},
+                                                  {"segment", DataType::kInt32},
+                                                  {"name", DataType::kVarchar}},
+                                                 {0}),
+                             split)
+                  .ok());
+  for (int64_t c = 0; c < 10; ++c) {
+    ASSERT_TRUE(db.catalog()
+                    .GetTable("cust")
+                    ->Insert({c, int32_t(c % 2), "c" + std::to_string(c)})
+                    .ok());
+  }
+  for (int64_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(db.catalog()
+                    .GetTable("sales")
+                    ->Insert({i, i % 12, static_cast<double>(i)})
+                    .ok());
+  }
+  AggregationQuery q;
+  q.tables = {"sales", "cust"};
+  q.joins = {{0, 1, 1, 0}};
+  q.aggregates = {{AggFn::kSum, {2, 0}}, {AggFn::kCount, {}}};
+  q.group_by = {{1, 1}};  // cust.segment
+  const std::vector<std::string> plan = server::ExplainLines(&db, q);
+  for (const char* want :
+       {"path: morsel scan at DOP 2",
+        "join cust: cust = cust_id, build columns (segment), build access: "
+        "covering-fragment scan",
+        "batch_shareable: no (per-statement path)"}) {
+    EXPECT_NE(std::find(plan.begin(), plan.end(), want), plan.end())
+        << want;
+  }
+  q.group_by = {{2, 1}};  // cust.name, in the other piece than segment
+  q.aggregates.push_back({AggFn::kMax, {1, 1}});
+  const std::vector<std::string> stitched = server::ExplainLines(&db, q);
+  EXPECT_NE(std::find(stitched.begin(), stitched.end(),
+                      "join cust: cust = cust_id, build columns (name, "
+                      "segment), build access: stitch"),
+            stitched.end());
+
+  if (!telemetry::kCompiledIn) return;
+  Result<QueryResult> result = db.Execute(q);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_NE(result->trace, nullptr);
+  const telemetry::TraceSpan* execute = result->trace->Find("execute");
+  ASSERT_NE(execute, nullptr) << result->trace->ToString();
+  std::vector<std::string> children;
+  for (const telemetry::TraceSpan& child : execute->children) {
+    children.push_back(child.name);
+  }
+  EXPECT_EQ(children, (std::vector<std::string>{"join_build", "probe"}))
+      << result->trace->ToString();
+  const telemetry::TraceSpan* probe = execute->Find("probe");
+  ASSERT_NE(probe, nullptr);
+  EXPECT_NE(probe->Find("scan_parallel"), nullptr)
+      << result->trace->ToString();
+  EXPECT_EQ(execute->Find("scan"), nullptr) << result->trace->ToString();
+}
+
 }  // namespace
 }  // namespace hsdb

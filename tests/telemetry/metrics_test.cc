@@ -102,6 +102,22 @@ TEST(LogHistogramTest, QuantileEdgeCases) {
   EXPECT_LE(q, 4.0);
 }
 
+TEST(LogHistogramTest, QuantileStaysWithinTheObservedRange) {
+  // Only 1.0 observed: interpolating inside its bucket (0.512, 1.024] would
+  // report values that never occurred.
+  LogHistogram h;
+  for (int i = 0; i < 10; ++i) h.Observe(1.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 1.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.05), 1.0);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.99), 1.0);
+  h.Observe(3.0);
+  EXPECT_GE(h.Quantile(0.01), 1.0);
+  EXPECT_LE(h.Quantile(1.0), 3.0);
+  h.Reset();
+  h.Observe(0.25);
+  EXPECT_DOUBLE_EQ(h.Quantile(0.5), 0.25);
+}
+
 TEST(LogHistogramTest, QuantileIsMonotone) {
   LogHistogram h;
   for (int i = 1; i <= 1000; ++i) h.Observe(0.01 * i);
