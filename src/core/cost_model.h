@@ -148,9 +148,9 @@ class CostModel {
 
   /// Degree of parallelism the engine runs eligible scans at (the advisor
   /// mirrors Database::num_threads() here). Scan-shaped costs are divided
-  /// by the per-store parallel speedup; point lookups, joins and writes are
-  /// serial in the engine and stay unscaled. 1 (the default) disables the
-  /// adjustment.
+  /// by the per-store parallel speedup; point lookups and writes (serial in
+  /// the engine) and joins (whose fact side runs in morsels) stay unscaled.
+  /// 1 (the default) disables the adjustment.
   void set_dop(int dop) { dop_ = dop < 1 ? 1 : dop; }
   int dop() const { return dop_; }
 

@@ -244,13 +244,9 @@ struct TableSpec {
   std::vector<ColumnId> split_rs;   // kVerticalSplit row-store columns
 };
 
-// Two fact morsels. Groups come out in an order fixed by the order the scan
-// meets their keys. The key cycles (60 customer ids, 23 part ids, 7 qty
-// values) all restart at the horizontal boundary and no fact predicate cuts
-// the head of either group, so the hot group, which is scanned first, meets
-// the keys in the same order as the unsplit table.
+// Two fact morsels; the horizontal split's hot group holds ids >= 9000.
 constexpr int64_t kRefFactRows = readpath::kMorselRows + 1000;
-constexpr int64_t kRefFactBoundary = 60 * 23 * 7;
+constexpr int64_t kRefFactBoundary = 9000;
 
 TableSpec RefFact() {
   TableSpec t{"fact",
@@ -540,7 +536,7 @@ std::vector<NamedQuery> ReferenceQueries() {
                     {AggFn::kSum, {kPWeight, 2}}};
     q.group_by = {{kPColor, 2}, {kCSegment, 1}};
     q.predicate = {{{kPSize, 2}, ValueRange::AtMost(Value(int32_t{6}))},
-                   {{kFAmount, 0}, ValueRange::Less(Value(4000.0))}};
+                   {{kFAmount, 0}, ValueRange::AtLeast(Value(100.0))}};
     qs.push_back({"two_dims", q});
   }
   return qs;
@@ -550,8 +546,11 @@ class JoinReferenceTest
     : public ::testing::TestWithParam<std::tuple<Shape, Shape>> {};
 
 // Every query, before and after dimension deletes, matches the nested-loop
-// reference at DOP 1 and 4, and its group rows come out in the same order
-// on this layout pair as on the all-row-store DOP-1 database.
+// reference at DOP 1 and 4, with its group rows in the same order at both.
+// Groups come out in the order the scan first meets their keys, so the
+// order also matches the all-row-store DOP-1 database's wherever the fact
+// rows are scanned in insertion order: on every layout but the horizontal
+// split, which scans its hot group first.
 TEST_P(JoinReferenceTest, MatchesNestedLoopReference) {
   const auto [fact_shape, dim_shape] = GetParam();
   std::unique_ptr<Database> canonical =
@@ -578,14 +577,20 @@ TEST_P(JoinReferenceTest, MatchesNestedLoopReference) {
       const Reference ref = NestedLoopReference(canonical.get(), nq.query);
       Result<QueryResult> want = canonical->Execute(Query(nq.query));
       ASSERT_TRUE(want.ok()) << nq.name << ": " << want.status().ToString();
+      std::string order;  // this layout's group order at DOP 1
       for (size_t d = 0; d < dbs.size(); ++d) {
         const std::string what = std::string(phase) + " " + nq.name +
                                  (d == 0 ? " DOP 1" : " DOP 4");
         Result<QueryResult> got = dbs[d]->Execute(Query(nq.query));
         ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
         ExpectMatchesReference(nq.query, *got, ref, what);
-        EXPECT_EQ(GroupKeys(nq.query, *got), GroupKeys(nq.query, *want))
-            << what << ": group order differs from the row-store DOP-1 run";
+        if (d == 0 && fact_shape != Shape::kHorizontal) {
+          EXPECT_EQ(GroupKeys(nq.query, *got), GroupKeys(nq.query, *want))
+              << what << ": group order differs from the row-store run";
+        }
+        if (d == 0) order = GroupKeys(nq.query, *got);
+        EXPECT_EQ(GroupKeys(nq.query, *got), order)
+            << what << ": group order differs from the DOP-1 run";
       }
     }
   }
