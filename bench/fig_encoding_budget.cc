@@ -50,8 +50,9 @@ void Run() {
   db.catalog().UpdateAllStatistics();
 
   CostModel model(bench::CalibratedParams());
-  std::map<std::string, LayoutContext> layouts;
-  layouts.emplace("fact", LayoutContext::SingleStore(StoreType::kColumn));
+  // One candidate: the encoding search over the frozen column-store layout.
+  std::map<std::string, std::vector<LayoutCandidate>> candidates;
+  candidates["fact"] = {{LayoutContext::SingleStore(StoreType::kColumn), "CS"}};
 
   AggregationQuery olap;
   olap.tables = {"fact"};
@@ -71,7 +72,7 @@ void Run() {
 
   // Anchor the sweep on the unconstrained optimum and the feasibility floor.
   EncodingSearch unconstrained(&model, &db.catalog());
-  EncodingSearchResult top = unconstrained.Search(workload, layouts);
+  JointSearchResult top = unconstrained.Search(workload, candidates);
   std::printf(
       "unconstrained: cost %.3f ms, footprint %.0f bytes "
       "(picker: %.3f ms, %.0f bytes; floor %.0f bytes)\n\n",
@@ -87,7 +88,7 @@ void Run() {
     options.memory_budget_bytes =
         top.footprint_bytes * static_cast<double>(pct) / 100.0;
     EncodingSearch search(&model, &db.catalog(), options);
-    EncodingSearchResult r = search.Search(workload, layouts);
+    JointSearchResult r = search.Search(workload, candidates);
     std::printf("%7d%%  %12.0f  %12.3f  %9.3fx  %s\n", pct,
                 *options.memory_budget_bytes, r.cost_ms,
                 r.cost_ms / r.picker_cost_ms,

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "catalog/statistics.h"
+#include "storage/compression/encoding_picker.h"
 
 namespace hsdb {
 
@@ -12,54 +13,12 @@ namespace {
 
 constexpr double kCostEps = 1e-12;
 
-/// Per-table search state: candidate codecs, footprints and the current
-/// choice per column.
-struct TableState {
-  std::string name;
-  std::vector<std::vector<Encoding>> candidates;  // per column
-  std::vector<std::vector<double>> bytes;         // parallel to candidates
-  std::vector<size_t> choice;                     // candidate index per column
-  std::vector<size_t> picker_choice;
-  /// The codec the statistics carry: the store's current codec for
-  /// column-resident tables, the picker's estimate otherwise — the
-  /// incumbent assignment the hysteresis rule protects.
-  std::vector<size_t> incumbent_choice;
-  /// Whether some piece of the layout gives the column encoded mass
-  /// (EncodedRowFraction > 0): vertical row-store columns usually carry
-  /// none, but a column-store hot piece encodes every column it holds.
-  std::vector<bool> searchable;
-
-  std::vector<Encoding> Encodings() const {
-    std::vector<Encoding> out(choice.size());
-    for (size_t c = 0; c < choice.size(); ++c) {
-      out[c] = candidates[c][choice[c]];
-    }
-    return out;
-  }
-
-  double FootprintBytes() const {
-    double total = 0.0;
-    for (size_t c = 0; c < choice.size(); ++c) {
-      if (searchable[c]) total += bytes[c][choice[c]];
-    }
-    return total;
-  }
-};
-
-/// One searchable (table, column) coordinate.
-struct Item {
-  size_t table;
-  size_t column;
-};
-
-/// Per-column codec candidate machinery shared by Search and SearchJoint:
-/// the picker-pruned codecs, their estimated footprints, and the indices
-/// of the picker's choice and of the incumbent — the codec the statistics
-/// carry (what the store currently uses, or the picker's choice for
-/// hypothetical moves), falling back to the picker when it is no longer a
-/// candidate (e.g. RLE pruned after the run structure degraded). Keeping
-/// this in one place is what keeps the joint search's sequential baseline
-/// in lock-step with Search().
+/// Per-column codec candidates: the picker-pruned codecs, their estimated
+/// footprints, and the indices of the picker's choice and of the incumbent
+/// — the codec the statistics carry (what the store currently uses, or the
+/// picker's choice for hypothetical moves), falling back to the picker when
+/// it is no longer a candidate (e.g. RLE pruned after the run structure
+/// degraded).
 struct ColumnCandidates {
   std::vector<Encoding> codecs;
   std::vector<double> bytes;
@@ -91,13 +50,12 @@ ColumnCandidates BuildColumnCandidates(
   return out;
 }
 
-/// Incremental workload evaluator shared by Search and SearchJoint.
-/// Queries touching no searched table are costed once at construction and
-/// contribute a constant; an affected query is re-costed only when one of
-/// its tables was marked dirty since the last Evaluate(). Every mutation
-/// of a table's design must MarkDirty that table (or MarkAllDirty after a
-/// bulk restore) before the next Evaluate(); skipped evaluations simply
-/// let dirt accumulate.
+/// Incremental workload evaluator. Queries touching no searched table are
+/// costed once at construction and contribute a constant; an affected query
+/// is re-costed only when one of its tables was marked dirty since the last
+/// Evaluate(). Every mutation of a table's design must MarkDirty that table
+/// (or MarkAllDirty after a bulk restore) before the next Evaluate();
+/// skipped evaluations simply let dirt accumulate.
 class IncrementalEvaluator {
  public:
   IncrementalEvaluator(const WorkloadCostEstimator& estimator,
@@ -174,341 +132,8 @@ class IncrementalEvaluator {
   size_t evaluated_ = 0;
 };
 
-}  // namespace
-
-EncodingSearchResult EncodingSearch::Search(
-    const std::vector<WeightedQuery>& workload,
-    const std::map<std::string, LayoutContext>& layouts) const {
-  EncodingSearchResult result;
-
-  // ---- Candidate sets: the picker's profile rules prune per column -------
-  std::vector<TableState> tables;
-  for (const auto& [name, ctx] : layouts) {
-    if (!HasColumnStorePiece(ctx.layout)) continue;
-    const TableStatistics* stats = catalog_->GetStatistics(name);
-    const LogicalTable* table = catalog_->GetTable(name);
-    if (stats == nullptr || stats->columns.empty() || table == nullptr) {
-      continue;
-    }
-    const Schema& schema = table->schema();
-    const compression::EncodingPicker picker(options_.picker);
-
-    TableState state;
-    state.name = name;
-    const size_t n = stats->columns.size();
-    state.candidates.resize(n);
-    state.bytes.resize(n);
-    state.choice.resize(n);
-    state.picker_choice.resize(n);
-    state.incumbent_choice.resize(n);
-    state.searchable.assign(n, true);
-    for (ColumnId c = 0; c < n; ++c) {
-      ColumnCandidates cand =
-          BuildColumnCandidates(stats->columns[c], stats->row_count, picker);
-      state.candidates[c] = std::move(cand.codecs);
-      state.bytes[c] = std::move(cand.bytes);
-      state.picker_choice[c] = cand.picker;
-      state.incumbent_choice[c] = cand.incumbent;
-      state.choice[c] = cand.picker;
-      // Footprint counts only the row mass the column-store pieces hold: a
-      // horizontal split's row-store hot piece carries no encoded segments,
-      // so a narrower hybrid split genuinely shrinks the budget charge. A
-      // column is searched exactly when some piece gives it encoded mass —
-      // vertical row-store columns usually carry none (the replicated
-      // primary key stays encoded in the base piece), but a column-store
-      // *hot* piece holds whole rows and encodes even those. Using the same
-      // rule here and in SearchJoint keeps the two searches' footprints of
-      // identical designs identical.
-      const double fraction = EncodedRowFraction(ctx, schema, c);
-      state.searchable[c] = fraction > 0.0;
-      for (double& b : state.bytes[c]) b *= fraction;
-    }
-    tables.push_back(std::move(state));
-  }
-  if (tables.empty()) return result;
-
-  std::vector<Item> items;
-  size_t combinations = 1;
-  bool overflow = false;
-  for (size_t t = 0; t < tables.size(); ++t) {
-    for (size_t c = 0; c < tables[t].choice.size(); ++c) {
-      if (!tables[t].searchable[c] || tables[t].candidates[c].size() < 2) {
-        continue;
-      }
-      items.push_back(Item{t, c});
-      if (!overflow) {
-        combinations *= tables[t].candidates[c].size();
-        if (combinations > options_.exact_combination_limit) overflow = true;
-      }
-    }
-  }
-
-  // ---- Evaluation under the current per-table choices --------------------
-  // Incremental: a candidate assignment differs from the previously
-  // evaluated one in a few columns of a few tables, so only queries
-  // touching those tables are re-costed.
-  std::map<std::string, size_t> index_of;
-  for (size_t t = 0; t < tables.size(); ++t) {
-    index_of.emplace(tables[t].name, t);
-  }
-  auto layout_provider = [&](const std::string& name) {
-    auto it = layouts.find(name);
-    LayoutContext ctx = it == layouts.end()
-                            ? LayoutContext::SingleStore(StoreType::kRow)
-                            : it->second;
-    auto ti = index_of.find(name);
-    if (ti != index_of.end()) {
-      ctx.encodings = tables[ti->second].Encodings();
-    }
-    return ctx;
-  };
-  IncrementalEvaluator eval(estimator_, layout_provider, workload, index_of);
-  auto mark_dirty = [&](size_t t) { eval.MarkDirty(t); };
-  auto mark_all_dirty = [&]() { eval.MarkAllDirty(); };
-  auto evaluate = [&]() { return eval.Evaluate(); };
-  auto total_footprint = [&]() {
-    double total = 0.0;
-    for (const TableState& state : tables) total += state.FootprintBytes();
-    return total;
-  };
-
-  // Feasibility floor: every searchable column at its smallest codec.
-  double min_footprint = 0.0;
-  for (const TableState& state : tables) {
-    for (size_t c = 0; c < state.choice.size(); ++c) {
-      if (!state.searchable[c]) continue;
-      min_footprint +=
-          *std::min_element(state.bytes[c].begin(), state.bytes[c].end());
-    }
-  }
-  result.min_footprint_bytes = min_footprint;
-
-  // ---- Picker and incumbent baselines ------------------------------------
-  for (TableState& state : tables) state.choice = state.picker_choice;
-  mark_all_dirty();
-  result.picker_cost_ms = evaluate();
-  result.picker_footprint_bytes = total_footprint();
-
-  bool incumbent_is_picker = true;
-  for (const TableState& state : tables) {
-    incumbent_is_picker =
-        incumbent_is_picker && state.incumbent_choice == state.picker_choice;
-  }
-  double incumbent_cost = result.picker_cost_ms;
-  double incumbent_footprint = result.picker_footprint_bytes;
-  if (!incumbent_is_picker) {
-    for (TableState& state : tables) state.choice = state.incumbent_choice;
-    mark_all_dirty();
-    incumbent_cost = evaluate();
-    incumbent_footprint = total_footprint();
-  }
-
-  const std::optional<double>& budget = options_.memory_budget_bytes;
-  auto feasible_at = [&](double footprint) {
-    return !budget.has_value() || footprint <= *budget + 1e-6;
-  };
-
-  // The incumbent preloads the winner: the search must earn any deviation.
-  double best_cost = incumbent_cost;
-  double best_footprint = incumbent_footprint;
-  std::vector<std::vector<size_t>> best_choice;
-  auto snapshot = [&]() {
-    best_choice.clear();
-    for (const TableState& state : tables) best_choice.push_back(state.choice);
-  };
-  for (TableState& state : tables) state.choice = state.incumbent_choice;
-  snapshot();
-
-  if (!overflow && !items.empty()) {
-    // ---- Exact enumeration over the candidate cross-product --------------
-    result.exact = true;
-    bool any_feasible = feasible_at(incumbent_footprint);
-    // Enumerate with non-item columns pinned at the picker choice (their
-    // candidate set is a singleton anyway).
-    std::vector<size_t> odometer(items.size(), 0);
-    for (const Item& item : items) {
-      tables[item.table].choice[item.column] = 0;
-    }
-    mark_all_dirty();
-    bool done = false;
-    while (!done) {
-      double footprint = total_footprint();
-      if (feasible_at(footprint)) {
-        double cost = evaluate();
-        bool better =
-            !any_feasible || cost < best_cost - kCostEps ||
-            (cost <= best_cost + kCostEps && footprint < best_footprint);
-        if (better) {
-          best_cost = cost;
-          best_footprint = footprint;
-          snapshot();
-        }
-        any_feasible = true;
-      }
-      // Advance the odometer.
-      size_t i = 0;
-      for (; i < items.size(); ++i) {
-        size_t limit =
-            tables[items[i].table].candidates[items[i].column].size();
-        size_t next = odometer[i] + 1;
-        odometer[i] = next < limit ? next : 0;
-        tables[items[i].table].choice[items[i].column] = odometer[i];
-        mark_dirty(items[i].table);
-        if (next < limit) break;
-      }
-      done = i == items.size();
-    }
-    if (!any_feasible) {
-      // Budget below the floor: fall back to the minimal footprint.
-      for (TableState& state : tables) {
-        for (size_t c = 0; c < state.choice.size(); ++c) {
-          if (!state.searchable[c]) continue;
-          state.choice[c] = static_cast<size_t>(
-              std::min_element(state.bytes[c].begin(), state.bytes[c].end()) -
-              state.bytes[c].begin());
-        }
-      }
-      mark_all_dirty();
-      best_cost = evaluate();
-      best_footprint = total_footprint();
-      snapshot();
-      result.feasible = false;
-    }
-  } else {
-    // ---- Greedy knapsack --------------------------------------------------
-    // Phase 1: coordinate descent on workload cost, budget ignored. Starting
-    // from the picker's assignment this can only improve the cost.
-    for (TableState& state : tables) state.choice = state.picker_choice;
-    mark_all_dirty();
-    double cur_cost = result.picker_cost_ms;
-    bool improved = true;
-    int passes = 0;
-    while (improved && passes++ < 8) {
-      improved = false;
-      for (const Item& item : items) {
-        TableState& state = tables[item.table];
-        size_t original = state.choice[item.column];
-        size_t best_i = original;
-        double best_i_cost = cur_cost;
-        double best_i_bytes = state.bytes[item.column][original];
-        for (size_t i = 0; i < state.candidates[item.column].size(); ++i) {
-          if (i == original) continue;
-          state.choice[item.column] = i;
-          mark_dirty(item.table);
-          double cost = evaluate();
-          double b = state.bytes[item.column][i];
-          if (cost < best_i_cost - kCostEps ||
-              (cost <= best_i_cost + kCostEps && b < best_i_bytes)) {
-            best_i = i;
-            best_i_cost = cost;
-            best_i_bytes = b;
-          }
-        }
-        state.choice[item.column] = best_i;
-        mark_dirty(item.table);
-        if (best_i != original) {
-          cur_cost = best_i_cost;
-          improved = true;
-        }
-      }
-    }
-
-    // Phase 2: repair the budget — repeatedly take the swap to a smaller
-    // codec with the best cost-increase / bytes-saved ratio (the classic
-    // greedy knapsack eviction over per-column footprint deltas).
-    double cur_footprint = total_footprint();
-    while (budget.has_value() && cur_footprint > *budget + 1e-6) {
-      double best_ratio = std::numeric_limits<double>::infinity();
-      double best_saved = 0.0;
-      size_t best_item = items.size();
-      size_t best_cand = 0;
-      double best_swap_cost = cur_cost;
-      for (size_t n = 0; n < items.size(); ++n) {
-        TableState& state = tables[items[n].table];
-        size_t cur = state.choice[items[n].column];
-        double cur_bytes = state.bytes[items[n].column][cur];
-        for (size_t i = 0; i < state.candidates[items[n].column].size();
-             ++i) {
-          double saved = cur_bytes - state.bytes[items[n].column][i];
-          if (saved <= 0.0) continue;
-          state.choice[items[n].column] = i;
-          mark_dirty(items[n].table);
-          double cost = evaluate();
-          state.choice[items[n].column] = cur;
-          mark_dirty(items[n].table);
-          double ratio = (cost - cur_cost) / saved;
-          if (ratio < best_ratio ||
-              (ratio <= best_ratio + kCostEps && saved > best_saved)) {
-            best_ratio = ratio;
-            best_saved = saved;
-            best_item = n;
-            best_cand = i;
-            best_swap_cost = cost;
-          }
-        }
-      }
-      if (best_item == items.size()) break;  // nothing left to shrink
-      tables[items[best_item].table].choice[items[best_item].column] =
-          best_cand;
-      mark_dirty(items[best_item].table);
-      cur_cost = best_swap_cost;
-      cur_footprint -= best_saved;
-      ++result.repair_iterations;
-    }
-
-    best_cost = cur_cost;
-    best_footprint = total_footprint();
-    result.feasible = feasible_at(best_footprint);
-    snapshot();
-
-    // Never-worse guarantee: when the picker's own assignment is feasible
-    // and cheaper, keep it.
-    if (feasible_at(result.picker_footprint_bytes) &&
-        result.picker_cost_ms < best_cost - kCostEps) {
-      for (size_t t = 0; t < tables.size(); ++t) {
-        tables[t].choice = tables[t].picker_choice;
-      }
-      best_cost = result.picker_cost_ms;
-      best_footprint = result.picker_footprint_bytes;
-      result.feasible = true;
-      snapshot();
-    }
-  }
-
-  // ---- Hysteresis: recommendation stability ------------------------------
-  // Keep the incumbent encodings unless the winner improves materially.
-  // Guarded so the never-worse-than-picker and budget guarantees survive:
-  // the incumbent must itself be feasible and no costlier than the picker.
-  if (feasible_at(incumbent_footprint) &&
-      incumbent_cost <= result.picker_cost_ms + kCostEps &&
-      best_cost > incumbent_cost -
-                      options_.min_improvement * incumbent_cost) {
-    for (TableState& state : tables) state.choice = state.incumbent_choice;
-    best_cost = incumbent_cost;
-    best_footprint = incumbent_footprint;
-    result.feasible = true;
-    result.hysteresis_applied = true;
-    snapshot();
-  }
-
-  // ---- Materialize the winner -------------------------------------------
-  for (size_t t = 0; t < tables.size(); ++t) {
-    tables[t].choice = best_choice[t];
-    TableEncodingAssignment assignment;
-    assignment.encodings = tables[t].Encodings();
-    assignment.footprint_bytes = tables[t].FootprintBytes();
-    result.tables.emplace(tables[t].name, std::move(assignment));
-  }
-  result.cost_ms = best_cost;
-  result.footprint_bytes = best_footprint;
-  result.evaluated_assignments = eval.evaluated();
-  return result;
-}
-
-namespace {
-
-/// Per-table state of the joint search: layout candidates crossed with
-/// per-column codec candidates. Codec candidate sets and byte estimates are
+/// Per-table search state: layout candidates crossed with per-column codec
+/// candidates. Codec candidate sets and byte estimates are
 /// layout-independent; which columns carry encoded mass (and how much of
 /// it) depends on the layout via the per-layout fraction table.
 struct JointTable {
@@ -521,12 +146,11 @@ struct JointTable {
   size_t layout_choice = 0;
   std::vector<size_t> choice;
   std::vector<size_t> picker_choice;
-  /// The codecs the catalog statistics carry (the store's current codecs),
-  /// and the candidate matching the table's current layout — together the
-  /// incumbent design the hysteresis rule protects across layout flips.
+  /// The codecs the catalog statistics carry and the candidate matching
+  /// the table's current layout (candidate 0 when none does) — together
+  /// the incumbent design the hysteresis rule protects.
   std::vector<size_t> incumbent_choice;
   size_t incumbent_layout = 0;
-  bool has_incumbent_layout = false;
 
   std::vector<Encoding> Encodings() const {
     std::vector<Encoding> out(choice.size());
@@ -536,13 +160,7 @@ struct JointTable {
     return out;
   }
 
-  double FootprintBytes() const {
-    double total = 0.0;
-    for (size_t c = 0; c < choice.size(); ++c) {
-      total += bytes[c][choice[c]] * fraction[layout_choice][c];
-    }
-    return total;
-  }
+  double FootprintBytes() const { return FootprintBytesAt(layout_choice); }
 
   /// Footprint of the current codecs under a hypothetical layout flip.
   double FootprintBytesAt(size_t layout) const {
@@ -572,30 +190,37 @@ struct JointTable {
 
 }  // namespace
 
-JointSearchResult EncodingSearch::SearchJoint(
+JointSearchResult EncodingSearch::Search(
     const std::vector<WeightedQuery>& workload,
     const std::map<std::string, std::vector<LayoutCandidate>>& candidates)
     const {
   JointSearchResult result;
 
-  // The staged pipeline's layouts (candidate 0): the sequential baseline's
-  // input and the layout provider's fallback for unsearched tables.
+  // Candidate 0 of every table: the baseline's layouts and the layout
+  // provider's fallback for unsearched tables.
   std::map<std::string, LayoutContext> base_layouts;
   for (const auto& [name, cands] : candidates) {
     if (!cands.empty()) base_layouts.emplace(name, cands[0].context);
   }
 
   // ---- Per-table search state -------------------------------------------
+  // A table is searched when it has statistics and some candidate holds a
+  // column-store piece; without one there is no codec to choose.
+  const compression::EncodingPicker picker;
   std::vector<JointTable> tables;
   for (const auto& [name, cands] : candidates) {
-    if (cands.empty()) continue;
+    if (std::none_of(cands.begin(), cands.end(),
+                     [](const LayoutCandidate& cand) {
+                       return HasColumnStorePiece(cand.context.layout);
+                     })) {
+      continue;
+    }
     const TableStatistics* stats = catalog_->GetStatistics(name);
     const LogicalTable* table = catalog_->GetTable(name);
     if (stats == nullptr || stats->columns.empty() || table == nullptr) {
       continue;
     }
     const Schema& schema = table->schema();
-    const compression::EncodingPicker picker(options_.picker);
 
     JointTable state;
     state.name = name;
@@ -615,6 +240,9 @@ JointSearchResult EncodingSearch::SearchJoint(
       state.incumbent_choice[c] = cand.incumbent;
       state.choice[c] = cand.picker;
     }
+    // Footprint counts only the row mass the column-store pieces hold: a
+    // horizontal split's row-store hot piece carries no encoded segments,
+    // so a narrower hybrid split genuinely shrinks the budget charge.
     state.fraction.resize(cands.size());
     for (size_t l = 0; l < cands.size(); ++l) {
       state.fraction[l].resize(n);
@@ -623,13 +251,9 @@ JointSearchResult EncodingSearch::SearchJoint(
             EncodedRowFraction(cands[l].context, schema, c);
       }
     }
-    // The incumbent layout is the candidate matching what the catalog
-    // currently has; absent one, the table has no layout incumbent and the
-    // hysteresis rule falls back to the sequential pick for it.
     for (size_t l = 0; l < cands.size(); ++l) {
       if (cands[l].context.layout == table->layout()) {
         state.incumbent_layout = l;
-        state.has_incumbent_layout = true;
         break;
       }
     }
@@ -672,7 +296,7 @@ JointSearchResult EncodingSearch::SearchJoint(
     }
   }
 
-  // ---- Incremental evaluation (identical scheme to Search) ---------------
+  // ---- Incremental evaluation --------------------------------------------
   std::map<std::string, size_t> index_of;
   for (size_t t = 0; t < tables.size(); ++t) {
     index_of.emplace(tables[t].name, t);
@@ -712,26 +336,33 @@ JointSearchResult EncodingSearch::SearchJoint(
     return !budget.has_value() || footprint <= *budget + 1e-6;
   };
 
-  // ---- Sequential baseline: the staged layout-then-encoding pipeline ----
-  // Run the per-column search on the frozen candidate-0 layouts (exactly
-  // what the advisor did before the joint mode) and price the result with
-  // this search's own evaluator, so comparisons are apples to apples.
-  EncodingSearchResult sequential = Search(workload, base_layouts);
-  result.picker_cost_ms = sequential.picker_cost_ms;
+  // ---- Baseline ----------------------------------------------------------
+  // One candidate per table: the picker's assignment. Otherwise the staged
+  // layout-then-encoding pipeline — this search run on every table's
+  // candidate 0 — priced with this search's own evaluator, so comparisons
+  // are apples to apples.
+  const bool one_candidate_each = std::all_of(
+      candidates.begin(), candidates.end(),
+      [](const auto& entry) { return entry.second.size() <= 1; });
   for (JointTable& state : tables) {
     state.layout_choice = 0;
-    auto it = sequential.tables.find(state.name);
-    if (it == sequential.tables.end()) {
-      state.choice = state.picker_choice;
-      continue;
+    state.choice = state.picker_choice;
+  }
+  if (!one_candidate_each) {
+    std::map<std::string, std::vector<LayoutCandidate>> staged_candidates;
+    for (const auto& [name, cands] : candidates) {
+      if (!cands.empty()) staged_candidates[name] = {cands[0]};
     }
-    for (size_t c = 0; c < state.choice.size(); ++c) {
-      state.choice[c] = state.picker_choice[c];
-      if (c < it->second.encodings.size()) {
+    const JointSearchResult staged = Search(workload, staged_candidates);
+    result.picker_cost_ms = staged.picker_cost_ms;
+    result.picker_footprint_bytes = staged.picker_footprint_bytes;
+    for (JointTable& state : tables) {
+      auto it = staged.tables.find(state.name);
+      if (it == staged.tables.end()) continue;
+      const std::vector<Encoding>& picked = it->second.context.encodings;
+      for (size_t c = 0; c < state.choice.size() && c < picked.size(); ++c) {
         for (size_t i = 0; i < state.candidates[c].size(); ++i) {
-          if (state.candidates[c][i] == it->second.encodings[c]) {
-            state.choice[c] = i;
-          }
+          if (state.candidates[c][i] == picked[c]) state.choice[c] = i;
         }
       }
     }
@@ -739,6 +370,10 @@ JointSearchResult EncodingSearch::SearchJoint(
   mark_all_dirty();
   const double sequential_cost = evaluate();
   const double sequential_footprint = total_footprint();
+  if (one_candidate_each) {
+    result.picker_cost_ms = sequential_cost;
+    result.picker_footprint_bytes = sequential_footprint;
+  }
   result.sequential_cost_ms = sequential_cost;
   result.sequential_footprint_bytes = sequential_footprint;
   result.sequential_feasible = feasible_at(sequential_footprint);
@@ -747,21 +382,18 @@ JointSearchResult EncodingSearch::SearchJoint(
   for (const JointTable& state : tables) seq_choice.push_back(state.choice);
 
   // ---- Incumbent design: what the catalog currently has ------------------
-  // Tables whose current layout is not among the candidates fall back to
-  // their sequential pick (they have no layout incumbent to protect).
   bool incumbent_is_sequential = true;
+  std::vector<size_t> inc_layout(tables.size());
+  std::vector<std::vector<size_t>> inc_choice;
   for (size_t t = 0; t < tables.size(); ++t) {
     JointTable& state = tables[t];
-    if (state.has_incumbent_layout) {
-      state.layout_choice = state.incumbent_layout;
-      state.choice = state.incumbent_choice;
-    } else {
-      state.layout_choice = 0;
-      state.choice = seq_choice[t];
-    }
+    state.layout_choice = state.incumbent_layout;
+    state.choice = state.incumbent_choice;
     incumbent_is_sequential = incumbent_is_sequential &&
                               state.layout_choice == 0 &&
                               state.choice == seq_choice[t];
+    inc_layout[t] = state.layout_choice;
+    inc_choice.push_back(state.choice);
   }
   double incumbent_cost = sequential_cost;
   double incumbent_footprint = sequential_footprint;
@@ -769,12 +401,6 @@ JointSearchResult EncodingSearch::SearchJoint(
     mark_all_dirty();
     incumbent_cost = evaluate();
     incumbent_footprint = total_footprint();
-  }
-  std::vector<size_t> inc_layout(tables.size());
-  std::vector<std::vector<size_t>> inc_choice;
-  for (size_t t = 0; t < tables.size(); ++t) {
-    inc_layout[t] = tables[t].layout_choice;
-    inc_choice.push_back(tables[t].choice);
   }
 
   // ---- Winner tracking ---------------------------------------------------
@@ -809,13 +435,15 @@ JointSearchResult EncodingSearch::SearchJoint(
     mark_all_dirty();
   };
 
-  // The sequential design preloads the winner: any deviation must earn it.
+  // The baseline preloads the winner: any deviation must earn it.
   restore(seq_layout, seq_choice);
   consider(sequential_cost, sequential_footprint);
 
   if (!overflow && !dims.empty()) {
     // ---- Exact enumeration over the layout x codec cross-product ---------
+    // Columns outside the enumeration keep the incumbent's codecs.
     result.exact = true;
+    restore(inc_layout, inc_choice);
     for (const Dim& dim : dims) {
       if (dim.is_layout) {
         tables[dim.table].layout_choice = 0;
@@ -824,7 +452,6 @@ JointSearchResult EncodingSearch::SearchJoint(
       }
     }
     std::vector<size_t> odometer(dims.size(), 0);
-    mark_all_dirty();
     bool done = false;
     while (!done) {
       double footprint = total_footprint();
@@ -848,10 +475,10 @@ JointSearchResult EncodingSearch::SearchJoint(
       done = i == dims.size();
     }
   } else {
-    // ---- Greedy joint descent ---------------------------------------------
+    // ---- Greedy descent ----------------------------------------------------
     // Phase 1: per-table coordinate descent on workload cost over (layout,
-    // codecs), budget ignored — starting from the sequential solution this
-    // can only improve the cost.
+    // codecs), budget ignored — starting from the baseline this can only
+    // improve the cost.
     restore(seq_layout, seq_choice);
     double cur_cost = evaluate();
     bool improved = true;
@@ -922,11 +549,11 @@ JointSearchResult EncodingSearch::SearchJoint(
       }
     }
 
-    // Phase 2: repair the budget. The eviction moves now include layout
-    // flips — a table whose encoded footprint busts the budget can fall
-    // back to the row store or a narrower hybrid split — alongside the
-    // classic swap-to-a-smaller-codec moves, all ranked by cost-increase
-    // per byte saved.
+    // Phase 2: repair the budget — repeatedly take the move with the best
+    // cost-increase per byte saved (the classic greedy knapsack eviction):
+    // a swap to a smaller codec, or a layout flip that lets a table whose
+    // encoded footprint busts the budget fall back to the row store or a
+    // narrower hybrid split.
     double cur_footprint = total_footprint();
     while (budget.has_value() && cur_footprint > *budget + 1e-6) {
       double best_ratio = std::numeric_limits<double>::infinity();
@@ -1021,7 +648,6 @@ JointSearchResult EncodingSearch::SearchJoint(
     best_cost = evaluate();
     best_footprint = total_footprint();
     snapshot();
-    have_best = true;
     // The greedy repair can get stuck above the budget even when the floor
     // design fits (it never combines a layout flip with codec downgrades
     // in one move), so feasibility is judged by the materialized design,
@@ -1030,11 +656,11 @@ JointSearchResult EncodingSearch::SearchJoint(
     result.feasible = feasible_at(best_footprint);
   }
 
-  // ---- Hysteresis: recommendation stability across layout flips ----------
+  // ---- Hysteresis: recommendation stability ------------------------------
   // Keep the catalog's current design unless the winner improves
-  // materially, guarded so the never-worse-than-sequential and budget
+  // materially, guarded so the never-worse-than-baseline and budget
   // guarantees survive: the incumbent must itself be feasible and no
-  // costlier than the sequential pipeline's solution.
+  // costlier than the baseline.
   if (options_.min_improvement > 0.0 && feasible_at(incumbent_footprint) &&
       incumbent_cost <= sequential_cost + kCostEps &&
       best_cost > incumbent_cost -

@@ -1,27 +1,21 @@
-// EncodingSearch: per-column codec selection as a first-class advisor
-// search dimension. Where PR 1 delegated the encoding choice to the
-// heuristic EncodingPicker (smallest estimated footprint per column), the
-// search enumerates the feasible codecs of every column-store column —
-// pruned by the picker's profile rules — and minimizes the *workload* cost
-// under a user-supplied memory budget: fast codecs (RLE run skipping,
-// frame-of-reference) trade scan speed against footprint, and the
-// delta-merge re-encoding term prices codec choice into the insert cost.
+// EncodingSearch: the advisor's physical-design search over per-table
+// layout candidates crossed with per-column codecs, under one shared memory
+// budget. Every column-store column's codec is chosen from the feasible
+// codecs the picker's profile rules allow, minimizing the *workload* cost:
+// fast codecs (RLE run skipping, frame-of-reference) trade scan speed
+// against footprint, and the delta-merge re-encoding term prices codec
+// choice into the insert cost. The layout dimension lets a binding budget
+// flip a table to the row store or a narrower hybrid split — footprint
+// relief that codec downgrades alone cannot give.
 //
-// The optimization is a knapsack over per-column footprint deltas: greedy
-// coordinate descent plus a best-ratio eviction loop in the general case,
-// exact enumeration when the candidate cross-product is small. The picker's
-// assignment is always evaluated as a baseline, so an unconstrained search
-// never returns a costlier assignment than the picker's.
-//
-// SearchJoint widens the search space to the *layout* dimension: instead of
-// optimizing codecs over layouts a prior stage froze, it explores per-table
-// layout candidates (row/column/hybrid splits, supplied by the caller from
-// the PartitionAdvisor's heuristics) crossed with the per-column codec
-// assignments, all under one shared memory budget. A binding budget can
-// then flip a table to the row store or a narrower hybrid split — footprint
-// relief the staged pipeline cannot express — and the sequential
-// layout-then-encoding solution is always evaluated as a baseline, so the
-// joint result is never costlier whenever that solution is feasible.
+// The optimization is a knapsack over footprint deltas: exact enumeration
+// when the layout x codec cross-product is small, greedy coordinate descent
+// plus a best-ratio eviction loop beyond. A search over frozen layouts is
+// the same search with one candidate per table. Every run prices a
+// baseline and never returns a costlier design whenever the baseline is
+// budget-feasible: with one candidate per table the baseline is the
+// picker's heuristic assignment, otherwise it is the same search run on
+// every table's candidate 0 (the staged layout-then-encoding pipeline).
 #ifndef HSDB_CORE_ENCODING_SEARCH_H_
 #define HSDB_CORE_ENCODING_SEARCH_H_
 
@@ -31,7 +25,6 @@
 #include <vector>
 
 #include "core/workload_cost.h"
-#include "storage/compression/encoding_picker.h"
 
 namespace hsdb {
 
@@ -40,106 +33,62 @@ struct EncodingSearchOptions {
   /// column-store-resident columns across the design. Unset = unconstrained
   /// (the search still runs and minimizes workload cost).
   std::optional<double> memory_budget_bytes;
-  /// Exact enumeration when the candidate cross-product has at most this
-  /// many combinations; greedy knapsack beyond. 0 forces greedy.
+  /// Exact enumeration when the layout x codec cross-product has at most
+  /// this many combinations; greedy knapsack beyond. 0 forces greedy.
   size_t exact_combination_limit = 4096;
-  /// Recommendation-stability hysteresis: keep the incumbent encodings (the
-  /// codecs the statistics carry — what the store currently uses, or the
-  /// picker's choice for hypothetical moves) unless the best found
-  /// assignment improves the workload cost by at least this fraction while
-  /// the incumbent is budget-feasible and no worse than the picker
-  /// baseline. Prevents DDL churn between cost-near-equal codecs on
-  /// columns the workload barely touches. 0 disables.
+  /// Recommendation-stability hysteresis: keep the incumbent design — the
+  /// table's current layout when it is a candidate (candidate 0
+  /// otherwise) with the codecs the statistics carry (what the store
+  /// currently uses, or the picker's choice for hypothetical moves) —
+  /// unless the best found design improves the workload cost by at least
+  /// this fraction while the incumbent is budget-feasible and no worse than
+  /// the baseline. Prevents DDL churn between cost-near-equal designs on
+  /// tables the workload barely touches. 0 disables.
   double min_improvement = 0.02;
-  /// Pruning rules for the per-column candidate sets; must mirror the
-  /// store's picker options so the search only proposes codecs the store
-  /// would accept.
-  compression::EncodingPicker::Options picker;
 };
 
-/// Chosen codecs of one table, in logical column order (every column gets
-/// an entry; columns of row-store pieces keep the picker's choice and do
-/// not count toward the footprint).
-struct TableEncodingAssignment {
-  std::vector<Encoding> encodings;
-  /// Estimated encoded footprint (bytes) of the column-store columns,
-  /// scaled by the row mass the column-store pieces actually hold (a
-  /// horizontal split's row-store hot piece carries no encoded segments).
-  double footprint_bytes = 0.0;
-};
-
-struct EncodingSearchResult {
-  /// Assignment per table with a column-store piece. Tables without
-  /// statistics (or without column-store pieces) are absent.
-  std::map<std::string, TableEncodingAssignment> tables;
-
-  /// Estimated workload cost (ms) under the chosen assignment / under the
-  /// picker's heuristic assignment.
-  double cost_ms = 0.0;
-  double picker_cost_ms = 0.0;
-
-  /// Total estimated footprint of the chosen / picker assignment, plus the
-  /// tightest footprint any assignment could reach (per-column minima) —
-  /// the feasibility floor a budget is checked against.
-  double footprint_bytes = 0.0;
-  double picker_footprint_bytes = 0.0;
-  double min_footprint_bytes = 0.0;
-
-  /// False when the budget lies below min_footprint_bytes; the result then
-  /// carries the minimal-footprint assignment.
-  bool feasible = true;
-  /// True when the candidate cross-product was enumerated exhaustively.
-  bool exact = false;
-  /// Workload evaluations the search performed (search-effort metric).
-  size_t evaluated_assignments = 0;
-  /// Budget-repair evictions the greedy search performed to squeeze the
-  /// assignment under the budget (0 when the budget held immediately).
-  size_t repair_iterations = 0;
-  /// True when the hysteresis rule kept the incumbent assignment against a
-  /// marginally better challenger.
-  bool hysteresis_applied = false;
-};
-
-/// One table's chosen design in the joint layout+encoding search.
+/// One table's chosen design.
 struct JointTableDesign {
   /// Index into the caller's candidate list for this table.
   size_t candidate_index = 0;
   /// Chosen layout (+locality context) with the chosen per-column codecs
-  /// installed in LayoutContext::encodings.
+  /// installed in LayoutContext::encodings (every column gets an entry;
+  /// columns without encoded mass keep a codec that costs nothing).
   LayoutContext context;
   /// The chosen candidate's label, for the rationale.
   std::string reason;
   /// Estimated encoded footprint (bytes) of this table's column-store
   /// pieces under the chosen design — the table's budget attribution.
   double footprint_bytes = 0.0;
-  /// True when the chosen layout differs from the sequential (staged)
-  /// pipeline's pick, i.e. the flip only the joint search can express.
+  /// True when the chosen layout differs from candidate 0 (the staged
+  /// pipeline's pick), i.e. a flip only the layout dimension can express.
   bool layout_changed = false;
 };
 
 struct JointSearchResult {
-  /// Chosen design per table with catalog statistics. Tables without
-  /// statistics keep their candidate-0 layout and are absent here.
+  /// Chosen design per table with catalog statistics and a column-store
+  /// candidate. Other tables keep their candidate-0 layout and are absent.
   std::map<std::string, JointTableDesign> tables;
 
   /// Estimated workload cost (ms) and encoded footprint (bytes) of the
-  /// chosen joint design.
+  /// chosen design.
   double cost_ms = 0.0;
   double footprint_bytes = 0.0;
   /// False when no layout+codec combination meets the budget; the result
   /// then carries the minimal-footprint design across all candidates.
   bool feasible = true;
 
-  /// The sequential pipeline's solution — layouts frozen at candidate 0,
-  /// the encoding search run on them under the same budget. The joint
-  /// result never costs more whenever this solution is itself feasible.
+  /// The baseline: the picker's assignment with one candidate per table,
+  /// otherwise this search run on every table's candidate 0. The result
+  /// never costs more whenever the baseline is itself feasible.
   double sequential_cost_ms = 0.0;
   double sequential_footprint_bytes = 0.0;
   bool sequential_feasible = true;
 
-  /// The picker's heuristic assignment on the sequential layouts (the
+  /// The picker's heuristic assignment on the candidate-0 layouts (the
   /// pre-search baseline, echoed for reporting).
   double picker_cost_ms = 0.0;
+  double picker_footprint_bytes = 0.0;
 
   /// Tightest footprint any layout+codec combination could reach — the
   /// feasibility floor a budget is checked against. Zero whenever every
@@ -148,7 +97,8 @@ struct JointSearchResult {
 
   /// True when the layout x codec cross-product was enumerated exhaustively.
   bool exact = false;
-  /// Workload evaluations the search performed (search-effort metric).
+  /// Workload evaluations the search performed (search-effort metric; the
+  /// candidate-0 baseline run's own evaluations are not counted).
   size_t evaluated_assignments = 0;
   /// Budget-repair evictions the greedy search performed to squeeze the
   /// design under the budget (0 when the budget held immediately).
@@ -158,8 +108,8 @@ struct JointSearchResult {
   bool hysteresis_applied = false;
 };
 
-/// Runs the encoding (Search) and joint layout+encoding (SearchJoint)
-/// optimizations against a cost model and catalog; stateless between calls.
+/// Runs the layout x codec search against a cost model and catalog;
+/// stateless between calls.
 class EncodingSearch {
  public:
   /// Searches with default options (unconstrained budget, 2% hysteresis).
@@ -171,28 +121,17 @@ class EncodingSearch {
         catalog_(catalog),
         options_(std::move(options)) {}
 
-  /// Searches the per-column encoding assignment for every table in
-  /// `layouts` that has a column-store piece and catalog statistics. The
-  /// returned encodings are meant to be installed into
-  /// LayoutContext::encodings (the estimator then costs scans/inserts with
-  /// them) and into the advisor's ENCODING (...) DDL clauses.
-  EncodingSearchResult Search(
-      const std::vector<WeightedQuery>& workload,
-      const std::map<std::string, LayoutContext>& layouts) const;
-
-  /// Joint layout+encoding search. `candidates` supplies per table the
-  /// layout alternatives to explore; entry 0 must be the staged pipeline's
-  /// pick (it anchors the sequential baseline and the layout_changed
-  /// reporting). The search minimizes workload cost over the cross-product
-  /// of layout candidates and per-column codec assignments under the
-  /// options' shared memory budget, reusing the incremental dirty-table
-  /// evaluation so flipping one table re-costs only the queries touching
-  /// it. Guarantees: never costlier than the sequential pipeline when the
-  /// sequential design is feasible; the hysteresis rule (min_improvement)
-  /// keeps the table's *current* catalog layout and codecs across
-  /// cost-near-equal alternatives, preventing DDL churn on layout flips
-  /// exactly as on codec swaps.
-  JointSearchResult SearchJoint(
+  /// Minimizes workload cost over the cross-product of every table's
+  /// layout candidates and per-column codec assignments under the options'
+  /// shared memory budget. `candidates` supplies per table the layouts to
+  /// explore; entry 0 is the staged pipeline's pick (it anchors the
+  /// baseline and the layout_changed reporting). One candidate per table
+  /// searches the codecs of frozen layouts. The chosen codecs are meant to
+  /// be installed into LayoutContext::encodings (the estimator then costs
+  /// scans/inserts with them) and into the advisor's ENCODING (...) DDL
+  /// clauses. Evaluation is incremental: changing one table re-costs only
+  /// the queries touching it.
+  JointSearchResult Search(
       const std::vector<WeightedQuery>& workload,
       const std::map<std::string, std::vector<LayoutCandidate>>& candidates)
       const;

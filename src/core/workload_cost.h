@@ -59,7 +59,7 @@ using LayoutProvider = std::function<LayoutContext(const std::string&)>;
 /// the unit the joint layout+encoding search enumerates per table. The
 /// PartitionAdvisor produces these (its heuristic layouts), the advisor adds
 /// the plain single-store layouts and the table's current layout, and
-/// EncodingSearch::SearchJoint explores the cross-product with the
+/// EncodingSearch::Search explores the cross-product with the
 /// per-column codec assignments under one shared memory budget.
 struct LayoutCandidate {
   LayoutContext context;

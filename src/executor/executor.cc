@@ -51,14 +51,10 @@ Result<QueryResult> Executor::ExecuteSelect(const SelectQuery& q,
                       limit, seeded ? &*seeded : nullptr, &result);
       continue;
     }
-    // Vertical split: resolve keys, then stitch projections.
     telemetry::ScopedSpan stitch_span("stitch");
-    for (const PrimaryKey& pk :
-         rp::MatchingPksInGroup(*plan.table, g, plan.terms)) {
-      if (result.rows.size() >= limit) break;
-      HSDB_ASSIGN_OR_RETURN(Row row, plan.table->GetByPk(pk));
-      result.rows.push_back(ProjectRow(row, q.select_columns));
-    }
+    HSDB_RETURN_IF_ERROR(rp::SelectStitched(*plan.table, g, plan.terms,
+                                            q.select_columns, limit,
+                                            &result));
   }
   return result;
 }

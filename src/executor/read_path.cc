@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 #include <optional>
 
 #include "common/thread_pool.h"
@@ -539,16 +540,21 @@ void MergePartial(const MorselAgg& partial, std::vector<AggState>* totals,
 }
 
 /// Calls fn(row) for each stitched logical row of `table`'s group `g` that
-/// passes `terms`: the row-at-a-time fallback of a group no fragment covers.
+/// passes `terms`, in row order, stopping after `max_matches` of them: the
+/// row-at-a-time fallback of a group no fragment covers.
 template <typename Fn>
 void ForEachMatchingRow(const LogicalTable& table, size_t g,
                         const std::vector<const PredicateTerm*>& terms,
-                        Fn&& fn) {
-  table.ForEachRowInGroup(g, [&](const Row& row) {
+                        Fn&& fn,
+                        size_t max_matches =
+                            std::numeric_limits<size_t>::max()) {
+  size_t matches = 0;
+  table.ForEachRowInGroupWhile(g, [&](const Row& row) {
     for (const PredicateTerm* term : terms) {
-      if (!term->range.Contains(row[term->column.column])) return;
+      if (!term->range.Contains(row[term->column.column])) return true;
     }
     fn(row);
+    return ++matches < max_matches;
   });
 }
 
@@ -673,6 +679,33 @@ QueryResult FinalizeAggregation(const AggregationQuery& q, bool grouped,
     }
   }
   return result;
+}
+
+Status SelectStitched(const LogicalTable& table, size_t g,
+                      const std::vector<const PredicateTerm*>& terms,
+                      const std::vector<ColumnId>& select_columns,
+                      size_t limit, QueryResult* result) {
+  if (result->rows.size() >= limit) return Status::OK();
+  std::vector<ColumnId> cols;
+  for (const PredicateTerm* term : terms) cols.push_back(term->column.column);
+  if (CoveringFragment(table.groups()[g], cols) == nullptr) {
+    // The predicate spans the split as well: the one stitch per row both
+    // filters and projects.
+    ForEachMatchingRow(
+        table, g, terms,
+        [&](const Row& row) {
+          result->rows.push_back(ProjectRow(row, select_columns));
+        },
+        limit - result->rows.size());
+    return Status::OK();
+  }
+  // The predicate runs on one fragment; only its matches are stitched.
+  for (const PrimaryKey& pk : MatchingPksInGroup(table, g, terms)) {
+    if (result->rows.size() >= limit) break;
+    HSDB_ASSIGN_OR_RETURN(Row row, table.GetByPk(pk));
+    result->rows.push_back(ProjectRow(row, select_columns));
+  }
+  return Status::OK();
 }
 
 std::vector<PrimaryKey> MatchingPksInGroup(

@@ -215,6 +215,16 @@ QueryResult FinalizeAggregation(const AggregationQuery& q, bool grouped,
                                 const std::vector<AggState>& totals,
                                 const GroupMap& group_map);
 
+/// SELECT over a group no fragment covers (a vertical split): appends the
+/// projection of the group's matching rows to `result` in row order until
+/// it holds `limit` rows. A predicate one fragment holds is evaluated there
+/// and only its matches are stitched; one spanning the split is checked on
+/// the stitched row, which is projected in the same pass.
+Status SelectStitched(const LogicalTable& table, size_t g,
+                      const std::vector<const PredicateTerm*>& terms,
+                      const std::vector<ColumnId>& select_columns,
+                      size_t limit, QueryResult* result);
+
 /// Primary keys of the rows of `table`'s group `g` matching the predicate,
 /// in row order: evaluated on the first fragment holding every term column,
 /// or, where the terms span a vertical split, by the row-at-a-time stitch.

@@ -118,6 +118,17 @@ class LogicalTable {
         [&](size_t rid) { fn(StitchRow(group, lead, rid)); });
   }
 
+  /// As ForEachRowInGroup, but stops stitching once `fn` returns false.
+  template <typename Fn>
+  void ForEachRowInGroupWhile(size_t group_index, Fn&& fn) const {
+    const RowGroup& group = groups_[group_index];
+    const Fragment& lead = group.fragments.front();
+    bool more = true;
+    lead.table->live_bitmap().ForEachSet([&](size_t rid) {
+      if (more) more = fn(StitchRow(group, lead, rid));
+    });
+  }
+
   /// Visits the live rows of one group whose lead-fragment slot lies in
   /// [begin_rid, end_rid) — the chunked form of ForEachRowInGroup a shadow
   /// rebuild uses to copy a table in bounded writer-blocking slices. Only

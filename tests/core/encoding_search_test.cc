@@ -1,9 +1,9 @@
-// EncodingSearch: budget-constrained per-column codec selection in the
-// advisor. The acceptance properties: under an unconstrained budget the
-// search never produces a higher-cost assignment than the EncodingPicker's
-// heuristic choice, and under a binding budget it emits a feasible
-// assignment (or reports the feasibility floor when the budget lies below
-// every reachable footprint).
+// EncodingSearch over frozen layouts (one candidate per table):
+// budget-constrained per-column codec selection. The acceptance properties:
+// under an unconstrained budget the search never produces a higher-cost
+// assignment than the EncodingPicker's heuristic choice, and under a
+// binding budget it emits a feasible assignment (or reports the
+// feasibility floor when the budget lies below every reachable footprint).
 #include "core/encoding_search.h"
 
 #include <gtest/gtest.h>
@@ -47,8 +47,8 @@ class EncodingSearchTest : public ::testing::Test {
     }
     fact->ForceMerge();
     db_.catalog().UpdateAllStatistics();
-    layouts_.emplace("fact",
-                     LayoutContext::SingleStore(StoreType::kColumn));
+    candidates_["fact"] = {
+        {LayoutContext::SingleStore(StoreType::kColumn), "CS"}};
   }
 
   /// Scan-heavy workload: SUM(amount) GROUP BY status over a day range,
@@ -69,16 +69,16 @@ class EncodingSearchTest : public ::testing::Test {
             WeightedQuery{Query(insert), insert_weight}};
   }
 
-  EncodingSearchResult Run(const std::vector<WeightedQuery>& workload,
-                           EncodingSearchOptions options = {}) const {
+  JointSearchResult Run(const std::vector<WeightedQuery>& workload,
+                        EncodingSearchOptions options = {}) const {
     EncodingSearch search(&model_, &db_.catalog(), options);
-    return search.Search(workload, layouts_);
+    return search.Search(workload, candidates_);
   }
 
   Database db_;
   Schema schema_;
   CostModel model_;
-  std::map<std::string, LayoutContext> layouts_;
+  std::map<std::string, std::vector<LayoutCandidate>> candidates_;
 };
 
 TEST_F(EncodingSearchTest, CandidatesRespectPickerPruning) {
@@ -111,7 +111,7 @@ TEST_F(EncodingSearchTest, UnconstrainedNeverWorseThanPicker) {
                                 {50.0, 50.0},
                                 {5.0, 500.0},
                                 {1.0, 0.0}}) {
-    EncodingSearchResult r = Run(Workload(scans, inserts));
+    JointSearchResult r = Run(Workload(scans, inserts));
     ASSERT_EQ(r.tables.size(), 1u);
     EXPECT_LE(r.cost_ms, r.picker_cost_ms + 1e-9)
         << "scans=" << scans << " inserts=" << inserts;
@@ -127,13 +127,13 @@ TEST_F(EncodingSearchTest, ScanHeavyWorkloadFlipsAmountToFasterCodec) {
   // double column.
   EXPECT_EQ(stats->column(3).encoding, Encoding::kRaw);
 
-  EncodingSearchResult r = Run(Workload(/*scan_weight=*/500.0,
+  JointSearchResult r = Run(Workload(/*scan_weight=*/500.0,
                                         /*insert_weight=*/1.0));
-  const TableEncodingAssignment& fact = r.tables.at("fact");
-  ASSERT_EQ(fact.encodings.size(), schema_.num_columns());
+  const std::vector<Encoding>& fact = r.tables.at("fact").context.encodings;
+  ASSERT_EQ(fact.size(), schema_.num_columns());
   // The search pays footprint for scan speed: dictionary decode is cheaper
   // than the raw fallback under the default model.
-  EXPECT_EQ(fact.encodings[3], Encoding::kDictionary);
+  EXPECT_EQ(fact[3], Encoding::kDictionary);
   EXPECT_LT(r.cost_ms, r.picker_cost_ms);
   EXPECT_GT(r.footprint_bytes, r.picker_footprint_bytes);
 }
@@ -147,14 +147,14 @@ TEST_F(EncodingSearchTest, HalfPlainFootprintBudgetIsFeasible) {
   }
   EncodingSearchOptions options;
   options.memory_budget_bytes = 0.5 * plain_bytes;
-  EncodingSearchResult r = Run(Workload(500.0, 1.0), options);
+  JointSearchResult r = Run(Workload(500.0, 1.0), options);
   EXPECT_TRUE(r.feasible);
   EXPECT_LE(r.footprint_bytes, *options.memory_budget_bytes + 1e-6);
 }
 
 TEST_F(EncodingSearchTest, BindingBudgetTradesSpeedForFootprint) {
   std::vector<WeightedQuery> workload = Workload(500.0, 1.0);
-  EncodingSearchResult unconstrained = Run(workload);
+  JointSearchResult unconstrained = Run(workload);
   ASSERT_GT(unconstrained.footprint_bytes,
             unconstrained.min_footprint_bytes);
 
@@ -163,7 +163,7 @@ TEST_F(EncodingSearchTest, BindingBudgetTradesSpeedForFootprint) {
   EncodingSearchOptions options;
   options.memory_budget_bytes = 0.5 * (unconstrained.footprint_bytes +
                                        unconstrained.min_footprint_bytes);
-  EncodingSearchResult r = Run(workload, options);
+  JointSearchResult r = Run(workload, options);
   EXPECT_TRUE(r.feasible);
   EXPECT_LE(r.footprint_bytes, *options.memory_budget_bytes + 1e-6);
   EXPECT_GE(r.cost_ms, unconstrained.cost_ms - 1e-9);
@@ -175,7 +175,7 @@ TEST_F(EncodingSearchTest, BindingBudgetTradesSpeedForFootprint) {
 TEST_F(EncodingSearchTest, InfeasibleBudgetReportsFloor) {
   EncodingSearchOptions options;
   options.memory_budget_bytes = 1.0;  // one byte: below any assignment
-  EncodingSearchResult r = Run(Workload(100.0, 1.0), options);
+  JointSearchResult r = Run(Workload(100.0, 1.0), options);
   EXPECT_FALSE(r.feasible);
   ASSERT_EQ(r.tables.size(), 1u);
   // The result falls back to the tightest assignment there is.
@@ -189,13 +189,13 @@ TEST_F(EncodingSearchTest, ExactEnumerationMatchesOrBeatsGreedy) {
        {std::optional<double>{}, std::optional<double>{250'000.0}}) {
     EncodingSearchOptions exact_opts;
     exact_opts.memory_budget_bytes = budget;
-    EncodingSearchResult exact = Run(workload, exact_opts);
+    JointSearchResult exact = Run(workload, exact_opts);
     EXPECT_TRUE(exact.exact);
 
     EncodingSearchOptions greedy_opts;
     greedy_opts.memory_budget_bytes = budget;
     greedy_opts.exact_combination_limit = 0;  // force the greedy knapsack
-    EncodingSearchResult greedy = Run(workload, greedy_opts);
+    JointSearchResult greedy = Run(workload, greedy_opts);
     EXPECT_FALSE(greedy.exact);
 
     EXPECT_EQ(exact.feasible, greedy.feasible);

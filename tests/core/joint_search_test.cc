@@ -1,7 +1,8 @@
 // Joint layout+encoding search: the advisor explores per-table layout
 // candidates and per-column codec assignments under one shared memory
 // budget. Acceptance properties: the joint result is never costlier than
-// the staged layout-then-encoding pipeline whenever the staged design is
+// the staged layout-then-encoding pipeline (the same search run on the
+// frozen candidate-0 layouts) whenever the staged design is
 // budget-feasible; a binding budget can flip a table's recommended layout
 // (and the flip disappears when the budget is relaxed); infeasibility is
 // reported only when even the best layout cannot fit; and the hysteresis
@@ -115,12 +116,7 @@ TEST_F(JointSearchTest, BindingBudgetFlipsColdTableToRowStore) {
 
   // The staged pipeline cannot express this relief: with the layouts
   // frozen at column store, the same budget is infeasible.
-  AdvisorOptions staged = tight;
-  staged.joint_budget_search = false;
-  StorageAdvisor staged_advisor(&db_, staged);
-  Result<Recommendation> srec = staged_advisor.RecommendOffline(workload);
-  ASSERT_TRUE(srec.ok());
-  EXPECT_FALSE(srec->encoding_budget_feasible);
+  EXPECT_FALSE(rec->sequential_budget_feasible);
 
   // Relaxing the budget makes the flip disappear.
   AdvisorOptions loose;
@@ -146,7 +142,7 @@ TEST_F(JointSearchTest, InfeasibleOnlyWhenEvenTheBestLayoutCannotFit) {
   cs_only.emplace(
       "hot", std::vector<LayoutCandidate>{
                  {LayoutContext::SingleStore(StoreType::kColumn), "CS"}});
-  JointSearchResult r = search.SearchJoint(workload, cs_only);
+  JointSearchResult r = search.Search(workload, cs_only);
   ASSERT_EQ(r.tables.size(), 1u);
   EXPECT_FALSE(r.feasible);
   EXPECT_GT(r.min_footprint_bytes, 1.0);
@@ -158,7 +154,7 @@ TEST_F(JointSearchTest, InfeasibleOnlyWhenEvenTheBestLayoutCannotFit) {
   std::map<std::string, std::vector<LayoutCandidate>> with_rs = cs_only;
   with_rs.at("hot").push_back(
       {LayoutContext::SingleStore(StoreType::kRow), "RS"});
-  JointSearchResult r2 = search.SearchJoint(workload, with_rs);
+  JointSearchResult r2 = search.Search(workload, with_rs);
   EXPECT_TRUE(r2.feasible);
   EXPECT_EQ(r2.min_footprint_bytes, 0.0);
   EXPECT_EQ(r2.tables.at("hot").context.layout.base_store, StoreType::kRow);
@@ -182,7 +178,7 @@ TEST_F(JointSearchTest, HysteresisKeepsCurrentLayoutAcrossNearEqualFlips) {
   EncodingSearchOptions sticky;
   sticky.min_improvement = 0.9;  // only a 90% improvement may flip
   JointSearchResult kept = EncodingSearch(&model_, &db_.catalog(), sticky)
-                               .SearchJoint(workload, candidates);
+                               .Search(workload, candidates);
   ASSERT_EQ(kept.tables.size(), 1u);
   EXPECT_EQ(kept.tables.at("hot").context.layout.base_store,
             StoreType::kRow);
@@ -193,7 +189,7 @@ TEST_F(JointSearchTest, HysteresisKeepsCurrentLayoutAcrossNearEqualFlips) {
   EncodingSearchOptions eager;
   eager.min_improvement = 0.0;
   JointSearchResult flipped = EncodingSearch(&model_, &db_.catalog(), eager)
-                                  .SearchJoint(workload, candidates);
+                                  .Search(workload, candidates);
   EXPECT_EQ(flipped.tables.at("hot").context.layout.base_store,
             StoreType::kColumn);
   EXPECT_TRUE(flipped.tables.at("hot").layout_changed);
@@ -201,6 +197,51 @@ TEST_F(JointSearchTest, HysteresisKeepsCurrentLayoutAcrossNearEqualFlips) {
   // Both runs respect the sequential ceiling.
   EXPECT_LE(kept.cost_ms, kept.sequential_cost_ms + 1e-9);
   EXPECT_LE(flipped.cost_ms, flipped.sequential_cost_ms + 1e-9);
+}
+
+TEST_F(JointSearchTest, OneCandidateRunIsTheLayoutSearchBaseline) {
+  std::vector<WeightedQuery> workload = Workload();
+  std::map<std::string, std::vector<LayoutCandidate>> frozen;
+  std::map<std::string, std::vector<LayoutCandidate>> widened;
+  for (const char* name : {"hot", "cold"}) {
+    frozen[name] = {{LayoutContext::SingleStore(StoreType::kColumn), "CS"}};
+    widened[name] = frozen[name];
+    widened[name].push_back(
+        {LayoutContext::SingleStore(StoreType::kRow), "RS"});
+  }
+  for (std::optional<double> budget :
+       {std::optional<double>{}, std::optional<double>{200'000.0}}) {
+    EncodingSearchOptions options;
+    options.memory_budget_bytes = budget;
+    EncodingSearch search(&model_, &db_.catalog(), options);
+    JointSearchResult one = search.Search(workload, frozen);
+    JointSearchResult joint = search.Search(workload, widened);
+
+    // With one candidate per table no layout moves, and the result never
+    // costs more than its own (picker) baseline.
+    ASSERT_EQ(one.tables.size(), 2u);
+    for (const auto& [name, design] : one.tables) {
+      EXPECT_FALSE(design.layout_changed) << name;
+      EXPECT_EQ(design.candidate_index, 0u) << name;
+    }
+    EXPECT_EQ(one.picker_cost_ms, one.sequential_cost_ms);
+    if (one.sequential_feasible) {
+      EXPECT_LE(one.cost_ms, one.sequential_cost_ms + 1e-9);
+    }
+    // The wider search's baseline is exactly that one-candidate run.
+    EXPECT_NEAR(joint.sequential_cost_ms, one.cost_ms, 1e-9 * one.cost_ms);
+    EXPECT_NEAR(joint.sequential_footprint_bytes, one.footprint_bytes,
+                1e-9 * one.footprint_bytes);
+    EXPECT_EQ(joint.sequential_feasible, one.feasible);
+    EXPECT_EQ(joint.picker_cost_ms, one.picker_cost_ms);
+    if (budget.has_value()) {
+      // The budget binds: column-store-only cannot fit, a row-store flip can.
+      EXPECT_FALSE(one.feasible);
+      EXPECT_TRUE(joint.feasible);
+    } else {
+      EXPECT_LE(joint.cost_ms, joint.sequential_cost_ms + 1e-9);
+    }
+  }
 }
 
 TEST_F(JointSearchTest, ApplyRealizesJointBudgetRecommendation) {
@@ -291,30 +332,46 @@ TEST(JointSearchTpchTest, JointNeverWorseThanSequentialAcrossBudgets) {
   ASSERT_TRUE(top.ok());
   ASSERT_GT(top->encoding_footprint_bytes, 0.0);
 
-  for (double scale : {1.1, 0.7, 0.4}) {
-    AdvisorOptions joint_opts;
-    joint_opts.encoding.memory_budget_bytes =
-        top->encoding_footprint_bytes * scale;
-    AdvisorOptions staged_opts = joint_opts;
-    staged_opts.joint_budget_search = false;
+  // The extended statistics RecommendOffline derives from the workload.
+  WorkloadStatistics stats;
+  for (const WeightedQuery& wq : workload) stats.Record(wq.query, db.catalog());
 
-    StorageAdvisor joint_advisor(&db, joint_opts);
-    StorageAdvisor staged_advisor(&db, staged_opts);
-    Result<Recommendation> joint = joint_advisor.RecommendOffline(workload);
-    Result<Recommendation> staged = staged_advisor.RecommendOffline(workload);
+  for (double scale : {1.1, 0.7, 0.4}) {
+    AdvisorOptions options;
+    options.encoding.memory_budget_bytes =
+        top->encoding_footprint_bytes * scale;
+    StorageAdvisor advisor(&db, options);
+    Result<Recommendation> joint = advisor.RecommendOffline(workload);
     ASSERT_TRUE(joint.ok()) << scale;
-    ASSERT_TRUE(staged.ok()) << scale;
+
+    // Independent staged reference: freeze the layouts with the table and
+    // partition advisors, then search the codecs of those layouts alone
+    // (one candidate per table).
+    const CostModel& model = advisor.cost_model();
+    const TableAdvisorResult table_level =
+        TableAdvisor(&model, &db.catalog()).Recommend(workload);
+    const PartitionAdvisorResult frozen =
+        PartitionAdvisor(&model, &db.catalog())
+            .Recommend(workload, stats, table_level.assignment);
+    std::map<std::string, std::vector<LayoutCandidate>> one_each;
+    for (const auto& [name, ctx] : frozen.layouts) {
+      one_each[name] = {{ctx, "staged"}};
+    }
+    const JointSearchResult staged =
+        EncodingSearch(&model, &db.catalog(), options.encoding)
+            .Search(workload, one_each);
 
     // The joint search prices the staged pipeline internally; its result
     // never costs more whenever the staged design is feasible — and a
     // budget the staged pipeline can satisfy is never infeasible jointly.
-    EXPECT_NEAR(joint->sequential_cost_ms, staged->estimated_cost_ms,
-                1e-6 * staged->estimated_cost_ms)
+    EXPECT_NEAR(joint->sequential_cost_ms, staged.cost_ms,
+                1e-6 * staged.cost_ms)
         << scale;
-    if (staged->encoding_budget_feasible) {
+    EXPECT_EQ(joint->sequential_budget_feasible, staged.feasible) << scale;
+    if (staged.feasible) {
       EXPECT_TRUE(joint->encoding_budget_feasible) << scale;
       EXPECT_LE(joint->estimated_cost_ms,
-                staged->estimated_cost_ms * (1.0 + 1e-9) + 1e-9)
+                staged.cost_ms * (1.0 + 1e-9) + 1e-9)
           << scale;
     }
     if (joint->memory_budget_bytes.has_value() &&

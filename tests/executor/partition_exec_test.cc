@@ -58,7 +58,9 @@ TEST_P(PartitionExecTest, QueriesAgreeAcrossLayouts) {
   // One database per layout, identical contents.
   std::vector<std::unique_ptr<Database>> dbs;
   for (const NamedLayout& nl : Layouts()) {
-    auto db = std::make_unique<Database>();
+    Database::Options options;
+    options.num_threads = GetParam();
+    auto db = std::make_unique<Database>(options);
     ASSERT_TRUE(db->CreateTable("orders", OrdersSchema(), nl.layout).ok());
     for (int64_t i = 0; i < 1000; ++i) {
       ASSERT_TRUE(
@@ -164,6 +166,34 @@ TEST_P(PartitionExecTest, QueriesAgreeAcrossLayouts) {
     }
   }
 
+  // A predicate spanning the vertical split (status in the RS piece,
+  // amount in the CS piece) under a LIMIT: every layout returns the same
+  // first rows in row order. The amount range keeps the matches below the
+  // horizontal boundary (ids 400..699), so one row group holds them all.
+  SelectQuery spanning;
+  spanning.table = "orders";
+  spanning.select_columns = {0, 4, 2};
+  spanning.predicate = {{{1, 0}, ValueRange::Eq(Value(int32_t{3}))},
+                        {{2, 0}, ValueRange::Between(Value(500.0),
+                                                     Value(874.0))}};
+  spanning.limit = 25;
+  {
+    auto results = run_all(Query(spanning));
+    for (size_t i = 0; i < results.size(); ++i) {
+      ASSERT_TRUE(results[i].ok()) << Layouts()[i].name;
+      const std::vector<Row>& rows = results[i]->rows;
+      ASSERT_EQ(rows.size(), 25u) << Layouts()[i].name;
+      for (size_t r = 0; r < rows.size(); ++r) {
+        ASSERT_EQ(rows[r].size(), 3u);
+        const int64_t id = rows[r][0].as_int64();
+        // Rows were inserted in id order: the first 25 of the 60 matches.
+        EXPECT_EQ(id, 403 + 5 * static_cast<int64_t>(r)) << Layouts()[i].name;
+        EXPECT_EQ(rows[r][1].as_string(), "t" + std::to_string(id % 4));
+        EXPECT_DOUBLE_EQ(rows[r][2].as_double(), id * 1.25);
+      }
+    }
+  }
+
   // DML: update through the vertical split + horizontal boundary, then
   // verify equivalence again.
   for (auto& db : dbs) {
@@ -189,7 +219,8 @@ TEST_P(PartitionExecTest, QueriesAgreeAcrossLayouts) {
   expect_same_aggregates(Query(agg1), "sum(amount) after delete");
 }
 
-INSTANTIATE_TEST_SUITE_P(Runs, PartitionExecTest, ::testing::Values(0));
+// The parameter is the database's degree of parallelism (0 = its default).
+INSTANTIATE_TEST_SUITE_P(Runs, PartitionExecTest, ::testing::Values(0, 1, 4));
 
 TEST(PartitionRoutingTest, CoveringFragmentAvoidsStitching) {
   // A vertical split where the RS piece covers {id, status}: updates of
