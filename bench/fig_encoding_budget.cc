@@ -72,7 +72,7 @@ void Run() {
 
   // Anchor the sweep on the unconstrained optimum and the feasibility floor.
   EncodingSearch unconstrained(&model, &db.catalog());
-  JointSearchResult top = unconstrained.Search(workload, candidates);
+  EncodingDesign top = unconstrained.Search(workload, candidates);
   std::printf(
       "unconstrained: cost %.3f ms, footprint %.0f bytes "
       "(picker: %.3f ms, %.0f bytes; floor %.0f bytes)\n\n",
@@ -88,7 +88,7 @@ void Run() {
     options.memory_budget_bytes =
         top.footprint_bytes * static_cast<double>(pct) / 100.0;
     EncodingSearch search(&model, &db.catalog(), options);
-    JointSearchResult r = search.Search(workload, candidates);
+    EncodingDesign r = search.Search(workload, candidates);
     std::printf("%7d%%  %12.0f  %12.3f  %9.3fx  %s\n", pct,
                 *options.memory_budget_bytes, r.cost_ms,
                 r.cost_ms / r.picker_cost_ms,

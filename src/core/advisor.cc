@@ -386,11 +386,11 @@ Result<Recommendation> StorageAdvisor::Recommend(
     }
     candidates.emplace(name, std::move(list));
   }
-  const JointSearchResult joint =
+  const EncodingDesign chosen =
       EncodingSearch(model_.get(), &db_->catalog(), options_.encoding)
           .Search(workload, candidates);
-  if (!joint.tables.empty()) {
-    for (const auto& [name, design] : joint.tables) {
+  if (!chosen.tables.empty()) {
+    for (const auto& [name, design] : chosen.tables) {
       rec.layouts.at(name) = design.context;
       rec.encoding_footprint_by_table[name] = design.footprint_bytes;
       // Report a move only when the chosen layout deviates from the staged
@@ -407,25 +407,25 @@ Result<Recommendation> StorageAdvisor::Recommend(
         rec.rationale.push_back(flip.str());
       }
     }
-    rec.estimated_cost_ms = joint.cost_ms;
-    rec.sequential_cost_ms = joint.sequential_cost_ms;
-    rec.sequential_budget_feasible = joint.sequential_feasible;
-    rec.encoding_footprint_bytes = joint.footprint_bytes;
-    rec.encoding_picker_cost_ms = joint.picker_cost_ms;
+    rec.estimated_cost_ms = chosen.cost_ms;
+    rec.sequential_cost_ms = chosen.sequential_cost_ms;
+    rec.sequential_budget_feasible = chosen.sequential_feasible;
+    rec.encoding_footprint_bytes = chosen.footprint_bytes;
+    rec.encoding_picker_cost_ms = chosen.picker_cost_ms;
     rec.memory_budget_bytes = options_.encoding.memory_budget_bytes;
-    rec.encoding_budget_feasible = joint.feasible;
+    rec.encoding_budget_feasible = chosen.feasible;
     std::ostringstream note;
     note << "joint layout+encoding search ("
-         << (joint.exact ? "exact" : "greedy") << ", "
-         << joint.evaluated_assignments << " designs): cost "
-         << joint.cost_ms << " ms vs sequential pipeline "
-         << joint.sequential_cost_ms << " ms, footprint "
-         << joint.footprint_bytes << " bytes";
+         << (chosen.exact ? "exact" : "greedy") << ", "
+         << chosen.evaluated_assignments << " designs): cost "
+         << chosen.cost_ms << " ms vs sequential pipeline "
+         << chosen.sequential_cost_ms << " ms, footprint "
+         << chosen.footprint_bytes << " bytes";
     if (options_.encoding.memory_budget_bytes.has_value()) {
       note << ", budget " << *options_.encoding.memory_budget_bytes
-           << " bytes " << (joint.feasible ? "met" : "NOT met");
-      if (!joint.feasible) {
-        note << " (floor " << joint.min_footprint_bytes << " bytes)";
+           << " bytes " << (chosen.feasible ? "met" : "NOT met");
+      if (!chosen.feasible) {
+        note << " (floor " << chosen.min_footprint_bytes << " bytes)";
       }
     }
     rec.rationale.push_back(note.str());
@@ -448,6 +448,8 @@ Result<Recommendation> StorageAdvisor::Recommend(
   }
 
   if (telemetry_on) {
+    // The search phase keeps its `joint_search` label: dashboards and
+    // perfbench's advise loop read it.
     observe_phase("joint_search", phase_sw.ElapsedMs());
     observe_phase("total", total_sw.ElapsedMs());
     reg.GetCounter("hsdb_advisor_searches_total",
@@ -456,11 +458,11 @@ Result<Recommendation> StorageAdvisor::Recommend(
     reg.GetCounter("hsdb_advisor_evaluated_assignments_total",
                    "Workload cost evaluations performed by the "
                    "layout+encoding search (search effort).")
-        .Increment(joint.evaluated_assignments);
+        .Increment(chosen.evaluated_assignments);
     reg.GetCounter("hsdb_advisor_budget_repair_iterations_total",
                    "Greedy budget-repair evictions across all searches.")
-        .Increment(joint.repair_iterations);
-    if (joint.hysteresis_applied) {
+        .Increment(chosen.repair_iterations);
+    if (chosen.hysteresis_applied) {
       reg.GetCounter("hsdb_advisor_hysteresis_rejections_total",
                      "Searches where the hysteresis rule kept the incumbent "
                      "design against a marginal challenger.")

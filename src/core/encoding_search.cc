@@ -136,7 +136,7 @@ class IncrementalEvaluator {
 /// candidates. Codec candidate sets and byte estimates are
 /// layout-independent; which columns carry encoded mass (and how much of
 /// it) depends on the layout via the per-layout fraction table.
-struct JointTable {
+struct SearchTable {
   std::string name;
   std::vector<LayoutCandidate> layouts;           // [0] = staged pick
   std::vector<std::vector<Encoding>> candidates;  // per column
@@ -190,11 +190,11 @@ struct JointTable {
 
 }  // namespace
 
-JointSearchResult EncodingSearch::Search(
+EncodingDesign EncodingSearch::Search(
     const std::vector<WeightedQuery>& workload,
     const std::map<std::string, std::vector<LayoutCandidate>>& candidates)
     const {
-  JointSearchResult result;
+  EncodingDesign result;
 
   // Candidate 0 of every table: the baseline's layouts and the layout
   // provider's fallback for unsearched tables.
@@ -207,7 +207,7 @@ JointSearchResult EncodingSearch::Search(
   // A table is searched when it has statistics and some candidate holds a
   // column-store piece; without one there is no codec to choose.
   const compression::EncodingPicker picker;
-  std::vector<JointTable> tables;
+  std::vector<SearchTable> tables;
   for (const auto& [name, cands] : candidates) {
     if (std::none_of(cands.begin(), cands.end(),
                      [](const LayoutCandidate& cand) {
@@ -222,7 +222,7 @@ JointSearchResult EncodingSearch::Search(
     }
     const Schema& schema = table->schema();
 
-    JointTable state;
+    SearchTable state;
     state.name = name;
     state.layouts = cands;
     const size_t n = stats->columns.size();
@@ -316,13 +316,13 @@ JointSearchResult EncodingSearch::Search(
   auto evaluate = [&]() { return eval.Evaluate(); };
   auto total_footprint = [&]() {
     double total = 0.0;
-    for (const JointTable& state : tables) total += state.FootprintBytes();
+    for (const SearchTable& state : tables) total += state.FootprintBytes();
     return total;
   };
 
   // Feasibility floor: every table at its tightest layout+codec design.
   double min_footprint = 0.0;
-  for (const JointTable& state : tables) {
+  for (const SearchTable& state : tables) {
     double best = std::numeric_limits<double>::infinity();
     for (size_t l = 0; l < state.layouts.size(); ++l) {
       best = std::min(best, state.MinFootprintAt(l));
@@ -344,7 +344,7 @@ JointSearchResult EncodingSearch::Search(
   const bool one_candidate_each = std::all_of(
       candidates.begin(), candidates.end(),
       [](const auto& entry) { return entry.second.size() <= 1; });
-  for (JointTable& state : tables) {
+  for (SearchTable& state : tables) {
     state.layout_choice = 0;
     state.choice = state.picker_choice;
   }
@@ -353,10 +353,10 @@ JointSearchResult EncodingSearch::Search(
     for (const auto& [name, cands] : candidates) {
       if (!cands.empty()) staged_candidates[name] = {cands[0]};
     }
-    const JointSearchResult staged = Search(workload, staged_candidates);
+    const EncodingDesign staged = Search(workload, staged_candidates);
     result.picker_cost_ms = staged.picker_cost_ms;
     result.picker_footprint_bytes = staged.picker_footprint_bytes;
-    for (JointTable& state : tables) {
+    for (SearchTable& state : tables) {
       auto it = staged.tables.find(state.name);
       if (it == staged.tables.end()) continue;
       const std::vector<Encoding>& picked = it->second.context.encodings;
@@ -379,14 +379,14 @@ JointSearchResult EncodingSearch::Search(
   result.sequential_feasible = feasible_at(sequential_footprint);
   std::vector<size_t> seq_layout(tables.size(), 0);
   std::vector<std::vector<size_t>> seq_choice;
-  for (const JointTable& state : tables) seq_choice.push_back(state.choice);
+  for (const SearchTable& state : tables) seq_choice.push_back(state.choice);
 
   // ---- Incumbent design: what the catalog currently has ------------------
   bool incumbent_is_sequential = true;
   std::vector<size_t> inc_layout(tables.size());
   std::vector<std::vector<size_t>> inc_choice;
   for (size_t t = 0; t < tables.size(); ++t) {
-    JointTable& state = tables[t];
+    SearchTable& state = tables[t];
     state.layout_choice = state.incumbent_layout;
     state.choice = state.incumbent_choice;
     incumbent_is_sequential = incumbent_is_sequential &&
@@ -483,54 +483,50 @@ JointSearchResult EncodingSearch::Search(
     double cur_cost = evaluate();
     bool improved = true;
     int passes = 0;
-    while (improved && passes++ < 4) {
+    while (improved && passes++ < 8) {
       improved = false;
       for (size_t t = 0; t < tables.size(); ++t) {
-        JointTable& state = tables[t];
+        SearchTable& state = tables[t];
         size_t best_l = state.layout_choice;
         std::vector<size_t> best_ch = state.choice;
         double best_t_cost = cur_cost;
         double best_t_bytes = state.FootprintBytes();
         for (size_t l = 0; l < state.layouts.size(); ++l) {
-          state.layout_choice = l;
-          mark_dirty(t);
-          double l_cost = evaluate();
-          // Codec descent for the columns that carry encoded mass under l.
-          bool l_improved = true;
-          int l_passes = 0;
-          while (l_improved && l_passes++ < 4) {
-            l_improved = false;
-            for (size_t c = 0; c < state.choice.size(); ++c) {
-              if (state.candidates[c].size() < 2 ||
-                  state.fraction[l][c] <= 0.0) {
-                continue;
-              }
-              size_t original = state.choice[c];
-              size_t best_i = original;
-              double best_i_cost = l_cost;
-              double best_i_bytes = state.bytes[c][original];
-              for (size_t i = 0; i < state.candidates[c].size(); ++i) {
-                if (i == original) continue;
-                state.choice[c] = i;
-                mark_dirty(t);
-                double cost = evaluate();
-                if (cost < best_i_cost - kCostEps ||
-                    (cost <= best_i_cost + kCostEps &&
-                     state.bytes[c][i] < best_i_bytes)) {
-                  best_i = i;
-                  best_i_cost = cost;
-                  best_i_bytes = state.bytes[c][i];
-                }
-              }
-              state.choice[c] = best_i;
+          // Until a layout is tried, cur_cost prices the table's design.
+          double l_cost = cur_cost;
+          if (l != 0 || state.layout_choice != 0) {
+            state.layout_choice = l;
+            mark_dirty(t);
+            l_cost = evaluate();
+          }
+          // One codec pass over the columns that carry encoded mass under
+          // l; the outer passes repeat it until nothing moves.
+          for (size_t c = 0; c < state.choice.size(); ++c) {
+            if (state.candidates[c].size() < 2 || state.fraction[l][c] <= 0.0) {
+              continue;
+            }
+            size_t original = state.choice[c];
+            size_t best_i = original;
+            double best_i_cost = l_cost;
+            double best_i_bytes = state.bytes[c][original];
+            for (size_t i = 0; i < state.candidates[c].size(); ++i) {
+              if (i == original) continue;
+              state.choice[c] = i;
               mark_dirty(t);
-              if (best_i != original) {
-                l_cost = best_i_cost;
-                l_improved = true;
-              } else {
-                l_cost = evaluate();
+              double cost = evaluate();
+              if (cost < best_i_cost - kCostEps ||
+                  (cost <= best_i_cost + kCostEps &&
+                   state.bytes[c][i] < best_i_bytes)) {
+                best_i = i;
+                best_i_cost = cost;
+                best_i_bytes = state.bytes[c][i];
               }
             }
+            // A restored codec keeps l_cost; the evaluator re-costs the
+            // table at its next evaluation.
+            state.choice[c] = best_i;
+            mark_dirty(t);
+            l_cost = best_i_cost;
           }
           double l_bytes = state.FootprintBytes();
           if (l_cost < best_t_cost - kCostEps ||
@@ -545,7 +541,7 @@ JointSearchResult EncodingSearch::Search(
         state.layout_choice = best_l;
         state.choice = best_ch;
         mark_dirty(t);
-        cur_cost = evaluate();
+        cur_cost = best_t_cost;
       }
     }
 
@@ -578,7 +574,7 @@ JointSearchResult EncodingSearch::Search(
         }
       };
       for (size_t t = 0; t < tables.size(); ++t) {
-        JointTable& state = tables[t];
+        SearchTable& state = tables[t];
         const size_t cur_layout = state.layout_choice;
         for (size_t c = 0; c < state.choice.size(); ++c) {
           if (state.fraction[cur_layout][c] <= 0.0) continue;
@@ -627,7 +623,7 @@ JointSearchResult EncodingSearch::Search(
 
   // ---- Infeasible even at the best layout: report the floor --------------
   if (!have_best) {
-    for (JointTable& state : tables) {
+    for (SearchTable& state : tables) {
       size_t floor_layout = 0;
       double floor_bytes = std::numeric_limits<double>::infinity();
       for (size_t l = 0; l < state.layouts.size(); ++l) {
@@ -675,8 +671,8 @@ JointSearchResult EncodingSearch::Search(
 
   // ---- Materialize the winner -------------------------------------------
   restore(best_layout, best_choice);
-  for (JointTable& state : tables) {
-    JointTableDesign design;
+  for (SearchTable& state : tables) {
+    TableDesign design;
     design.candidate_index = state.layout_choice;
     design.context = state.Context();
     design.reason = state.layouts[state.layout_choice].reason;

@@ -10,11 +10,12 @@
 //
 // The optimization is a knapsack over footprint deltas: exact enumeration
 // when the layout x codec cross-product is small, greedy coordinate descent
-// plus a best-ratio eviction loop beyond. A search over frozen layouts is
-// the same search with one candidate per table. Every run prices a
-// baseline and never returns a costlier design whenever the baseline is
-// budget-feasible: with one candidate per table the baseline is the
-// picker's heuristic assignment, otherwise it is the same search run on
+// plus a best-ratio eviction loop beyond. There is one search and no
+// separate mode: a search over frozen layouts is the same search with one
+// candidate per table. Every run prices a baseline (the result's
+// `sequential_*` fields) and never returns a costlier design whenever the
+// baseline is budget-feasible: with one candidate per table the baseline is
+// the picker's heuristic assignment, otherwise it is the same search run on
 // every table's candidate 0 (the staged layout-then-encoding pipeline).
 #ifndef HSDB_CORE_ENCODING_SEARCH_H_
 #define HSDB_CORE_ENCODING_SEARCH_H_
@@ -48,7 +49,7 @@ struct EncodingSearchOptions {
 };
 
 /// One table's chosen design.
-struct JointTableDesign {
+struct TableDesign {
   /// Index into the caller's candidate list for this table.
   size_t candidate_index = 0;
   /// Chosen layout (+locality context) with the chosen per-column codecs
@@ -65,10 +66,12 @@ struct JointTableDesign {
   bool layout_changed = false;
 };
 
-struct JointSearchResult {
+/// What one search returns: the chosen design, its baseline and the
+/// search's effort counters.
+struct EncodingDesign {
   /// Chosen design per table with catalog statistics and a column-store
   /// candidate. Other tables keep their candidate-0 layout and are absent.
-  std::map<std::string, JointTableDesign> tables;
+  std::map<std::string, TableDesign> tables;
 
   /// Estimated workload cost (ms) and encoded footprint (bytes) of the
   /// chosen design.
@@ -131,7 +134,7 @@ class EncodingSearch {
   /// scans/inserts with them) and into the advisor's ENCODING (...) DDL
   /// clauses. Evaluation is incremental: changing one table re-costs only
   /// the queries touching it.
-  JointSearchResult Search(
+  EncodingDesign Search(
       const std::vector<WeightedQuery>& workload,
       const std::map<std::string, std::vector<LayoutCandidate>>& candidates)
       const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <optional>
 
 #include "common/thread_pool.h"
@@ -540,21 +539,17 @@ void MergePartial(const MorselAgg& partial, std::vector<AggState>* totals,
 }
 
 /// Calls fn(row) for each stitched logical row of `table`'s group `g` that
-/// passes `terms`, in row order, stopping after `max_matches` of them: the
-/// row-at-a-time fallback of a group no fragment covers.
+/// passes `terms`, in row order, until fn returns false: the row-at-a-time
+/// fallback of a group no fragment covers.
 template <typename Fn>
 void ForEachMatchingRow(const LogicalTable& table, size_t g,
                         const std::vector<const PredicateTerm*>& terms,
-                        Fn&& fn,
-                        size_t max_matches =
-                            std::numeric_limits<size_t>::max()) {
-  size_t matches = 0;
-  table.ForEachRowInGroupWhile(g, [&](const Row& row) {
+                        Fn&& fn) {
+  table.ForEachRowInGroup(g, [&](const Row& row) {
     for (const PredicateTerm* term : terms) {
       if (!term->range.Contains(row[term->column.column])) return true;
     }
-    fn(row);
-    return ++matches < max_matches;
+    return fn(row);
   });
 }
 
@@ -595,7 +590,7 @@ void AggregateStitched(const LogicalTable& table, size_t g,
   GroupKey key;
   ForEachMatchingRow(table, g, terms, [&](const Row& row) {
     auto fact_value = [&](ColumnId col) { return row[col]; };
-    if (!ProbeDims(dims, fact_value, &keys, &hit)) return;
+    if (!ProbeDims(dims, fact_value, &keys, &hit)) return true;
     auto value = [&](const ColumnRef& ref) -> const Value& {
       const int d = ref.table_index - 1;
       return d < 0 ? row[ref.column] : dims[d].At(hit[d], ref.column);
@@ -614,6 +609,7 @@ void AggregateStitched(const LogicalTable& table, size_t g,
         (*states)[i].Add(value(agg.column).AsNumeric());
       }
     }
+    return true;
   });
   MergePartial(partial, totals, group_map);
 }
@@ -639,6 +635,7 @@ DimTable BuildDim(const DimPlan& dim) {
     if (cover == nullptr) {
       ForEachMatchingRow(*dim.table, g, dim.terms, [&](const Row& row) {
         add([&](ColumnId col) { return row[col]; });
+        return true;
       });
       continue;
     }
@@ -688,20 +685,25 @@ Status SelectStitched(const LogicalTable& table, size_t g,
   if (result->rows.size() >= limit) return Status::OK();
   std::vector<ColumnId> cols;
   for (const PredicateTerm* term : terms) cols.push_back(term->column.column);
-  if (CoveringFragment(table.groups()[g], cols) == nullptr) {
-    // The predicate spans the split as well: the one stitch per row both
+  const Fragment* cover = CoveringFragment(table.groups()[g], cols);
+  if (cover == nullptr) {
+    // The predicate spans the split as well: one stitch per row both
     // filters and projects.
-    ForEachMatchingRow(
-        table, g, terms,
-        [&](const Row& row) {
-          result->rows.push_back(ProjectRow(row, select_columns));
-        },
-        limit - result->rows.size());
+    ForEachMatchingRow(table, g, terms, [&](const Row& row) {
+      result->rows.push_back(ProjectRow(row, select_columns));
+      return result->rows.size() < limit;
+    });
     return Status::OK();
   }
-  // The predicate runs on one fragment; only its matches are stitched.
-  for (const PrimaryKey& pk : MatchingPksInGroup(table, g, terms)) {
-    if (result->rows.size() >= limit) break;
+  // The predicate runs on the covering fragment; only the matches within
+  // the limit are stitched.
+  std::vector<PrimaryKey> pks;
+  EvaluateOnFragment(*cover, terms).ForEachSet([&](size_t rid) {
+    if (result->rows.size() + pks.size() < limit) {
+      pks.push_back(PkOfFragmentRow(*cover, rid));
+    }
+  });
+  for (const PrimaryKey& pk : pks) {
     HSDB_ASSIGN_OR_RETURN(Row row, table.GetByPk(pk));
     result->rows.push_back(ProjectRow(row, select_columns));
   }
@@ -721,6 +723,7 @@ std::vector<PrimaryKey> MatchingPksInGroup(
   }
   ForEachMatchingRow(table, g, terms, [&](const Row& row) {
     out.push_back(PrimaryKey::FromRow(table.schema(), row));
+    return true;
   });
   return out;
 }

@@ -108,19 +108,10 @@ class LogicalTable {
   /// Index of the group an insert of `row` routes to.
   size_t RouteInsert(const Row& row) const;
 
-  /// Visits every live logical row of one row group (stitched across the
-  /// group's fragments).
+  /// Visits the live logical rows of one row group (stitched across the
+  /// group's fragments) in row order until `fn` returns false.
   template <typename Fn>
   void ForEachRowInGroup(size_t group_index, Fn&& fn) const {
-    const RowGroup& group = groups_[group_index];
-    const Fragment& lead = group.fragments.front();
-    lead.table->live_bitmap().ForEachSet(
-        [&](size_t rid) { fn(StitchRow(group, lead, rid)); });
-  }
-
-  /// As ForEachRowInGroup, but stops stitching once `fn` returns false.
-  template <typename Fn>
-  void ForEachRowInGroupWhile(size_t group_index, Fn&& fn) const {
     const RowGroup& group = groups_[group_index];
     const Fragment& lead = group.fragments.front();
     bool more = true;
@@ -154,7 +145,10 @@ class LogicalTable {
   template <typename Fn>
   void ForEachRow(Fn&& fn) const {
     for (size_t g = 0; g < groups_.size(); ++g) {
-      ForEachRowInGroup(g, fn);
+      ForEachRowInGroup(g, [&](const Row& row) {
+        fn(row);
+        return true;
+      });
     }
   }
 

@@ -69,7 +69,7 @@ class EncodingSearchTest : public ::testing::Test {
             WeightedQuery{Query(insert), insert_weight}};
   }
 
-  JointSearchResult Run(const std::vector<WeightedQuery>& workload,
+  EncodingDesign Run(const std::vector<WeightedQuery>& workload,
                         EncodingSearchOptions options = {}) const {
     EncodingSearch search(&model_, &db_.catalog(), options);
     return search.Search(workload, candidates_);
@@ -111,7 +111,7 @@ TEST_F(EncodingSearchTest, UnconstrainedNeverWorseThanPicker) {
                                 {50.0, 50.0},
                                 {5.0, 500.0},
                                 {1.0, 0.0}}) {
-    JointSearchResult r = Run(Workload(scans, inserts));
+    EncodingDesign r = Run(Workload(scans, inserts));
     ASSERT_EQ(r.tables.size(), 1u);
     EXPECT_LE(r.cost_ms, r.picker_cost_ms + 1e-9)
         << "scans=" << scans << " inserts=" << inserts;
@@ -127,8 +127,8 @@ TEST_F(EncodingSearchTest, ScanHeavyWorkloadFlipsAmountToFasterCodec) {
   // double column.
   EXPECT_EQ(stats->column(3).encoding, Encoding::kRaw);
 
-  JointSearchResult r = Run(Workload(/*scan_weight=*/500.0,
-                                        /*insert_weight=*/1.0));
+  EncodingDesign r = Run(Workload(/*scan_weight=*/500.0,
+                                  /*insert_weight=*/1.0));
   const std::vector<Encoding>& fact = r.tables.at("fact").context.encodings;
   ASSERT_EQ(fact.size(), schema_.num_columns());
   // The search pays footprint for scan speed: dictionary decode is cheaper
@@ -147,14 +147,14 @@ TEST_F(EncodingSearchTest, HalfPlainFootprintBudgetIsFeasible) {
   }
   EncodingSearchOptions options;
   options.memory_budget_bytes = 0.5 * plain_bytes;
-  JointSearchResult r = Run(Workload(500.0, 1.0), options);
+  EncodingDesign r = Run(Workload(500.0, 1.0), options);
   EXPECT_TRUE(r.feasible);
   EXPECT_LE(r.footprint_bytes, *options.memory_budget_bytes + 1e-6);
 }
 
 TEST_F(EncodingSearchTest, BindingBudgetTradesSpeedForFootprint) {
   std::vector<WeightedQuery> workload = Workload(500.0, 1.0);
-  JointSearchResult unconstrained = Run(workload);
+  EncodingDesign unconstrained = Run(workload);
   ASSERT_GT(unconstrained.footprint_bytes,
             unconstrained.min_footprint_bytes);
 
@@ -163,7 +163,7 @@ TEST_F(EncodingSearchTest, BindingBudgetTradesSpeedForFootprint) {
   EncodingSearchOptions options;
   options.memory_budget_bytes = 0.5 * (unconstrained.footprint_bytes +
                                        unconstrained.min_footprint_bytes);
-  JointSearchResult r = Run(workload, options);
+  EncodingDesign r = Run(workload, options);
   EXPECT_TRUE(r.feasible);
   EXPECT_LE(r.footprint_bytes, *options.memory_budget_bytes + 1e-6);
   EXPECT_GE(r.cost_ms, unconstrained.cost_ms - 1e-9);
@@ -175,7 +175,7 @@ TEST_F(EncodingSearchTest, BindingBudgetTradesSpeedForFootprint) {
 TEST_F(EncodingSearchTest, InfeasibleBudgetReportsFloor) {
   EncodingSearchOptions options;
   options.memory_budget_bytes = 1.0;  // one byte: below any assignment
-  JointSearchResult r = Run(Workload(100.0, 1.0), options);
+  EncodingDesign r = Run(Workload(100.0, 1.0), options);
   EXPECT_FALSE(r.feasible);
   ASSERT_EQ(r.tables.size(), 1u);
   // The result falls back to the tightest assignment there is.
@@ -189,13 +189,13 @@ TEST_F(EncodingSearchTest, ExactEnumerationMatchesOrBeatsGreedy) {
        {std::optional<double>{}, std::optional<double>{250'000.0}}) {
     EncodingSearchOptions exact_opts;
     exact_opts.memory_budget_bytes = budget;
-    JointSearchResult exact = Run(workload, exact_opts);
+    EncodingDesign exact = Run(workload, exact_opts);
     EXPECT_TRUE(exact.exact);
 
     EncodingSearchOptions greedy_opts;
     greedy_opts.memory_budget_bytes = budget;
     greedy_opts.exact_combination_limit = 0;  // force the greedy knapsack
-    JointSearchResult greedy = Run(workload, greedy_opts);
+    EncodingDesign greedy = Run(workload, greedy_opts);
     EXPECT_FALSE(greedy.exact);
 
     EXPECT_EQ(exact.feasible, greedy.feasible);

@@ -142,7 +142,7 @@ TEST_F(JointSearchTest, InfeasibleOnlyWhenEvenTheBestLayoutCannotFit) {
   cs_only.emplace(
       "hot", std::vector<LayoutCandidate>{
                  {LayoutContext::SingleStore(StoreType::kColumn), "CS"}});
-  JointSearchResult r = search.Search(workload, cs_only);
+  EncodingDesign r = search.Search(workload, cs_only);
   ASSERT_EQ(r.tables.size(), 1u);
   EXPECT_FALSE(r.feasible);
   EXPECT_GT(r.min_footprint_bytes, 1.0);
@@ -154,7 +154,7 @@ TEST_F(JointSearchTest, InfeasibleOnlyWhenEvenTheBestLayoutCannotFit) {
   std::map<std::string, std::vector<LayoutCandidate>> with_rs = cs_only;
   with_rs.at("hot").push_back(
       {LayoutContext::SingleStore(StoreType::kRow), "RS"});
-  JointSearchResult r2 = search.Search(workload, with_rs);
+  EncodingDesign r2 = search.Search(workload, with_rs);
   EXPECT_TRUE(r2.feasible);
   EXPECT_EQ(r2.min_footprint_bytes, 0.0);
   EXPECT_EQ(r2.tables.at("hot").context.layout.base_store, StoreType::kRow);
@@ -177,8 +177,8 @@ TEST_F(JointSearchTest, HysteresisKeepsCurrentLayoutAcrossNearEqualFlips) {
 
   EncodingSearchOptions sticky;
   sticky.min_improvement = 0.9;  // only a 90% improvement may flip
-  JointSearchResult kept = EncodingSearch(&model_, &db_.catalog(), sticky)
-                               .Search(workload, candidates);
+  EncodingDesign kept = EncodingSearch(&model_, &db_.catalog(), sticky)
+                            .Search(workload, candidates);
   ASSERT_EQ(kept.tables.size(), 1u);
   EXPECT_EQ(kept.tables.at("hot").context.layout.base_store,
             StoreType::kRow);
@@ -188,8 +188,8 @@ TEST_F(JointSearchTest, HysteresisKeepsCurrentLayoutAcrossNearEqualFlips) {
 
   EncodingSearchOptions eager;
   eager.min_improvement = 0.0;
-  JointSearchResult flipped = EncodingSearch(&model_, &db_.catalog(), eager)
-                                  .Search(workload, candidates);
+  EncodingDesign flipped = EncodingSearch(&model_, &db_.catalog(), eager)
+                               .Search(workload, candidates);
   EXPECT_EQ(flipped.tables.at("hot").context.layout.base_store,
             StoreType::kColumn);
   EXPECT_TRUE(flipped.tables.at("hot").layout_changed);
@@ -214,8 +214,8 @@ TEST_F(JointSearchTest, OneCandidateRunIsTheLayoutSearchBaseline) {
     EncodingSearchOptions options;
     options.memory_budget_bytes = budget;
     EncodingSearch search(&model_, &db_.catalog(), options);
-    JointSearchResult one = search.Search(workload, frozen);
-    JointSearchResult joint = search.Search(workload, widened);
+    EncodingDesign one = search.Search(workload, frozen);
+    EncodingDesign joint = search.Search(workload, widened);
 
     // With one candidate per table no layout moves, and the result never
     // costs more than its own (picker) baseline.
@@ -357,7 +357,7 @@ TEST(JointSearchTpchTest, JointNeverWorseThanSequentialAcrossBudgets) {
     for (const auto& [name, ctx] : frozen.layouts) {
       one_each[name] = {{ctx, "staged"}};
     }
-    const JointSearchResult staged =
+    const EncodingDesign staged =
         EncodingSearch(&model, &db.catalog(), options.encoding)
             .Search(workload, one_each);
 
