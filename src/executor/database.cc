@@ -9,6 +9,10 @@
 #include <sstream>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "storage/shadow_rebuild.h"
@@ -145,6 +149,12 @@ Database::Database(Options options)
 }
 
 Database::~Database() = default;
+
+Database::ReleaseFreedHeap::~ReleaseFreedHeap() {
+#ifdef __GLIBC__
+  malloc_trim(0);  // every arena, since glibc 2.8
+#endif
+}
 
 Result<QueryResult> Database::Execute(const Query& query) {
   // Pin the reclamation epoch for the whole statement — every catalog
