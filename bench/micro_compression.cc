@@ -110,7 +110,7 @@ void BM_SegmentFilter(benchmark::State& state) {
   Bitmap all(kRows, true);
   for (auto _ : state) {
     Bitmap bm = all;
-    seg.FilterRange(pred, &bm);
+    seg.FilterRangeSlice(pred, &bm, 0, kRows);
     benchmark::DoNotOptimize(bm.Count());
   }
   state.SetItemsProcessed(state.iterations() * kRows);
@@ -128,7 +128,7 @@ void BM_SegmentFilterShuffled(benchmark::State& state) {
   Bitmap all(kRows, true);
   for (auto _ : state) {
     Bitmap bm = all;
-    seg.FilterRange(pred, &bm);
+    seg.FilterRangeSlice(pred, &bm, 0, kRows);
     benchmark::DoNotOptimize(bm.Count());
   }
   state.SetItemsProcessed(state.iterations() * kRows);
@@ -139,10 +139,11 @@ BENCHMARK(BM_SegmentFilterShuffled)->DenseRange(0, kNumEncodings - 1)
 
 // ---- Bit-packed decode kernels (packed-width-parameterized) ----------------
 // The hot loop of every compressed scan: bulk bit-unpacking at each
-// representative packed width, with the active SIMD tier vs. the forced
-// scalar fallback (arg "scalar"=1). The SIMD rows must stay well ahead of
-// their scalar twins — the CI perf gate normalizes by the fleet median, so
-// a rotted kernel shows up as a relative regression of the SIMD rows.
+// representative packed width, with the detected tier (AVX2 where the CPU
+// has it, scalar elsewhere) vs. the forced scalar fallback (arg
+// "scalar"=1). The AVX2 rows must stay well ahead of their scalar twins —
+// the CI perf gate normalizes by the fleet median, so a rotted kernel shows
+// up as a relative regression of the AVX2 rows.
 
 /// Packed vector of kRows random width-bit values (fixed seed).
 BitPackedVector PackedColumn(uint32_t width) {
@@ -272,7 +273,7 @@ void BM_ColumnTableFilter(benchmark::State& state) {
   ValueRange range = ValueRange::Eq(Value(int64_t{97 * (kDistinct / 2)}));
   for (auto _ : state) {
     Bitmap bm = t->live_bitmap();
-    t->FilterRange(1, range, &bm);
+    t->FilterRangeSlice(1, range, 0, t->slot_count(), &bm);
     benchmark::DoNotOptimize(bm.Count());
   }
   state.SetItemsProcessed(state.iterations() * t->live_count());
@@ -284,7 +285,7 @@ void BM_ColumnTableAggregate(benchmark::State& state) {
   auto t = MakeTable(state.range(0) != 0);
   for (auto _ : state) {
     double sum = 0;
-    t->ForEachNumeric(1, nullptr, [&](RowId, double v) { sum += v; });
+    t->ForEachNumeric(1, [&](RowId, double v) { sum += v; });
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * t->live_count());

@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
   ValueRange one_day = ValueRange::Eq(Value(Date{150}));
   Stopwatch sw;
   Bitmap encoded = ct.live_bitmap();
-  ct.FilterRange(1, one_day, &encoded);
+  ct.FilterRangeSlice(1, one_day, 0, ct.slot_count(), &encoded);
   double encoded_ms = sw.ElapsedMs();
 
   ColumnTable::Options raw_opts;
@@ -91,7 +91,8 @@ int main(int argc, char** argv) {
   raw_table->MergeDelta();
   sw.Restart();
   Bitmap raw_bm = raw_table->live_bitmap();
-  raw_table->FilterRange(1, one_day, &raw_bm);
+  raw_table->FilterRangeSlice(1, one_day, 0, raw_table->slot_count(),
+                              &raw_bm);
   double raw_ms = sw.ElapsedMs();
   std::printf(
       "\npredicate scan (order_date = day 150, %zu matches):\n"

@@ -330,27 +330,15 @@ Result<Recommendation> StorageAdvisor::Recommend(
   rec.cs_only_cost_ms = table_result.cs_only_cost_ms;
   rec.table_level_cost_ms = table_result.estimated_cost_ms;
 
-  std::map<std::string, std::vector<LayoutCandidate>> heuristic_candidates;
-  if (options_.enable_partitioning) {
-    phase_sw.Restart();
-    PartitionAdvisor partition_advisor(model_.get(), &db_->catalog(),
-                                       options_.partition_options);
-    PartitionAdvisorResult part =
-        partition_advisor.Recommend(workload, stats,
-                                    table_result.assignment);
-    observe_phase("partition", phase_sw.ElapsedMs());
-    rec.layouts = part.layouts;
-    rec.estimated_cost_ms = part.estimated_cost_ms;
-    rec.rationale = part.rationale;
-    heuristic_candidates = std::move(part.candidates);
-  } else {
-    for (const auto& [name, store] : table_result.assignment) {
-      rec.layouts.emplace(name, LayoutContext::SingleStore(store));
-      rec.rationale.push_back(name + ": " +
-                              std::string(StoreTypeName(store)));
-    }
-    rec.estimated_cost_ms = table_result.estimated_cost_ms;
-  }
+  phase_sw.Restart();
+  PartitionAdvisor partition_advisor(model_.get(), &db_->catalog(),
+                                     options_.partition_options);
+  PartitionAdvisorResult part =
+      partition_advisor.Recommend(workload, stats, table_result.assignment);
+  observe_phase("partition", phase_sw.ElapsedMs());
+  rec.layouts = part.layouts;
+  rec.estimated_cost_ms = part.estimated_cost_ms;
+  rec.rationale = part.rationale;
   rec.sequential_cost_ms = rec.estimated_cost_ms;
 
   // The staged pick anchors candidate 0 of every table, the plain
@@ -374,8 +362,8 @@ Result<Recommendation> StorageAdvisor::Recommend(
         "unpartitioned ROW store");
     add(LayoutContext::SingleStore(StoreType::kColumn),
         "unpartitioned COLUMN store");
-    auto hc = heuristic_candidates.find(name);
-    if (hc != heuristic_candidates.end()) {
+    auto hc = part.candidates.find(name);
+    if (hc != part.candidates.end()) {
       for (const LayoutCandidate& candidate : hc->second) {
         add(candidate.context, candidate.reason);
       }

@@ -32,9 +32,6 @@ class AdaptationController;
 struct AdaptationOptions;
 
 struct AdvisorOptions {
-  /// Consider horizontal/vertical partitioning (§3.2); with false the
-  /// advisor stops at table-level recommendations (§3.1).
-  bool enable_partitioning = true;
   /// Probe-suite configuration for InitializeCostModel (reference rows,
   /// sweep points, whether to run the per-codec microprobes).
   CalibrationOptions calibration;

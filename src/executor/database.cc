@@ -33,6 +33,11 @@ int ResolveNumThreads(int requested) {
   return 1;
 }
 
+/// Catch-up replay rounds a shadow rebuild runs before the cut-over. Each
+/// round drains the op log outside any latch; more rounds shrink the tail
+/// that must be replayed inside the cut-over window.
+constexpr int kMigrationReplayRounds = 4;
+
 /// The scan kernel's context: `pool` plus the scan telemetry handles.
 ParallelContext ScanContext(ThreadPool* pool,
                             telemetry::MetricsRegistry* metrics) {
@@ -91,7 +96,6 @@ Database::Database(Options options)
       migration_chunk_rows_(
           options.migration_chunk_rows > 0 ? options.migration_chunk_rows
                                            : 16384),
-      migration_replay_rounds_(std::max(0, options.migration_replay_rounds)),
       // d-way parallelism = the query thread + d-1 pool workers; at d = 1
       // the pool has none and every scan's morsels run inline.
       pool_(std::make_unique<ThreadPool>(static_cast<size_t>(num_threads_) -
@@ -100,9 +104,8 @@ Database::Database(Options options)
                    ? options.metrics
                    : &telemetry::MetricsRegistry::Global()),
       executor_(&catalog_, ScanContext(pool_.get(), metrics_)),
-      slowlog_(telemetry::Slowlog::Options{options.slowlog_threshold_ms,
-                                           options.slowlog_capacity,
-                                           options.slowlog_sample_every}) {
+      slowlog_(telemetry::Slowlog::Options{
+          .threshold_ms = options.slowlog_threshold_ms}) {
   // Before any table exists, so every TableSync is born instrumented.
   catalog_.set_metrics(metrics_);
   for (int i = 0; i < kNumQueryKinds; ++i) {
@@ -389,7 +392,7 @@ Result<ShadowMigrationStats> Database::MigrateShadow(
     // Phase 2 — catch-up replay: drain the writes that raced the copy,
     // outside any latch, until the log runs dry or the round budget is
     // spent. Whatever remains is the cut-over tail.
-    for (int round = 0; round < migration_replay_rounds_; ++round) {
+    for (int round = 0; round < kMigrationReplayRounds; ++round) {
       std::vector<TableOp> ops = log.Drain();
       if (ops.empty()) break;
       Status replayed = ReplayOps(shadow.get(), ops, &stats.replayed_ops);

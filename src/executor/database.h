@@ -89,16 +89,11 @@ class Database {
     /// acquisition. Smaller chunks shorten the longest writer wait during
     /// the background build; larger chunks copy faster.
     size_t migration_chunk_rows = 16384;
-    /// Catch-up replay rounds a shadow rebuild runs before the cut-over.
-    /// Each round drains the op log outside any latch; more rounds shrink
-    /// the tail that must be replayed inside the cut-over window.
-    int migration_replay_rounds = 4;
-    /// Slow-query log configuration (telemetry/slowlog.h): queries at or
-    /// above the threshold are recorded into a bounded ring exported by the
-    /// HTTP endpoint and hsdb_stat --slowlog. <= 0 disables the log.
+    /// Slow-query log threshold (telemetry/slowlog.h): queries at or above
+    /// it are recorded into a bounded ring (the Slowlog::Options capacity
+    /// and sampling) exported by the HTTP endpoint and hsdb_stat --slowlog.
+    /// <= 0 disables the log.
     double slowlog_threshold_ms = 25.0;
-    size_t slowlog_capacity = 128;
-    uint64_t slowlog_sample_every = 1;
   };
 
   explicit Database(Options options);
@@ -262,7 +257,6 @@ class Database {
   std::atomic<uint64_t> layout_epoch_{0};
   int num_threads_ = 1;
   size_t migration_chunk_rows_ = 16384;
-  int migration_replay_rounds_ = 4;
   std::unique_ptr<ThreadPool> pool_;  // num_threads_ - 1 workers
 
   telemetry::MetricsRegistry* metrics_;

@@ -66,15 +66,16 @@ Bitmap EvaluateOnFragment(const Fragment& frag,
       Bitmap bm = std::move(seeded).value();
       for (const PredicateTerm* term : terms) {
         if (term == seed) continue;
-        table.FilterRange(frag.FragColumn(term->column.column), term->range,
-                          &bm);
+        table.FilterRangeSlice(frag.FragColumn(term->column.column),
+                               term->range, 0, table.slot_count(), &bm);
       }
       return bm;
     }
   }
   Bitmap bm = table.live_bitmap();
   for (const PredicateTerm* term : terms) {
-    table.FilterRange(frag.FragColumn(term->column.column), term->range, &bm);
+    table.FilterRangeSlice(frag.FragColumn(term->column.column), term->range,
+                           0, table.slot_count(), &bm);
   }
   return bm;
 }

@@ -187,11 +187,6 @@ Row ColumnTable::GetRow(RowId rid) const {
   return row;
 }
 
-void ColumnTable::FilterRange(ColumnId col, const ValueRange& range,
-                              Bitmap* inout) const {
-  FilterRangeSlice(col, range, 0, live_.size(), inout);
-}
-
 void ColumnTable::FilterRangeSlice(ColumnId col, const ValueRange& range,
                                    size_t begin, size_t end,
                                    Bitmap* inout) const {
@@ -366,8 +361,9 @@ void ColumnTable::MergeDelta() {
           // selective decode, then the delta, moved).
           std::vector<T> values;
           values.reserve(new_n);
-          data.main.ForEachIn(
-              live_, [&](size_t, const T& v) { values.push_back(v); });
+          data.main.ForEachInRange(
+              live_, 0, main_size_,
+              [&](size_t, const T& v) { values.push_back(v); });
           live_.ForEachSetInRange(main_size_, live_.size(), [&](size_t rid) {
             values.push_back(std::move(data.delta[rid - main_size_]));
           });

@@ -76,8 +76,6 @@ class ColumnTable final : public PhysicalTable {
   std::optional<RowId> FindByPk(const PrimaryKey& pk) const override;
   Value GetValue(RowId rid, ColumnId col) const override;
   Row GetRow(RowId rid) const override;
-  void FilterRange(ColumnId col, const ValueRange& range,
-                   Bitmap* inout) const override;
   void FilterRangeSlice(ColumnId col, const ValueRange& range, size_t begin,
                         size_t end, Bitmap* inout) const override;
   void MultiFilterRangeSlice(ColumnId col, const RangeScanTarget* targets,
@@ -122,14 +120,14 @@ class ColumnTable final : public PhysicalTable {
   /// Size-weighted average compression rate across all columns.
   double TableCompressionRate() const;
 
-  /// Calls fn(RowId, double) for each live numeric `col` value, restricted
-  /// to `filter` when non-null (sized slot_count()).
+  /// Calls fn(RowId, double) for each live numeric `col` value.
   template <typename Fn>
-  void ForEachNumeric(ColumnId col, const Bitmap* filter, Fn&& fn) const;
+  void ForEachNumeric(ColumnId col, Fn&& fn) const;
 
-  /// ForEachNumeric restricted to rids in [begin, end) of `filter`. Reads
-  /// only the filter words covering the range, so disjoint ranges may be
-  /// decoded concurrently (parallel aggregation morsels).
+  /// Calls fn(RowId, double) for the numeric `col` value of every rid in
+  /// [begin, end) set in `filter`. Reads only the filter words covering the
+  /// range, so disjoint ranges may be decoded concurrently (parallel
+  /// aggregation morsels).
   template <typename Fn>
   void ForEachNumericRange(ColumnId col, const Bitmap& filter, size_t begin,
                            size_t end, Fn&& fn) const;
@@ -178,11 +176,10 @@ inline double NumericCast<std::string>(const std::string&) {
 }  // namespace internal
 
 template <typename Fn>
-void ColumnTable::ForEachNumeric(ColumnId col, const Bitmap* filter,
-                                 Fn&& fn) const {
+void ColumnTable::ForEachNumeric(ColumnId col, Fn&& fn) const {
   std::visit(
       [&](const auto& data) {
-        if (filter == nullptr && live_count_ == live_.size()) {
+        if (live_count_ == live_.size()) {
           // Dense fast path: sequential decode of the encoded main segment
           // followed by the raw delta — no bitmap walk. This is the packed
           // scan that makes column-store aggregation fast.
@@ -195,13 +192,13 @@ void ColumnTable::ForEachNumeric(ColumnId col, const Bitmap* filter,
           }
           return;
         }
-        // Selective scan: codec fast path over the main segment (RLE keeps
+        // Live rows only: codec fast path over the main segment (RLE keeps
         // a monotone run cursor), then the raw delta.
-        const Bitmap& bits = filter != nullptr ? *filter : live_;
-        data.main.ForEachIn(bits, [&](size_t rid, const auto& v) {
-          fn(rid, internal::NumericCast(v));
-        });
-        bits.ForEachSetInRange(main_size_, bits.size(), [&](size_t rid) {
+        data.main.ForEachInRange(live_, 0, main_size_,
+                                 [&](size_t rid, const auto& v) {
+                                   fn(rid, internal::NumericCast(v));
+                                 });
+        live_.ForEachSetInRange(main_size_, live_.size(), [&](size_t rid) {
           fn(rid, internal::NumericCast(data.delta[rid - main_size_]));
         });
       },

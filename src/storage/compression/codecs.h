@@ -1,12 +1,16 @@
 // The column codecs of the compressed column-store subsystem. Every codec
 // stores one immutable segment of values (the read-optimized "main" part of
-// one column) and supports the three access patterns the engine needs:
+// one column) and supports the access patterns the engine needs:
 //
 //   Get(i)              random access (tuple reconstruction, point lookups)
-//   ForEach(fn)         sequential decode (aggregation scans, statistics)
-//   FilterRange(p, bm)  predicate evaluation on the *encoded* data:
-//                       dictionary-domain id ranges, RLE run skipping,
-//                       frame-of-reference packed-domain comparison
+//   ForEach(fn)         sequential decode (statistics, encoding probes)
+//   ForEachInRange(bm, b, e, fn)
+//                       decode of the selected rows of one slice (scans)
+//   FilterRangeSlice(p, bm, b, e)
+//                       predicate evaluation on the *encoded* data of one
+//                       slice: dictionary-domain id ranges, RLE run
+//                       skipping, frame-of-reference packed-domain
+//                       comparison
 //
 // Predicate semantics must match the row store bit for bit: numeric bounds
 // compare in double space, strings lexicographically (BoundsPred).
@@ -175,15 +179,8 @@ class DictionaryCodec {
     }
   }
 
-  /// fn(i, value) for every set bit of `bits` below size().
-  template <typename Fn>
-  void ForEachIn(const Bitmap& bits, Fn&& fn) const {
-    bits.ForEachSetInRange(0, size(),
-                           [&](size_t i) { fn(i, dict_[ids_.Get(i)]); });
-  }
-
-  /// ForEachIn restricted to [begin, end): reads only the bitmap words
-  /// covering the range (morsel-local decode).
+  /// fn(i, value) for every set bit of `bits` in [begin, min(end, size())):
+  /// reads only the bitmap words covering the range (morsel-local decode).
   template <typename Fn>
   void ForEachInRange(const Bitmap& bits, size_t begin, size_t end,
                       Fn&& fn) const {
@@ -191,15 +188,12 @@ class DictionaryCodec {
                            [&](size_t i) { fn(i, dict_[ids_.Get(i)]); });
   }
 
-  void FilterRange(const BoundsPred<T>& pred, Bitmap* inout) const {
-    FilterRangeSlice(pred, inout, 0, size());
-  }
-
-  /// FilterRange restricted to rows [begin, end): bits outside the slice are
-  /// untouched, so disjoint slices may be evaluated concurrently into one
-  /// shared bitmap. `begin` must be 64-aligned — the slice then starts on a
-  /// packed-word boundary (begin·width ≡ 0 mod 64) and writes only whole
-  /// bitmap words of its own, which is what makes concurrent slices safe.
+  /// Clears the bits of rows in [begin, end) whose value fails `pred`; bits
+  /// outside the slice are untouched, so disjoint slices may be evaluated
+  /// concurrently into one shared bitmap. `begin` must be 64-aligned — the
+  /// slice then starts on a packed-word boundary (begin·width ≡ 0 mod 64)
+  /// and writes only whole bitmap words of its own, which is what makes
+  /// concurrent slices safe.
   void FilterRangeSlice(const BoundsPred<T>& pred, Bitmap* inout,
                         size_t begin, size_t end) const {
     HSDB_DCHECK(begin % 64 == 0 && begin <= end && end <= size());
@@ -316,21 +310,10 @@ class RleCodec {
     }
   }
 
-  /// fn(i, value) for every set bit of `bits` below size(). Set-bit
-  /// iteration is ascending, so a monotone run cursor replaces the
-  /// per-access binary search of Get(): O(k + runs) instead of
-  /// O(k log runs).
-  template <typename Fn>
-  void ForEachIn(const Bitmap& bits, Fn&& fn) const {
-    size_t run = 0;
-    bits.ForEachSetInRange(0, n_, [&](size_t i) {
-      while (RunEnd(run) <= i) ++run;
-      fn(i, values_[run]);
-    });
-  }
-
-  /// ForEachIn restricted to [begin, end): the run cursor starts at the run
-  /// containing `begin` (binary search once) and advances monotonically.
+  /// fn(i, value) for every set bit of `bits` in [begin, min(end, size())).
+  /// The run cursor starts at the run containing `begin` (binary search
+  /// once) and advances monotonically with the ascending set-bit iteration:
+  /// O(k + runs) instead of the O(k log runs) of a Get() per bit.
   template <typename Fn>
   void ForEachInRange(const Bitmap& bits, size_t begin, size_t end,
                       Fn&& fn) const {
@@ -345,21 +328,13 @@ class RleCodec {
     });
   }
 
-  void FilterRange(const BoundsPred<T>& pred, Bitmap* inout) const {
-    for (size_t run = 0; run < values_.size(); ++run) {
-      if (!pred.Keep(values_[run])) {
-        inout->ClearRange(starts_[run], RunEnd(run));
-      }
-    }
-  }
-
-  /// FilterRange restricted to rows [begin, end): binary-searches the first
-  /// run intersecting the slice, then decides runs until one starts at or
-  /// past `end`, clearing only the run∩slice intersection. Bits outside the
-  /// slice are untouched (64-aligned `begin` keeps concurrent slices on
-  /// disjoint bitmap words — ClearRange masks partial edge words, so the
-  /// alignment of `end` at the final morsel's tail is irrelevant for the
-  /// slice's own words).
+  /// Clears the bits of rows in [begin, end) whose value fails `pred`:
+  /// binary-searches the first run intersecting the slice, then decides
+  /// runs until one starts at or past `end`, clearing only the run∩slice
+  /// intersection. Bits outside the slice are untouched (64-aligned `begin`
+  /// keeps concurrent slices on disjoint bitmap words — ClearRange masks
+  /// partial edge words, so the alignment of `end` at the final morsel's
+  /// tail is irrelevant for the slice's own words).
   void FilterRangeSlice(const BoundsPred<T>& pred, Bitmap* inout,
                         size_t begin, size_t end) const {
     HSDB_DCHECK(begin % 64 == 0 && begin <= end && end <= size());
@@ -461,14 +436,7 @@ class ForCodec {
     }
   }
 
-  /// fn(i, value) for every set bit of `bits` below size().
-  template <typename Fn>
-  void ForEachIn(const Bitmap& bits, Fn&& fn) const {
-    bits.ForEachSetInRange(
-        0, size(), [&](size_t i) { fn(i, Decode(deltas_.Get(i))); });
-  }
-
-  /// ForEachIn restricted to [begin, end).
+  /// fn(i, value) for every set bit of `bits` in [begin, min(end, size())).
   template <typename Fn>
   void ForEachInRange(const Bitmap& bits, size_t begin, size_t end,
                       Fn&& fn) const {
@@ -476,13 +444,10 @@ class ForCodec {
                            [&](size_t i) { fn(i, Decode(deltas_.Get(i))); });
   }
 
-  void FilterRange(const BoundsPred<T>& pred, Bitmap* inout) const {
-    FilterRangeSlice(pred, inout, 0, size());
-  }
-
-  /// FilterRange restricted to rows [begin, end): bits outside the slice
-  /// are untouched, so disjoint 64-aligned slices may run concurrently into
-  /// one shared bitmap (same contract as DictionaryCodec::FilterRangeSlice).
+  /// Clears the bits of rows in [begin, end) whose value fails `pred`; bits
+  /// outside the slice are untouched, so disjoint 64-aligned slices may run
+  /// concurrently into one shared bitmap (same contract as
+  /// DictionaryCodec::FilterRangeSlice).
   void FilterRangeSlice(const BoundsPred<T>& pred, Bitmap* inout,
                         size_t begin, size_t end) const {
     HSDB_DCHECK(begin % 64 == 0 && begin <= end && end <= size());
@@ -611,7 +576,7 @@ class ForCodec {
   /// `p`, or max_delta_ + 1 when none does. The search stays inside the
   /// inclusive range, so it is exact even when max_delta_ + 1 wraps to 0
   /// (full 64-bit delta span); only the not-found return can wrap, and
-  /// FilterRange's callers rule that case out before calling.
+  /// IntervalFor rules that case out before calling.
   template <typename Pred>
   uint64_t FirstDelta(Pred p) const {
     if (!p(max_delta_)) return max_delta_ + 1;
@@ -648,10 +613,7 @@ class ForCodec<double> {
   template <typename Fn>
   void ForEach(Fn&&) const {}
   template <typename Fn>
-  void ForEachIn(const Bitmap&, Fn&&) const {}
-  template <typename Fn>
   void ForEachInRange(const Bitmap&, size_t, size_t, Fn&&) const {}
-  void FilterRange(const BoundsPred<double>&, Bitmap*) const {}
   void FilterRangeSlice(const BoundsPred<double>&, Bitmap*, size_t,
                         size_t) const {}
   void MultiFilterRangeSlice(const PredicateTarget<double>*, size_t, size_t,
@@ -673,10 +635,7 @@ class ForCodec<std::string> {
   template <typename Fn>
   void ForEach(Fn&&) const {}
   template <typename Fn>
-  void ForEachIn(const Bitmap&, Fn&&) const {}
-  template <typename Fn>
   void ForEachInRange(const Bitmap&, size_t, size_t, Fn&&) const {}
-  void FilterRange(const BoundsPred<std::string>&, Bitmap*) const {}
   void FilterRangeSlice(const BoundsPred<std::string>&, Bitmap*, size_t,
                         size_t) const {}
   void MultiFilterRangeSlice(const PredicateTarget<std::string>*, size_t,
@@ -706,14 +665,7 @@ class RawCodec {
     for (size_t i = 0; i < values_.size(); ++i) fn(i, values_[i]);
   }
 
-  /// fn(i, value) for every set bit of `bits` below size().
-  template <typename Fn>
-  void ForEachIn(const Bitmap& bits, Fn&& fn) const {
-    bits.ForEachSetInRange(0, size(),
-                           [&](size_t i) { fn(i, values_[i]); });
-  }
-
-  /// ForEachIn restricted to [begin, end).
+  /// fn(i, value) for every set bit of `bits` in [begin, min(end, size())).
   template <typename Fn>
   void ForEachInRange(const Bitmap& bits, size_t begin, size_t end,
                       Fn&& fn) const {
@@ -721,15 +673,9 @@ class RawCodec {
                            [&](size_t i) { fn(i, values_[i]); });
   }
 
-  void FilterRange(const BoundsPred<T>& pred, Bitmap* inout) const {
-    inout->ForEachSetInRange(0, size(), [&](size_t rid) {
-      if (!pred.Keep(values_[rid])) inout->Clear(rid);
-    });
-  }
-
-  /// FilterRange restricted to rows [begin, end): bits outside the slice
-  /// are untouched, so disjoint 64-aligned slices may run concurrently into
-  /// one shared bitmap.
+  /// Clears the bits of rows in [begin, end) whose value fails `pred`; bits
+  /// outside the slice are untouched, so disjoint 64-aligned slices may run
+  /// concurrently into one shared bitmap.
   void FilterRangeSlice(const BoundsPred<T>& pred, Bitmap* inout,
                         size_t begin, size_t end) const {
     HSDB_DCHECK(begin % 64 == 0 && begin <= end && end <= size());

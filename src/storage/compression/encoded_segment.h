@@ -76,20 +76,12 @@ class EncodedSegment {
                codec_);
   }
 
-  /// Selective decode: fn(index, const T&) for every set bit of `bits`
-  /// below size(). Dispatches once and uses the codec's selective fast
-  /// path (RLE walks a monotone run cursor instead of binary-searching per
-  /// row).
-  template <typename Fn>
-  void ForEachIn(const Bitmap& bits, Fn&& fn) const {
-    std::visit(
-        [&](const auto& c) { c.ForEachIn(bits, std::forward<Fn>(fn)); },
-        codec_);
-  }
-
-  /// ForEachIn restricted to indices in [begin, end): reads only the bitmap
-  /// words covering the range, so disjoint ranges may be decoded
-  /// concurrently (parallel aggregation morsels).
+  /// Selective decode: fn(index, const T&) for every set bit of `bits` in
+  /// [begin, min(end, size())). Dispatches once and uses the codec's
+  /// selective fast path (RLE walks a monotone run cursor instead of
+  /// binary-searching per row). Reads only the bitmap words covering the
+  /// range, so disjoint ranges may be decoded concurrently (parallel
+  /// aggregation morsels).
   template <typename Fn>
   void ForEachInRange(const Bitmap& bits, size_t begin, size_t end,
                       Fn&& fn) const {
@@ -100,17 +92,11 @@ class EncodedSegment {
         codec_);
   }
 
-  /// Narrows `inout` over [0, size()) to rows whose value satisfies `pred`;
-  /// bits at or beyond size() are untouched. Conjunction semantics: already
-  /// cleared bits stay cleared.
-  void FilterRange(const BoundsPred<T>& pred, Bitmap* inout) const {
-    std::visit([&](const auto& c) { c.FilterRange(pred, inout); }, codec_);
-  }
-
-  /// FilterRange restricted to rows [begin, end): bits outside the slice
-  /// are untouched. With `begin` 64-aligned, disjoint slices write disjoint
-  /// bitmap words, so concurrent morsels may share one bitmap (the parallel
-  /// scan path relies on this).
+  /// Narrows `inout` over rows [begin, end) to rows whose value satisfies
+  /// `pred`; bits outside the slice are untouched. Conjunction semantics:
+  /// already cleared bits stay cleared. With `begin` 64-aligned, disjoint
+  /// slices write disjoint bitmap words, so concurrent morsels may share one
+  /// bitmap (the parallel scan path relies on this).
   void FilterRangeSlice(const BoundsPred<T>& pred, Bitmap* inout,
                         size_t begin, size_t end) const {
     std::visit(

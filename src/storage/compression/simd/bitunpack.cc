@@ -104,10 +104,9 @@ inline uint64_t PackBools8(const unsigned char* flags) {
 
 }  // namespace
 
-void FilterPackedRangeMultiGeneric(UnpackFn unpack, const uint64_t* words,
-                                   size_t n, uint32_t width,
-                                   const PackedPredicate* preds,
-                                   size_t num_preds) {
+void FilterPackedRangeMultiScalar(const uint64_t* words, size_t n,
+                                  uint32_t width, const PackedPredicate* preds,
+                                  size_t num_preds) {
   const size_t n_words = (n + 63) / 64;
   // Codes of one block, plus a 32-bit copy when they fit: the compare loop
   // over 32-bit lanes auto-vectorizes twice as wide.
@@ -124,7 +123,7 @@ void FilterPackedRangeMultiGeneric(UnpackFn unpack, const uint64_t* words,
     if (!any) continue;  // conjunction: no predicate has bits left here
     const size_t row0 = wi * 64;
     const size_t m = std::min<size_t>(64, n - row0);
-    unpack(words, row0, m, width, buf);
+    UnpackBitsScalar(words, row0, m, width, buf);
     if (narrow) {
       for (size_t j = 0; j < m; ++j) {
         buf32[j] = static_cast<uint32_t>(buf[j]);
@@ -198,13 +197,6 @@ void FilterPackedRangeMultiGeneric(UnpackFn unpack, const uint64_t* words,
   }
 }
 
-void FilterPackedRangeMultiScalar(const uint64_t* words, size_t n,
-                                  uint32_t width, const PackedPredicate* preds,
-                                  size_t num_preds) {
-  FilterPackedRangeMultiGeneric(UnpackBitsScalar, words, n, width, preds,
-                                num_preds);
-}
-
 }  // namespace internal
 
 void UnpackBits(const uint64_t* words, size_t start, size_t count,
@@ -215,9 +207,6 @@ void UnpackBits(const uint64_t* words, size_t start, size_t count,
   switch (ActiveLevel()) {
     case SimdLevel::kAvx2:
       internal::UnpackBitsAvx2(words, start, count, width, out);
-      return;
-    case SimdLevel::kSse42:
-      internal::UnpackBitsSse42(words, start, count, width, out);
       return;
     case SimdLevel::kScalar:
       break;
@@ -235,9 +224,6 @@ void UnpackDict64(const uint64_t* words, size_t start, size_t count,
     case SimdLevel::kAvx2:
       internal::UnpackDict64Avx2(words, start, count, width, dict, out);
       return;
-    case SimdLevel::kSse42:
-      internal::UnpackDict64Sse42(words, start, count, width, dict, out);
-      return;
     case SimdLevel::kScalar:
       break;
   }
@@ -254,9 +240,6 @@ void UnpackForDeltas(const uint64_t* words, size_t start, size_t count,
     case SimdLevel::kAvx2:
       internal::UnpackForDeltasAvx2(words, start, count, width, base, out);
       return;
-    case SimdLevel::kSse42:
-      internal::UnpackForDeltasSse42(words, start, count, width, base, out);
-      return;
     case SimdLevel::kScalar:
       break;
   }
@@ -272,9 +255,6 @@ void FilterPackedRange(const uint64_t* words, size_t n, uint32_t width,
   switch (ActiveLevel()) {
     case SimdLevel::kAvx2:
       internal::FilterPackedRangeAvx2(words, n, width, lo, hi, bm_words);
-      return;
-    case SimdLevel::kSse42:
-      internal::FilterPackedRangeSse42(words, n, width, lo, hi, bm_words);
       return;
     case SimdLevel::kScalar:
       break;
@@ -297,10 +277,6 @@ void FilterPackedRangeMulti(const uint64_t* words, size_t n, uint32_t width,
   switch (ActiveLevel()) {
     case SimdLevel::kAvx2:
       internal::FilterPackedRangeMultiAvx2(words, n, width, preds, num_preds);
-      return;
-    case SimdLevel::kSse42:
-      internal::FilterPackedRangeMultiSse42(words, n, width, preds,
-                                            num_preds);
       return;
     case SimdLevel::kScalar:
       break;

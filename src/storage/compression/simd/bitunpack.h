@@ -3,7 +3,7 @@
 // dictionary codec stores bit-packed value ids and the frame-of-reference
 // codec bit-packed deltas (common/bitpack.h); these kernels replace the
 // per-element BitPackedVector::Get loop with runtime-dispatched
-// (AVX2 / SSE4.2 / scalar, storage/compression/simd/dispatch.h) bulk
+// (AVX2 / scalar, storage/compression/simd/dispatch.h) bulk
 // routines for:
 //
 //   UnpackBits          bulk bit-unpacking (dictionary-id materialization)
@@ -21,7 +21,7 @@
 // integers (1 <= width <= 64) packed back to back, value i occupying bits
 // [i*width, (i+1)*width) of the little-endian word array `words`. The array
 // must stay readable for at least TWO 64-bit words past the word holding
-// the first bit of the last touched value — the SIMD tiers read whole
+// the first bit of the last touched value — the AVX2 tier reads whole
 // 16-byte windows. BitPackedVector guarantees exactly this slack; hand-built
 // arrays (tests) must over-allocate kPackedSlackWords words.
 #ifndef HSDB_STORAGE_COMPRESSION_SIMD_BITUNPACK_H_

@@ -1,9 +1,6 @@
 #include "storage/compression/simd/dispatch.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace hsdb {
 namespace compression {
@@ -15,28 +12,6 @@ namespace {
 /// later cannot be silently capped by a default.
 constexpr uint8_t kNoCap = 0xff;
 
-/// Cap from the HSDB_SIMD environment variable, parsed once at first use;
-/// nullopt when unset. Unrecognized values warn and are ignored rather
-/// than silently changing the dispatched tier.
-std::optional<SimdLevel> EnvCap() {
-  static const std::optional<SimdLevel> cap =
-      []() -> std::optional<SimdLevel> {
-    const char* env = std::getenv("HSDB_SIMD");
-    if (env == nullptr || env[0] == '\0') return std::nullopt;
-    if (std::strcmp(env, "scalar") == 0) return SimdLevel::kScalar;
-    if (std::strcmp(env, "sse42") == 0 || std::strcmp(env, "sse4.2") == 0) {
-      return SimdLevel::kSse42;
-    }
-    if (std::strcmp(env, "avx2") == 0) return SimdLevel::kAvx2;
-    std::fprintf(stderr,
-                 "[hsdb] ignoring unrecognized HSDB_SIMD value '%s' "
-                 "(expected scalar|sse42|avx2)\n",
-                 env);
-    return std::nullopt;
-  }();
-  return cap;
-}
-
 std::atomic<uint8_t> g_cap{kNoCap};
 
 }  // namespace
@@ -45,8 +20,6 @@ std::string_view SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "SCALAR";
-    case SimdLevel::kSse42:
-      return "SSE4.2";
     case SimdLevel::kAvx2:
       return "AVX2";
   }
@@ -55,11 +28,9 @@ std::string_view SimdLevelName(SimdLevel level) {
 
 SimdLevel DetectedLevel() {
 #if HSDB_SIMD_X86
-  static const SimdLevel level = [] {
-    if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-    if (__builtin_cpu_supports("sse4.2")) return SimdLevel::kSse42;
-    return SimdLevel::kScalar;
-  }();
+  static const SimdLevel level = __builtin_cpu_supports("avx2")
+                                      ? SimdLevel::kAvx2
+                                      : SimdLevel::kScalar;
   return level;
 #else
   return SimdLevel::kScalar;
@@ -67,14 +38,10 @@ SimdLevel DetectedLevel() {
 }
 
 SimdLevel ActiveLevel() {
-  SimdLevel level = DetectedLevel();
-  if (const std::optional<SimdLevel> env = EnvCap();
-      env.has_value() && *env < level) {
-    level = *env;
-  }
+  const SimdLevel level = DetectedLevel();
   const uint8_t cap = g_cap.load(std::memory_order_relaxed);
   if (cap != kNoCap && static_cast<SimdLevel>(cap) < level) {
-    level = static_cast<SimdLevel>(cap);
+    return static_cast<SimdLevel>(cap);
   }
   return level;
 }

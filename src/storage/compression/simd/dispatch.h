@@ -1,14 +1,12 @@
 // Runtime SIMD dispatch for the bit-packed decode kernels
-// (storage/compression/simd/bitunpack.h). The kernels are compiled in three
-// tiers — AVX2, SSE4.2 and a portable scalar fallback — and every public
-// entry point selects the best tier the CPU supports at runtime, so one
-// binary runs everywhere and uses the widest units available.
+// (storage/compression/simd/bitunpack.h). The kernels are compiled in two
+// tiers — AVX2 and a portable scalar fallback — and every public entry
+// point selects AVX2 at runtime when the CPU supports it, so one binary
+// runs everywhere and uses the widest units available.
 //
 // Force-scalar switches (the fallback path must stay testable everywhere):
-//   - compile time: -DHSDB_FORCE_SCALAR=ON (CMake option) compiles the SIMD
-//     tiers out entirely — the build contains only the scalar kernels.
-//   - run time: the HSDB_SIMD environment variable ("scalar", "sse42",
-//     "avx2") caps the dispatched tier below what the CPU supports.
+//   - compile time: -DHSDB_FORCE_SCALAR=ON (CMake option) compiles the AVX2
+//     tier out entirely — the build contains only the scalar kernels.
 //   - per scope: ScopedSimdLevel caps the tier programmatically
 //     (equivalence tests, benchmarks comparing tiers).
 #ifndef HSDB_STORAGE_COMPRESSION_SIMD_DISPATCH_H_
@@ -18,7 +16,7 @@
 #include <optional>
 #include <string_view>
 
-// True when the x86 SIMD tiers are compiled into this binary. The kernels
+// True when the x86 SIMD tier is compiled into this binary. The kernels
 // use GCC/Clang `target` function attributes, so no global -mavx2 flags are
 // needed and the binary still runs on CPUs without AVX2.
 #if !defined(HSDB_FORCE_SCALAR) && defined(__GNUC__) && \
@@ -35,25 +33,23 @@ namespace simd {
 /// Kernel tiers, ordered: a CPU supporting a tier supports all lower ones.
 enum class SimdLevel : uint8_t {
   kScalar = 0,  ///< portable fallback, compiled on every platform
-  kSse42 = 1,   ///< 128-bit: pshufb + pmulld decode, 4-lane compares
-  kAvx2 = 2,    ///< 256-bit: vpshufb + variable shifts, gathers
+  kAvx2 = 1,    ///< 256-bit: vpshufb + variable shifts, gathers
 };
 
-/// "SCALAR", "SSE4.2", "AVX2" (benchmark labels, logs).
+/// "SCALAR", "AVX2" (benchmark labels, logs).
 std::string_view SimdLevelName(SimdLevel level);
 
 /// Best tier this CPU supports (cpuid probe, cached). Always kScalar on
 /// non-x86 builds and under -DHSDB_FORCE_SCALAR.
 SimdLevel DetectedLevel();
 
-/// Tier the kernels actually dispatch to: DetectedLevel() capped by the
-/// HSDB_SIMD environment variable (read once) and by SetLevelCap.
+/// Tier the kernels actually dispatch to: DetectedLevel() capped by
+/// SetLevelCap.
 SimdLevel ActiveLevel();
 
-/// Caps ActiveLevel() at `cap` (nullopt removes the cap; the HSDB_SIMD env
-/// cap, if any, still applies). Returns the previously set cap so scoped
-/// users can restore it. Test/benchmark hook — not thread-safe against
-/// concurrent scans.
+/// Caps ActiveLevel() at `cap` (nullopt removes the cap). Returns the
+/// previously set cap so scoped users can restore it. Test/benchmark hook —
+/// not thread-safe against concurrent scans.
 std::optional<SimdLevel> SetLevelCap(std::optional<SimdLevel> cap);
 
 /// RAII tier cap: forces ActiveLevel() <= `cap` for the scope's lifetime,

@@ -17,18 +17,7 @@ namespace compression {
 namespace simd {
 namespace internal {
 
-/// Shared engine of the multi-predicate filter for the non-AVX2 tiers:
-/// per 64-row block, `unpack` materializes the codes once and a portable
-/// (auto-vectorizable) compare loop builds each predicate's match mask.
-/// The tier wrappers pass their tier's bulk unpack entry point.
-using UnpackFn = void (*)(const uint64_t* words, size_t start, size_t count,
-                          uint32_t width, uint64_t* out);
-void FilterPackedRangeMultiGeneric(UnpackFn unpack, const uint64_t* words,
-                                   size_t n, uint32_t width,
-                                   const PackedPredicate* preds,
-                                   size_t num_preds);
-
-// Scalar tier (bitunpack.cc): the portable reference every other tier must
+// Scalar tier (bitunpack.cc): the portable reference the AVX2 tier must
 // match bit for bit. Handles all widths 1..64.
 void UnpackBitsScalar(const uint64_t* words, size_t start, size_t count,
                       uint32_t width, uint64_t* out);
@@ -43,21 +32,6 @@ void FilterPackedRangeMultiScalar(const uint64_t* words, size_t n,
                                   size_t num_preds);
 
 #if HSDB_SIMD_X86
-// SSE4.2 tier (bitunpack_sse42.cc): vectorizes widths <= 16 with pshufb
-// byte gathers and pmulld variable shifts; wider widths fall through to the
-// scalar tier internally.
-void UnpackBitsSse42(const uint64_t* words, size_t start, size_t count,
-                     uint32_t width, uint64_t* out);
-void UnpackDict64Sse42(const uint64_t* words, size_t start, size_t count,
-                       uint32_t width, const int64_t* dict, int64_t* out);
-void UnpackForDeltasSse42(const uint64_t* words, size_t start, size_t count,
-                          uint32_t width, int64_t base, int64_t* out);
-void FilterPackedRangeSse42(const uint64_t* words, size_t n, uint32_t width,
-                            uint64_t lo, uint64_t hi, uint64_t* bm_words);
-void FilterPackedRangeMultiSse42(const uint64_t* words, size_t n,
-                                 uint32_t width, const PackedPredicate* preds,
-                                 size_t num_preds);
-
 // AVX2 tier (bitunpack_avx2.cc): vpshufb + vpsrlvd for widths <= 16, 64-bit
 // gathers + vpsrlvq for widths 17..32; wider widths fall through to the
 // scalar tier internally.

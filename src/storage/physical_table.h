@@ -89,25 +89,17 @@ class PhysicalTable {
   virtual Value GetValue(RowId rid, ColumnId col) const = 0;
   virtual Row GetRow(RowId rid) const = 0;
 
-  /// Narrows `inout` (sized slot_count) to rows whose `col` value lies in
-  /// `range`; bits already cleared stay cleared (conjunction semantics).
-  virtual void FilterRange(ColumnId col, const ValueRange& range,
-                           Bitmap* inout) const = 0;
-
-  /// FilterRange restricted to slots [begin, end): bits outside the slice
-  /// are untouched. The parallel scan path evaluates disjoint slices of one
-  /// shared bitmap concurrently, so implementations must only read/write
-  /// bitmap words inside the slice — guaranteed when `begin` is 64-aligned
-  /// (the morsel planner aligns every boundary; only the final `end` may be
-  /// unaligned). The default is the slow generic per-row path; both stores
-  /// override it with their scan kernels.
+  /// Narrows `inout` (sized slot_count) over slots [begin, end) to rows
+  /// whose `col` value lies in `range`; bits already cleared stay cleared
+  /// (conjunction semantics) and bits outside the slice are untouched. The
+  /// parallel scan path evaluates disjoint slices of one shared bitmap
+  /// concurrently, so implementations must only read/write bitmap words
+  /// inside the slice — guaranteed when `begin` is 64-aligned (the morsel
+  /// planner aligns every boundary; only the final `end` may be unaligned).
+  /// A whole-table filter is the slice [0, slot_count()).
   virtual void FilterRangeSlice(ColumnId col, const ValueRange& range,
                                 size_t begin, size_t end,
-                                Bitmap* inout) const {
-    inout->ForEachSetInRange(begin, end, [&](size_t rid) {
-      if (!range.Contains(GetValue(rid, col))) inout->Clear(rid);
-    });
-  }
+                                Bitmap* inout) const = 0;
 
   /// Shared-scan form of FilterRangeSlice: narrows each target's bitmap to
   /// the rows of [begin, end) whose `col` value lies in that target's

@@ -83,11 +83,6 @@ Row RowTable::GetRow(RowId rid) const {
   return row;
 }
 
-void RowTable::FilterRange(ColumnId col, const ValueRange& range,
-                           Bitmap* inout) const {
-  FilterRangeSlice(col, range, 0, slots_.size(), inout);
-}
-
 void RowTable::FilterRangeSlice(ColumnId col, const ValueRange& range,
                                 size_t begin, size_t end,
                                 Bitmap* inout) const {

@@ -54,8 +54,6 @@ class RowTable final : public PhysicalTable {
   std::optional<RowId> FindByPk(const PrimaryKey& pk) const override;
   Value GetValue(RowId rid, ColumnId col) const override;
   Row GetRow(RowId rid) const override;
-  void FilterRange(ColumnId col, const ValueRange& range,
-                   Bitmap* inout) const override;
   void FilterRangeSlice(ColumnId col, const ValueRange& range, size_t begin,
                         size_t end, Bitmap* inout) const override;
   double CompressionRate(ColumnId) const override { return 1.0; }
@@ -75,32 +73,32 @@ class RowTable final : public PhysicalTable {
   /// sorted index. The produced bitmap is sized slot_count().
   Result<Bitmap> IndexFilter(ColumnId col, const ValueRange& range) const;
 
-  /// Calls fn(RowId, double) for each live row's numeric `col` value,
-  /// restricted to `filter` when non-null (filter sized slot_count()).
-  /// The type dispatch is hoisted out of the loop, and fully live tables
-  /// scan densely without bitmap iteration.
+  /// Calls fn(RowId, double) for each live row's numeric `col` value. The
+  /// type dispatch is hoisted out of the loop, and fully live tables scan
+  /// densely without bitmap iteration.
   template <typename Fn>
-  void ForEachNumeric(ColumnId col, const Bitmap* filter, Fn&& fn) const {
+  void ForEachNumeric(ColumnId col, Fn&& fn) const {
     const uint32_t offset = schema_.fixed_offset(col);
     switch (schema_.column(col).type) {
       case DataType::kInt32:
       case DataType::kDate:
-        ScanTyped<int32_t>(offset, filter, fn);
+        ScanTyped<int32_t>(offset, fn);
         break;
       case DataType::kInt64:
-        ScanTyped<int64_t>(offset, filter, fn);
+        ScanTyped<int64_t>(offset, fn);
         break;
       case DataType::kDouble:
-        ScanTyped<double>(offset, filter, fn);
+        ScanTyped<double>(offset, fn);
         break;
       case DataType::kVarchar:
         HSDB_CHECK_MSG(false, "ForEachNumeric on VARCHAR column");
     }
   }
 
-  /// ForEachNumeric restricted to rids in [begin, end) of `filter`. Reads
-  /// only the filter words covering the range, so disjoint ranges may be
-  /// decoded concurrently (parallel aggregation morsels).
+  /// Calls fn(RowId, double) for the numeric `col` value of every rid in
+  /// [begin, end) set in `filter`. Reads only the filter words covering the
+  /// range, so disjoint ranges may be decoded concurrently (parallel
+  /// aggregation morsels).
   template <typename Fn>
   void ForEachNumericRange(ColumnId col, const Bitmap& filter, size_t begin,
                            size_t end, Fn&& fn) const {
@@ -133,12 +131,8 @@ class RowTable final : public PhysicalTable {
   RowTable(Schema schema, Options options);
 
   template <typename T, typename Fn>
-  void ScanTyped(uint32_t offset, const Bitmap* filter, Fn&& fn) const {
-    if (filter != nullptr) {
-      filter->ForEachSet([&](size_t rid) {
-        fn(rid, static_cast<double>(LoadAs<T>(slots_[rid] + offset)));
-      });
-    } else if (live_count_ == slots_.size()) {
+  void ScanTyped(uint32_t offset, Fn&& fn) const {
+    if (live_count_ == slots_.size()) {
       // Dense fast path: no tombstones, no bitmap walk.
       const size_t n = slots_.size();
       for (size_t rid = 0; rid < n; ++rid) {

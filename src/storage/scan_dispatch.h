@@ -8,23 +8,23 @@
 
 namespace hsdb {
 
-/// Calls fn(RowId, double) for each live numeric value of `col`, restricted
-/// to `filter` when non-null, using the store-specific fast path.
+/// Calls fn(RowId, double) for each live numeric value of `col`, using the
+/// store-specific fast path.
 template <typename Fn>
-void ForEachNumericIn(const PhysicalTable& table, ColumnId col,
-                      const Bitmap* filter, Fn&& fn) {
+void ForEachNumericIn(const PhysicalTable& table, ColumnId col, Fn&& fn) {
   if (table.store() == StoreType::kRow) {
-    static_cast<const RowTable&>(table).ForEachNumeric(col, filter,
-                                                       std::forward<Fn>(fn));
+    static_cast<const RowTable&>(table).ForEachNumeric(
+        col, std::forward<Fn>(fn));
   } else {
     static_cast<const ColumnTable&>(table).ForEachNumeric(
-        col, filter, std::forward<Fn>(fn));
+        col, std::forward<Fn>(fn));
   }
 }
 
-/// ForEachNumericIn restricted to rids in [begin, end) of `filter`. Safe to
-/// call concurrently for disjoint ranges of one shared filter bitmap (the
-/// parallel aggregation path decodes one morsel per call).
+/// Calls fn(RowId, double) for the numeric `col` value of every rid in
+/// [begin, end) set in `filter`. Safe to call concurrently for disjoint
+/// ranges of one shared filter bitmap (the parallel aggregation path
+/// decodes one morsel per call).
 template <typename Fn>
 void ForEachNumericInRange(const PhysicalTable& table, ColumnId col,
                            const Bitmap& filter, size_t begin, size_t end,

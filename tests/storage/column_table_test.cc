@@ -183,11 +183,13 @@ TEST(ColumnTableTest, FilterRangeAcrossMainAndDelta) {
   }
   // Range straddles the main/delta boundary.
   Bitmap bm = t->live_bitmap();
-  t->FilterRange(0, ValueRange::Between(Value(int64_t{40}), Value(int64_t{59})),
-                 &bm);
+  t->FilterRangeSlice(
+      0, ValueRange::Between(Value(int64_t{40}), Value(int64_t{59})), 0,
+      t->slot_count(), &bm);
   EXPECT_EQ(bm.Count(), 20u);
   // Conjunction with an equality on qty.
-  t->FilterRange(1, ValueRange::Eq(Value(int32_t{5})), &bm);
+  t->FilterRangeSlice(1, ValueRange::Eq(Value(int32_t{5})), 0,
+                      t->slot_count(), &bm);
   EXPECT_EQ(bm.Count(), 2u);  // ids 45 and 55
 }
 
@@ -266,12 +268,14 @@ TEST(ColumnTableTest, FilterRangeVarcharViaDictionary) {
   for (int64_t i = 0; i < 70; ++i) t->Insert(MakeTestRow(i));
   t->MergeDelta();
   Bitmap bm = t->live_bitmap();
-  t->FilterRange(3, ValueRange::Eq(Value("name_2")), &bm);
+  t->FilterRangeSlice(3, ValueRange::Eq(Value("name_2")), 0,
+                      t->slot_count(), &bm);
   EXPECT_EQ(bm.Count(), 10u);  // i % 7 == 2 for 70 rows
   // Range over strings.
   Bitmap bm2 = t->live_bitmap();
-  t->FilterRange(3, ValueRange::Between(Value("name_0"), Value("name_1")),
-                 &bm2);
+  t->FilterRangeSlice(3,
+                      ValueRange::Between(Value("name_0"), Value("name_1")),
+                      0, t->slot_count(), &bm2);
   EXPECT_EQ(bm2.Count(), 20u);
 }
 
@@ -285,7 +289,7 @@ TEST(ColumnTableTest, FilterRangeExclusiveBounds) {
   r.lo_inclusive = false;
   r.hi = Value(int64_t{5});
   r.hi_inclusive = false;
-  t->FilterRange(0, r, &bm);
+  t->FilterRangeSlice(0, r, 0, t->slot_count(), &bm);
   EXPECT_EQ(bm.Count(), 2u);
 }
 
@@ -297,7 +301,7 @@ TEST(ColumnTableTest, ForEachNumericSpansMainAndDelta) {
     t->Insert(MakeTestRow(i));
   }
   double sum = 0;
-  t->ForEachNumeric(0, nullptr, [&](RowId, double v) { sum += v; });
+  t->ForEachNumeric(0, [&](RowId, double v) { sum += v; });
   EXPECT_DOUBLE_EQ(sum, 190.0);  // 0+..+19
 }
 

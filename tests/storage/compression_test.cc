@@ -271,57 +271,119 @@ TEST(CodecRoundTripTest, CompressiblePayloadShrinks) {
   }
 }
 
+/// Row slices the ranged entry points are checked on: the whole segment,
+/// the tail from the last 64-aligned boundary, an empty slice, and random
+/// 64-aligned starts with unaligned ends (the morsel shape: every boundary
+/// is aligned except the final end).
+std::vector<std::pair<size_t, size_t>> TestSlices(size_t n, Rng& rng) {
+  const size_t last_aligned = n / 64 * 64;
+  std::vector<std::pair<size_t, size_t>> slices = {
+      {0, n}, {last_aligned, n}, {last_aligned, last_aligned}};
+  for (int k = 0; k < 4; ++k) {
+    const size_t b = 64 * rng.Index(n / 64 + 1);
+    size_t e = b + rng.Index(n - b + 1);
+    if (e % 64 == 0 && e < n) ++e;
+    slices.emplace_back(b, e);
+  }
+  return slices;
+}
+
+/// ForEachInRange against the source values, for every codec, several
+/// bitmap densities and every TestSlices slice. The bitmap extends past the
+/// segment (the delta region): bits there, and bits outside the slice, must
+/// not be visited.
+template <typename T>
+void ExpectForEachInRangeMatchesGet(const std::vector<T>& values,
+                                    uint64_t seed) {
+  Rng rng(seed);
+  const size_t n = values.size();
+  for (Encoding e : {Encoding::kDictionary, Encoding::kRle,
+                     Encoding::kFrameOfReference, Encoding::kRaw}) {
+    auto seg = EncodedSegment<T>::Encode(values, e);
+    for (double density : {0.0, 0.05, 0.4, 1.0}) {
+      Bitmap bits(n + 64);
+      for (size_t i = 0; i < bits.size(); ++i) {
+        if (rng.Chance(density)) bits.Set(i);
+      }
+      auto slices = TestSlices(n, rng);
+      slices.emplace_back(0, bits.size());  // end past the segment
+      for (const auto& [b, end] : slices) {
+        std::vector<std::pair<size_t, T>> got;
+        seg.ForEachInRange(bits, b, end, [&](size_t i, const T& v) {
+          got.emplace_back(i, v);
+        });
+        std::vector<std::pair<size_t, T>> want;
+        for (size_t i = b; i < std::min(end, n); ++i) {
+          if (bits.Test(i)) want.emplace_back(i, values[i]);
+        }
+        ASSERT_EQ(got, want) << EncodingName(e) << " density=" << density
+                             << " slice=[" << b << "," << end << ")";
+      }
+    }
+  }
+}
+
 TEST(CodecRoundTripTest, ForEachInMatchesPerBitGet) {
   Rng rng(41);
   std::vector<int64_t> values;
   for (int i = 0; i < 2000; ++i) values.push_back(rng.UniformInt(0, 30));
   std::sort(values.begin(), values.begin() + 1200);  // run-structured prefix
-  for (Encoding e : {Encoding::kDictionary, Encoding::kRle,
-                     Encoding::kFrameOfReference, Encoding::kRaw}) {
-    auto seg = EncodedSegment<int64_t>::Encode(values, e);
-    // Bitmap extends past the segment: extra bits must not be visited.
-    Bitmap bits(values.size() + 64);
-    for (size_t i = 0; i < bits.size(); ++i) {
-      if (rng.Chance(0.4)) bits.Set(i);
-    }
-    std::vector<std::pair<size_t, int64_t>> got;
-    seg.ForEachIn(bits, [&](size_t i, int64_t v) { got.emplace_back(i, v); });
-    std::vector<std::pair<size_t, int64_t>> want;
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (bits.Test(i)) want.emplace_back(i, values[i]);
-    }
-    ASSERT_EQ(got, want) << EncodingName(e);
+  ExpectForEachInRangeMatchesGet(values, 41);
+
+  std::vector<int64_t> wide;  // FOR deltas wider than 32 bits
+  for (int i = 0; i < 777; ++i) {
+    wide.push_back(rng.UniformInt(-(int64_t{1} << 40), int64_t{1} << 40));
   }
+  ExpectForEachInRangeMatchesGet(wide, 43);
+
+  std::vector<int32_t> narrow = {-1000, -999, -1000, 500, 0, -1000, 499};
+  ExpectForEachInRangeMatchesGet(narrow, 47);
+
+  std::vector<double> doubles;
+  for (int i = 0; i < 1100; ++i) {
+    doubles.push_back(rng.UniformInt(0, 9) * 0.125);
+  }
+  std::sort(doubles.begin() + 500, doubles.end());
+  ExpectForEachInRangeMatchesGet(doubles, 53);
+
+  std::vector<std::string> strings;
+  for (int i = 0; i < 300; ++i) {
+    strings.push_back("key_" + std::to_string(rng.UniformInt(0, 30)));
+  }
+  ExpectForEachInRangeMatchesGet(strings, 59);
+
+  ExpectForEachInRangeMatchesGet(std::vector<int64_t>{}, 61);
 }
 
 // ---- Predicate evaluation on encoded data ----------------------------------
 
+/// FilterRangeSlice against a per-value pred.Keep reference, for every codec
+/// and every TestSlices slice. The bitmap extends past the segment (the
+/// delta region) and starts with random bits cleared: inside the slice a bit
+/// survives iff it was set and its value is kept (conjunction semantics);
+/// every bit outside the slice must be untouched.
 template <typename T>
 void ExpectFilterMatchesReference(const std::vector<T>& values,
                                   const BoundsPred<T>& pred, uint64_t seed) {
   Rng rng(seed);
+  const size_t n = values.size();
   for (Encoding e : {Encoding::kDictionary, Encoding::kRle,
                      Encoding::kFrameOfReference, Encoding::kRaw}) {
     auto seg = EncodedSegment<T>::Encode(values, e);
-    // Extra slots beyond the segment simulate the delta region: the segment
-    // must leave them untouched.
-    Bitmap bm(values.size() + 10, true);
-    // Pre-cleared bits must stay cleared (conjunction semantics).
-    std::vector<bool> pre(values.size(), true);
-    for (size_t i = 0; i < values.size(); ++i) {
-      if (rng.Chance(0.2)) {
-        bm.Clear(i);
-        pre[i] = false;
+    Bitmap pre(n + 70, true);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Chance(0.2)) pre.Clear(i);
+    }
+    for (const auto& [b, end] : TestSlices(n, rng)) {
+      Bitmap bm = pre;
+      seg.FilterRangeSlice(pred, &bm, b, end);
+      for (size_t i = 0; i < bm.size(); ++i) {
+        const bool in_slice = i >= b && i < end;
+        const bool want = pre.Test(i) && (!in_slice || pred.Keep(values[i]));
+        ASSERT_EQ(bm.Test(i), want)
+            << EncodingName(seg.encoding()) << " slice=[" << b << "," << end
+            << ") i=" << i << (in_slice ? "" : " (outside the slice)");
       }
-    }
-    seg.FilterRange(pred, &bm);
-    for (size_t i = 0; i < values.size(); ++i) {
-      bool want = pre[i] && pred.Keep(values[i]);
-      ASSERT_EQ(bm.Test(i), want)
-          << EncodingName(seg.encoding()) << " i=" << i;
-    }
-    for (size_t i = values.size(); i < values.size() + 10; ++i) {
-      ASSERT_TRUE(bm.Test(i)) << "delta slot touched by " << EncodingName(e);
     }
   }
 }
@@ -341,6 +403,24 @@ TEST(CodecFilterTest, RandomIntegerBoundsMatchNaiveEvaluation) {
     pred.hi_inclusive = rng.Chance(0.5);
     ExpectFilterMatchesReference(values, pred, 1000 + trial);
   }
+  // Code widths across the kernel shapes: narrow windows, 17..32-bit
+  // gathers, and wider-than-32-bit deltas that take the scalar loop.
+  for (int64_t span :
+       {int64_t{1} << 12, int64_t{1} << 20, int64_t{1} << 40}) {
+    std::vector<int64_t> wide;
+    for (int i = 0; i < 1300; ++i) wide.push_back(rng.UniformInt(-span, span));
+    std::sort(wide.begin() + 900, wide.end());
+    for (int trial = 0; trial < 8; ++trial) {
+      BoundsPred<int64_t> pred;
+      pred.has_lo = rng.Chance(0.8);
+      pred.has_hi = rng.Chance(0.8);
+      pred.lo = static_cast<double>(rng.UniformInt(-span, span));
+      pred.hi = pred.lo + static_cast<double>(rng.UniformInt(0, span));
+      pred.lo_inclusive = rng.Chance(0.5);
+      pred.hi_inclusive = rng.Chance(0.5);
+      ExpectFilterMatchesReference(wide, pred, 3000 + trial);
+    }
+  }
 }
 
 TEST(CodecFilterTest, FractionalBoundsOnIntegerDomain) {
@@ -352,6 +432,13 @@ TEST(CodecFilterTest, FractionalBoundsOnIntegerDomain) {
   pred.lo = 2.5;
   pred.hi = 6.5;
   ExpectFilterMatchesReference(values, pred, 77);
+  // A negative FOR base.
+  std::vector<int32_t> negative = {-1000, -999, -1000, 500, 0, -1000, 499};
+  BoundsPred<int32_t> neg_pred;
+  neg_pred.has_lo = neg_pred.has_hi = true;
+  neg_pred.lo = -999.5;
+  neg_pred.hi = 499.0;
+  ExpectFilterMatchesReference(negative, neg_pred, 5000);
 }
 
 TEST(CodecFilterTest, StringBoundsMatchNaiveEvaluation) {
@@ -369,6 +456,23 @@ TEST(CodecFilterTest, StringBoundsMatchNaiveEvaluation) {
     pred.lo_inclusive = rng.Chance(0.5);
     pred.hi_inclusive = rng.Chance(0.5);
     ExpectFilterMatchesReference(values, pred, 2000 + trial);
+  }
+}
+
+TEST(CodecFilterTest, DoubleBoundsMatchNaiveEvaluation) {
+  Rng rng(31);
+  std::vector<double> values;
+  for (int i = 0; i < 900; ++i) values.push_back(rng.UniformInt(0, 9) * 0.125);
+  std::sort(values.begin(), values.begin() + 400);
+  for (int trial = 0; trial < 12; ++trial) {
+    BoundsPred<double> pred;
+    pred.has_lo = rng.Chance(0.8);
+    pred.has_hi = rng.Chance(0.8);
+    pred.lo = rng.UniformInt(-1, 9) * 0.1;
+    pred.hi = pred.lo + rng.UniformInt(0, 6) * 0.1;
+    pred.lo_inclusive = rng.Chance(0.5);
+    pred.hi_inclusive = rng.Chance(0.5);
+    ExpectFilterMatchesReference(values, pred, 4000 + trial);
   }
 }
 

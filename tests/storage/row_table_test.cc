@@ -91,11 +91,13 @@ TEST(RowTableTest, FilterRangeNumeric) {
   auto t = RowTable::Create(TestSchema());
   for (int64_t i = 0; i < 100; ++i) t->Insert(MakeTestRow(i));
   Bitmap bm = t->live_bitmap();
-  t->FilterRange(0, ValueRange::Between(Value(int64_t{10}), Value(int64_t{19})),
-                 &bm);
+  t->FilterRangeSlice(
+      0, ValueRange::Between(Value(int64_t{10}), Value(int64_t{19})), 0,
+      t->slot_count(), &bm);
   EXPECT_EQ(bm.Count(), 10u);
   // Conjunction with a second predicate: qty == 5 (ids 15 only among 10..19).
-  t->FilterRange(1, ValueRange::Eq(Value(int32_t{5})), &bm);
+  t->FilterRangeSlice(1, ValueRange::Eq(Value(int32_t{5})), 0,
+                      t->slot_count(), &bm);
   EXPECT_EQ(bm.Count(), 1u);
   EXPECT_TRUE(bm.Test(15));
 }
@@ -109,7 +111,7 @@ TEST(RowTableTest, FilterRangeExclusiveBounds) {
   r.lo_inclusive = false;
   r.hi = Value(int64_t{5});
   r.hi_inclusive = false;
-  t->FilterRange(0, r, &bm);
+  t->FilterRangeSlice(0, r, 0, t->slot_count(), &bm);
   EXPECT_EQ(bm.Count(), 2u);  // 3, 4
   EXPECT_TRUE(bm.Test(3));
   EXPECT_TRUE(bm.Test(4));
@@ -119,7 +121,8 @@ TEST(RowTableTest, FilterRangeVarchar) {
   auto t = RowTable::Create(TestSchema());
   for (int64_t i = 0; i < 21; ++i) t->Insert(MakeTestRow(i));
   Bitmap bm = t->live_bitmap();
-  t->FilterRange(3, ValueRange::Eq(Value("name_3")), &bm);
+  t->FilterRangeSlice(3, ValueRange::Eq(Value("name_3")), 0,
+                      t->slot_count(), &bm);
   EXPECT_EQ(bm.Count(), 3u);  // ids 3, 10, 17
   EXPECT_TRUE(bm.Test(3));
   EXPECT_TRUE(bm.Test(10));
@@ -131,8 +134,9 @@ TEST(RowTableTest, FilterSkipsDeletedRows) {
   for (int64_t i = 0; i < 10; ++i) t->Insert(MakeTestRow(i));
   t->DeleteRow(3);
   Bitmap bm = t->live_bitmap();
-  t->FilterRange(0, ValueRange::Between(Value(int64_t{0}), Value(int64_t{9})),
-                 &bm);
+  t->FilterRangeSlice(
+      0, ValueRange::Between(Value(int64_t{0}), Value(int64_t{9})), 0,
+      t->slot_count(), &bm);
   EXPECT_EQ(bm.Count(), 9u);
   EXPECT_FALSE(bm.Test(3));
 }
@@ -175,7 +179,7 @@ TEST(RowTableTest, ForEachNumericVisitsLiveRows) {
   for (int64_t i = 0; i < 10; ++i) t->Insert(MakeTestRow(i));
   t->DeleteRow(0);
   double sum = 0;
-  t->ForEachNumeric(2, nullptr, [&](RowId, double v) { sum += v; });
+  t->ForEachNumeric(2, [&](RowId, double v) { sum += v; });
   EXPECT_DOUBLE_EQ(sum, 1.5 * (1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9));
 }
 

@@ -3,8 +3,8 @@
 // values, reconstructed frames, dictionary gathers and selection bitmaps —
 // for all packed bit widths 1..32 (plus scalar-only wide widths), including
 // unaligned starts, unaligned lengths and tail elements. The scalar tier is
-// the reference; under -DHSDB_FORCE_SCALAR or on non-AVX hardware the
-// higher tiers are skipped automatically (DetectedLevel caps the list), so
+// the reference; under -DHSDB_FORCE_SCALAR or on non-AVX2 hardware the
+// AVX2 tier is skipped automatically (DetectedLevel caps the list), so
 // the suite is green on every platform.
 #include <gtest/gtest.h>
 
@@ -30,9 +30,6 @@ using simd::SimdLevel;
 /// Dispatch tiers this machine can run, lowest first.
 std::vector<SimdLevel> AvailableLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (DetectedLevel() >= SimdLevel::kSse42) {
-    levels.push_back(SimdLevel::kSse42);
-  }
   if (DetectedLevel() >= SimdLevel::kAvx2) {
     levels.push_back(SimdLevel::kAvx2);
   }
@@ -257,7 +254,7 @@ INSTANTIATE_TEST_SUITE_P(WideWidths, SimdEquivalence,
                          ::testing::Values(33u, 40u, 48u, 57u, 63u, 64u));
 
 // Segment-level equivalence: the production entry points (EncodedSegment
-// ForEach / FilterRange) must produce identical scans and selections on
+// ForEach / FilterRangeSlice) must produce identical scans and selections on
 // every tier, for every codec that touches the bit-packed paths.
 class SegmentTierEquivalence : public ::testing::TestWithParam<Encoding> {};
 
@@ -287,7 +284,7 @@ TEST_P(SegmentTierEquivalence, ScanAndFilterMatchAcrossTiers) {
       scan.push_back(v);
     });
     Bitmap bm(values.size(), true);
-    segment.FilterRange(pred, &bm);
+    segment.FilterRangeSlice(pred, &bm, 0, values.size());
     if (first) {
       reference_scan = std::move(scan);
       reference_bm = std::move(bm);
@@ -391,7 +388,7 @@ TEST(ForCodecFullRange, FilterRangeAtFullDeltaSpan) {
     lo_only.has_lo = true;
     lo_only.lo = 0.0;
     Bitmap bm(values.size(), true);
-    codec.FilterRange(lo_only, &bm);
+    codec.FilterRangeSlice(lo_only, &bm, 0, values.size());
     const bool expected[] = {false, false, true, true, true};
     for (size_t i = 0; i < values.size(); ++i) {
       EXPECT_EQ(bm.Test(i), expected[i]) << "lo-only i=" << i;
@@ -402,7 +399,7 @@ TEST(ForCodecFullRange, FilterRangeAtFullDeltaSpan) {
     hi_only.has_hi = true;
     hi_only.hi = 0.0;
     Bitmap bm(values.size(), true);
-    codec.FilterRange(hi_only, &bm);
+    codec.FilterRangeSlice(hi_only, &bm, 0, values.size());
     const bool expected[] = {true, true, true, false, false};
     for (size_t i = 0; i < values.size(); ++i) {
       EXPECT_EQ(bm.Test(i), expected[i]) << "hi-only i=" << i;
@@ -411,7 +408,7 @@ TEST(ForCodecFullRange, FilterRangeAtFullDeltaSpan) {
   {
     BoundsPred<int64_t> unbounded;  // no bounds: keeps everything
     Bitmap bm(values.size(), true);
-    codec.FilterRange(unbounded, &bm);
+    codec.FilterRangeSlice(unbounded, &bm, 0, values.size());
     EXPECT_EQ(bm.Count(), values.size());
   }
 }
@@ -423,7 +420,7 @@ TEST(ScopedSimdLevelTest, NestedGuardsComposeAndRestore) {
   ScopedSimdLevel outer(SimdLevel::kScalar);
   EXPECT_EQ(simd::ActiveLevel(), SimdLevel::kScalar);
   {
-    ScopedSimdLevel inner(std::min(DetectedLevel(), SimdLevel::kSse42));
+    ScopedSimdLevel inner(DetectedLevel());
     EXPECT_EQ(simd::ActiveLevel(), SimdLevel::kScalar);  // only tightens
   }
   EXPECT_EQ(simd::ActiveLevel(), SimdLevel::kScalar);  // restored, not unset

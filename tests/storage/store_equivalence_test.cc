@@ -222,9 +222,9 @@ TEST_P(FilterEquivalenceTest, FiltersAgreeAcrossStores) {
       }
     }
     Bitmap rs_bm = rs->live_bitmap();
-    rs->FilterRange(col, range, &rs_bm);
+    rs->FilterRangeSlice(col, range, 0, rs->slot_count(), &rs_bm);
     Bitmap cs_bm = cs->live_bitmap();
-    cs->FilterRange(col, range, &cs_bm);
+    cs->FilterRangeSlice(col, range, 0, cs->slot_count(), &cs_bm);
     ASSERT_EQ(rs_bm.Count(), cs_bm.Count())
         << "col " << col << " range " << range.ToString();
     // Same physical insert order in both stores, so bit positions agree.
@@ -373,7 +373,8 @@ TEST_P(CompressionEquivalenceTest, CodecsAgreeOnContentsAndFilters) {
       const RowGroup& group = tables[ti]->groups()[0];
       const Fragment& frag = group.fragments[0];
       Bitmap bm = frag.table->live_bitmap();
-      frag.table->FilterRange(frag.FragColumn(col), range, &bm);
+      frag.table->FilterRangeSlice(frag.FragColumn(col), range, 0,
+                                   frag.table->slot_count(), &bm);
       bm.ForEachSet([&](size_t rid) {
         matched[ti].insert(frag.table->GetValue(rid, 0).as_int64());
       });
