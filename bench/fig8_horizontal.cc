@@ -7,9 +7,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/partition_advisor.h"
 #include "workload/generator.h"
-#include "workload/recorder.h"
 #include "workload/runner.h"
 
 namespace hsdb {
@@ -22,7 +20,7 @@ int Run() {
       "updates on the top 10% of keys; RS partition grows 0%..20%",
       "runtime minimal at the recommended 10% row-store partition");
 
-  CostModel model(bench::CalibratedParams());
+  const CostModelParams params = bench::CalibratedParams();
   SyntheticTableSpec spec;
   spec.name = "t";
   const size_t rows = bench::ScaledRows(10e6);
@@ -48,13 +46,12 @@ int Run() {
         PopulateSynthetic(db.catalog().GetTable("t"), spec, rows).ok());
     db.catalog().UpdateAllStatistics();
     SyntheticWorkloadGenerator gen(spec, rows, opts);
-    std::vector<Query> workload = gen.Generate(num_queries);
-    WorkloadStatistics stats;
-    for (const Query& q : workload) stats.Record(q, db.catalog());
-    PartitionAdvisor advisor(&model, &db.catalog());
-    PartitionAdvisorResult rec = advisor.Recommend(
-        ToWeighted(workload), stats, {{"t", StoreType::kColumn}});
-    const LayoutContext& ctx = rec.layouts.at("t");
+    StorageAdvisor advisor(&db);
+    advisor.SetCostModelParams(params);
+    Result<Recommendation> rec =
+        advisor.RecommendOffline(gen.Generate(num_queries));
+    HSDB_CHECK(rec.ok());
+    const LayoutContext& ctx = rec->layouts.at("t");
     if (ctx.layout.horizontal.has_value()) {
       recommended_fraction =
           1.0 - ctx.layout.horizontal->boundary / static_cast<double>(rows);

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/partition_advisor.h"
 #include "workload/generator.h"
 #include "workload/runner.h"
 
@@ -18,7 +17,7 @@ namespace hsdb {
 namespace {
 
 void RunSetting(const char* label, SyntheticTableSpec spec,
-                const CostModel& model) {
+                const CostModelParams& params) {
   const size_t rows = bench::ScaledRows(10e6);
   const size_t num_queries = bench::ScaledQueries(500, 400);
 
@@ -48,13 +47,12 @@ void RunSetting(const char* label, SyntheticTableSpec spec,
         PopulateSynthetic(db.catalog().GetTable("t"), spec, rows).ok());
     db.catalog().UpdateAllStatistics();
     SyntheticWorkloadGenerator gen(spec, rows, opts);
-    std::vector<Query> workload = gen.Generate(num_queries);
-    WorkloadStatistics stats;
-    for (const Query& q : workload) stats.Record(q, db.catalog());
-    PartitionAdvisor advisor(&model, &db.catalog());
-    PartitionAdvisorResult rec = advisor.Recommend(
-        ToWeighted(workload), stats, {{"t", StoreType::kColumn}});
-    vertical = rec.layouts.at("t").layout;
+    StorageAdvisor advisor(&db);
+    advisor.SetCostModelParams(params);
+    Result<Recommendation> rec =
+        advisor.RecommendOffline(gen.Generate(num_queries));
+    HSDB_CHECK(rec.ok());
+    vertical = rec->layouts.at("t").layout;
     // Evaluate the vertical scheme in isolation (the paper's Fig. 9 focuses
     // on vertical partitioning only).
     vertical.horizontal.reset();
@@ -112,21 +110,21 @@ int Run() {
       "vertical split tracks/beats CS-only except at 0% OLAP where RS-only "
       "wins");
 
-  CostModel model(bench::CalibratedParams());
+  const CostModelParams params = bench::CalibratedParams();
 
   SyntheticTableSpec olap_spec;  // Fig. 9(a)
   olap_spec.name = "t";
   olap_spec.num_keyfigures = 10;
   olap_spec.num_filters = 2;  // the 2 selection/update attributes
   olap_spec.num_groups = 8;
-  RunSetting("9a OLAP setting", olap_spec, model);
+  RunSetting("9a OLAP setting", olap_spec, params);
 
   SyntheticTableSpec oltp_spec;  // Fig. 9(b)
   oltp_spec.name = "t";
   oltp_spec.num_keyfigures = 1;
   oltp_spec.num_filters = 18;  // the 18 selection/update attributes
   oltp_spec.num_groups = 1;
-  RunSetting("9b OLTP setting", oltp_spec, model);
+  RunSetting("9b OLTP setting", oltp_spec, params);
   return 0;
 }
 

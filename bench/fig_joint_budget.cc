@@ -1,13 +1,15 @@
 // Budget sweep for the joint layout+encoding search: estimated workload
 // cost of the advisor's recommendation as a function of the shared memory
-// budget, against the staged layout-then-encoding pipeline the search
-// prices as its baseline (Recommendation::sequential_*).
+// budget, against a staged layout-then-encoding comparator built here: the
+// unconstrained recommendation's layouts, frozen as one candidate per
+// table, with only their codecs searched under the budget.
 // Expected shape: the two curves coincide while the budget is slack; once
-// it binds, the staged pipeline can only downgrade codecs (and goes
+// it binds, the staged comparator can only downgrade codecs (and goes
 // infeasible below its fixed layouts' footprint floor) while the joint
 // search starts flipping low-value tables to the row store — so the joint
-// curve is never above the sequential curve at any feasible point, and
-// stays feasible all the way down to a zero budget.
+// curve is never above the staged curve at any point the staged design
+// meets, and stays feasible all the way down to a zero budget. The run
+// exits 1 when that ordering is violated.
 //
 // --json PATH additionally writes the advisor's joint-search wall-clock
 // timings (fixed seeds, median of 3 runs) in google-benchmark JSON format,
@@ -16,6 +18,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/advisor.h"
+#include "core/encoding_search.h"
 #include "executor/database.h"
 
 namespace hsdb {
@@ -79,8 +84,8 @@ void Run(const std::string& json_path) {
       "joint budget sweep",
       "two sales fact tables (hot: heavily scanned, cold: lightly "
       "scanned), scan workload + inserts, one shared memory budget",
-      "joint cost <= sequential cost at every feasible budget; joint stays "
-      "feasible below the sequential floor by flipping cold to the row "
+      "joint cost <= staged cost wherever the staged design fits; joint "
+      "stays feasible below the staged floor by flipping cold to the row "
       "store");
 
   Schema schema = Schema::CreateOrDie({{"id", DataType::kInt64},
@@ -129,7 +134,7 @@ void Run(const std::string& json_path) {
   for (int i = 0; i < 4; ++i) workload.push_back(Query(insert));
 
   // Fixed analytic default parameters, deliberately not calibrated: the
-  // joint <= sequential guarantee must hold under any parameters, and the
+  // joint <= staged ordering must hold under any parameters, and the
   // gated timings below must not vary with per-machine calibration (only
   // with the search's own speed, which the gate normalizes for).
   CostModelParams params = CostModelParams::Default();
@@ -145,14 +150,30 @@ void Run(const std::string& json_path) {
 
   // Anchor the sweep on the unconstrained joint footprint.
   Recommendation top = recommend(std::nullopt);
+
+  // The staged comparator: top's layouts frozen as one candidate per
+  // table, codecs searched under the budget with the advisor's model (the
+  // advisor costs scans at the database's DOP).
+  CostModel model(params);
+  model.set_dop(db.num_threads());
+  std::map<std::string, std::vector<LayoutCandidate>> frozen;
+  for (const auto& [name, ctx] : top.layouts) frozen[name] = {{ctx, "staged"}};
+  const std::vector<WeightedQuery> weighted = ToWeighted(workload);
+  auto staged = [&](std::optional<double> budget) {
+    EncodingSearchOptions options;
+    options.memory_budget_bytes = budget;
+    return EncodingSearch(&model, &db.catalog(), options)
+        .Search(weighted, frozen);
+  };
+
   std::printf(
-      "unconstrained: joint cost %.3f ms (sequential %.3f ms), "
+      "unconstrained: joint cost %.3f ms (staged %.3f ms), "
       "footprint %.0f bytes\n\n",
-      top.estimated_cost_ms, top.sequential_cost_ms,
+      top.estimated_cost_ms, staged(std::nullopt).cost_ms,
       top.encoding_footprint_bytes);
   std::printf("%8s  %12s  %12s | %12s %9s | %12s %9s | %9s\n", "budget%",
-              "budget_bytes", "", "joint_ms", "feasible", "seq_ms",
-              "feasible", "joint/seq");
+              "budget_bytes", "", "joint_ms", "feasible", "staged_ms",
+              "feasible", "joint/stg");
   bench::PrintRule();
 
   bool joint_never_worse = true;
@@ -160,19 +181,22 @@ void Run(const std::string& json_path) {
     const double budget =
         top.encoding_footprint_bytes * static_cast<double>(pct) / 100.0;
     Recommendation joint = recommend(budget);
-    if (joint.sequential_budget_feasible &&
-        joint.estimated_cost_ms > joint.sequential_cost_ms * (1.0 + 1e-9)) {
+    const EncodingDesign stg = staged(budget);
+    if (stg.feasible &&
+        (!joint.encoding_budget_feasible ||
+         joint.estimated_cost_ms > stg.cost_ms * (1.0 + 1e-9))) {
       joint_never_worse = false;
     }
     std::printf("%7d%%  %12.0f  %12s | %12.3f %9s | %12.3f %9s | %8.3fx\n",
                 pct, budget, "", joint.estimated_cost_ms,
-                joint.encoding_budget_feasible ? "yes" : "NO",
-                joint.sequential_cost_ms,
-                joint.sequential_budget_feasible ? "yes" : "NO",
-                joint.estimated_cost_ms / joint.sequential_cost_ms);
+                joint.encoding_budget_feasible ? "yes" : "NO", stg.cost_ms,
+                stg.feasible ? "yes" : "NO",
+                joint.estimated_cost_ms / stg.cost_ms);
   }
-  std::printf("\njoint <= sequential at every feasible budget: %s\n",
-              joint_never_worse ? "yes" : "VIOLATED");
+  std::printf(
+      "\nnever worse: %s (joint cost <= staged cost at every budget the "
+      "staged design meets)\n",
+      joint_never_worse ? "yes" : "VIOLATED");
   if (!joint_never_worse) std::exit(1);
 
   if (!json_path.empty()) {

@@ -99,18 +99,14 @@ std::string Recommendation::Summary() const {
   os << "  estimated workload cost: " << estimated_cost_ms << " ms\n";
   os << "  baselines: RS-only " << rs_only_cost_ms << " ms, CS-only "
      << cs_only_cost_ms << " ms, table-level " << table_level_cost_ms
-     << " ms";
-  if (sequential_cost_ms > 0.0) {
-    os << ", sequential pipeline " << sequential_cost_ms << " ms";
-  }
-  os << "\n";
+     << " ms\n";
   if (encoding_footprint_bytes > 0.0) {
     os << "  encodings: " << encoding_footprint_bytes << " bytes";
     if (memory_budget_bytes.has_value()) {
       os << " (budget " << *memory_budget_bytes << " bytes, "
          << (encoding_budget_feasible ? "met" : "NOT met") << ")";
     }
-    os << ", picker baseline " << encoding_picker_cost_ms << " ms\n";
+    os << "\n";
   }
   if (!encoding_footprint_by_table.empty() &&
       memory_budget_bytes.has_value() && *memory_budget_bytes > 0.0) {
@@ -328,28 +324,16 @@ Result<Recommendation> StorageAdvisor::Recommend(
   rec.table_level_assignment = table_result.assignment;
   rec.rs_only_cost_ms = table_result.rs_only_cost_ms;
   rec.cs_only_cost_ms = table_result.cs_only_cost_ms;
-  rec.table_level_cost_ms = table_result.estimated_cost_ms;
 
-  phase_sw.Restart();
-  PartitionAdvisor partition_advisor(model_.get(), &db_->catalog(),
-                                     options_.partition_options);
-  PartitionAdvisorResult part =
-      partition_advisor.Recommend(workload, stats, table_result.assignment);
-  observe_phase("partition", phase_sw.ElapsedMs());
-  rec.layouts = part.layouts;
-  rec.estimated_cost_ms = part.estimated_cost_ms;
-  rec.rationale = part.rationale;
-  rec.sequential_cost_ms = rec.estimated_cost_ms;
-
-  // The staged pick anchors candidate 0 of every table, the plain
-  // single-store layouts and the PartitionAdvisor's heuristic splits widen
-  // the space, and the table's current layout rides along so the
-  // hysteresis rule can protect it across flips. The search then trades
-  // footprint across layout flips and codec swaps under the one shared
-  // memory budget.
+  // Each table's layout candidates: the table-level store first (with the
+  // picker's codecs it is the search's baseline), the other single store,
+  // the heuristic splits and the current layout, which rides along so the
+  // hysteresis rule can protect it. The one search below validates them
+  // all against the cost model and trades footprint across layout flips
+  // and codec swaps under the one shared memory budget.
   phase_sw.Restart();
   std::map<std::string, std::vector<LayoutCandidate>> candidates;
-  for (const auto& [name, ctx] : rec.layouts) {
+  for (const auto& [name, store] : table_result.assignment) {
     std::vector<LayoutCandidate> list;
     auto add = [&](const LayoutContext& candidate, std::string reason) {
       for (const LayoutCandidate& existing : list) {
@@ -357,15 +341,15 @@ Result<Recommendation> StorageAdvisor::Recommend(
       }
       list.push_back({candidate, std::move(reason)});
     };
-    add(ctx, "sequential pick");
-    add(LayoutContext::SingleStore(StoreType::kRow),
-        "unpartitioned ROW store");
-    add(LayoutContext::SingleStore(StoreType::kColumn),
-        "unpartitioned COLUMN store");
-    auto hc = part.candidates.find(name);
-    if (hc != part.candidates.end()) {
-      for (const LayoutCandidate& candidate : hc->second) {
-        add(candidate.context, candidate.reason);
+    const StoreType other =
+        store == StoreType::kRow ? StoreType::kColumn : StoreType::kRow;
+    add(LayoutContext::SingleStore(store), "table-level store");
+    add(LayoutContext::SingleStore(other),
+        "unpartitioned " + std::string(StoreTypeName(other)) + " store");
+    if (const TableWorkloadStats* tstats = stats.table(name)) {
+      for (LayoutCandidate& split :
+           SplitCandidates(db_->catalog(), name, *tstats)) {
+        add(split.context, std::move(split.reason));
       }
     }
     if (const LogicalTable* table = db_->catalog().GetTable(name)) {
@@ -374,40 +358,36 @@ Result<Recommendation> StorageAdvisor::Recommend(
     }
     candidates.emplace(name, std::move(list));
   }
+  // Candidate generation keeps the `partition` phase label that dashboards
+  // and perfbench's advise loop read.
+  observe_phase("partition", phase_sw.ElapsedMs());
+
+  phase_sw.Restart();
   const EncodingDesign chosen =
       EncodingSearch(model_.get(), &db_->catalog(), options_.encoding)
           .Search(workload, candidates);
-  if (!chosen.tables.empty()) {
-    for (const auto& [name, design] : chosen.tables) {
-      rec.layouts.at(name) = design.context;
-      rec.encoding_footprint_by_table[name] = design.footprint_bytes;
-      // Report a move only when the chosen layout deviates from the staged
-      // pick AND from what the catalog already has (hysteresis keeping the
-      // current layout against a drifted staged pick is not a move — no DDL
-      // is emitted for it either).
-      const LogicalTable* table = db_->catalog().GetTable(name);
-      if (design.layout_changed && table != nullptr &&
-          !(table->layout() == design.context.layout)) {
-        std::ostringstream flip;
-        flip << name << ": joint budget search moved the layout to "
-             << design.context.layout.ToString() << " (" << design.reason
-             << ", footprint " << design.footprint_bytes << " bytes)";
-        rec.rationale.push_back(flip.str());
-      }
+  rec.table_level_cost_ms = chosen.picker_cost_ms;
+  rec.estimated_cost_ms = chosen.cost_ms;
+  rec.encoding_footprint_bytes = chosen.footprint_bytes;
+  rec.memory_budget_bytes = options_.encoding.memory_budget_bytes;
+  rec.encoding_budget_feasible = chosen.feasible;
+  // Tables the search skips (no statistics) keep candidate 0.
+  for (const auto& [name, list] : candidates) {
+    auto design = chosen.tables.find(name);
+    const bool searched = design != chosen.tables.end();
+    const LayoutCandidate& pick =
+        list[searched ? design->second.candidate_index : 0];
+    rec.layouts[name] = searched ? design->second.context : pick.context;
+    if (searched) {
+      rec.encoding_footprint_by_table[name] = design->second.footprint_bytes;
     }
-    rec.estimated_cost_ms = chosen.cost_ms;
-    rec.sequential_cost_ms = chosen.sequential_cost_ms;
-    rec.sequential_budget_feasible = chosen.sequential_feasible;
-    rec.encoding_footprint_bytes = chosen.footprint_bytes;
-    rec.encoding_picker_cost_ms = chosen.picker_cost_ms;
-    rec.memory_budget_bytes = options_.encoding.memory_budget_bytes;
-    rec.encoding_budget_feasible = chosen.feasible;
+    rec.rationale.push_back(name + ": " + pick.reason + " (" +
+                            pick.context.layout.ToString() + ")");
+  }
+  if (!chosen.tables.empty()) {
     std::ostringstream note;
-    note << "joint layout+encoding search ("
-         << (chosen.exact ? "exact" : "greedy") << ", "
-         << chosen.evaluated_assignments << " designs): cost "
-         << chosen.cost_ms << " ms vs sequential pipeline "
-         << chosen.sequential_cost_ms << " ms, footprint "
+    note << "layout+encoding search (" << (chosen.exact ? "exact" : "greedy")
+         << ", " << chosen.evaluated_assignments << " designs): footprint "
          << chosen.footprint_bytes << " bytes";
     if (options_.encoding.memory_budget_bytes.has_value()) {
       note << ", budget " << *options_.encoding.memory_budget_bytes

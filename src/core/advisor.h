@@ -20,8 +20,8 @@
 
 #include "core/calibration.h"
 #include "core/encoding_search.h"
-#include "core/partition_advisor.h"
 #include "core/probe_runner.h"
+#include "core/split_candidates.h"
 #include "core/table_advisor.h"
 #include "online/drift.h"
 #include "workload/recorder.h"
@@ -38,11 +38,10 @@ struct AdvisorOptions {
   /// Search strategy of the table-level RS/CS assignment (exhaustive vs
   /// hill climbing, join handling).
   TableAdvisor::Options table_options;
-  /// Horizontal/vertical split enumeration limits and validation.
-  PartitionAdvisor::Options partition_options;
-  /// Layout x per-column encoding search over the staged pick, the plain
-  /// single-store layouts, the PartitionAdvisor's heuristic splits and the
-  /// current layout: exact fallback threshold, hysteresis and — the user
+  /// Layout x per-column encoding search over each table's candidates (the
+  /// table-level store, the other single store, the heuristic splits of
+  /// SplitCandidates and the current layout): exact fallback threshold,
+  /// hysteresis and — the user
   /// knob — encoding.memory_budget_bytes, the one shared memory budget for
   /// encoded column-store segments. A binding budget can flip a table's
   /// layout (row store, narrower hybrid split) instead of only downgrading
@@ -77,32 +76,26 @@ struct Recommendation {
   /// Estimated workload cost (ms) of the recommended design and of the
   /// comparison baselines the paper reports: everything in the row store,
   /// everything in the column store, and the table-level (unpartitioned)
-  /// assignment.
+  /// assignment with the picker's codecs — the search's baseline, which the
+  /// recommendation never exceeds whenever that design is budget-feasible.
   double estimated_cost_ms = 0.0;
   double rs_only_cost_ms = 0.0;
   double cs_only_cost_ms = 0.0;
   double table_level_cost_ms = 0.0;
 
   /// Encoding-search outcome: estimated footprint of the chosen encodings,
-  /// the workload cost the picker's heuristic assignment would have had,
-  /// the budget (echoed from AdvisorOptions) and whether it was met.
+  /// the budget (echoed from AdvisorOptions), whether it was met, and the
+  /// per-table encoded footprint the chosen design charges against the
+  /// budget (budget attribution).
   double encoding_footprint_bytes = 0.0;
-  double encoding_picker_cost_ms = 0.0;
   std::optional<double> memory_budget_bytes;
   bool encoding_budget_feasible = true;
-
-  /// The search's baseline, the staged layout-then-encoding pipeline: its
-  /// cost and whether its footprint meets the budget (the recommendation
-  /// never exceeds that cost when the staged design is budget-feasible),
-  /// and the per-table encoded footprint the chosen design charges against
-  /// the budget (budget attribution).
-  double sequential_cost_ms = 0.0;
-  bool sequential_budget_feasible = true;
   std::map<std::string, double> encoding_footprint_by_table;
 
   /// Pseudo-DDL statements realizing the recommendation.
   std::vector<std::string> ddl;
-  /// Per-table reasoning.
+  /// Per-table reasoning (the chosen candidate's label and layout) and a
+  /// note on the search.
   std::vector<std::string> rationale;
 
   /// The workload profile this recommendation was solved for (normalized

@@ -11,6 +11,7 @@
 #ifndef HSDB_CORE_COST_MODEL_H_
 #define HSDB_CORE_COST_MODEL_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -224,8 +225,12 @@ class CostModel {
   double DeleteCost(StoreType store, double affected_rows, double rows) const;
 
   /// Vertical-stitch penalty for queries spanning both pieces of a vertical
-  /// split, and the union overhead for horizontal partitions.
-  double StitchCost(double rows) const { return params_.f_stitch(rows); }
+  /// split, and the union overhead for horizontal partitions. A fitted
+  /// stitch line can have a negative intercept; below its root the stitch
+  /// costs nothing rather than crediting the query.
+  double StitchCost(double rows) const {
+    return std::max(0.0, params_.f_stitch(rows));
+  }
   double UnionOverhead() const { return params_.c_union; }
 
  private:

@@ -138,7 +138,7 @@ class IncrementalEvaluator {
 /// it) depends on the layout via the per-layout fraction table.
 struct SearchTable {
   std::string name;
-  std::vector<LayoutCandidate> layouts;           // [0] = staged pick
+  std::vector<LayoutCandidate> layouts;           // [0] = baseline
   std::vector<std::vector<Encoding>> candidates;  // per column
   std::vector<std::vector<double>> bytes;         // parallel, unscaled
   std::vector<std::vector<double>> fraction;      // [layout][column]
@@ -259,7 +259,6 @@ EncodingDesign EncodingSearch::Search(
     }
     tables.push_back(std::move(state));
   }
-  if (tables.empty()) return result;
 
   // ---- Search dimensions and the exact-enumeration budget ----------------
   struct Dim {
@@ -337,67 +336,40 @@ EncodingDesign EncodingSearch::Search(
   };
 
   // ---- Baseline ----------------------------------------------------------
-  // One candidate per table: the picker's assignment. Otherwise the staged
-  // layout-then-encoding pipeline — this search run on every table's
-  // candidate 0 — priced with this search's own evaluator, so comparisons
-  // are apples to apples.
-  const bool one_candidate_each = std::all_of(
-      candidates.begin(), candidates.end(),
-      [](const auto& entry) { return entry.second.size() <= 1; });
+  // Every table's candidate 0 with the picker's codecs, priced with this
+  // search's own evaluator so comparisons are apples to apples.
   for (SearchTable& state : tables) {
     state.layout_choice = 0;
     state.choice = state.picker_choice;
   }
-  if (!one_candidate_each) {
-    std::map<std::string, std::vector<LayoutCandidate>> staged_candidates;
-    for (const auto& [name, cands] : candidates) {
-      if (!cands.empty()) staged_candidates[name] = {cands[0]};
-    }
-    const EncodingDesign staged = Search(workload, staged_candidates);
-    result.picker_cost_ms = staged.picker_cost_ms;
-    result.picker_footprint_bytes = staged.picker_footprint_bytes;
-    for (SearchTable& state : tables) {
-      auto it = staged.tables.find(state.name);
-      if (it == staged.tables.end()) continue;
-      const std::vector<Encoding>& picked = it->second.context.encodings;
-      for (size_t c = 0; c < state.choice.size() && c < picked.size(); ++c) {
-        for (size_t i = 0; i < state.candidates[c].size(); ++i) {
-          if (state.candidates[c][i] == picked[c]) state.choice[c] = i;
-        }
-      }
-    }
-  }
   mark_all_dirty();
-  const double sequential_cost = evaluate();
-  const double sequential_footprint = total_footprint();
-  if (one_candidate_each) {
-    result.picker_cost_ms = sequential_cost;
-    result.picker_footprint_bytes = sequential_footprint;
-  }
-  result.sequential_cost_ms = sequential_cost;
-  result.sequential_footprint_bytes = sequential_footprint;
-  result.sequential_feasible = feasible_at(sequential_footprint);
-  std::vector<size_t> seq_layout(tables.size(), 0);
-  std::vector<std::vector<size_t>> seq_choice;
-  for (const SearchTable& state : tables) seq_choice.push_back(state.choice);
+  const double baseline_cost = evaluate();
+  const double baseline_footprint = total_footprint();
+  result.picker_cost_ms = baseline_cost;
+  result.picker_footprint_bytes = baseline_footprint;
+  result.cost_ms = baseline_cost;
+  if (tables.empty()) return result;
+  std::vector<size_t> base_layout(tables.size(), 0);
+  std::vector<std::vector<size_t>> base_choice;
+  for (const SearchTable& state : tables) base_choice.push_back(state.choice);
 
   // ---- Incumbent design: what the catalog currently has ------------------
-  bool incumbent_is_sequential = true;
+  bool incumbent_is_baseline = true;
   std::vector<size_t> inc_layout(tables.size());
   std::vector<std::vector<size_t>> inc_choice;
   for (size_t t = 0; t < tables.size(); ++t) {
     SearchTable& state = tables[t];
     state.layout_choice = state.incumbent_layout;
     state.choice = state.incumbent_choice;
-    incumbent_is_sequential = incumbent_is_sequential &&
-                              state.layout_choice == 0 &&
-                              state.choice == seq_choice[t];
+    incumbent_is_baseline = incumbent_is_baseline &&
+                            state.layout_choice == 0 &&
+                            state.choice == base_choice[t];
     inc_layout[t] = state.layout_choice;
     inc_choice.push_back(state.choice);
   }
-  double incumbent_cost = sequential_cost;
-  double incumbent_footprint = sequential_footprint;
-  if (!incumbent_is_sequential) {
+  double incumbent_cost = baseline_cost;
+  double incumbent_footprint = baseline_footprint;
+  if (!incumbent_is_baseline) {
     mark_all_dirty();
     incumbent_cost = evaluate();
     incumbent_footprint = total_footprint();
@@ -436,8 +408,8 @@ EncodingDesign EncodingSearch::Search(
   };
 
   // The baseline preloads the winner: any deviation must earn it.
-  restore(seq_layout, seq_choice);
-  consider(sequential_cost, sequential_footprint);
+  restore(base_layout, base_choice);
+  consider(baseline_cost, baseline_footprint);
 
   if (!overflow && !dims.empty()) {
     // ---- Exact enumeration over the layout x codec cross-product ---------
@@ -479,7 +451,7 @@ EncodingDesign EncodingSearch::Search(
     // Phase 1: per-table coordinate descent on workload cost over (layout,
     // codecs), budget ignored — starting from the baseline this can only
     // improve the cost.
-    restore(seq_layout, seq_choice);
+    restore(base_layout, base_choice);
     double cur_cost = evaluate();
     bool improved = true;
     int passes = 0;
@@ -658,7 +630,7 @@ EncodingDesign EncodingSearch::Search(
   // guarantees survive: the incumbent must itself be feasible and no
   // costlier than the baseline.
   if (options_.min_improvement > 0.0 && feasible_at(incumbent_footprint) &&
-      incumbent_cost <= sequential_cost + kCostEps &&
+      incumbent_cost <= baseline_cost + kCostEps &&
       best_cost > incumbent_cost -
                       options_.min_improvement * incumbent_cost) {
     restore(inc_layout, inc_choice);
@@ -675,11 +647,7 @@ EncodingDesign EncodingSearch::Search(
     TableDesign design;
     design.candidate_index = state.layout_choice;
     design.context = state.Context();
-    design.reason = state.layouts[state.layout_choice].reason;
     design.footprint_bytes = state.FootprintBytes();
-    design.layout_changed = !(state.layouts[state.layout_choice]
-                                  .context.layout ==
-                              state.layouts[0].context.layout);
     result.tables.emplace(state.name, std::move(design));
   }
   result.cost_ms = best_cost;

@@ -10,13 +10,11 @@
 //
 // The optimization is a knapsack over footprint deltas: exact enumeration
 // when the layout x codec cross-product is small, greedy coordinate descent
-// plus a best-ratio eviction loop beyond. There is one search and no
-// separate mode: a search over frozen layouts is the same search with one
-// candidate per table. Every run prices a baseline (the result's
-// `sequential_*` fields) and never returns a costlier design whenever the
-// baseline is budget-feasible: with one candidate per table the baseline is
-// the picker's heuristic assignment, otherwise it is the same search run on
-// every table's candidate 0 (the staged layout-then-encoding pipeline).
+// plus a best-ratio eviction loop beyond. Every run prices one baseline:
+// every table's candidate 0 with the picker's codecs (the advisor puts the
+// table-level store there, so the baseline is the table-level design). The
+// search never returns a costlier design whenever the baseline is
+// budget-feasible.
 #ifndef HSDB_CORE_ENCODING_SEARCH_H_
 #define HSDB_CORE_ENCODING_SEARCH_H_
 
@@ -42,9 +40,9 @@ struct EncodingSearchOptions {
   /// otherwise) with the codecs the statistics carry (what the store
   /// currently uses, or the picker's choice for hypothetical moves) —
   /// unless the best found design improves the workload cost by at least
-  /// this fraction while the incumbent is budget-feasible and no worse than
-  /// the baseline. Prevents DDL churn between cost-near-equal designs on
-  /// tables the workload barely touches. 0 disables.
+  /// this fraction while the incumbent is budget-feasible and no costlier
+  /// than the baseline. Prevents DDL churn between cost-near-equal designs
+  /// on tables the workload barely touches. 0 disables.
   double min_improvement = 0.02;
 };
 
@@ -56,14 +54,9 @@ struct TableDesign {
   /// installed in LayoutContext::encodings (every column gets an entry;
   /// columns without encoded mass keep a codec that costs nothing).
   LayoutContext context;
-  /// The chosen candidate's label, for the rationale.
-  std::string reason;
   /// Estimated encoded footprint (bytes) of this table's column-store
   /// pieces under the chosen design — the table's budget attribution.
   double footprint_bytes = 0.0;
-  /// True when the chosen layout differs from candidate 0 (the staged
-  /// pipeline's pick), i.e. a flip only the layout dimension can express.
-  bool layout_changed = false;
 };
 
 /// What one search returns: the chosen design, its baseline and the
@@ -81,15 +74,9 @@ struct EncodingDesign {
   /// then carries the minimal-footprint design across all candidates.
   bool feasible = true;
 
-  /// The baseline: the picker's assignment with one candidate per table,
-  /// otherwise this search run on every table's candidate 0. The result
-  /// never costs more whenever the baseline is itself feasible.
-  double sequential_cost_ms = 0.0;
-  double sequential_footprint_bytes = 0.0;
-  bool sequential_feasible = true;
-
-  /// The picker's heuristic assignment on the candidate-0 layouts (the
-  /// pre-search baseline, echoed for reporting).
+  /// The baseline: every table's candidate-0 layout with the picker's
+  /// codecs. The result never costs more whenever the baseline is itself
+  /// budget-feasible.
   double picker_cost_ms = 0.0;
   double picker_footprint_bytes = 0.0;
 
@@ -100,8 +87,7 @@ struct EncodingDesign {
 
   /// True when the layout x codec cross-product was enumerated exhaustively.
   bool exact = false;
-  /// Workload evaluations the search performed (search-effort metric; the
-  /// candidate-0 baseline run's own evaluations are not counted).
+  /// Workload evaluations the search performed (search-effort metric).
   size_t evaluated_assignments = 0;
   /// Budget-repair evictions the greedy search performed to squeeze the
   /// design under the budget (0 when the budget held immediately).
@@ -127,13 +113,13 @@ class EncodingSearch {
   /// Minimizes workload cost over the cross-product of every table's
   /// layout candidates and per-column codec assignments under the options'
   /// shared memory budget. `candidates` supplies per table the layouts to
-  /// explore; entry 0 is the staged pipeline's pick (it anchors the
-  /// baseline and the layout_changed reporting). One candidate per table
-  /// searches the codecs of frozen layouts. The chosen codecs are meant to
-  /// be installed into LayoutContext::encodings (the estimator then costs
-  /// scans/inserts with them) and into the advisor's ENCODING (...) DDL
-  /// clauses. Evaluation is incremental: changing one table re-costs only
-  /// the queries touching it.
+  /// explore; entry 0 anchors the baseline and is the layout of tables the
+  /// search skips. One candidate per table searches the codecs of frozen
+  /// layouts. The chosen codecs are meant to be installed into
+  /// LayoutContext::encodings (the estimator then costs scans/inserts with
+  /// them) and into the advisor's ENCODING (...) DDL clauses. Evaluation
+  /// is incremental: changing one table re-costs only the queries touching
+  /// it.
   EncodingDesign Search(
       const std::vector<WeightedQuery>& workload,
       const std::map<std::string, std::vector<LayoutCandidate>>& candidates)

@@ -1,11 +1,22 @@
-#include "core/partition_advisor.h"
+#include "core/split_candidates.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 namespace hsdb {
 
 namespace {
+
+/// Insert share of a table's queries that proposes a new-data partition
+/// (the paper: "if it is sufficiently high").
+constexpr double kInsertFractionThreshold = 0.05;
+/// Histogram density factor for detecting hot update ranges.
+constexpr double kHotDensityFactor = 2.0;
+/// Minimum update mass a hot range must cover.
+constexpr double kMinHotMass = 0.5;
+/// Maximum width of a hot range (fraction of the key domain).
+constexpr double kMaxHotWidth = 0.5;
 
 /// OLTP attributes (paper §3.2): non-key columns used mainly and often for
 /// updates rather than analyses.
@@ -39,18 +50,14 @@ bool HasOlapColumns(const Schema& schema, const TableWorkloadStats& tstats,
 
 }  // namespace
 
-std::vector<LayoutCandidate> PartitionAdvisor::Candidates(
-    const std::string& name, const TableWorkloadStats& tstats,
-    StoreType table_level_store) const {
+std::vector<LayoutCandidate> SplitCandidates(const Catalog& catalog,
+                                             const std::string& name,
+                                             const TableWorkloadStats& tstats) {
   std::vector<LayoutCandidate> candidates;
-  const LogicalTable* table = catalog_->GetTable(name);
-  const TableStatistics* stats = catalog_->GetStatistics(name);
+  const LogicalTable* table = catalog.GetTable(name);
+  const TableStatistics* stats = catalog.GetStatistics(name);
   if (table == nullptr) return candidates;
   const Schema& schema = table->schema();
-
-  // Baseline: the unpartitioned table-level choice.
-  candidates.push_back({LayoutContext::SingleStore(table_level_store),
-                        "table-level store"});
 
   // Partitioning requires a single-column numeric primary key (the split
   // column) and table statistics for the key domain.
@@ -83,7 +90,7 @@ std::vector<LayoutCandidate> PartitionAdvisor::Candidates(
   double hot_row_fraction = 0.0;
   double hot_access_fraction = 1.0;
   std::string horizontal_reason;
-  if (tstats.InsertFraction() >= options_.insert_fraction_threshold) {
+  if (tstats.InsertFraction() >= kInsertFractionThreshold) {
     HorizontalSpec spec;
     spec.column = pk;
     spec.boundary = pk_max + 1.0;  // future keys land in the hot piece
@@ -98,11 +105,11 @@ std::vector<LayoutCandidate> PartitionAdvisor::Candidates(
   // Horizontal candidate B: hot update range -> row-store partition.
   if (!horizontal.has_value() && tstats.updates > 0) {
     auto ranges =
-        tstats.update_key_histogram.DenseRanges(options_.hot_density_factor);
+        tstats.update_key_histogram.DenseRanges(kHotDensityFactor);
     const HistogramRange* best = nullptr;
     for (const HistogramRange& r : ranges) {
-      if (r.mass_fraction >= options_.min_hot_mass &&
-          r.width_fraction <= options_.max_hot_width &&
+      if (r.mass_fraction >= kMinHotMass &&
+          r.width_fraction <= kMaxHotWidth &&
           (best == nullptr || r.mass_fraction > best->mass_fraction)) {
         best = &r;
       }
@@ -160,60 +167,6 @@ std::vector<LayoutCandidate> PartitionAdvisor::Candidates(
         {ctx, "combined horizontal (" + horizontal_reason + ") + vertical"});
   }
   return candidates;
-}
-
-PartitionAdvisorResult PartitionAdvisor::Recommend(
-    const std::vector<WeightedQuery>& workload,
-    const WorkloadStatistics& stats,
-    const std::map<std::string, StoreType>& table_level) const {
-  PartitionAdvisorResult result;
-
-  // Start from the table-level assignment for every involved table.
-  for (const auto& [name, store] : table_level) {
-    result.layouts.emplace(name, LayoutContext::SingleStore(store));
-  }
-  auto provider = [&](const std::string& name) {
-    auto it = result.layouts.find(name);
-    return it == result.layouts.end()
-               ? LayoutContext::SingleStore(StoreType::kRow)
-               : it->second;
-  };
-
-  // Improve table by table (the candidates of one table do not change the
-  // heuristics of another; cost coupling through joins uses the current
-  // choice of the partner tables).
-  for (const auto& [name, tstats] : stats.tables()) {
-    auto tl = table_level.find(name);
-    StoreType base = tl == table_level.end() ? StoreType::kRow : tl->second;
-    auto candidates = Candidates(name, tstats, base);
-    if (candidates.empty()) continue;
-    double best_cost = 0.0;
-    size_t best = 0;
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      result.layouts[name] = candidates[i].context;
-      double cost = estimator_.WorkloadCost(workload, provider);
-      if (i == 0 || cost < best_cost) {
-        best_cost = cost;
-        best = i;
-      }
-    }
-    result.layouts[name] = candidates[best].context;
-    result.estimated_cost_ms = best_cost;
-    if (candidates[best].context.layout.IsPartitioned()) {
-      result.rationale.push_back(name + ": " + candidates[best].reason +
-                                 " (" +
-                                 candidates[best].context.layout.ToString() +
-                                 ")");
-    } else {
-      result.rationale.push_back(
-          name + ": unpartitioned " +
-          std::string(StoreTypeName(
-              candidates[best].context.layout.base_store)));
-    }
-    result.candidates.emplace(name, std::move(candidates));
-  }
-  result.estimated_cost_ms = estimator_.WorkloadCost(workload, provider);
-  return result;
 }
 
 }  // namespace hsdb

@@ -599,7 +599,7 @@ LayoutContext CurrentLayoutContext(const LogicalTable& table,
           0.0, 1.0);
       // A boundary above the data domain is the fresh-data partition: the
       // hot piece is (still) empty and point access targets existing cold
-      // rows — the same locality PartitionAdvisor attached when it created
+      // rows — the same locality SplitCandidates attached when it proposed
       // the split. Populated hot ranges keep the optimistic default (the
       // range was chosen because accesses concentrate there).
       if (ctx.hot_row_fraction == 0.0) ctx.hot_access_fraction = 0.0;

@@ -56,8 +56,8 @@ struct LayoutContext {
 using LayoutProvider = std::function<LayoutContext(const std::string&)>;
 
 /// One candidate physical design of a table, labelled for the rationale:
-/// the unit the joint layout+encoding search enumerates per table. The
-/// PartitionAdvisor produces these (its heuristic layouts), the advisor adds
+/// the unit the joint layout+encoding search enumerates per table.
+/// SplitCandidates produces these (its heuristic splits), the advisor adds
 /// the plain single-store layouts and the table's current layout, and
 /// EncodingSearch::Search explores the cross-product with the
 /// per-column codec assignments under one shared memory budget.

@@ -667,11 +667,21 @@ QueryResult FinalizeAggregation(const AggregationQuery& q, bool grouped,
       result.aggregates.push_back(totals[i].Finalize(q.aggregates[i].fn));
     }
   } else {
-    result.rows.reserve(group_map.size());
-    for (const auto& [key, states] : group_map) {
-      Row row = key.values;
+    // Groups leave in key order: the map's own order follows the scan's
+    // row order and morsel boundaries, so it would differ across layouts.
+    std::vector<const GroupMap::value_type*> groups;
+    groups.reserve(group_map.size());
+    for (const auto& entry : group_map) groups.push_back(&entry);
+    std::sort(groups.begin(), groups.end(), [](const auto* a, const auto* b) {
+      return std::lexicographical_compare(
+          a->first.values.begin(), a->first.values.end(),
+          b->first.values.begin(), b->first.values.end());
+    });
+    result.rows.reserve(groups.size());
+    for (const auto* group : groups) {
+      Row row = group->first.values;
       for (size_t i = 0; i < q.aggregates.size(); ++i) {
-        row.push_back(Value(states[i].Finalize(q.aggregates[i].fn)));
+        row.push_back(Value(group->second[i].Finalize(q.aggregates[i].fn)));
       }
       result.rows.push_back(std::move(row));
     }

@@ -1,7 +1,9 @@
-// Tests for TableAdvisor, PartitionAdvisor and the StorageAdvisor facade.
+// Tests for TableAdvisor, SplitCandidates and the StorageAdvisor facade.
 #include "core/advisor.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "workload/generator.h"
 #include "workload/runner.h"
@@ -105,75 +107,85 @@ TEST_F(AdvisorTest, HillClimbMatchesExhaustiveOnSmallSchemas) {
   EXPECT_EQ(e.assignment, g.assignment);
 }
 
-TEST_F(AdvisorTest, PartitionAdvisorRecommendsVerticalForSplitUsage) {
-  // Updates hammer filter attributes while aggregates read keyfigures.
-  std::vector<WeightedQuery> workload;
-  WorkloadStatistics stats;
-  {
-    UpdateQuery u;
-    u.table = "t";
-    u.predicate = {{{0, 0}, ValueRange::Eq(Value(int64_t{7}))}};
-    u.set_columns = {spec_.filter(0), spec_.filter(1)};
-    u.set_values = {Value(int32_t{1}), Value(int32_t{2})};
-    workload.push_back({Query(u), 300.0});
-    for (int i = 0; i < 300; ++i) stats.Record(Query(u), db_.catalog());
+/// The candidates with (`horizontal`, `vertical`) split parts.
+std::vector<LayoutCandidate> WithSplits(
+    const std::vector<LayoutCandidate>& candidates, bool horizontal,
+    bool vertical) {
+  std::vector<LayoutCandidate> out;
+  for (const LayoutCandidate& c : candidates) {
+    if (c.context.layout.horizontal.has_value() == horizontal &&
+        c.context.layout.vertical.has_value() == vertical) {
+      out.push_back(c);
+    }
   }
-  {
-    AggregationQuery a;
-    a.tables = {"t"};
-    a.aggregates = {{AggFn::kSum, {spec_.keyfigure(0), 0}}};
-    a.group_by = {{spec_.group(0), 0}};
-    workload.push_back({Query(a), 20.0});
-    for (int i = 0; i < 20; ++i) stats.Record(Query(a), db_.catalog());
-  }
-  PartitionAdvisor advisor(&model_, &db_.catalog());
-  std::map<std::string, StoreType> table_level = {
-      {"t", StoreType::kColumn}};
-  PartitionAdvisorResult r =
-      advisor.Recommend(workload, stats, table_level);
-  ASSERT_TRUE(r.layouts.count("t"));
-  const TableLayout& layout = r.layouts.at("t").layout;
-  ASSERT_TRUE(layout.vertical.has_value());
-  // The updated filter columns went to the row store piece.
-  EXPECT_TRUE(std::find(layout.vertical->row_store_columns.begin(),
-                        layout.vertical->row_store_columns.end(),
-                        spec_.filter(0)) !=
-              layout.vertical->row_store_columns.end());
-  // Keyfigures stayed in the column piece.
-  EXPECT_TRUE(std::find(layout.vertical->row_store_columns.begin(),
-                        layout.vertical->row_store_columns.end(),
-                        spec_.keyfigure(0)) ==
-              layout.vertical->row_store_columns.end());
+  return out;
 }
 
-TEST_F(AdvisorTest, PartitionAdvisorRecommendsInsertPartition) {
+bool InRowStorePiece(const TableLayout& layout, ColumnId col) {
+  const std::vector<ColumnId>& rs = layout.vertical->row_store_columns;
+  return std::find(rs.begin(), rs.end(), col) != rs.end();
+}
+
+TEST_F(AdvisorTest, SplitCandidatesProposeVerticalForOltpAttributes) {
+  // Updates hammer filter attributes while aggregates read keyfigures.
   WorkloadStatistics stats;
-  std::vector<WeightedQuery> workload;
+  UpdateQuery u;
+  u.table = "t";
+  u.predicate = {{{0, 0}, ValueRange::Eq(Value(int64_t{7}))}};
+  u.set_columns = {spec_.filter(0), spec_.filter(1)};
+  u.set_values = {Value(int32_t{1}), Value(int32_t{2})};
+  for (int i = 0; i < 300; ++i) stats.Record(Query(u), db_.catalog());
+  AggregationQuery a;
+  a.tables = {"t"};
+  a.aggregates = {{AggFn::kSum, {spec_.keyfigure(0), 0}}};
+  a.group_by = {{spec_.group(0), 0}};
+  for (int i = 0; i < 20; ++i) stats.Record(Query(a), db_.catalog());
+
+  // One key is updated, not a range at the top of the domain, and nothing
+  // is inserted: the vertical split is the only proposal.
+  std::vector<LayoutCandidate> candidates =
+      SplitCandidates(db_.catalog(), "t", *stats.table("t"));
+  ASSERT_EQ(candidates.size(), 1u);
+  const TableLayout& layout = candidates[0].context.layout;
+  ASSERT_TRUE(layout.vertical.has_value());
+  EXPECT_FALSE(layout.horizontal.has_value());
+  EXPECT_EQ(layout.base_store, StoreType::kColumn);
+  // The updated filter columns go to the row store piece, the keyfigures
+  // stay in the column piece.
+  EXPECT_TRUE(InRowStorePiece(layout, spec_.filter(0)));
+  EXPECT_TRUE(InRowStorePiece(layout, spec_.filter(1)));
+  EXPECT_FALSE(InRowStorePiece(layout, spec_.keyfigure(0)));
+  EXPECT_NE(candidates[0].reason.find("vertical"), std::string::npos);
+}
+
+TEST_F(AdvisorTest, SplitCandidatesProposeInsertPartition) {
+  WorkloadStatistics stats;
   for (int i = 0; i < 200; ++i) {
     InsertQuery ins{"t", SyntheticRow(spec_, 100'000 + i)};
-    if (i < 5) workload.push_back({Query(ins), 40.0});
     stats.Record(Query(ins), db_.catalog());
   }
-  {
-    AggregationQuery a;
-    a.tables = {"t"};
-    a.aggregates = {{AggFn::kSum, {spec_.keyfigure(0), 0}}};
-    workload.push_back({Query(a), 10.0});
-    for (int i = 0; i < 10; ++i) stats.Record(Query(a), db_.catalog());
-  }
-  PartitionAdvisor advisor(&model_, &db_.catalog());
-  PartitionAdvisorResult r = advisor.Recommend(
-      workload, stats, {{"t", StoreType::kColumn}});
-  const TableLayout& layout = r.layouts.at("t").layout;
-  ASSERT_TRUE(layout.horizontal.has_value());
-  EXPECT_EQ(layout.horizontal->hot_store, StoreType::kRow);
-  // Boundary above the loaded key range: a fresh-data partition.
-  EXPECT_GT(layout.horizontal->boundary, 4999.0);
+  AggregationQuery a;
+  a.tables = {"t"};
+  a.aggregates = {{AggFn::kSum, {spec_.keyfigure(0), 0}}};
+  for (int i = 0; i < 10; ++i) stats.Record(Query(a), db_.catalog());
+
+  std::vector<LayoutCandidate> candidates =
+      SplitCandidates(db_.catalog(), "t", *stats.table("t"));
+  ASSERT_EQ(candidates.size(), 1u);
+  const LayoutContext& ctx = candidates[0].context;
+  ASSERT_TRUE(ctx.layout.horizontal.has_value());
+  EXPECT_FALSE(ctx.layout.vertical.has_value());
+  EXPECT_EQ(ctx.layout.horizontal->hot_store, StoreType::kRow);
+  // Boundary above the loaded key range: a fresh-data partition that holds
+  // no rows yet and takes no point access.
+  EXPECT_GT(ctx.layout.horizontal->boundary, 4999.0);
+  EXPECT_EQ(ctx.hot_row_fraction, 0.0);
+  EXPECT_EQ(ctx.hot_access_fraction, 0.0);
+  EXPECT_NE(candidates[0].reason.find("insert fraction"), std::string::npos);
 }
 
-TEST_F(AdvisorTest, PartitionAdvisorFindsHotUpdateRange) {
+TEST_F(AdvisorTest, SplitCandidatesFindHotUpdateRange) {
   WorkloadStatistics stats;
-  std::vector<WeightedQuery> workload;
   Rng rng(3);
   // Whole-tuple updates concentrated on the top 10% of keys (the paper's
   // "tuples that are frequently updated as a whole").
@@ -190,25 +202,101 @@ TEST_F(AdvisorTest, PartitionAdvisorFindsHotUpdateRange) {
       u.set_columns.push_back(spec_.filter(f));
       u.set_values.push_back(Value(int32_t(f)));
     }
-    if (i < 5) workload.push_back({Query(u), 100.0});
     stats.Record(Query(u), db_.catalog());
   }
-  {
-    AggregationQuery a;
-    a.tables = {"t"};
-    a.aggregates = {{AggFn::kSum, {spec_.keyfigure(1), 0}}};
-    workload.push_back({Query(a), 25.0});
-    for (int i = 0; i < 25; ++i) stats.Record(Query(a), db_.catalog());
-  }
-  PartitionAdvisor advisor(&model_, &db_.catalog());
-  PartitionAdvisorResult r = advisor.Recommend(
-      workload, stats, {{"t", StoreType::kColumn}});
-  const LayoutContext& ctx = r.layouts.at("t");
-  ASSERT_TRUE(ctx.layout.horizontal.has_value());
+  AggregationQuery a;
+  a.tables = {"t"};
+  a.aggregates = {{AggFn::kSum, {spec_.keyfigure(1), 0}}};
+  for (int i = 0; i < 25; ++i) stats.Record(Query(a), db_.catalog());
+
+  std::vector<LayoutCandidate> horizontal = WithSplits(
+      SplitCandidates(db_.catalog(), "t", *stats.table("t")), true, false);
+  ASSERT_EQ(horizontal.size(), 1u);
+  const LayoutContext& ctx = horizontal[0].context;
+  EXPECT_EQ(ctx.layout.horizontal->hot_store, StoreType::kRow);
   // Boundary near the start of the hot range.
   EXPECT_NEAR(ctx.layout.horizontal->boundary, 4500.0, 300.0);
   EXPECT_NEAR(ctx.hot_row_fraction, 0.1, 0.08);
   EXPECT_GT(ctx.hot_access_fraction, 0.9);
+  EXPECT_NE(horizontal[0].reason.find("hot update range"), std::string::npos);
+}
+
+TEST_F(AdvisorTest, SplitCandidatesCombineHorizontalAndVertical) {
+  // Frequent inserts propose the new-data partition; filter-attribute
+  // updates next to grouped keyfigure aggregates propose the vertical
+  // split; together they also propose both at once.
+  WorkloadStatistics stats;
+  for (int i = 0; i < 100; ++i) {
+    InsertQuery ins{"t", SyntheticRow(spec_, 100'000 + i)};
+    stats.Record(Query(ins), db_.catalog());
+  }
+  UpdateQuery u;
+  u.table = "t";
+  u.predicate = {{{0, 0}, ValueRange::Eq(Value(int64_t{7}))}};
+  u.set_columns = {spec_.filter(0)};
+  u.set_values = {Value(int32_t{1})};
+  for (int i = 0; i < 100; ++i) stats.Record(Query(u), db_.catalog());
+  AggregationQuery a;
+  a.tables = {"t"};
+  a.aggregates = {{AggFn::kSum, {spec_.keyfigure(0), 0}}};
+  a.group_by = {{spec_.group(0), 0}};
+  for (int i = 0; i < 20; ++i) stats.Record(Query(a), db_.catalog());
+
+  std::vector<LayoutCandidate> candidates =
+      SplitCandidates(db_.catalog(), "t", *stats.table("t"));
+  ASSERT_EQ(candidates.size(), 3u);
+  std::vector<LayoutCandidate> horizontal = WithSplits(candidates, true, false);
+  std::vector<LayoutCandidate> vertical = WithSplits(candidates, false, true);
+  std::vector<LayoutCandidate> both = WithSplits(candidates, true, true);
+  ASSERT_EQ(horizontal.size(), 1u);
+  ASSERT_EQ(vertical.size(), 1u);
+  ASSERT_EQ(both.size(), 1u);
+  const LayoutContext& h = horizontal[0].context;
+  const LayoutContext& v = vertical[0].context;
+  const LayoutContext& hv = both[0].context;
+  // The combined layout is exactly the two single splits together, with
+  // the horizontal split's locality.
+  EXPECT_EQ(hv.layout.base_store, StoreType::kColumn);
+  EXPECT_EQ(hv.layout.horizontal->column, h.layout.horizontal->column);
+  EXPECT_EQ(hv.layout.horizontal->boundary, h.layout.horizontal->boundary);
+  EXPECT_EQ(hv.layout.vertical->row_store_columns,
+            v.layout.vertical->row_store_columns);
+  EXPECT_TRUE(InRowStorePiece(hv.layout, spec_.filter(0)));
+  EXPECT_EQ(hv.hot_row_fraction, h.hot_row_fraction);
+  EXPECT_EQ(hv.hot_access_fraction, h.hot_access_fraction);
+  EXPECT_NE(both[0].reason.find("combined"), std::string::npos);
+}
+
+TEST_F(AdvisorTest, SearchBaselineIsTheTableLevelDesign) {
+  for (double frac : {0.0, 0.05, 0.2, 0.9}) {
+    const std::vector<WeightedQuery> workload = MixedWorkload(frac);
+    StorageAdvisor advisor(&db_);
+    Result<Recommendation> rec = advisor.RecommendOffline(workload);
+    ASSERT_TRUE(rec.ok()) << frac;
+    const double tol = 1e-9 * rec->table_level_cost_ms;
+    EXPECT_LE(rec->estimated_cost_ms, rec->table_level_cost_ms + tol) << frac;
+    EXPECT_LE(rec->table_level_cost_ms,
+              std::min(rec->rs_only_cost_ms, rec->cs_only_cost_ms) + tol)
+        << frac;
+    // The table-level cost is the TableAdvisor's design...
+    const TableAdvisorResult table_level =
+        TableAdvisor(&advisor.cost_model(), &db_.catalog())
+            .Recommend(workload);
+    EXPECT_EQ(table_level.assignment, rec->table_level_assignment) << frac;
+    EXPECT_NEAR(rec->table_level_cost_ms, table_level.estimated_cost_ms, tol)
+        << frac;
+    // ...and it is what the search prices as its baseline: the table-level
+    // stores with the picker's codecs.
+    std::map<std::string, std::vector<LayoutCandidate>> frozen;
+    for (const auto& [name, store] : table_level.assignment) {
+      frozen[name] = {{LayoutContext::SingleStore(store), "table-level"}};
+    }
+    const EncodingDesign baseline =
+        EncodingSearch(&advisor.cost_model(), &db_.catalog())
+            .Search(workload, frozen);
+    EXPECT_NEAR(rec->table_level_cost_ms, baseline.picker_cost_ms, tol)
+        << frac;
+  }
 }
 
 TEST_F(AdvisorTest, OfflineRecommendationEndToEnd) {

@@ -159,6 +159,18 @@ TEST(CostModelTest, NegativeExtrapolationIsClamped) {
   EXPECT_GT(cost, 0.0);
 }
 
+TEST(CostModelTest, NegativeStitchExtrapolationIsClamped) {
+  CostModelParams params = CostModelParams::Default();
+  // A fitted stitch function whose intercept is negative: fit on 50k-1M
+  // rows, it dips below zero for the few rows a selective select stitches.
+  params.f_stitch = LinearFn{-28.0, 6.1e-4};
+  CostModel model(params);
+  EXPECT_EQ(model.StitchCost(1.0), 0.0);
+  EXPECT_EQ(model.StitchCost(0.0), 0.0);
+  // Past the root the fit applies unchanged.
+  EXPECT_NEAR(model.StitchCost(1e6), 610.0 - 28.0, 1e-9);
+}
+
 TEST(CostModelTest, StitchAndUnionHelpers) {
   CostModel model;
   EXPECT_GT(model.StitchCost(1e6), model.StitchCost(1e3));

@@ -288,7 +288,7 @@ TEST_F(EncodingSearchTest, AdvisorEmitsBudgetDdlWithCostDerivedEncodings) {
   Result<Recommendation> free_rec = unconstrained.RecommendOffline(workload);
   ASSERT_TRUE(free_rec.ok());
   EXPECT_LE(free_rec->estimated_cost_ms,
-            free_rec->encoding_picker_cost_ms + 1e-9);
+            free_rec->table_level_cost_ms + 1e-9);
 }
 
 }  // namespace

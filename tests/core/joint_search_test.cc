@@ -1,12 +1,13 @@
 // Joint layout+encoding search: the advisor explores per-table layout
 // candidates and per-column codec assignments under one shared memory
 // budget. Acceptance properties: the joint result is never costlier than
-// the staged layout-then-encoding pipeline (the same search run on the
-// frozen candidate-0 layouts) whenever the staged design is
-// budget-feasible; a binding budget can flip a table's recommended layout
-// (and the flip disappears when the budget is relaxed); infeasibility is
-// reported only when even the best layout cannot fit; and the hysteresis
-// rule keeps the current design across cost-near-equal layout flips.
+// its baseline (every table's candidate 0 with the picker's codecs; in the
+// advisor, the table-level design) whenever that baseline is
+// budget-feasible, nor than a staged layout-then-encoding comparator; a
+// binding budget can flip a table's recommended layout (and the flip
+// disappears when the budget is relaxed); infeasibility is reported only
+// when even the best layout cannot fit; and the hysteresis rule keeps the
+// current design across cost-near-equal layout flips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -88,7 +89,7 @@ TEST_F(JointSearchTest, BindingBudgetFlipsColdTableToRowStore) {
   EXPECT_EQ(free_rec->layouts.at("cold").layout.base_store,
             StoreType::kColumn);
   EXPECT_LE(free_rec->estimated_cost_ms,
-            free_rec->sequential_cost_ms + 1e-9);
+            free_rec->table_level_cost_ms + 1e-9);
   // Budget attribution covers both tables and sums to the total footprint.
   ASSERT_EQ(free_rec->encoding_footprint_by_table.size(), 2u);
   double attributed = 0.0;
@@ -114,9 +115,15 @@ TEST_F(JointSearchTest, BindingBudgetFlipsColdTableToRowStore) {
   // Cold carries no encoded segments any more.
   EXPECT_NEAR(rec->encoding_footprint_by_table.at("cold"), 0.0, 1e-9);
 
-  // The staged pipeline cannot express this relief: with the layouts
-  // frozen at column store, the same budget is infeasible.
-  EXPECT_FALSE(rec->sequential_budget_feasible);
+  // A staged pipeline cannot express this relief: with the layouts frozen
+  // at the column store, the same budget is infeasible.
+  std::map<std::string, std::vector<LayoutCandidate>> frozen;
+  for (const char* name : {"hot", "cold"}) {
+    frozen[name] = {{LayoutContext::SingleStore(StoreType::kColumn), "CS"}};
+  }
+  EXPECT_FALSE(EncodingSearch(&model_, &db_.catalog(), tight.encoding)
+                   .Search(workload, frozen)
+                   .feasible);
 
   // Relaxing the budget makes the flip disappear.
   AdvisorOptions loose;
@@ -158,13 +165,13 @@ TEST_F(JointSearchTest, InfeasibleOnlyWhenEvenTheBestLayoutCannotFit) {
   EXPECT_TRUE(r2.feasible);
   EXPECT_EQ(r2.min_footprint_bytes, 0.0);
   EXPECT_EQ(r2.tables.at("hot").context.layout.base_store, StoreType::kRow);
-  EXPECT_TRUE(r2.tables.at("hot").layout_changed);
+  EXPECT_EQ(r2.tables.at("hot").candidate_index, 1u);
   EXPECT_NEAR(r2.footprint_bytes, 0.0, 1e-9);
 }
 
 TEST_F(JointSearchTest, HysteresisKeepsCurrentLayoutAcrossNearEqualFlips) {
   std::vector<WeightedQuery> workload = Workload();
-  // The table currently sits in the row store and the sequential pick
+  // The table currently sits in the row store and the baseline layout
   // (candidate 0) agrees; the column store would be cheaper. Under a large
   // hysteresis threshold the incumbent survives the flip; without one the
   // search takes the improvement.
@@ -172,7 +179,7 @@ TEST_F(JointSearchTest, HysteresisKeepsCurrentLayoutAcrossNearEqualFlips) {
   candidates.emplace(
       "hot",
       std::vector<LayoutCandidate>{
-          {LayoutContext::SingleStore(StoreType::kRow), "sequential pick"},
+          {LayoutContext::SingleStore(StoreType::kRow), "table-level store"},
           {LayoutContext::SingleStore(StoreType::kColumn), "column store"}});
 
   EncodingSearchOptions sticky;
@@ -182,9 +189,9 @@ TEST_F(JointSearchTest, HysteresisKeepsCurrentLayoutAcrossNearEqualFlips) {
   ASSERT_EQ(kept.tables.size(), 1u);
   EXPECT_EQ(kept.tables.at("hot").context.layout.base_store,
             StoreType::kRow);
-  EXPECT_FALSE(kept.tables.at("hot").layout_changed);
-  EXPECT_NEAR(kept.cost_ms, kept.sequential_cost_ms,
-              1e-9 * kept.sequential_cost_ms + 1e-9);
+  EXPECT_EQ(kept.tables.at("hot").candidate_index, 0u);
+  EXPECT_NEAR(kept.cost_ms, kept.picker_cost_ms,
+              1e-9 * kept.picker_cost_ms + 1e-9);
 
   EncodingSearchOptions eager;
   eager.min_improvement = 0.0;
@@ -192,11 +199,11 @@ TEST_F(JointSearchTest, HysteresisKeepsCurrentLayoutAcrossNearEqualFlips) {
                                .Search(workload, candidates);
   EXPECT_EQ(flipped.tables.at("hot").context.layout.base_store,
             StoreType::kColumn);
-  EXPECT_TRUE(flipped.tables.at("hot").layout_changed);
-  EXPECT_LT(flipped.cost_ms, flipped.sequential_cost_ms);
-  // Both runs respect the sequential ceiling.
-  EXPECT_LE(kept.cost_ms, kept.sequential_cost_ms + 1e-9);
-  EXPECT_LE(flipped.cost_ms, flipped.sequential_cost_ms + 1e-9);
+  EXPECT_EQ(flipped.tables.at("hot").candidate_index, 1u);
+  EXPECT_LT(flipped.cost_ms, flipped.picker_cost_ms);
+  // Both runs respect the baseline ceiling.
+  EXPECT_LE(kept.cost_ms, kept.picker_cost_ms + 1e-9);
+  EXPECT_LE(flipped.cost_ms, flipped.picker_cost_ms + 1e-9);
 }
 
 TEST_F(JointSearchTest, OneCandidateRunIsTheLayoutSearchBaseline) {
@@ -218,28 +225,28 @@ TEST_F(JointSearchTest, OneCandidateRunIsTheLayoutSearchBaseline) {
     EncodingDesign joint = search.Search(workload, widened);
 
     // With one candidate per table no layout moves, and the result never
-    // costs more than its own (picker) baseline.
+    // costs more than its own (picker) baseline where that baseline fits.
     ASSERT_EQ(one.tables.size(), 2u);
     for (const auto& [name, design] : one.tables) {
-      EXPECT_FALSE(design.layout_changed) << name;
       EXPECT_EQ(design.candidate_index, 0u) << name;
     }
-    EXPECT_EQ(one.picker_cost_ms, one.sequential_cost_ms);
-    if (one.sequential_feasible) {
-      EXPECT_LE(one.cost_ms, one.sequential_cost_ms + 1e-9);
+    if (!budget.has_value() || one.picker_footprint_bytes <= *budget) {
+      EXPECT_LE(one.cost_ms, one.picker_cost_ms + 1e-9);
     }
-    // The wider search's baseline is exactly that one-candidate run.
-    EXPECT_NEAR(joint.sequential_cost_ms, one.cost_ms, 1e-9 * one.cost_ms);
-    EXPECT_NEAR(joint.sequential_footprint_bytes, one.footprint_bytes,
-                1e-9 * one.footprint_bytes);
-    EXPECT_EQ(joint.sequential_feasible, one.feasible);
-    EXPECT_EQ(joint.picker_cost_ms, one.picker_cost_ms);
+    // The wider search prices the same baseline: candidate 0 with the
+    // picker's codecs.
+    EXPECT_NEAR(joint.picker_cost_ms, one.picker_cost_ms,
+                1e-9 * one.picker_cost_ms);
+    EXPECT_NEAR(joint.picker_footprint_bytes, one.picker_footprint_bytes,
+                1e-9 * one.picker_footprint_bytes);
     if (budget.has_value()) {
       // The budget binds: column-store-only cannot fit, a row-store flip can.
       EXPECT_FALSE(one.feasible);
       EXPECT_TRUE(joint.feasible);
     } else {
-      EXPECT_LE(joint.cost_ms, joint.sequential_cost_ms + 1e-9);
+      // The frozen layouts are candidates of the wider search.
+      EXPECT_LE(joint.cost_ms, one.cost_ms + 1e-9);
+      EXPECT_LE(joint.cost_ms, joint.picker_cost_ms + 1e-9);
     }
   }
 }
@@ -332,9 +339,17 @@ TEST(JointSearchTpchTest, JointNeverWorseThanSequentialAcrossBudgets) {
   ASSERT_TRUE(top.ok());
   ASSERT_GT(top->encoding_footprint_bytes, 0.0);
 
-  // The extended statistics RecommendOffline derives from the workload.
-  WorkloadStatistics stats;
-  for (const WeightedQuery& wq : workload) stats.Record(wq.query, db.catalog());
+  // The staged comparator: the unconstrained recommendation's layouts,
+  // frozen as one candidate per table; and the table-level layouts, the
+  // search's baseline.
+  std::map<std::string, std::vector<LayoutCandidate>> staged_layouts;
+  for (const auto& [name, ctx] : top->layouts) {
+    staged_layouts[name] = {{ctx, "staged"}};
+  }
+  std::map<std::string, std::vector<LayoutCandidate>> table_level;
+  for (const auto& [name, store] : top->table_level_assignment) {
+    table_level[name] = {{LayoutContext::SingleStore(store), "table-level"}};
+  }
 
   for (double scale : {1.1, 0.7, 0.4}) {
     AdvisorOptions options;
@@ -344,30 +359,26 @@ TEST(JointSearchTpchTest, JointNeverWorseThanSequentialAcrossBudgets) {
     Result<Recommendation> joint = advisor.RecommendOffline(workload);
     ASSERT_TRUE(joint.ok()) << scale;
 
-    // Independent staged reference: freeze the layouts with the table and
-    // partition advisors, then search the codecs of those layouts alone
-    // (one candidate per table).
+    // Independent staged reference: search the codecs of the frozen
+    // layouts alone under the same budget.
     const CostModel& model = advisor.cost_model();
-    const TableAdvisorResult table_level =
-        TableAdvisor(&model, &db.catalog()).Recommend(workload);
-    const PartitionAdvisorResult frozen =
-        PartitionAdvisor(&model, &db.catalog())
-            .Recommend(workload, stats, table_level.assignment);
-    std::map<std::string, std::vector<LayoutCandidate>> one_each;
-    for (const auto& [name, ctx] : frozen.layouts) {
-      one_each[name] = {{ctx, "staged"}};
-    }
-    const EncodingDesign staged =
-        EncodingSearch(&model, &db.catalog(), options.encoding)
-            .Search(workload, one_each);
+    const EncodingSearch search(&model, &db.catalog(), options.encoding);
+    const EncodingDesign staged = search.Search(workload, staged_layouts);
+    const EncodingDesign baseline = search.Search(workload, table_level);
 
-    // The joint search prices the staged pipeline internally; its result
-    // never costs more whenever the staged design is feasible — and a
-    // budget the staged pipeline can satisfy is never infeasible jointly.
-    EXPECT_NEAR(joint->sequential_cost_ms, staged.cost_ms,
-                1e-6 * staged.cost_ms)
+    // The joint search prices the table-level design as its baseline and
+    // never costs more whenever that design fits the budget; nor does it
+    // cost more than the staged reference, and a budget the staged
+    // pipeline can satisfy is never infeasible jointly.
+    EXPECT_NEAR(joint->table_level_cost_ms, baseline.picker_cost_ms,
+                1e-6 * baseline.picker_cost_ms)
         << scale;
-    EXPECT_EQ(joint->sequential_budget_feasible, staged.feasible) << scale;
+    if (baseline.picker_footprint_bytes <=
+        *options.encoding.memory_budget_bytes) {
+      EXPECT_LE(joint->estimated_cost_ms,
+                joint->table_level_cost_ms * (1.0 + 1e-9) + 1e-9)
+          << scale;
+    }
     if (staged.feasible) {
       EXPECT_TRUE(joint->encoding_budget_feasible) << scale;
       EXPECT_LE(joint->estimated_cost_ms,

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "executor/database.h"
 #include "workload/generator.h"
 
@@ -190,6 +192,110 @@ TEST_F(WorkloadCostTest, JoinCostDependsOnBothStores) {
   double c_cc = est.WorkloadCostAssignment(w, cc);
   EXPECT_NE(c_rr, c_cr);
   EXPECT_NE(c_cr, c_cc);
+}
+
+TEST_F(WorkloadCostTest, NegativeInterceptsNeverMakeAQueryNegative) {
+  StarSchemaSpec star;
+  ASSERT_TRUE(db_.CreateTable("fact", star.MakeFactSchema(),
+                              TableLayout::SingleStore(StoreType::kRow))
+                  .ok());
+  ASSERT_TRUE(db_.CreateTable("dim", star.MakeDimSchema(),
+                              TableLayout::SingleStore(StoreType::kRow))
+                  .ok());
+  ASSERT_TRUE(PopulateStarSchema(db_.catalog().GetTable("fact"),
+                                 db_.catalog().GetTable("dim"), star, 2000)
+                  .ok());
+  db_.catalog().UpdateAllStatistics();
+
+  // A calibration can fit any term with a negative intercept; extrapolated
+  // below its sampled range such a term goes negative.
+  CostModelParams params = CostModelParams::Default();
+  auto negate = [](LinearFn* f) {
+    f->intercept = -100.0 - std::abs(f->intercept);
+  };
+  for (StoreType store : {StoreType::kRow, StoreType::kColumn}) {
+    StoreCostParams& sp = params.of(store);
+    for (LinearFn* f :
+         {&sp.f_rows_agg, &sp.f_selected_columns, &sp.f_selectivity_indexed,
+          &sp.f_selectivity_scan, &sp.f_rows_select, &sp.f_rows_insert,
+          &sp.f_affected_columns, &sp.f_affected_rows, &sp.f_rows_update,
+          &sp.f_rows_probe, &sp.f_rows_build}) {
+      negate(f);
+    }
+    sp.f_compression_agg = PiecewiseLinearFn::Constant(-1.0);
+  }
+  negate(&params.f_stitch);
+  CostModel model(params);
+  WorkloadCostEstimator est(&model, &db_.catalog());
+
+  const Predicate on_filter = {
+      {{spec_.filter(0), 0},
+       ValueRange::Between(Value(int32_t{0}), Value(int32_t{50}))}};
+  const Predicate on_key = {
+      {{spec_.id_column(), 0}, ValueRange::Eq(Value(int64_t{4990}))}};
+  std::vector<std::pair<std::string, Query>> queries;
+  {
+    AggregationQuery a;
+    a.tables = {"t"};
+    a.aggregates = {{AggFn::kSum, {spec_.keyfigure(0), 0}}};
+    a.group_by = {{spec_.group(0), 0}};
+    a.predicate = on_filter;  // spans a vertical split of filter(0)
+    queries.push_back({"aggregation", Query(a)});
+  }
+  {
+    SelectQuery s;
+    s.table = "t";
+    s.select_columns = {spec_.keyfigure(0), spec_.filter(0)};
+    s.predicate = on_filter;
+    queries.push_back({"range select", Query(s)});
+    s.predicate = on_key;
+    queries.push_back({"point select", Query(s)});
+  }
+  queries.push_back(
+      {"insert", Query(InsertQuery{"t", SyntheticRow(spec_, 9000)})});
+  {
+    UpdateQuery u;
+    u.table = "t";
+    u.predicate = on_key;
+    u.set_columns = {spec_.keyfigure(0), spec_.filter(0)};
+    u.set_values = {Value(1.0), Value(int32_t{1})};
+    queries.push_back({"update", Query(u)});
+  }
+  queries.push_back({"delete", Query(DeleteQuery{"t", on_filter})});
+  {
+    AggregationQuery j;
+    j.tables = {"fact", "dim"};
+    j.joins = {{0, star.fact_dim_fk(), 1, star.dim_id()}};
+    j.aggregates = {{AggFn::kSum, {star.fact_keyfigure(0), 0}}};
+    queries.push_back({"join aggregation", Query(j)});
+  }
+
+  LayoutContext vertical;
+  vertical.layout.base_store = StoreType::kColumn;
+  vertical.layout.vertical = VerticalSpec{{spec_.filter(0)}};
+  LayoutContext horizontal;
+  horizontal.layout.base_store = StoreType::kColumn;
+  horizontal.layout.horizontal = HorizontalSpec{0, 4500.0, StoreType::kRow};
+  horizontal.hot_row_fraction = 0.1;
+  LayoutContext both = horizontal;
+  both.layout.vertical = vertical.layout.vertical;
+  const std::vector<std::pair<std::string, LayoutContext>> layouts = {
+      {"RS", LayoutContext::SingleStore(StoreType::kRow)},
+      {"CS", LayoutContext::SingleStore(StoreType::kColumn)},
+      {"vertical", vertical},
+      {"horizontal", horizontal},
+      {"both", both}};
+  for (const auto& [layout_name, ctx] : layouts) {
+    for (const auto& [query_name, query] : queries) {
+      const double cost =
+          est.QueryCost(query, [&](const std::string& name) {
+            return name == "t"
+                       ? ctx
+                       : LayoutContext::SingleStore(ctx.layout.base_store);
+          });
+      EXPECT_GE(cost, 0.0) << query_name << " on " << layout_name;
+    }
+  }
 }
 
 TEST_F(WorkloadCostTest, UnknownTableCostsZero) {
