@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) of the compressed column-store
-// subsystem: per-codec sequential decode throughput, predicate scans on
+// subsystem: per-codec ranged decode throughput, predicate scans on
 // encoded data vs. the raw baseline, end-to-end ColumnTable aggregation
 // with adaptive codecs vs. uncompressed segments, and a TPC-H star join.
 // Each encoded benchmark reports the codec's compression ratio as a
@@ -66,14 +66,17 @@ void SetRatio(benchmark::State& state, const EncodedSegment<int64_t>& seg) {
       static_cast<double>(seg.plain_bytes());
 }
 
-// ---- Sequential decode (aggregation scan shape) ----------------------------
+// ---- Ranged decode (aggregation scan shape) --------------------------------
+// The decode form every served aggregation runs (ForEachInRange), here over
+// an all-set selection.
 
 void BM_SegmentScan(benchmark::State& state) {
   auto encoding = static_cast<Encoding>(state.range(0));
   auto seg = EncodedSegment<int64_t>::Encode(RunStructuredColumn(), encoding);
+  const Bitmap all(kRows, true);
   for (auto _ : state) {
     int64_t sum = 0;
-    seg.ForEach([&](size_t, int64_t v) { sum += v; });
+    seg.ForEachInRange(all, 0, kRows, [&](size_t, int64_t v) { sum += v; });
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * kRows);
@@ -85,9 +88,10 @@ BENCHMARK(BM_SegmentScan)->DenseRange(0, kNumEncodings - 1)
 void BM_SegmentScanShuffled(benchmark::State& state) {
   auto encoding = static_cast<Encoding>(state.range(0));
   auto seg = EncodedSegment<int64_t>::Encode(ShuffledColumn(), encoding);
+  const Bitmap all(kRows, true);
   for (auto _ : state) {
     int64_t sum = 0;
-    seg.ForEach([&](size_t, int64_t v) { sum += v; });
+    seg.ForEachInRange(all, 0, kRows, [&](size_t, int64_t v) { sum += v; });
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * kRows);
@@ -137,13 +141,13 @@ void BM_SegmentFilterShuffled(benchmark::State& state) {
 BENCHMARK(BM_SegmentFilterShuffled)->DenseRange(0, kNumEncodings - 1)
     ->ArgName("encoding");
 
-// ---- Bit-packed decode kernels (packed-width-parameterized) ----------------
-// The hot loop of every compressed scan: bulk bit-unpacking at each
-// representative packed width, with the detected tier (AVX2 where the CPU
-// has it, scalar elsewhere) vs. the forced scalar fallback (arg
-// "scalar"=1). The AVX2 rows must stay well ahead of their scalar twins —
-// the CI perf gate normalizes by the fleet median, so a rotted kernel shows
-// up as a relative regression of the AVX2 rows.
+// ---- Packed-domain filter kernel (packed-width-parameterized) --------------
+// Predicate evaluation on the packed codes at each representative packed
+// width, with the detected tier (AVX2 where the CPU has it, scalar
+// elsewhere) vs. the forced scalar fallback (arg "scalar"=1). The AVX2 rows
+// must stay well ahead of their scalar twins — the CI perf gate normalizes
+// by the fleet median, so a rotted kernel shows up as a relative regression
+// of the AVX2 rows.
 
 /// Packed vector of kRows random width-bit values (fixed seed).
 BitPackedVector PackedColumn(uint32_t width) {
@@ -160,60 +164,6 @@ SimdLevel BenchLevel(const benchmark::State& state) {
   return state.range(1) != 0 ? SimdLevel::kScalar
                              : compression::simd::DetectedLevel();
 }
-
-void BM_BitUnpack(benchmark::State& state) {
-  const auto width = static_cast<uint32_t>(state.range(0));
-  ScopedSimdLevel guard(BenchLevel(state));
-  BitPackedVector packed = PackedColumn(width);
-  std::vector<uint64_t> out(kRows);
-  for (auto _ : state) {
-    compression::simd::UnpackBits(packed.words(), 0, kRows, width,
-                                  out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-BENCHMARK(BM_BitUnpack)
-    ->ArgsProduct({{8, 12, 16, 24, 32}, {0, 1}})
-    ->ArgNames({"width", "scalar"});
-
-void BM_DictDecode(benchmark::State& state) {
-  const auto width = static_cast<uint32_t>(state.range(0));
-  ScopedSimdLevel guard(BenchLevel(state));
-  BitPackedVector packed = PackedColumn(width);
-  Rng rng(width);
-  std::vector<int64_t> dict(size_t{1} << width);
-  for (int64_t& d : dict) d = static_cast<int64_t>(rng.Next());
-  std::vector<int64_t> out(kRows);
-  for (auto _ : state) {
-    compression::simd::UnpackDict64(packed.words(), 0, kRows, width,
-                                    dict.data(), out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-BENCHMARK(BM_DictDecode)
-    ->ArgsProduct({{8, 12, 16}, {0, 1}})
-    ->ArgNames({"width", "scalar"});
-
-void BM_ForReconstruct(benchmark::State& state) {
-  const auto width = static_cast<uint32_t>(state.range(0));
-  ScopedSimdLevel guard(BenchLevel(state));
-  BitPackedVector packed = PackedColumn(width);
-  std::vector<int64_t> out(kRows);
-  for (auto _ : state) {
-    compression::simd::UnpackForDeltas(packed.words(), 0, kRows, width,
-                                       -123456789, out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * kRows);
-}
-BENCHMARK(BM_ForReconstruct)
-    ->ArgsProduct({{8, 12, 16, 24, 32}, {0, 1}})
-    ->ArgNames({"width", "scalar"});
 
 void BM_PackedFilter(benchmark::State& state) {
   const auto width = static_cast<uint32_t>(state.range(0));
@@ -285,7 +235,8 @@ void BM_ColumnTableAggregate(benchmark::State& state) {
   auto t = MakeTable(state.range(0) != 0);
   for (auto _ : state) {
     double sum = 0;
-    t->ForEachNumeric(1, [&](RowId, double v) { sum += v; });
+    t->ForEachNumericRange(1, t->live_bitmap(), 0, t->slot_count(),
+                           [&](RowId, double v) { sum += v; });
     benchmark::DoNotOptimize(sum);
   }
   state.SetItemsProcessed(state.iterations() * t->live_count());

@@ -144,7 +144,9 @@ TableStatistics Analyze(const LogicalTable& table,
         if (numeric) {
           bool in_run = false;
           double prev = 0.0;
-          ForEachNumericIn(*frag.table, fc, [&](RowId, double v) {
+          const PhysicalTable& piece = *frag.table;
+          ForEachNumericInRange(piece, fc, piece.live_bitmap(), 0,
+                                piece.slot_count(), [&](RowId, double v) {
             mn = std::min(mn, v);
             mx = std::max(mx, v);
             // Exact run structure in physical order (the encoding picker's

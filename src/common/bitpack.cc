@@ -14,8 +14,8 @@ void BitPackedVector::Append(uint64_t v) {
   size_t bit = size_ * bit_width_;
   size_t word = bit >> 6;
   uint32_t shift = static_cast<uint32_t>(bit & 63);
-  // Keep kSlackWords of zeroed slack past the value's first word: the bulk
-  // decode kernels load whole 16-byte windows and may read past the last
+  // Keep kSlackWords of zeroed slack past the value's first word: the packed
+  // filter kernels load whole 16-byte windows and may read past the last
   // value's bits (see words()).
   if (word + kSlackWords >= words_.size()) {
     words_.resize(word + kSlackWords + 1, 0);

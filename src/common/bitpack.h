@@ -47,7 +47,7 @@ class BitPackedVector {
   /// Overwrites slot `i` with `v` (used by in-place id rewrites).
   void Set(size_t i, uint64_t v);
 
-  /// Raw little-endian word array for the bulk decode kernels
+  /// Raw little-endian word array for the packed filter kernels
   /// (storage/compression/simd/bitunpack.h). Invariant: the array always
   /// extends at least kSlackWords past the word holding the last value's
   /// first bit, so the kernels' 16-byte window loads never run off the end.

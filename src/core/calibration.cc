@@ -276,29 +276,26 @@ CalibrationReport Calibrate(ProbeRunner& runner,
   }
 
   // ---- Per-codec decode + re-encode terms --------------------------------
-  if (opt.calibrate_encoding_scan) {
-    std::array<double, kNumEncodings> mult =
-        compression::MeasureEncodingScanMultipliers();
-    StoreCostParams& cs = params.of(StoreType::kColumn);
-    log << "c_encoding_scan:";
-    for (int e = 0; e < kNumEncodings; ++e) {
-      cs.c_encoding_scan[e] = mult[e];
-      log << " " << EncodingName(static_cast<Encoding>(e)) << "=" << mult[e];
-    }
-    log << "\n";
-    // Delta-merge re-encode throughput per codec; the merge share itself
-    // stays at its analytic default (isolating it would need engine-level
-    // merge probes).
-    std::array<double, kNumEncodings> reenc =
-        compression::MeasureEncodingReencodeMultipliers();
-    log << "c_encoding_reencode:";
-    for (int e = 0; e < kNumEncodings; ++e) {
-      cs.c_encoding_reencode[e] = reenc[e];
-      log << " " << EncodingName(static_cast<Encoding>(e)) << "="
-          << reenc[e];
-    }
-    log << " (merge_share=" << cs.c_merge_share << ")\n";
+  std::array<double, kNumEncodings> mult =
+      compression::MeasureEncodingScanMultipliers();
+  StoreCostParams& cs = params.of(StoreType::kColumn);
+  log << "c_encoding_scan:";
+  for (int e = 0; e < kNumEncodings; ++e) {
+    cs.c_encoding_scan[e] = mult[e];
+    log << " " << EncodingName(static_cast<Encoding>(e)) << "=" << mult[e];
   }
+  log << "\n";
+  // Delta-merge re-encode throughput per codec; the merge share itself
+  // stays at its analytic default (isolating it would need engine-level
+  // merge probes).
+  std::array<double, kNumEncodings> reenc =
+      compression::MeasureEncodingReencodeMultipliers();
+  log << "c_encoding_reencode:";
+  for (int e = 0; e < kNumEncodings; ++e) {
+    cs.c_encoding_reencode[e] = reenc[e];
+    log << " " << EncodingName(static_cast<Encoding>(e)) << "=" << reenc[e];
+  }
+  log << " (merge_share=" << cs.c_merge_share << ")\n";
 
   // ---- Morsel-parallel scan terms ----------------------------------------
   if (!opt.parallel_dop_points.empty()) {

@@ -89,12 +89,6 @@ struct CalibrationOptions {
   std::vector<size_t> affected_rows_points = {1, 4, 16, 64};
   std::vector<size_t> dim_row_points = {100, 1000, 5000};
 
-  /// Also run the per-codec decode and encode microprobes and install the
-  /// measured compressed-scan multipliers (StoreCostParams::c_encoding_scan)
-  /// and delta-merge re-encode multipliers
-  /// (StoreCostParams::c_encoding_reencode).
-  bool calibrate_encoding_scan = true;
-
   /// Degrees of parallelism to probe for the per-store parallel scan terms
   /// (c_parallel_core); dop 1 is always measured as the baseline. Empty, or
   /// a runner whose MeasureParallelScan returns zero, keeps the analytic

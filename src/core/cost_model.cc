@@ -150,8 +150,11 @@ double ClampMultiplier(double m) { return std::max(m, 1e-4); }
 // per-query costs divide by. v7 changes no field but marks the amortized
 // insert probe: EngineProbeRunner::MeasureInsert times a column-store insert
 // window through one statement-boundary delta merge, so v6 caches still
-// carry the merge-free base_insert terms and must recalibrate.
-constexpr char kSerializationMagic[] = "hsdb_cost_model_v7";
+// carry the merge-free base_insert terms and must recalibrate. v8 changes no
+// field but marks the ranged decode probe: c_encoding_scan is timed on the
+// codecs' ForEachInRange, the decode served scans run, so v7 caches still
+// carry multipliers fit on the deleted bulk decode and must recalibrate.
+constexpr char kSerializationMagic[] = "hsdb_cost_model_v8";
 
 void PutFn(std::ostream& os, const LinearFn& fn) {
   os << fn.intercept << " " << fn.slope << "\n";

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "catalog/statistics.h"
 #include "common/random.h"
+#include "storage/compression/encoding_picker.h"
 
 namespace hsdb {
 
@@ -16,6 +18,20 @@ struct QueryComboCosts {
   std::vector<double> costs;   // indexed by local store bitmask (bit i ->
                                // tables[i] in the column store)
 };
+
+/// The codec the default EncodingPicker chooses for each column from its
+/// statistics profile: what a fresh column-store load would hold, whatever
+/// codecs the store holds now.
+std::vector<Encoding> PickerEncodings(const TableStatistics& stats) {
+  const compression::EncodingPicker picker;
+  std::vector<Encoding> encodings;
+  encodings.reserve(stats.columns.size());
+  for (const ColumnStatistics& cs : stats.columns) {
+    encodings.push_back(
+        picker.Pick(StatisticsEncodingProfile(cs, stats.row_count)));
+  }
+  return encodings;
+}
 
 }  // namespace
 
@@ -35,6 +51,15 @@ TableAdvisorResult TableAdvisor::Recommend(
   }
   const size_t n = names.size();
   if (n == 0) return result;
+
+  // The picker's codecs per table (see the header); tables without
+  // statistics fall back to the estimator's default.
+  std::vector<LayoutContext> contexts(n);
+  for (size_t t = 0; t < n; ++t) {
+    if (const TableStatistics* stats = catalog_->GetStatistics(names[t])) {
+      contexts[t].encodings = PickerEncodings(*stats);
+    }
+  }
 
   // Precompute per-query combination costs.
   std::vector<QueryComboCosts> cache;
@@ -56,9 +81,12 @@ TableAdvisorResult TableAdvisor::Recommend(
       entry.costs[mask] = estimator_.QueryCost(
           wq.query, [&](const std::string& name) {
             auto it = index_of.find(name);
-            StoreType s = it == index_of.end() ? StoreType::kRow
-                                               : scratch[it->second];
-            return LayoutContext::SingleStore(s);
+            if (it == index_of.end()) {
+              return LayoutContext::SingleStore(StoreType::kRow);
+            }
+            LayoutContext ctx = contexts[it->second];
+            ctx.layout = TableLayout::SingleStore(scratch[it->second]);
+            return ctx;
           });
     }
     cache.push_back(std::move(entry));

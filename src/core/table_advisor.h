@@ -1,7 +1,10 @@
 // Table-level store recommendation (paper §3.1): choose row or column store
 // per table so that the estimated workload cost is minimal. Join queries
 // couple tables, so the advisor searches over assignments — exhaustively for
-// small schemas, with hill climbing beyond that.
+// small schemas, with hill climbing beyond that. Column stores are priced
+// with the default picker's codecs, the codecs the encoding search prices
+// its table-level baseline with, so RS-only, CS-only and table-level costs
+// compare like with like whatever codecs the stores hold now.
 #ifndef HSDB_CORE_TABLE_ADVISOR_H_
 #define HSDB_CORE_TABLE_ADVISOR_H_
 
@@ -36,13 +39,14 @@ class TableAdvisor {
       : TableAdvisor(model, catalog, Options{}) {}
   TableAdvisor(const CostModel* model, const Catalog* catalog,
                Options options)
-      : estimator_(model, catalog), options_(options) {}
+      : estimator_(model, catalog), catalog_(catalog), options_(options) {}
 
   TableAdvisorResult Recommend(
       const std::vector<WeightedQuery>& workload) const;
 
  private:
   WorkloadCostEstimator estimator_;
+  const Catalog* catalog_;
   Options options_;
 };
 

@@ -120,10 +120,6 @@ class ColumnTable final : public PhysicalTable {
   /// Size-weighted average compression rate across all columns.
   double TableCompressionRate() const;
 
-  /// Calls fn(RowId, double) for each live numeric `col` value.
-  template <typename Fn>
-  void ForEachNumeric(ColumnId col, Fn&& fn) const;
-
   /// Calls fn(RowId, double) for the numeric `col` value of every rid in
   /// [begin, end) set in `filter`. Reads only the filter words covering the
   /// range, so disjoint ranges may be decoded concurrently (parallel
@@ -174,36 +170,6 @@ inline double NumericCast<std::string>(const std::string&) {
   return 0.0;
 }
 }  // namespace internal
-
-template <typename Fn>
-void ColumnTable::ForEachNumeric(ColumnId col, Fn&& fn) const {
-  std::visit(
-      [&](const auto& data) {
-        if (live_count_ == live_.size()) {
-          // Dense fast path: sequential decode of the encoded main segment
-          // followed by the raw delta — no bitmap walk. This is the packed
-          // scan that makes column-store aggregation fast.
-          data.main.ForEach([&](size_t rid, const auto& v) {
-            fn(rid, internal::NumericCast(v));
-          });
-          const size_t delta_n = data.delta.size();
-          for (size_t j = 0; j < delta_n; ++j) {
-            fn(main_size_ + j, internal::NumericCast(data.delta[j]));
-          }
-          return;
-        }
-        // Live rows only: codec fast path over the main segment (RLE keeps
-        // a monotone run cursor), then the raw delta.
-        data.main.ForEachInRange(live_, 0, main_size_,
-                                 [&](size_t rid, const auto& v) {
-                                   fn(rid, internal::NumericCast(v));
-                                 });
-        live_.ForEachSetInRange(main_size_, live_.size(), [&](size_t rid) {
-          fn(rid, internal::NumericCast(data.delta[rid - main_size_]));
-        });
-      },
-      columns_[col]);
-}
 
 template <typename Fn>
 void ColumnTable::ForEachNumericRange(ColumnId col, const Bitmap& filter,

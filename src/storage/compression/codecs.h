@@ -3,9 +3,9 @@
 // one column) and supports the access patterns the engine needs:
 //
 //   Get(i)              random access (tuple reconstruction, point lookups)
-//   ForEach(fn)         sequential decode (statistics, encoding probes)
 //   ForEachInRange(bm, b, e, fn)
-//                       decode of the selected rows of one slice (scans)
+//                       decode of the selected rows of one slice: the one
+//                       decode form (scans, statistics, encoding probes)
 //   FilterRangeSlice(p, bm, b, e)
 //                       predicate evaluation on the *encoded* data of one
 //                       slice: dictionary-domain id ranges, RLE run
@@ -33,10 +33,6 @@
 
 namespace hsdb {
 namespace compression {
-
-/// Values decoded per block by the bulk scan paths: large enough to
-/// amortize the SIMD kernel dispatch, small enough to stay in L1.
-inline constexpr size_t kDecodeBlock = 1024;
 
 /// Resolved typed range predicate. Numeric instantiations compare in double
 /// space (exactly like the row store's ValueRange path); the std::string
@@ -154,30 +150,6 @@ class DictionaryCodec {
 
   size_t size() const { return ids_.size(); }
   T Get(size_t i) const { return dict_[ids_.Get(i)]; }
-
-  /// Sequential decode through the bulk bit-unpack kernels: ids are
-  /// materialized blockwise (SIMD when the CPU has it), INT64 dictionaries
-  /// additionally use the unpack+gather kernel.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    const size_t n = ids_.size();
-    if constexpr (std::is_same_v<T, int64_t>) {
-      int64_t values[kDecodeBlock];
-      for (size_t base = 0; base < n; base += kDecodeBlock) {
-        const size_t m = std::min(kDecodeBlock, n - base);
-        simd::UnpackDict64(ids_.words(), base, m, ids_.bit_width(),
-                           dict_.data(), values);
-        for (size_t j = 0; j < m; ++j) fn(base + j, values[j]);
-      }
-    } else {
-      uint64_t ids[kDecodeBlock];
-      for (size_t base = 0; base < n; base += kDecodeBlock) {
-        const size_t m = std::min(kDecodeBlock, n - base);
-        simd::UnpackBits(ids_.words(), base, m, ids_.bit_width(), ids);
-        for (size_t j = 0; j < m; ++j) fn(base + j, dict_[ids[j]]);
-      }
-    }
-  }
 
   /// fn(i, value) for every set bit of `bits` in [begin, min(end, size())):
   /// reads only the bitmap words covering the range (morsel-local decode).
@@ -301,15 +273,6 @@ class RleCodec {
     return values_[run];
   }
 
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t run = 0; run < values_.size(); ++run) {
-      const size_t end = RunEnd(run);
-      const T& v = values_[run];
-      for (size_t i = starts_[run]; i < end; ++i) fn(i, v);
-    }
-  }
-
   /// fn(i, value) for every set bit of `bits` in [begin, min(end, size())).
   /// The run cursor starts at the run containing `begin` (binary search
   /// once) and advances monotonically with the ascending set-bit iteration:
@@ -419,22 +382,6 @@ class ForCodec {
 
   size_t size() const { return deltas_.size(); }
   T Get(size_t i) const { return Decode(deltas_.Get(i)); }
-
-  /// Sequential decode through the bulk reconstruction kernel (unpack +
-  /// base add, SIMD when the CPU has it).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    const size_t n = deltas_.size();
-    int64_t values[kDecodeBlock];
-    for (size_t base = 0; base < n; base += kDecodeBlock) {
-      const size_t m = std::min(kDecodeBlock, n - base);
-      simd::UnpackForDeltas(deltas_.words(), base, m, deltas_.bit_width(),
-                            base_, values);
-      for (size_t j = 0; j < m; ++j) {
-        fn(base + j, static_cast<T>(values[j]));
-      }
-    }
-  }
 
   /// fn(i, value) for every set bit of `bits` in [begin, min(end, size())).
   template <typename Fn>
@@ -611,8 +558,6 @@ class ForCodec<double> {
   size_t size() const { return 0; }
   double Get(size_t) const { return 0.0; }
   template <typename Fn>
-  void ForEach(Fn&&) const {}
-  template <typename Fn>
   void ForEachInRange(const Bitmap&, size_t, size_t, Fn&&) const {}
   void FilterRangeSlice(const BoundsPred<double>&, Bitmap*, size_t,
                         size_t) const {}
@@ -632,8 +577,6 @@ class ForCodec<std::string> {
   }
   size_t size() const { return 0; }
   std::string Get(size_t) const { return {}; }
-  template <typename Fn>
-  void ForEach(Fn&&) const {}
   template <typename Fn>
   void ForEachInRange(const Bitmap&, size_t, size_t, Fn&&) const {}
   void FilterRangeSlice(const BoundsPred<std::string>&, Bitmap*, size_t,
@@ -659,11 +602,6 @@ class RawCodec {
 
   size_t size() const { return values_.size(); }
   T Get(size_t i) const { return values_[i]; }
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < values_.size(); ++i) fn(i, values_[i]);
-  }
 
   /// fn(i, value) for every set bit of `bits` in [begin, min(end, size())).
   template <typename Fn>

@@ -69,13 +69,6 @@ class EncodedSegment {
     return std::visit([&](const auto& c) { return c.Get(i); }, codec_);
   }
 
-  /// Sequential decode: fn(index, const T&) over [0, size()).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    std::visit([&](const auto& c) { c.ForEach(std::forward<Fn>(fn)); },
-               codec_);
-  }
-
   /// Selective decode: fn(index, const T&) for every set bit of `bits` in
   /// [begin, min(end, size())). Dispatches once and uses the codec's
   /// selective fast path (RLE walks a monotone run cursor instead of

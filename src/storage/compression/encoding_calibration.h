@@ -1,6 +1,7 @@
-// Per-codec decode microprobes: measure the sequential scan throughput of
-// each column codec on a column shaped for it (the data a sane picker would
-// give that codec) and return scan-cost multipliers normalized to the
+// Per-codec decode microprobes: measure the scan throughput of each column
+// codec's ranged decode (ForEachInRange, the one decode form scans run) on a
+// column shaped for it (the data a sane picker would give that codec) and
+// return scan-cost multipliers normalized to the
 // dictionary codec = 1. The calibration step (core/calibration.cc) installs
 // the result as StoreCostParams::c_encoding_scan, so the advisor costs
 // compressed column-store scans with the throughput this machine actually
@@ -16,8 +17,8 @@
 namespace hsdb {
 namespace compression {
 
-/// Encodes `rows` synthetic INT64 values per codec and times a full
-/// decode+sum pass (best of a few repetitions). Returns multipliers
+/// Encodes `rows` synthetic INT64 values per codec and times a decode+sum
+/// pass over every row (median of a few repetitions). Returns multipliers
 /// normalized to the dictionary codec, clamped to a sane range.
 std::array<double, kNumEncodings> MeasureEncodingScanMultipliers(
     size_t rows = 1 << 17);

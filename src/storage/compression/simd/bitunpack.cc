@@ -1,13 +1,9 @@
-// Public dispatchers + the scalar tier of the bit-unpack kernels. The
-// scalar tier is the portable reference implementation: branch-free
-// byte-granular extraction on little-endian targets (one unaligned 64-bit
-// load + shift + mask per value, no word-boundary branch), a two-word
-// extraction loop everywhere else and for widths the byte trick cannot
-// carry (width > 57: shift-in-byte + width may exceed 64 loaded bits).
+// Public dispatchers + the scalar tier of the packed-domain filter kernels.
+// The scalar tier is the portable reference implementation, built on the
+// shared code extraction (ExtractLoop, kernels.h).
 #include "storage/compression/simd/bitunpack.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "common/macros.h"
@@ -17,62 +13,6 @@ namespace hsdb {
 namespace compression {
 namespace simd {
 namespace internal {
-
-namespace {
-
-inline uint64_t MaskOf(uint32_t width) {
-  return width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
-}
-
-/// Calls emit(i, value) for the `count` packed values starting at `start`.
-/// The byte-granular fast path needs little-endian layout and the remaining
-/// in-byte shift (<= 7) plus the width to fit one 64-bit load.
-template <typename Emit>
-inline void ExtractLoop(const uint64_t* words, size_t start, size_t count,
-                        uint32_t width, Emit&& emit) {
-  const uint64_t mask = MaskOf(width);
-  size_t bit = start * width;
-  if constexpr (std::endian::native == std::endian::little) {
-    if (width <= 57) {
-      const auto* bytes = reinterpret_cast<const unsigned char*>(words);
-      for (size_t i = 0; i < count; ++i, bit += width) {
-        uint64_t chunk;
-        std::memcpy(&chunk, bytes + (bit >> 3), sizeof(chunk));
-        emit(i, (chunk >> (bit & 7)) & mask);
-      }
-      return;
-    }
-  }
-  for (size_t i = 0; i < count; ++i, bit += width) {
-    size_t word = bit >> 6;
-    uint32_t shift = static_cast<uint32_t>(bit & 63);
-    uint64_t value = words[word] >> shift;
-    if (shift + width > 64) value |= words[word + 1] << (64 - shift);
-    emit(i, value & mask);
-  }
-}
-
-}  // namespace
-
-void UnpackBitsScalar(const uint64_t* words, size_t start, size_t count,
-                      uint32_t width, uint64_t* out) {
-  ExtractLoop(words, start, count, width,
-              [&](size_t i, uint64_t v) { out[i] = v; });
-}
-
-void UnpackDict64Scalar(const uint64_t* words, size_t start, size_t count,
-                        uint32_t width, const int64_t* dict, int64_t* out) {
-  ExtractLoop(words, start, count, width,
-              [&](size_t i, uint64_t v) { out[i] = dict[v]; });
-}
-
-void UnpackForDeltasScalar(const uint64_t* words, size_t start, size_t count,
-                           uint32_t width, int64_t base, int64_t* out) {
-  const uint64_t ubase = static_cast<uint64_t>(base);
-  ExtractLoop(words, start, count, width, [&](size_t i, uint64_t v) {
-    out[i] = static_cast<int64_t>(ubase + v);
-  });
-}
 
 void FilterPackedRangeScalar(const uint64_t* words, size_t n, uint32_t width,
                              uint64_t lo, uint64_t hi, uint64_t* bm_words) {
@@ -123,7 +63,8 @@ void FilterPackedRangeMultiScalar(const uint64_t* words, size_t n,
     if (!any) continue;  // conjunction: no predicate has bits left here
     const size_t row0 = wi * 64;
     const size_t m = std::min<size_t>(64, n - row0);
-    UnpackBitsScalar(words, row0, m, width, buf);
+    ExtractLoop(words, row0, m, width,
+                [&](size_t j, uint64_t c) { buf[j] = c; });
     if (narrow) {
       for (size_t j = 0; j < m; ++j) {
         buf32[j] = static_cast<uint32_t>(buf[j]);
@@ -198,54 +139,6 @@ void FilterPackedRangeMultiScalar(const uint64_t* words, size_t n,
 }
 
 }  // namespace internal
-
-void UnpackBits(const uint64_t* words, size_t start, size_t count,
-                uint32_t width, uint64_t* out) {
-  HSDB_DCHECK(width >= 1 && width <= 64);
-  if (count == 0) return;
-#if HSDB_SIMD_X86
-  switch (ActiveLevel()) {
-    case SimdLevel::kAvx2:
-      internal::UnpackBitsAvx2(words, start, count, width, out);
-      return;
-    case SimdLevel::kScalar:
-      break;
-  }
-#endif
-  internal::UnpackBitsScalar(words, start, count, width, out);
-}
-
-void UnpackDict64(const uint64_t* words, size_t start, size_t count,
-                  uint32_t width, const int64_t* dict, int64_t* out) {
-  HSDB_DCHECK(width >= 1 && width <= 64);
-  if (count == 0) return;
-#if HSDB_SIMD_X86
-  switch (ActiveLevel()) {
-    case SimdLevel::kAvx2:
-      internal::UnpackDict64Avx2(words, start, count, width, dict, out);
-      return;
-    case SimdLevel::kScalar:
-      break;
-  }
-#endif
-  internal::UnpackDict64Scalar(words, start, count, width, dict, out);
-}
-
-void UnpackForDeltas(const uint64_t* words, size_t start, size_t count,
-                     uint32_t width, int64_t base, int64_t* out) {
-  HSDB_DCHECK(width >= 1 && width <= 64);
-  if (count == 0) return;
-#if HSDB_SIMD_X86
-  switch (ActiveLevel()) {
-    case SimdLevel::kAvx2:
-      internal::UnpackForDeltasAvx2(words, start, count, width, base, out);
-      return;
-    case SimdLevel::kScalar:
-      break;
-  }
-#endif
-  internal::UnpackForDeltasScalar(words, start, count, width, base, out);
-}
 
 void FilterPackedRange(const uint64_t* words, size_t n, uint32_t width,
                        uint64_t lo, uint64_t hi, uint64_t* bm_words) {

@@ -1,14 +1,10 @@
-// Bulk decode kernels for the bit-packed paths of the column codecs — the
-// hot loop of every compressed scan the advisor's cost model prices. The
-// dictionary codec stores bit-packed value ids and the frame-of-reference
-// codec bit-packed deltas (common/bitpack.h); these kernels replace the
-// per-element BitPackedVector::Get loop with runtime-dispatched
-// (AVX2 / scalar, storage/compression/simd/dispatch.h) bulk
-// routines for:
+// Packed-domain filter kernels for the bit-packed paths of the column
+// codecs. The dictionary codec stores bit-packed value ids and the
+// frame-of-reference codec bit-packed deltas (common/bitpack.h); these
+// kernels evaluate range predicates on the packed codes with
+// runtime-dispatched (AVX2 / scalar, storage/compression/simd/dispatch.h)
+// routines:
 //
-//   UnpackBits          bulk bit-unpacking (dictionary-id materialization)
-//   UnpackDict64        unpack + dictionary-value gather (INT64 columns)
-//   UnpackForDeltas     frame-of-reference reconstruction (unpack + base add)
 //   FilterPackedRange   predicate evaluation directly on the packed codes:
 //                       compare against a translated literal interval and
 //                       narrow a selection bitmap, no value materialization
@@ -16,6 +12,10 @@
 //                       shared-scan form of FilterPackedRange: one decode
 //                       pass over the packed codes fans out to N predicate
 //                       intervals, each narrowing its own selection bitmap
+//
+// Value decode has no kernel: the codecs' ForEachInRange reads one packed
+// code per selected row (BitPackedVector::Get), which beats unpacking whole
+// 64-row words at the selectivities scans run with.
 //
 // Shared contract ("packed layout"): values are unsigned `width`-bit
 // integers (1 <= width <= 64) packed back to back, value i occupying bits
@@ -39,22 +39,6 @@ namespace simd {
 /// Trailing 64-bit words a packed array must keep readable past the word
 /// holding the last value's first bit (see the layout contract above).
 inline constexpr size_t kPackedSlackWords = 2;
-
-/// Decodes `count` packed values starting at value index `start` into
-/// `out[0..count)`. Each output is the zero-extended `width`-bit value.
-void UnpackBits(const uint64_t* words, size_t start, size_t count,
-                uint32_t width, uint64_t* out);
-
-/// Dictionary materialization: out[i] = dict[code(start + i)] for `count`
-/// values. `dict` must have an entry for every code that occurs.
-void UnpackDict64(const uint64_t* words, size_t start, size_t count,
-                  uint32_t width, const int64_t* dict, int64_t* out);
-
-/// Frame-of-reference reconstruction: out[i] = (int64_t)((uint64_t)base +
-/// code(start + i)) — two's-complement wraparound exactly like
-/// ForCodec::Decode, so negative bases round-trip.
-void UnpackForDeltas(const uint64_t* words, size_t start, size_t count,
-                     uint32_t width, int64_t base, int64_t* out);
 
 /// Predicate evaluation on the packed codes: narrows the selection bitmap
 /// `bm_words` (word i covers rows [64i, 64i+64)) to rows whose code lies in

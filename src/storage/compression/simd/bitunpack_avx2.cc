@@ -1,4 +1,4 @@
-// AVX2 tier of the bit-unpack kernels. Two decode shapes:
+// AVX2 tier of the packed-domain filter kernels. Two decode shapes:
 //
 //  - width <= 16 ("window" path): eight consecutive values span at most
 //    127 bits, so one 16-byte load covers them. The window is broadcast to
@@ -111,115 +111,6 @@ HSDB_TARGET_AVX2 inline __m256i DecodeGatherQuad(const unsigned char* bytes,
 }  // namespace
 
 HSDB_TARGET_AVX2
-void UnpackBitsAvx2(const uint64_t* words, size_t start, size_t count,
-                    uint32_t width, uint64_t* out) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(words);
-  size_t i = 0;
-  if (width <= 16) {
-    const WindowPlan plan = MakeWindowPlan(start, width);
-    const __m256i ctrl =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(plan.shuffle));
-    const __m256i vshift =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(plan.shifts));
-    const __m256i vmask = _mm256_set1_epi32((1 << width) - 1);
-    for (; i + 8 <= count; i += 8) {
-      const __m256i codes =
-          DecodeWindow(bytes, start + i, width, ctrl, vshift, vmask);
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i),
-          _mm256_cvtepu32_epi64(_mm256_castsi256_si128(codes)));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i + 4),
-          _mm256_cvtepu32_epi64(_mm256_extracti128_si256(codes, 1)));
-    }
-  } else if (width <= 32) {
-    GatherPlan plan = MakeGatherPlan(start, width);
-    for (; i + 4 <= count; i += 4) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                          DecodeGatherQuad(bytes, plan));
-    }
-  }
-  if (i < count) {
-    UnpackBitsScalar(words, start + i, count - i, width, out + i);
-  }
-}
-
-HSDB_TARGET_AVX2
-void UnpackDict64Avx2(const uint64_t* words, size_t start, size_t count,
-                      uint32_t width, const int64_t* dict, int64_t* out) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(words);
-  const auto* dict_ll = reinterpret_cast<const long long*>(dict);
-  size_t i = 0;
-  if (width <= 16) {
-    const WindowPlan plan = MakeWindowPlan(start, width);
-    const __m256i ctrl =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(plan.shuffle));
-    const __m256i vshift =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(plan.shifts));
-    const __m256i vmask = _mm256_set1_epi32((1 << width) - 1);
-    for (; i + 8 <= count; i += 8) {
-      const __m256i codes =
-          DecodeWindow(bytes, start + i, width, ctrl, vshift, vmask);
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i),
-          _mm256_i32gather_epi64(dict_ll, _mm256_castsi256_si128(codes), 8));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i + 4),
-          _mm256_i32gather_epi64(dict_ll, _mm256_extracti128_si256(codes, 1),
-                                 8));
-    }
-  } else if (width <= 32) {
-    GatherPlan plan = MakeGatherPlan(start, width);
-    for (; i + 4 <= count; i += 4) {
-      const __m256i codes = DecodeGatherQuad(bytes, plan);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                          _mm256_i64gather_epi64(dict_ll, codes, 8));
-    }
-  }
-  if (i < count) {
-    UnpackDict64Scalar(words, start + i, count - i, width, dict, out + i);
-  }
-}
-
-HSDB_TARGET_AVX2
-void UnpackForDeltasAvx2(const uint64_t* words, size_t start, size_t count,
-                         uint32_t width, int64_t base, int64_t* out) {
-  const auto* bytes = reinterpret_cast<const unsigned char*>(words);
-  const __m256i vbase = _mm256_set1_epi64x(base);
-  size_t i = 0;
-  if (width <= 16) {
-    const WindowPlan plan = MakeWindowPlan(start, width);
-    const __m256i ctrl =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(plan.shuffle));
-    const __m256i vshift =
-        _mm256_load_si256(reinterpret_cast<const __m256i*>(plan.shifts));
-    const __m256i vmask = _mm256_set1_epi32((1 << width) - 1);
-    for (; i + 8 <= count; i += 8) {
-      const __m256i codes =
-          DecodeWindow(bytes, start + i, width, ctrl, vshift, vmask);
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i),
-          _mm256_add_epi64(
-              vbase, _mm256_cvtepu32_epi64(_mm256_castsi256_si128(codes))));
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i + 4),
-          _mm256_add_epi64(vbase, _mm256_cvtepu32_epi64(
-                                      _mm256_extracti128_si256(codes, 1))));
-    }
-  } else if (width <= 32) {
-    GatherPlan plan = MakeGatherPlan(start, width);
-    for (; i + 4 <= count; i += 4) {
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(out + i),
-          _mm256_add_epi64(vbase, DecodeGatherQuad(bytes, plan)));
-    }
-  }
-  if (i < count) {
-    UnpackForDeltasScalar(words, start + i, count - i, width, base, out + i);
-  }
-}
-
-HSDB_TARGET_AVX2
 void FilterPackedRangeAvx2(const uint64_t* words, size_t n, uint32_t width,
                            uint64_t lo, uint64_t hi, uint64_t* bm_words) {
   if (width > 32) {
@@ -288,7 +179,8 @@ void FilterPackedRangeAvx2(const uint64_t* words, size_t n, uint32_t width,
     const size_t row0 = full_words * 64;
     const size_t m = n - row0;
     uint64_t buf[64];
-    UnpackBitsScalar(words, row0, m, width, buf);
+    ExtractLoop(words, row0, m, width,
+                [&](size_t j, uint64_t c) { buf[j] = c; });
     uint64_t match = ~uint64_t{0} << m;
     for (size_t j = 0; j < m; ++j) {
       match |= static_cast<uint64_t>(buf[j] >= lo && buf[j] < hi) << j;
@@ -460,7 +352,8 @@ void FilterPackedRangeMultiAvx2(const uint64_t* words, size_t n,
       uint64_t& word = preds[p].bm_words[full_words];
       if (word == 0) continue;
       if (!decoded) {
-        UnpackBitsScalar(words, row0, m, width, buf);
+        ExtractLoop(words, row0, m, width,
+                [&](size_t j, uint64_t c) { buf[j] = c; });
         decoded = true;
       }
       uint64_t match = ~uint64_t{0} << m;

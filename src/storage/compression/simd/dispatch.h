@@ -1,4 +1,4 @@
-// Runtime SIMD dispatch for the bit-packed decode kernels
+// Runtime SIMD dispatch for the packed-domain filter kernels
 // (storage/compression/simd/bitunpack.h). The kernels are compiled in two
 // tiers — AVX2 and a portable scalar fallback — and every public entry
 // point selects AVX2 at runtime when the CPU supports it, so one binary

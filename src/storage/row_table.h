@@ -73,28 +73,6 @@ class RowTable final : public PhysicalTable {
   /// sorted index. The produced bitmap is sized slot_count().
   Result<Bitmap> IndexFilter(ColumnId col, const ValueRange& range) const;
 
-  /// Calls fn(RowId, double) for each live row's numeric `col` value. The
-  /// type dispatch is hoisted out of the loop, and fully live tables scan
-  /// densely without bitmap iteration.
-  template <typename Fn>
-  void ForEachNumeric(ColumnId col, Fn&& fn) const {
-    const uint32_t offset = schema_.fixed_offset(col);
-    switch (schema_.column(col).type) {
-      case DataType::kInt32:
-      case DataType::kDate:
-        ScanTyped<int32_t>(offset, fn);
-        break;
-      case DataType::kInt64:
-        ScanTyped<int64_t>(offset, fn);
-        break;
-      case DataType::kDouble:
-        ScanTyped<double>(offset, fn);
-        break;
-      case DataType::kVarchar:
-        HSDB_CHECK_MSG(false, "ForEachNumeric on VARCHAR column");
-    }
-  }
-
   /// Calls fn(RowId, double) for the numeric `col` value of every rid in
   /// [begin, end) set in `filter`. Reads only the filter words covering the
   /// range, so disjoint ranges may be decoded concurrently (parallel
@@ -129,21 +107,6 @@ class RowTable final : public PhysicalTable {
 
  private:
   RowTable(Schema schema, Options options);
-
-  template <typename T, typename Fn>
-  void ScanTyped(uint32_t offset, Fn&& fn) const {
-    if (live_count_ == slots_.size()) {
-      // Dense fast path: no tombstones, no bitmap walk.
-      const size_t n = slots_.size();
-      for (size_t rid = 0; rid < n; ++rid) {
-        fn(rid, static_cast<double>(LoadAs<T>(slots_[rid] + offset)));
-      }
-    } else {
-      live_.ForEachSet([&](size_t rid) {
-        fn(rid, static_cast<double>(LoadAs<T>(slots_[rid] + offset)));
-      });
-    }
-  }
 
   template <typename T>
   static T LoadAs(const std::byte* p) {

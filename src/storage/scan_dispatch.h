@@ -8,19 +8,6 @@
 
 namespace hsdb {
 
-/// Calls fn(RowId, double) for each live numeric value of `col`, using the
-/// store-specific fast path.
-template <typename Fn>
-void ForEachNumericIn(const PhysicalTable& table, ColumnId col, Fn&& fn) {
-  if (table.store() == StoreType::kRow) {
-    static_cast<const RowTable&>(table).ForEachNumeric(
-        col, std::forward<Fn>(fn));
-  } else {
-    static_cast<const ColumnTable&>(table).ForEachNumeric(
-        col, std::forward<Fn>(fn));
-  }
-}
-
 /// Calls fn(RowId, double) for the numeric `col` value of every rid in
 /// [begin, end) set in `filter`. Safe to call concurrently for disjoint
 /// ranges of one shared filter bitmap (the parallel aggregation path

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/column_table.h"
+
 namespace hsdb {
 namespace {
 
@@ -94,6 +96,56 @@ TEST(StatisticsTest, PerColumnStats) {
   // Low-cardinality columns compress well in the column store.
   EXPECT_LT(stats.column(1).compression_rate, 0.5);
   EXPECT_GT(stats.table_compression_rate, 0.0);
+}
+
+TEST(StatisticsTest, SameRowsSameStatisticsOnEveryStore) {
+  // The same rows in a row store and in a column store whose merged main
+  // has deleted rows and whose delta is non-empty: Analyze walks each
+  // store's live rows in physical order, so the statistics must agree.
+  auto rs = LogicalTable::Create("rs", SimpleSchema(),
+                                 TableLayout::SingleStore(StoreType::kRow));
+  auto cs = LogicalTable::Create("cs", SimpleSchema(),
+                                 TableLayout::SingleStore(StoreType::kColumn));
+  ASSERT_TRUE(rs.ok());
+  ASSERT_TRUE(cs.ok());
+  auto row_of = [](int64_t i) -> Row {
+    return {i, int32_t(i / 7 % 5), (i % 13) * 0.25,
+            "s" + std::to_string(i / 11 % 4)};
+  };
+  for (LogicalTable* t : {rs->get(), cs->get()}) {
+    for (int64_t i = 0; i < 600; ++i) ASSERT_TRUE(t->Insert(row_of(i)).ok());
+    t->ForceMerge();
+    // Deletes in the merged main, including both ends and a whole run.
+    for (int64_t i : {0, 1, 2, 3, 4, 5, 6, 300, 417, 599}) {
+      ASSERT_TRUE(t->DeleteByPk(PrimaryKey::Of(Value(i))).ok());
+    }
+    for (int64_t i = 600; i < 750; ++i) {
+      ASSERT_TRUE(t->Insert(row_of(i)).ok());
+    }
+    ASSERT_TRUE(t->DeleteByPk(PrimaryKey::Of(Value(int64_t{700}))).ok());
+  }
+  const auto& ct = static_cast<const ColumnTable&>(
+      *(*cs)->groups().front().fragments.front().table);
+  ASSERT_GT(ct.main_rows(), 0u);
+  ASSERT_GT(ct.delta_rows(), 0u);
+  ASSERT_LT(ct.live_count(), ct.slot_count());
+
+  const TableStatistics row_stats = Analyze(**rs);
+  const TableStatistics col_stats = Analyze(**cs);
+  EXPECT_EQ(row_stats.row_count, 739u);
+  EXPECT_EQ(col_stats.row_count, row_stats.row_count);
+  ASSERT_EQ(col_stats.columns.size(), row_stats.columns.size());
+  for (ColumnId c = 0; c < row_stats.columns.size(); ++c) {
+    const ColumnStatistics& r = row_stats.column(c);
+    const ColumnStatistics& k = col_stats.column(c);
+    EXPECT_EQ(k.min, r.min) << "column " << c;
+    EXPECT_EQ(k.max, r.max) << "column " << c;
+    EXPECT_DOUBLE_EQ(k.avg_run_length, r.avg_run_length) << "column " << c;
+    EXPECT_EQ(k.distinct_count, r.distinct_count) << "column " << c;
+  }
+  EXPECT_DOUBLE_EQ(*col_stats.column(0).min, 7.0);
+  EXPECT_DOUBLE_EQ(*col_stats.column(0).max, 749.0);
+  EXPECT_EQ(col_stats.column(1).distinct_count, 5u);
 }
 
 TEST(StatisticsTest, RowStoreGetsAnalyticCompressionEstimate) {

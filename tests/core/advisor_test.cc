@@ -297,6 +297,24 @@ TEST_F(AdvisorTest, SearchBaselineIsTheTableLevelDesign) {
     EXPECT_NEAR(rec->table_level_cost_ms, baseline.picker_cost_ms, tol)
         << frac;
   }
+  // Advise -> Apply -> advise: once the store holds the searched codecs,
+  // the table-level design and both single-store baselines are still
+  // priced with one set of codecs, so the ordering survives the apply.
+  for (double frac : {0.2, 0.9}) {
+    const std::vector<WeightedQuery> workload = MixedWorkload(frac);
+    StorageAdvisor advisor(&db_);
+    Result<Recommendation> first = advisor.RecommendOffline(workload);
+    ASSERT_TRUE(first.ok()) << frac;
+    ASSERT_TRUE(advisor.Apply(*first).ok()) << frac;
+    Result<Recommendation> again = advisor.RecommendOffline(workload);
+    ASSERT_TRUE(again.ok()) << frac;
+    const double tol = 1e-9 * again->table_level_cost_ms;
+    EXPECT_LE(again->estimated_cost_ms, again->table_level_cost_ms + tol)
+        << frac;
+    EXPECT_LE(again->table_level_cost_ms,
+              std::min(again->rs_only_cost_ms, again->cs_only_cost_ms) + tol)
+        << frac << ": " << again->Summary();
+  }
 }
 
 TEST_F(AdvisorTest, OfflineRecommendationEndToEnd) {

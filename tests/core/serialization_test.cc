@@ -175,20 +175,22 @@ TEST(CostModelSerializationTest, EncodingTermsRoundTrip) {
 
 TEST(CostModelSerializationTest, RejectsStaleFormatVersions) {
   std::string text = CostModelParams::Default().Serialize();
-  ASSERT_NE(text.find("hsdb_cost_model_v7"), std::string::npos);
+  ASSERT_NE(text.find("hsdb_cost_model_v8"), std::string::npos);
   // A v1 cache (no encoding terms at all), a v2 cache (scan terms but no
   // re-encode terms), a v3 cache (same fields, but calibrated against the
   // scalar decode loops the SIMD kernels replaced), a v4 cache (no
-  // morsel-parallel scan terms), a v5 cache (no shared-scan batch term)
-  // and a v6 cache (same fields, but merge-free insert terms) must all
+  // morsel-parallel scan terms), a v5 cache (no shared-scan batch term),
+  // a v6 cache (same fields, but merge-free insert terms) and a v7 cache
+  // (same fields, but scan multipliers fit on the bulk decode) must all
   // fail deserialization — the caller's cue to recalibrate rather than run
   // with a silently incomplete or stale model.
   for (const char* stale :
        {"hsdb_cost_model_v1", "hsdb_cost_model_v2", "hsdb_cost_model_v3",
-        "hsdb_cost_model_v4", "hsdb_cost_model_v5", "hsdb_cost_model_v6"}) {
+        "hsdb_cost_model_v4", "hsdb_cost_model_v5", "hsdb_cost_model_v6",
+        "hsdb_cost_model_v7"}) {
     std::string stale_text = text;
-    stale_text.replace(stale_text.find("hsdb_cost_model_v7"),
-                       std::string("hsdb_cost_model_v7").size(), stale);
+    stale_text.replace(stale_text.find("hsdb_cost_model_v8"),
+                       std::string("hsdb_cost_model_v8").size(), stale);
     EXPECT_FALSE(CostModelParams::Deserialize(stale_text).ok()) << stale;
   }
 }
@@ -202,9 +204,7 @@ TEST(CostModelSerializationTest, StaleCacheTriggersRecalibration) {
   ASSERT_FALSE(cached.ok());
 
   ScalingProbeRunner runner;
-  CalibrationOptions options;
-  options.calibrate_encoding_scan = true;
-  CalibrationReport report = Calibrate(runner, options);
+  CalibrationReport report = Calibrate(runner, CalibrationOptions{});
   const StoreCostParams& cs = report.params.of(StoreType::kColumn);
   // Measured re-encode terms: normalized to the dictionary, clamped sane.
   EXPECT_DOUBLE_EQ(

@@ -301,7 +301,8 @@ TEST(ColumnTableTest, ForEachNumericSpansMainAndDelta) {
     t->Insert(MakeTestRow(i));
   }
   double sum = 0;
-  t->ForEachNumeric(0, [&](RowId, double v) { sum += v; });
+  t->ForEachNumericRange(0, t->live_bitmap(), 0, t->slot_count(),
+                         [&](RowId, double v) { sum += v; });
   EXPECT_DOUBLE_EQ(sum, 190.0);  // 0+..+19
 }
 

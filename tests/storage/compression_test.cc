@@ -183,7 +183,9 @@ void ExpectRoundTrip(const std::vector<T>& values, Encoding encoding) {
     ASSERT_EQ(seg.Get(i), values[i]) << EncodingName(encoding) << " i=" << i;
   }
   size_t visited = 0;
-  seg.ForEach([&](size_t i, const T& v) {
+  const Bitmap all(values.size(), true);
+  seg.ForEachInRange(all, 0, values.size(), [&](size_t i, const T& v) {
+    ASSERT_EQ(i, visited) << EncodingName(encoding);
     ASSERT_EQ(v, values[i]) << EncodingName(encoding) << " i=" << i;
     ++visited;
   });

@@ -179,7 +179,8 @@ TEST(RowTableTest, ForEachNumericVisitsLiveRows) {
   for (int64_t i = 0; i < 10; ++i) t->Insert(MakeTestRow(i));
   t->DeleteRow(0);
   double sum = 0;
-  t->ForEachNumeric(2, [&](RowId, double v) { sum += v; });
+  t->ForEachNumericRange(2, t->live_bitmap(), 0, t->slot_count(),
+                         [&](RowId, double v) { sum += v; });
   EXPECT_DOUBLE_EQ(sum, 1.5 * (1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9));
 }
 

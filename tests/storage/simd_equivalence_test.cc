@@ -1,11 +1,11 @@
 // SIMD/scalar equivalence: property-style tests asserting that every
-// dispatch tier the CPU supports produces bit-identical outputs — decoded
-// values, reconstructed frames, dictionary gathers and selection bitmaps —
+// dispatch tier the CPU supports produces bit-identical selection bitmaps
 // for all packed bit widths 1..32 (plus scalar-only wide widths), including
-// unaligned starts, unaligned lengths and tail elements. The scalar tier is
-// the reference; under -DHSDB_FORCE_SCALAR or on non-AVX2 hardware the
-// AVX2 tier is skipped automatically (DetectedLevel caps the list), so
-// the suite is green on every platform.
+// unaligned lengths and tail elements, and that the segments' decode and
+// filters agree across tiers. The scalar tier is the reference; under
+// -DHSDB_FORCE_SCALAR or on non-AVX2 hardware the AVX2 tier is skipped
+// automatically (DetectedLevel caps the list), so the suite is green on
+// every platform.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,53 +56,84 @@ BitPackedVector RandomPacked(uint32_t width, size_t n, uint64_t seed,
 
 class SimdEquivalence : public ::testing::TestWithParam<uint32_t> {};
 
-TEST_P(SimdEquivalence, UnpackBitsMatchesGetAcrossTiers) {
-  const uint32_t width = GetParam();
-  // Deliberately not a multiple of any vector block; exercises the tail.
-  const size_t n = 1000 + width * 7 + 3;
-  std::vector<uint64_t> expected;
-  BitPackedVector packed = RandomPacked(width, n, width * 7919 + 1, &expected);
-
-  // Unaligned starts exercise every window phase; lengths exercise tails.
+/// Checks a segment's ranged decode against `values` under every tier: an
+/// all-set selection from unaligned starts (every window phase, tails) and a
+/// sparse selection. The ranged decode reads one packed code per selected
+/// row and has no tiered kernel of its own; the tier loop pins that any
+/// future one must decode identically.
+template <typename Segment>
+void ExpectRangedDecode(const Segment& segment,
+                        const std::vector<int64_t>& values, uint32_t width,
+                        uint64_t seed) {
+  const size_t n = values.size();
+  ASSERT_EQ(segment.size(), n);
+  const Bitmap all(n, true);
+  Bitmap sparse(n, false);
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.Chance(0.27)) sparse.Set(i);
+  }
   const size_t starts[] = {0, 1, 7, 8, 13, 64, n - 1, n};
   for (SimdLevel level : AvailableLevels()) {
     ScopedSimdLevel guard(level);
     for (size_t start : starts) {
-      const size_t count = n - start;
-      std::vector<uint64_t> out(count + 1, 0xdeadbeef);
-      simd::UnpackBits(packed.words(), start, count, width, out.data());
-      for (size_t i = 0; i < count; ++i) {
-        ASSERT_EQ(out[i], expected[start + i])
-            << "level=" << static_cast<int>(level) << " width=" << width
-            << " start=" << start << " i=" << i;
-      }
-      EXPECT_EQ(out[count], 0xdeadbeef) << "kernel wrote past count";
+      size_t next = start;
+      segment.ForEachInRange(all, start, n, [&](size_t i, int64_t v) {
+        ASSERT_EQ(i, next) << "level=" << static_cast<int>(level)
+                           << " width=" << width << " start=" << start;
+        ASSERT_EQ(v, values[i]) << "level=" << static_cast<int>(level)
+                                << " width=" << width << " i=" << i;
+        ++next;
+      });
+      EXPECT_EQ(next, n) << "width=" << width << " start=" << start;
     }
+    size_t visited = 0;
+    segment.ForEachInRange(sparse, 0, n, [&](size_t i, int64_t v) {
+      ASSERT_TRUE(sparse.Test(i)) << "width=" << width << " i=" << i;
+      ASSERT_EQ(v, values[i]) << "level=" << static_cast<int>(level)
+                              << " width=" << width << " i=" << i;
+      ++visited;
+    });
+    EXPECT_EQ(visited, sparse.Count()) << "width=" << width;
   }
+}
+
+TEST_P(SimdEquivalence, UnpackBitsMatchesGetAcrossTiers) {
+  const uint32_t width = GetParam();
+  // Deliberately not a multiple of any vector block; exercises the tail.
+  const size_t n = 1000 + width * 7 + 3;
+  std::vector<uint64_t> codes;
+  RandomPacked(width, n, width * 7919 + 1, &codes);
+  // Below width 64 a zero code pins the frame's base at 0, so the segment's
+  // packed deltas are the codes themselves and the ranged decode unpacks
+  // them (at width 64 the codes wrap to negative values and shift the base).
+  codes[0] = 0;
+  std::vector<int64_t> values(codes.begin(), codes.end());
+  const auto codec = ForCodec<int64_t>::Encode(values);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(static_cast<uint64_t>(codec.Get(i)), codes[i]) << "i=" << i;
+  }
+  ExpectRangedDecode(codec, values, width, width * 7919 + 2);
 }
 
 TEST_P(SimdEquivalence, ForReconstructionMatchesAcrossTiers) {
   const uint32_t width = GetParam();
   const size_t n = 777 + width * 5;
-  std::vector<uint64_t> expected;
-  BitPackedVector packed = RandomPacked(width, n, width * 104729 + 2,
-                                        &expected);
+  std::vector<uint64_t> codes;
+  RandomPacked(width, n, width * 104729 + 2, &codes);
 
   // Negative and positive bases, including one that wraps intermediate
   // sums through the unsigned domain.
   const int64_t bases[] = {0, 42, -12345, int64_t{-1} << 40};
-  for (SimdLevel level : AvailableLevels()) {
-    ScopedSimdLevel guard(level);
-    for (int64_t base : bases) {
-      std::vector<int64_t> out(n);
-      simd::UnpackForDeltas(packed.words(), 0, n, width, base, out.data());
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], static_cast<int64_t>(static_cast<uint64_t>(base) +
-                                               expected[i]))
-            << "level=" << static_cast<int>(level) << " width=" << width
-            << " base=" << base << " i=" << i;
-      }
+  for (int64_t base : bases) {
+    std::vector<int64_t> values(n);
+    for (size_t i = 0; i < n; ++i) {
+      values[i] =
+          static_cast<int64_t>(static_cast<uint64_t>(base) + codes[i]);
     }
+    const auto segment =
+        EncodedSegment<int64_t>::Encode(values, Encoding::kFrameOfReference);
+    ExpectRangedDecode(segment, values, width, width * 104729 + 3);
   }
 }
 
@@ -110,23 +141,17 @@ TEST_P(SimdEquivalence, DictMaterializationMatchesAcrossTiers) {
   const uint32_t width = GetParam();
   if (width > 24) return;  // 2^width dictionary entries get too large
   const size_t n = 500 + width * 11;
-  std::vector<uint64_t> expected;
-  BitPackedVector packed = RandomPacked(width, n, width * 31 + 3, &expected);
+  std::vector<uint64_t> codes;
+  RandomPacked(width, n, width * 31 + 3, &codes);
 
   Rng rng(width * 17 + 4);
   std::vector<int64_t> dict(size_t{1} << width);
   for (int64_t& d : dict) d = static_cast<int64_t>(rng.Next());
-
-  for (SimdLevel level : AvailableLevels()) {
-    ScopedSimdLevel guard(level);
-    std::vector<int64_t> out(n);
-    simd::UnpackDict64(packed.words(), 0, n, width, dict.data(), out.data());
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(out[i], dict[expected[i]])
-          << "level=" << static_cast<int>(level) << " width=" << width
-          << " i=" << i;
-    }
-  }
+  std::vector<int64_t> values(n);
+  for (size_t i = 0; i < n; ++i) values[i] = dict[codes[i]];
+  const auto segment =
+      EncodedSegment<int64_t>::Encode(values, Encoding::kDictionary);
+  ExpectRangedDecode(segment, values, width, width * 31 + 5);
 }
 
 TEST_P(SimdEquivalence, FilterPackedRangeMatchesAcrossTiers) {
@@ -254,8 +279,9 @@ INSTANTIATE_TEST_SUITE_P(WideWidths, SimdEquivalence,
                          ::testing::Values(33u, 40u, 48u, 57u, 63u, 64u));
 
 // Segment-level equivalence: the production entry points (EncodedSegment
-// ForEach / FilterRangeSlice) must produce identical scans and selections on
-// every tier, for every codec that touches the bit-packed paths.
+// ForEachInRange / FilterRangeSlice) must produce identical scans and
+// selections on every tier, for every codec that touches the bit-packed
+// paths.
 class SegmentTierEquivalence : public ::testing::TestWithParam<Encoding> {};
 
 TEST_P(SegmentTierEquivalence, ScanAndFilterMatchAcrossTiers) {
@@ -279,7 +305,8 @@ TEST_P(SegmentTierEquivalence, ScanAndFilterMatchAcrossTiers) {
   for (SimdLevel level : AvailableLevels()) {
     ScopedSimdLevel guard(level);
     std::vector<int64_t> scan;
-    segment.ForEach([&](size_t i, int64_t v) {
+    const Bitmap all(values.size(), true);
+    segment.ForEachInRange(all, 0, values.size(), [&](size_t i, int64_t v) {
       ASSERT_EQ(i, scan.size());
       scan.push_back(v);
     });
