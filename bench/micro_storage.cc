@@ -3,6 +3,7 @@
 // per store. Run in Release mode for meaningful numbers.
 #include <benchmark/benchmark.h>
 
+#include "catalog/statistics.h"
 #include "executor/database.h"
 #include "workload/synthetic.h"
 
@@ -122,6 +123,19 @@ void BM_RangeSelect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_RangeSelect)->Arg(0)->Arg(1)->ArgName("store");
+
+// One full statistics pass (distinct counts, runs, min/max) over every
+// column: the work EnsureStatistics and each online re-search repeat.
+void BM_Analyze(benchmark::State& state) {
+  auto db = MakeDb(static_cast<StoreType>(state.range(0)));
+  const LogicalTable& table = *db->catalog().GetTable("t");
+  for (auto _ : state) {
+    TableStatistics stats = Analyze(table);
+    benchmark::DoNotOptimize(stats.columns.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_Analyze)->Arg(0)->Arg(1)->ArgName("store");
 
 }  // namespace
 }  // namespace hsdb

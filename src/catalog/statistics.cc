@@ -1,12 +1,12 @@
 #include "catalog/statistics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
-#include <functional>
 #include <limits>
 #include <sstream>
-#include <unordered_set>
+#include <string_view>
+#include <vector>
 
 #include "common/bitpack.h"
 #include "common/hash.h"
@@ -92,6 +92,55 @@ double EstimateCsCompression(const compression::EncodingProfile& profile,
   return compression::EstimateEncodedBytes(encoding, profile) / plain_bytes;
 }
 
+/// Set of distinct 64-bit keys: open addressing with linear probing over a
+/// power-of-two table that doubles once half full (the probing scheme of
+/// compression::ProfileValues). A slot holding 0 is empty, so the key 0 —
+/// the bits of an integer or double zero — is tracked by a flag.
+class DistinctKeys {
+ public:
+  void Insert(uint64_t key) {
+    if (key == 0) {
+      has_zero_ = true;
+      return;
+    }
+    size_t s = Home(key);
+    while (slots_[s] != 0) {
+      if (slots_[s] == key) return;
+      s = (s + 1) & mask_;
+    }
+    slots_[s] = key;
+    if (2 * ++count_ > slots_.size()) Grow();
+  }
+
+  uint64_t size() const { return count_ + (has_zero_ ? 1 : 0); }
+
+ private:
+  /// Multiplicative hashing: the top bits of the product depend on every
+  /// key bit, and one multiply is cheaper than a full mixer.
+  size_t Home(uint64_t key) const {
+    return (key * 0x9e3779b97f4a7c15ull) >> shift_;
+  }
+
+  void Grow() {
+    std::vector<uint64_t> grown(2 * slots_.size());
+    mask_ = grown.size() - 1;
+    --shift_;
+    for (uint64_t key : slots_) {
+      if (key == 0) continue;
+      size_t t = Home(key);
+      while (grown[t] != 0) t = (t + 1) & mask_;
+      grown[t] = key;
+    }
+    slots_ = std::move(grown);
+  }
+
+  std::vector<uint64_t> slots_ = std::vector<uint64_t>(64);
+  size_t mask_ = 63;
+  int shift_ = 64 - 6;  // 64 - log2(slots_.size())
+  size_t count_ = 0;
+  bool has_zero_ = false;
+};
+
 }  // namespace
 
 TableStatistics Analyze(const LogicalTable& table,
@@ -112,7 +161,7 @@ TableStatistics Analyze(const LogicalTable& table,
     ColumnStatistics& cs = stats.columns[col];
     cs.type = schema.column(col).type;
     const bool numeric = IsNumeric(cs.type);
-    std::unordered_set<uint64_t> distinct;
+    DistinctKeys distinct;
     double mn = std::numeric_limits<double>::infinity();
     double mx = -std::numeric_limits<double>::infinity();
     size_t seen = 0;
@@ -141,10 +190,10 @@ TableStatistics Analyze(const LogicalTable& table,
         auto take_sample = [&](size_t position) {
           return stride == 1 || Mix64(position) % stride == 0;
         };
+        const PhysicalTable& piece = *frag.table;
         if (numeric) {
           bool in_run = false;
           double prev = 0.0;
-          const PhysicalTable& piece = *frag.table;
           ForEachNumericInRange(piece, fc, piece.live_bitmap(), 0,
                                 piece.slot_count(), [&](RowId, double v) {
             mn = std::min(mn, v);
@@ -159,21 +208,21 @@ TableStatistics Analyze(const LogicalTable& table,
             ++run_rows;
             if (take_sample(seen++)) {
               ++sampled;
-              uint64_t bits;
-              std::memcpy(&bits, &v, sizeof(v));
-              distinct.insert(bits);
+              // -0.0 == 0.0, as in the column store's dictionary.
+              distinct.Insert(std::bit_cast<uint64_t>(v == 0.0 ? 0.0 : v));
             }
           });
         } else {
           bool in_run = false;
           uint64_t prev_hash = 0;
-          frag.table->live_bitmap().ForEachSet([&](size_t rid) {
+          ForEachStringInRange(piece, fc, piece.live_bitmap(), 0,
+                               piece.slot_count(),
+                               [&](RowId, std::string_view v) {
             if (!take_sample(seen++)) return;
             ++sampled;
-            Value v = frag.table->GetValue(rid, fc);
-            string_payload += v.as_string().size();
-            uint64_t h = std::hash<std::string>{}(v.as_string());
-            distinct.insert(h);
+            string_payload += v.size();
+            uint64_t h = std::hash<std::string_view>{}(v);
+            distinct.Insert(h);
             // Exact runs only in full-scan mode; a strided sample breaks
             // runs apart and would undercount their length.
             if (stride == 1) {

@@ -55,9 +55,15 @@ struct TableStatistics {
   std::string ToString() const;
 };
 
-/// Scans a logical table and computes fresh statistics. Distinct counts are
-/// exact (hash-based) for tables below `exact_distinct_limit` rows and
-/// estimated from a sample above it.
+/// Scans a logical table and computes fresh statistics. Each column is read
+/// once, from the fragment of each row group that holds it, through the
+/// stores' ranged decode: numeric cells as doubles, VARCHAR cells as
+/// std::string_view into the dictionary, delta or string pool, so no cell
+/// is copied. Distinct values are counted in an open-addressing set of
+/// 64-bit keys: a numeric value's double bits with -0.0 folded onto 0.0
+/// (the two compare equal, and the column store's dictionary keeps one of
+/// them), a string's std::hash. Counts are exact for tables below
+/// `exact_distinct_limit` rows and estimated from a sample above it.
 TableStatistics Analyze(const LogicalTable& table,
                         size_t exact_distinct_limit = 2'000'000);
 

@@ -24,6 +24,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -128,6 +129,14 @@ class ColumnTable final : public PhysicalTable {
   void ForEachNumericRange(ColumnId col, const Bitmap& filter, size_t begin,
                            size_t end, Fn&& fn) const;
 
+  /// Calls fn(RowId, std::string_view) for the VARCHAR `col` value of every
+  /// rid in [begin, end) set in `filter`. The view refers to the main
+  /// segment's dictionary entry or the delta's string and is valid until the
+  /// next write to the table.
+  template <typename Fn>
+  void ForEachStringRange(ColumnId col, const Bitmap& filter, size_t begin,
+                          size_t end, Fn&& fn) const;
+
  private:
   template <typename T>
   struct ColumnData {
@@ -192,6 +201,25 @@ void ColumnTable::ForEachNumericRange(ColumnId col, const Bitmap& filter,
         });
       },
       columns_[col]);
+}
+
+template <typename Fn>
+void ColumnTable::ForEachStringRange(ColumnId col, const Bitmap& filter,
+                                     size_t begin, size_t end,
+                                     Fn&& fn) const {
+  const auto* data = std::get_if<ColumnData<std::string>>(&columns_[col]);
+  HSDB_CHECK_MSG(data != nullptr, "ForEachStringRange on numeric column");
+  const size_t main_end = std::min(end, main_size_);
+  if (begin < main_end) {
+    data->main.ForEachInRange(filter, begin, main_end,
+                              [&](size_t rid, const std::string& v) {
+                                fn(rid, std::string_view(v));
+                              });
+  }
+  const size_t delta_begin = std::clamp(main_size_, begin, end);
+  filter.ForEachSetInRange(delta_begin, end, [&](size_t rid) {
+    fn(rid, std::string_view(data->delta[rid - main_size_]));
+  });
 }
 
 }  // namespace hsdb

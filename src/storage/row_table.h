@@ -103,6 +103,20 @@ class RowTable final : public PhysicalTable {
     }
   }
 
+  /// Calls fn(RowId, std::string_view) for the VARCHAR `col` value of every
+  /// rid in [begin, end) set in `filter`. The view refers to the table's
+  /// string pool, whose payloads never move.
+  template <typename Fn>
+  void ForEachStringRange(ColumnId col, const Bitmap& filter, size_t begin,
+                          size_t end, Fn&& fn) const {
+    HSDB_CHECK_MSG(schema_.column(col).type == DataType::kVarchar,
+                   "ForEachStringRange on numeric column");
+    const uint32_t offset = schema_.fixed_offset(col);
+    filter.ForEachSetInRange(begin, end, [&](size_t rid) {
+      fn(rid, strings_.Get(LoadAs<uint32_t>(slots_[rid] + offset)));
+    });
+  }
+
   const StringPool& strings() const { return strings_; }
 
  private:

@@ -25,6 +25,22 @@ void ForEachNumericInRange(const PhysicalTable& table, ColumnId col,
   }
 }
 
+/// Calls fn(RowId, std::string_view) for the VARCHAR `col` value of every
+/// rid in [begin, end) set in `filter`, without copying the string. The view
+/// is valid until the next write to `table`.
+template <typename Fn>
+void ForEachStringInRange(const PhysicalTable& table, ColumnId col,
+                          const Bitmap& filter, size_t begin, size_t end,
+                          Fn&& fn) {
+  if (table.store() == StoreType::kRow) {
+    static_cast<const RowTable&>(table).ForEachStringRange(
+        col, filter, begin, end, std::forward<Fn>(fn));
+  } else {
+    static_cast<const ColumnTable&>(table).ForEachStringRange(
+        col, filter, begin, end, std::forward<Fn>(fn));
+  }
+}
+
 }  // namespace hsdb
 
 #endif  // HSDB_STORAGE_SCAN_DISPATCH_H_

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "storage/column_table.h"
 
 namespace hsdb {
@@ -146,6 +149,144 @@ TEST(StatisticsTest, SameRowsSameStatisticsOnEveryStore) {
   EXPECT_DOUBLE_EQ(*col_stats.column(0).min, 7.0);
   EXPECT_DOUBLE_EQ(*col_stats.column(0).max, 749.0);
   EXPECT_EQ(col_stats.column(1).distinct_count, 5u);
+}
+
+TEST(StatisticsTest, NegativeZeroCountsOnceOnEveryStore) {
+  // -0.0 == 0.0: the column store's dictionary keeps one entry for both,
+  // and Analyze must count one distinct value on either store.
+  const Schema schema = Schema::CreateOrDie(
+      {{"id", DataType::kInt64}, {"val", DataType::kDouble}}, {0});
+  for (StoreType store : {StoreType::kRow, StoreType::kColumn}) {
+    auto t = LogicalTable::Create("t", schema, TableLayout::SingleStore(store));
+    ASSERT_TRUE(t.ok());
+    const double values[] = {0.0, -0.0, 1.0, -0.0, 0.0};
+    for (int64_t i = 0; i < 5; ++i) {
+      ASSERT_TRUE((*t)->Insert({i, values[i]}).ok());
+    }
+    (*t)->ForceMerge();
+    const TableStatistics stats = Analyze(**t);
+    EXPECT_EQ(stats.column(1).distinct_count, 2u) << StoreTypeName(store);
+    if (store == StoreType::kColumn) {
+      const auto& ct = static_cast<const ColumnTable&>(
+          *(*t)->groups().front().fragments.front().table);
+      EXPECT_EQ(ct.DictionarySize(1), 2u);
+    }
+  }
+}
+
+/// Naive statistics of one column: every live value of the fragment holding
+/// the column, read cell by cell in physical order (runs restart at each row
+/// group), distinct values through an ordered set.
+ColumnStatistics ReferenceColumnStatistics(const LogicalTable& table,
+                                           ColumnId col) {
+  ColumnStatistics ref;
+  ref.type = table.schema().column(col).type;
+  const bool numeric = IsNumeric(ref.type);
+  std::set<Value> distinct;
+  size_t rows = 0;
+  size_t runs = 0;
+  size_t payload = 0;
+  for (const RowGroup& group : table.groups()) {
+    for (const Fragment& frag : group.fragments) {
+      if (!frag.Contains(col)) continue;
+      std::optional<Value> prev;
+      frag.table->live_bitmap().ForEachSet([&](size_t rid) {
+        Value v = frag.table->GetValue(rid, frag.FragColumn(col));
+        if (!prev.has_value() || !(v == *prev)) ++runs;
+        ++rows;
+        if (numeric) {
+          const double x = v.AsNumeric();
+          ref.min = std::min(ref.min.value_or(x), x);
+          ref.max = std::max(ref.max.value_or(x), x);
+        } else {
+          payload += v.as_string().size();
+        }
+        distinct.insert(v);
+        prev = std::move(v);
+      });
+      break;
+    }
+  }
+  ref.distinct_count = distinct.size();
+  if (runs > 0) ref.avg_run_length = static_cast<double>(rows) / runs;
+  ref.avg_plain_bytes =
+      numeric ? FixedWidth(ref.type)
+              : sizeof(std::string) +
+                    (rows > 0 ? static_cast<double>(payload) / rows : 0.0);
+  return ref;
+}
+
+TEST(StatisticsTest, AnalyzeMatchesNaiveReferenceOnEveryLayout) {
+  const Schema schema =
+      Schema::CreateOrDie({{"id", DataType::kInt64},
+                           {"zero", DataType::kInt64},
+                           {"neg", DataType::kInt64},
+                           {"grp", DataType::kInt32},
+                           {"val", DataType::kDouble},
+                           {"day", DataType::kDate},
+                           {"tag", DataType::kVarchar},
+                           {"note", DataType::kVarchar}},
+                          {0});
+  // Covers the set's empty-slot key (a column of zeros, and 0.0 next to
+  // -0.0), negative integers, the empty string and strings past the
+  // small-string buffer, with runs in physical order.
+  auto row_of = [](int64_t i) -> Row {
+    const int64_t r = i % 17;
+    return {i,
+            int64_t{0},
+            -(i % 9) * 1'000'000'007 - 1,
+            int32_t(i / 6 % 5),
+            r == 0 ? (i % 2 == 0 ? 0.0 : -0.0) : r * -0.5,
+            Date{int32_t(9000 + i / 40)},
+            i % 7 == 0 ? std::string() : "t" + std::to_string(i / 3 % 4),
+            "a note longer than fifteen bytes #" + std::to_string(i % 23)};
+  };
+  TableLayout horizontal;
+  horizontal.base_store = StoreType::kColumn;
+  horizontal.horizontal = HorizontalSpec{0, 300.0, StoreType::kRow};
+  TableLayout vertical;  // `note` sits in the second (column-store) fragment
+  vertical.base_store = StoreType::kColumn;
+  vertical.vertical = VerticalSpec{{1, 3, 6}};
+  const std::pair<const char*, TableLayout> layouts[] = {
+      {"row store", TableLayout::SingleStore(StoreType::kRow)},
+      {"column store", TableLayout::SingleStore(StoreType::kColumn)},
+      {"horizontal split", horizontal},
+      {"vertical split", vertical}};
+  for (const auto& [name, layout] : layouts) {
+    SCOPED_TRACE(name);
+    auto t = LogicalTable::Create("t", schema, layout);
+    ASSERT_TRUE(t.ok());
+    LogicalTable& table = **t;
+    for (int64_t i = 0; i < 600; ++i) ASSERT_TRUE(table.Insert(row_of(i)).ok());
+    table.ForceMerge();
+    for (int64_t i : {0, 1, 2, 250, 299, 300, 417, 599}) {
+      ASSERT_TRUE(table.DeleteByPk(PrimaryKey::Of(Value(i))).ok());
+    }
+    for (int64_t i = 600; i < 750; ++i) {
+      ASSERT_TRUE(table.Insert(row_of(i)).ok());
+    }
+    ASSERT_TRUE(table.DeleteByPk(PrimaryKey::Of(Value(int64_t{700}))).ok());
+    if (layout == TableLayout::SingleStore(StoreType::kColumn)) {
+      const auto& ct = static_cast<const ColumnTable&>(
+          *table.groups().front().fragments.front().table);
+      ASSERT_GT(ct.main_rows(), 0u);
+      ASSERT_GT(ct.delta_rows(), 0u);
+      ASSERT_LT(ct.live_count(), ct.slot_count());
+    }
+
+    const TableStatistics stats = Analyze(table);
+    ASSERT_EQ(stats.row_count, 741u);
+    for (ColumnId c = 0; c < schema.num_columns(); ++c) {
+      SCOPED_TRACE(schema.column(c).name);
+      const ColumnStatistics ref = ReferenceColumnStatistics(table, c);
+      const ColumnStatistics& got = stats.column(c);
+      EXPECT_EQ(got.distinct_count, ref.distinct_count);
+      EXPECT_EQ(got.min, ref.min);
+      EXPECT_EQ(got.max, ref.max);
+      EXPECT_DOUBLE_EQ(got.avg_run_length, ref.avg_run_length);
+      EXPECT_DOUBLE_EQ(got.avg_plain_bytes, ref.avg_plain_bytes);
+    }
+  }
 }
 
 TEST(StatisticsTest, RowStoreGetsAnalyticCompressionEstimate) {

@@ -4,6 +4,8 @@
 
 #include <set>
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace hsdb {
 namespace {
@@ -304,6 +306,22 @@ TEST(ColumnTableTest, ForEachNumericSpansMainAndDelta) {
   t->ForEachNumericRange(0, t->live_bitmap(), 0, t->slot_count(),
                          [&](RowId, double v) { sum += v; });
   EXPECT_DOUBLE_EQ(sum, 190.0);  // 0+..+19
+}
+
+TEST(ColumnTableTest, ForEachStringSpansMainAndDelta) {
+  auto t = ColumnTable::Create(TestSchema(), NoAutoMerge());
+  for (int64_t i = 0; i < 10; ++i) t->Insert(MakeTestRow(i));
+  t->MergeDelta();
+  for (int64_t i = 10; i < 20; ++i) t->Insert(MakeTestRow(i));
+  t->DeleteRow(12);
+  // A range that starts inside the main part and ends inside the delta.
+  std::vector<RowId> rids;
+  t->ForEachStringRange(3, t->live_bitmap(), 5, 15,
+                        [&](RowId rid, std::string_view v) {
+                          EXPECT_EQ(v, "name_" + std::to_string(rid % 7));
+                          rids.push_back(rid);
+                        });
+  EXPECT_EQ(rids, (std::vector<RowId>{5, 6, 7, 8, 9, 10, 11, 13, 14}));
 }
 
 TEST(ColumnTableTest, MergePreservesPkIndex) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 namespace hsdb {
 namespace {
 
@@ -182,6 +186,19 @@ TEST(RowTableTest, ForEachNumericVisitsLiveRows) {
   t->ForEachNumericRange(2, t->live_bitmap(), 0, t->slot_count(),
                          [&](RowId, double v) { sum += v; });
   EXPECT_DOUBLE_EQ(sum, 1.5 * (1 + 2 + 3 + 4 + 5 + 6 + 7 + 8 + 9));
+}
+
+TEST(RowTableTest, ForEachStringVisitsLiveRows) {
+  auto t = RowTable::Create(TestSchema());
+  for (int64_t i = 0; i < 10; ++i) t->Insert(MakeTestRow(i));
+  t->DeleteRow(4);
+  std::vector<RowId> rids;
+  t->ForEachStringRange(3, t->live_bitmap(), 2, 8,
+                        [&](RowId rid, std::string_view v) {
+                          EXPECT_EQ(v, "name_" + std::to_string(rid % 7));
+                          rids.push_back(rid);
+                        });
+  EXPECT_EQ(rids, (std::vector<RowId>{2, 3, 5, 6, 7}));
 }
 
 TEST(RowTableTest, CompressionRateIsOne) {
