@@ -55,8 +55,9 @@ void BM_EstimateWorkload500(benchmark::State& state) {
   Fixture& f = GetFixture();
   WorkloadCostEstimator est(&f.model, &f.db.catalog());
   for (auto _ : state) {
-    double cost =
-        est.WorkloadCostSingleStore(f.workload, StoreType::kColumn);
+    double cost = est.WorkloadCost(f.workload, [](const std::string&) {
+      return LayoutContext::SingleStore(StoreType::kColumn);
+    });
     benchmark::DoNotOptimize(cost);
   }
   state.SetItemsProcessed(state.iterations() * f.workload.size());

@@ -22,15 +22,12 @@ std::string EncodingClause(const Schema& schema, const LayoutContext& ctx,
                            const TableStatistics* stats) {
   const bool searched = ctx.encodings.size() == schema.num_columns();
   if (!searched && (stats == nullptr || stats->columns.empty())) return "";
-  const TableLayout& layout = ctx.layout;
+  const LayoutPieces pieces(ctx.layout, schema);
   std::ostringstream os;
   os << " ENCODING (";
   bool first = true;
   for (ColumnId c = 0; c < schema.num_columns(); ++c) {
-    if (layout.vertical.has_value() && !schema.IsPrimaryKeyColumn(c)) {
-      const std::vector<ColumnId>& rs = layout.vertical->row_store_columns;
-      if (std::find(rs.begin(), rs.end(), c) != rs.end()) continue;
-    }
+    if (!ColumnInColumnStorePiece(pieces, c)) continue;
     if (!first) os << ", ";
     first = false;
     os << schema.column(c).name << " "

@@ -15,64 +15,60 @@ std::vector<WeightedQuery> ToWeighted(const std::vector<Query>& queries) {
 
 namespace {
 
-/// Column sets of the two pieces of a vertical split.
-struct VerticalPieces {
-  std::vector<bool> in_rs;  // per logical column: stored in the RS piece
-  std::vector<bool> in_cs;  // stored in the CS/base piece
-};
+using Group = LayoutPieces::Group;
+using Piece = LayoutPieces::Piece;
 
-VerticalPieces SplitColumns(const Schema& schema, const VerticalSpec& spec) {
-  VerticalPieces p;
-  p.in_rs.assign(schema.num_columns(), false);
-  p.in_cs.assign(schema.num_columns(), false);
-  for (ColumnId c = 0; c < schema.num_columns(); ++c) {
-    bool is_rs = std::find(spec.row_store_columns.begin(),
-                           spec.row_store_columns.end(),
-                           c) != spec.row_store_columns.end();
-    if (schema.IsPrimaryKeyColumn(c)) {
-      p.in_rs[c] = true;
-      p.in_cs[c] = true;
-    } else if (is_rs) {
-      p.in_rs[c] = true;
-    } else {
-      p.in_cs[c] = true;
-    }
-  }
-  return p;
+/// Rows of `group` when the table holds `rows`: a horizontal split's hot
+/// group holds the hot row fraction, the cold group the rest.
+double GroupRows(const Group& group, const LayoutContext& ctx, double rows) {
+  if (!ctx.layout.horizontal.has_value()) return rows;
+  const double hot_rows = rows * ctx.hot_row_fraction;
+  return group.hot ? hot_rows : rows - hot_rows;
 }
 
-bool Covered(const std::vector<bool>& piece,
-             const std::vector<ColumnId>& cols) {
-  for (ColumnId c : cols) {
-    if (c >= piece.size() || !piece[c]) return false;
+/// A scan reads every row group: the sum of `price(group, rows)` over the
+/// groups, plus the union of their results when there are several.
+template <typename Price>
+double ScanGroups(const LayoutPieces& pieces, const LayoutContext& ctx,
+                  double rows, double union_overhead, Price&& price) {
+  double cost = 0.0;
+  for (const Group& group : pieces) {
+    cost += price(group, GroupRows(group, ctx, rows));
   }
-  return true;
+  return pieces.num_groups() > 1 ? cost + union_overhead : cost;
+}
+
+/// A point access or an insert reaches one row group: `price(group, rows)`
+/// weighted by the share `hot_fraction` that reaches the hot group.
+template <typename Price>
+double WeighGroups(const LayoutPieces& pieces, const LayoutContext& ctx,
+                   double rows, double hot_fraction, Price&& price) {
+  double cost = 0.0;
+  for (const Group& group : pieces) {
+    const double weight = pieces.num_groups() == 1 ? 1.0
+                          : group.hot              ? hot_fraction
+                                                   : 1.0 - hot_fraction;
+    cost += weight * price(group, GroupRows(group, ctx, rows));
+  }
+  return cost;
 }
 
 }  // namespace
 
 double EncodedRowFraction(const LayoutContext& ctx, const Schema& schema,
                           ColumnId col) {
-  const TableLayout& layout = ctx.layout;
-  const double hot = layout.horizontal.has_value()
+  const LayoutPieces pieces(ctx.layout, schema);
+  const double hot = ctx.layout.horizontal.has_value()
                          ? std::clamp(ctx.hot_row_fraction, 0.0, 1.0)
                          : 0.0;
   double fraction = 0.0;
-  // Cold/base piece: the column is encoded there when the base piece is
-  // column-resident and a vertical split does not send it to the row store
-  // (the replicated primary key stays encoded in the base piece).
-  bool in_base_cs = layout.base_store == StoreType::kColumn;
-  if (in_base_cs && layout.vertical.has_value() &&
-      !schema.IsPrimaryKeyColumn(col)) {
-    const std::vector<ColumnId>& rs = layout.vertical->row_store_columns;
-    in_base_cs = std::find(rs.begin(), rs.end(), col) == rs.end();
-  }
-  if (in_base_cs) fraction += 1.0 - hot;
-  // Hot piece: whole rows, so every column is encoded when it is a
-  // column-store partition.
-  if (layout.horizontal.has_value() &&
-      layout.horizontal->hot_store == StoreType::kColumn) {
-    fraction += hot;
+  for (const Group& group : pieces) {
+    for (const Piece& piece : group) {
+      if (piece.store == StoreType::kColumn && pieces.Holds(piece, col)) {
+        fraction += group.hot ? hot : 1.0 - hot;
+        break;
+      }
+    }
   }
   return fraction;
 }
@@ -85,98 +81,62 @@ WorkloadCostEstimator::TableFacts WorkloadCostEstimator::FactsOf(
   if (facts.stats != nullptr) {
     facts.rows = static_cast<double>(facts.stats->row_count);
     facts.compression = facts.stats->table_compression_rate;
-    if (!facts.stats->columns.empty()) {
-      double total = 0.0;
-      for (const ColumnStatistics& cs : facts.stats->columns) {
-        total += model_->EncodingScanMultiplier(StoreType::kColumn,
-                                                cs.encoding);
-      }
-      facts.encoding_scan =
-          total / static_cast<double>(facts.stats->columns.size());
-    }
   } else if (facts.table != nullptr) {
     facts.rows = static_cast<double>(facts.table->row_count());
   }
   return facts;
 }
 
+std::optional<Encoding> WorkloadCostEstimator::CodecOf(
+    const TableFacts& facts, const LayoutContext& ctx,
+    const LayoutPieces& pieces, ColumnId col) {
+  if (!ColumnInColumnStorePiece(pieces, col)) return std::nullopt;
+  if (col < ctx.encodings.size()) return ctx.encodings[col];
+  if (facts.stats != nullptr && col < facts.stats->columns.size()) {
+    return facts.stats->columns[col].encoding;
+  }
+  return std::nullopt;
+}
+
 double WorkloadCostEstimator::ScanEncodingMultiplier(
     const TableFacts& facts, const LayoutContext& ctx,
-    const std::vector<ColumnId>& needed) const {
-  // Per-column codecs come from the layout's candidate assignment (the
-  // encoding search) first, the statistics' picker choices second. With
-  // neither there is nothing finer than the table-wide mean.
-  const bool has_stats =
-      facts.stats != nullptr && !facts.stats->columns.empty();
-  if (ctx.encodings.empty() && !has_stats) return facts.encoding_scan;
-  // Only columns resident in a column-store piece have an encoded segment
-  // to decode; a vertical split's row-store columns contribute nothing.
-  auto encoding_of = [&](ColumnId c) -> std::optional<Encoding> {
-    if (facts.table != nullptr &&
-        !ColumnInColumnStorePiece(ctx.layout, facts.table->schema(), c)) {
-      return std::nullopt;
-    }
-    if (c < ctx.encodings.size()) return ctx.encodings[c];
-    if (has_stats && c < facts.stats->columns.size()) {
-      return facts.stats->columns[c].encoding;
-    }
-    return std::nullopt;
-  };
+    const LayoutPieces& pieces, const std::vector<ColumnId>& needed) const {
   double total = 0.0;
   size_t count = 0;
-  if (!needed.empty()) {
-    // Mean over the distinct columns the query touches: the scan decodes
-    // exactly these segments.
-    std::vector<ColumnId> cols = needed;
-    std::sort(cols.begin(), cols.end());
-    cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-    for (ColumnId c : cols) {
-      if (std::optional<Encoding> e = encoding_of(c)) {
-        total += model_->EncodingScanMultiplier(StoreType::kColumn, *e);
-        ++count;
-      }
+  auto add = [&](ColumnId c) {
+    if (std::optional<Encoding> e = CodecOf(facts, ctx, pieces, c)) {
+      total += model_->EncodingScanMultiplier(StoreType::kColumn, *e);
+      ++count;
     }
-  }
+  };
+  // Mean over the distinct columns the query touches: the scan decodes
+  // exactly these segments.
+  std::vector<ColumnId> cols = needed;
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  for (ColumnId c : cols) add(c);
   if (count == 0) {
     // Column-blind queries (COUNT(*)-style) decode whatever they touch;
     // charge the table-wide mean.
-    const size_t n =
-        std::max(ctx.encodings.size(),
-                 has_stats ? facts.stats->columns.size() : size_t{0});
-    for (ColumnId c = 0; c < n; ++c) {
-      if (std::optional<Encoding> e = encoding_of(c)) {
-        total += model_->EncodingScanMultiplier(StoreType::kColumn, *e);
-        ++count;
-      }
+    for (ColumnId c = 0; c < facts.table->schema().num_columns(); ++c) {
+      add(c);
     }
   }
-  return count == 0 ? facts.encoding_scan
-                    : total / static_cast<double>(count);
+  // No codec anywhere: no column-store piece, or nothing names a codec.
+  return count == 0 ? 1.0 : total / static_cast<double>(count);
 }
 
 double WorkloadCostEstimator::InsertReencodeMultiplier(
-    const TableFacts& facts, const LayoutContext& ctx) const {
-  // A merge re-encodes every column of the column-store piece — and only
+    const TableFacts& facts, const LayoutContext& ctx,
+    const LayoutPieces& pieces) const {
+  // A merge re-encodes every column of the column-store pieces — and only
   // those: the non-key columns a vertical split sends to the row store
   // carry no re-encode work.
-  auto encoded_in_cs_piece = [&](ColumnId c) {
-    if (facts.table == nullptr) return true;
-    return ColumnInColumnStorePiece(ctx.layout, facts.table->schema(), c);
-  };
   double total = 0.0;
   size_t count = 0;
-  if (!ctx.encodings.empty()) {
-    for (ColumnId c = 0; c < ctx.encodings.size(); ++c) {
-      if (!encoded_in_cs_piece(c)) continue;
-      total += model_->EncodingReencodeMultiplier(StoreType::kColumn,
-                                                  ctx.encodings[c]);
-      ++count;
-    }
-  } else if (facts.stats != nullptr) {
-    for (ColumnId c = 0; c < facts.stats->columns.size(); ++c) {
-      if (!encoded_in_cs_piece(c)) continue;
-      total += model_->EncodingReencodeMultiplier(
-          StoreType::kColumn, facts.stats->columns[c].encoding);
+  for (ColumnId c = 0; c < facts.table->schema().num_columns(); ++c) {
+    if (std::optional<Encoding> e = CodecOf(facts, ctx, pieces, c)) {
+      total += model_->EncodingReencodeMultiplier(StoreType::kColumn, *e);
       ++count;
     }
   }
@@ -203,16 +163,10 @@ double WorkloadCostEstimator::PredicateSelectivity(
 bool WorkloadCostEstimator::HasRowStoreIndex(
     const TableFacts& facts,
     const std::vector<const PredicateTerm*>& terms) const {
-  if (facts.table == nullptr) return false;
-  const Schema& schema = facts.table->schema();
+  // A sorted secondary index on any predicate column of a row-store piece.
+  // The primary key's hash index serves only the point path
+  // (IsPkPointLookup), which every caller prices apart.
   for (const PredicateTerm* term : terms) {
-    // Primary-key point access uses the hash index.
-    if (schema.primary_key().size() == 1 &&
-        term->column.column == schema.primary_key()[0] &&
-        term->range.IsPoint()) {
-      return true;
-    }
-    // A sorted secondary index on any predicate column of a row-store piece.
     for (const RowGroup& group : facts.table->groups()) {
       for (const Fragment& frag : group.fragments) {
         if (!frag.Contains(term->column.column)) continue;
@@ -266,9 +220,11 @@ double WorkloadCostEstimator::AggregationQueryCost(
   std::vector<const PredicateTerm*> fact_terms = TermsForTable(q.predicate, 0);
   double selectivity = PredicateSelectivity(fact, fact_terms);
   LayoutContext ctx = layout_of(q.tables[0]);
+  const LayoutPieces pieces(ctx.layout, schema);
 
-  // Fact-side columns the query touches: they decide which vertical piece
-  // serves it and which encoded segments a column-store scan decodes.
+  // The fact columns the engine reads (the join keys among them): they
+  // decide which piece serves the scan and which encoded segments a
+  // column-store scan decodes.
   std::vector<ColumnId> needed;
   for (const AggregateExpr& agg : q.aggregates) {
     if (agg.fn != AggFn::kCount && agg.column.table_index == 0) {
@@ -281,66 +237,38 @@ double WorkloadCostEstimator::AggregationQueryCost(
   for (const PredicateTerm* term : fact_terms) {
     needed.push_back(term->column.column);
   }
-  const double enc_scan = ScanEncodingMultiplier(fact, ctx, needed);
+  for (const JoinEdge& e : q.joins) needed.push_back(e.left_column);
+  const double enc_scan = ScanEncodingMultiplier(fact, ctx, pieces, needed);
 
   // Join queries: cost per store combination of the involved tables.
-  if (q.tables.size() > 1) {
-    std::vector<CostModel::JoinSide> dims;
-    for (size_t t = 1; t < q.tables.size(); ++t) {
-      TableFacts dim = FactsOf(q.tables[t]);
-      LayoutContext dim_ctx = layout_of(q.tables[t]);
-      dims.push_back(CostModel::JoinSide{dim_ctx.layout.base_store, dim.rows,
-                                         dim.compression});
-    }
-    double cost = 0.0;
-    double cold_rows = fact.rows;
-    if (ctx.layout.horizontal.has_value()) {
-      double hot_rows = fact.rows * ctx.hot_row_fraction;
-      cold_rows = fact.rows - hot_rows;
-      cost += model_->JoinAggregationCost(
-          ctx.layout.horizontal->hot_store, aggs, grouped, filtered,
-          hot_rows, 1.0, dims, selectivity);
-      cost += model_->UnionOverhead();
-    }
-    cost += model_->JoinAggregationCost(ctx.layout.base_store, aggs, grouped,
-                                        filtered, cold_rows,
-                                        fact.compression, dims, selectivity,
-                                        enc_scan);
-    return cost;
+  std::vector<CostModel::JoinSide> dims;
+  for (size_t t = 1; t < q.tables.size(); ++t) {
+    TableFacts dim = FactsOf(q.tables[t]);
+    LayoutContext dim_ctx = layout_of(q.tables[t]);
+    dims.push_back(CostModel::JoinSide{dim_ctx.layout.base_store, dim.rows,
+                                       dim.compression});
   }
-
-  double cost = 0.0;
-  double cold_rows = fact.rows;
-  if (ctx.layout.horizontal.has_value()) {
-    double hot_rows = fact.rows * ctx.hot_row_fraction;
-    cold_rows = fact.rows - hot_rows;
-    cost += model_->AggregationCost(ctx.layout.horizontal->hot_store, aggs,
-                                    grouped, filtered, hot_rows, 1.0,
-                                    selectivity);
-    cost += model_->UnionOverhead();
-  }
-  if (ctx.layout.vertical.has_value()) {
-    VerticalPieces pieces = SplitColumns(schema, *ctx.layout.vertical);
-    if (Covered(pieces.in_cs, needed)) {
-      cost += model_->AggregationCost(ctx.layout.base_store, aggs, grouped,
-                                      filtered, cold_rows, fact.compression,
-                                      selectivity, enc_scan);
-    } else if (Covered(pieces.in_rs, needed)) {
-      cost += model_->AggregationCost(StoreType::kRow, aggs, grouped,
-                                      filtered, cold_rows, 1.0, selectivity);
-    } else {
-      // Spanning: CS piece scan plus the PK-stitch penalty.
-      cost += model_->AggregationCost(ctx.layout.base_store, aggs, grouped,
-                                      filtered, cold_rows, fact.compression,
-                                      selectivity, enc_scan);
-      cost += model_->StitchCost(cold_rows);
+  // The hot group is priced uncompressed and without codec adjustments.
+  auto scan = [&](StoreType store, bool hot, double rows) {
+    const double compression = hot ? 1.0 : fact.compression;
+    const double enc = hot ? 1.0 : enc_scan;
+    if (dims.empty()) {
+      return model_->AggregationCost(store, aggs, grouped, filtered, rows,
+                                     compression, selectivity, enc);
     }
-  } else {
-    cost += model_->AggregationCost(ctx.layout.base_store, aggs, grouped,
-                                    filtered, cold_rows, fact.compression,
-                                    selectivity, enc_scan);
-  }
-  return cost;
+    return model_->JoinAggregationCost(store, aggs, grouped, filtered, rows,
+                                       compression, dims, selectivity, enc);
+  };
+  return ScanGroups(
+      pieces, ctx, fact.rows, model_->UnionOverhead(),
+      [&](const Group& group, double rows) {
+        if (const Piece* cover = pieces.Cover(group, needed)) {
+          return scan(cover->store, group.hot, rows);
+        }
+        // Spanning: base piece scan plus the PK-stitch penalty.
+        return scan(group.base().store, group.hot, rows) +
+               model_->StitchCost(rows);
+      });
 }
 
 double WorkloadCostEstimator::SelectQueryCost(
@@ -350,108 +278,72 @@ double WorkloadCostEstimator::SelectQueryCost(
   const Schema& schema = facts.table->schema();
   std::vector<const PredicateTerm*> terms = TermsForTable(q.predicate, 0);
   double selectivity = PredicateSelectivity(facts, terms);
-  bool rs_indexed = HasRowStoreIndex(facts, terms);
   LayoutContext ctx = layout_of(q.table);
+  const LayoutPieces pieces(ctx.layout, schema);
   size_t k = q.select_columns.size();
 
   // Primary-key point lookups take the hash-index fast path in both stores;
-  // their cost is reconstruction width, not scanning.
-  const bool pk_point =
-      schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0]);
-  if (pk_point) {
-    auto point_in = [&](StoreType store) {
-      return model_->PointSelectCost(store, k);
-    };
-    double cold;
-    if (ctx.layout.vertical.has_value()) {
-      VerticalPieces pieces = SplitColumns(schema, *ctx.layout.vertical);
-      std::vector<ColumnId> needed_cols = q.select_columns;
-      if (Covered(pieces.in_rs, needed_cols)) {
-        cold = point_in(StoreType::kRow);
-      } else if (Covered(pieces.in_cs, needed_cols)) {
-        cold = point_in(ctx.layout.base_store);
-      } else {
-        cold = point_in(StoreType::kRow) + point_in(ctx.layout.base_store);
-      }
-    } else {
-      cold = point_in(ctx.layout.base_store);
-    }
-    if (!ctx.layout.horizontal.has_value()) return cold;
-    double h = ctx.hot_access_fraction;
-    return h * point_in(ctx.layout.horizontal->hot_store) + (1.0 - h) * cold;
+  // their cost is reconstruction width, not scanning. A spanning lookup
+  // reconstructs from every piece of the group.
+  if (IsPkPointLookup(schema, q.predicate)) {
+    return WeighGroups(pieces, ctx, facts.rows, ctx.hot_access_fraction,
+                       [&](const Group& group, double) {
+                         if (const Piece* cover =
+                                 pieces.Cover(group, q.select_columns)) {
+                           return model_->PointSelectCost(cover->store, k);
+                         }
+                         double cost = 0.0;
+                         for (const Piece& piece : group) {
+                           cost += model_->PointSelectCost(piece.store, k);
+                         }
+                         return cost;
+                       });
   }
 
+  const bool rs_indexed = HasRowStoreIndex(facts, terms);
   std::vector<ColumnId> needed = q.select_columns;
   for (const PredicateTerm* term : terms) needed.push_back(term->column.column);
-  const double enc_scan = ScanEncodingMultiplier(facts, ctx, needed);
-
-  // Which piece(s) serve the select?
-  auto piece_cost = [&](StoreType store, double rows, bool spanning) {
-    double c = model_->SelectCost(store, k, selectivity,
-                                  store == StoreType::kRow ? rs_indexed
-                                                           : true,
-                                  rows, enc_scan);
-    if (spanning) c += model_->StitchCost(selectivity * rows + 1.0);
-    return c;
+  const double enc_scan = ScanEncodingMultiplier(facts, ctx, pieces, needed);
+  auto select_in = [&](StoreType store, double rows) {
+    return model_->SelectCost(store, k, selectivity,
+                              store == StoreType::kRow ? rs_indexed : true,
+                              rows, enc_scan);
   };
-
-  auto cold_cost = [&](double rows) {
-    if (!ctx.layout.vertical.has_value()) {
-      return piece_cost(ctx.layout.base_store, rows, false);
-    }
-    VerticalPieces pieces = SplitColumns(schema, *ctx.layout.vertical);
-    if (Covered(pieces.in_rs, needed)) {
-      return piece_cost(StoreType::kRow, rows, false);
-    }
-    if (Covered(pieces.in_cs, needed)) {
-      return piece_cost(ctx.layout.base_store, rows, false);
-    }
-    return piece_cost(ctx.layout.base_store, rows, true) +
-           model_->SelectCost(StoreType::kRow, k, selectivity, rs_indexed,
-                              rows);
-  };
-
-  if (!ctx.layout.horizontal.has_value()) return cold_cost(facts.rows);
-  double hot_rows = facts.rows * ctx.hot_row_fraction;
-  double cold_rows = facts.rows - hot_rows;
-  // Point-ish accesses hit the hot piece with hot_access_fraction; range
-  // scans over the whole table touch both pieces.
-  bool is_point = terms.size() == 1 && terms[0]->range.IsPoint() &&
-                  schema.primary_key().size() == 1 &&
-                  terms[0]->column.column == schema.primary_key()[0];
-  if (is_point) {
-    double h = ctx.hot_access_fraction;
-    return h * piece_cost(ctx.layout.horizontal->hot_store, hot_rows, false) +
-           (1.0 - h) * cold_cost(cold_rows);
-  }
-  return piece_cost(ctx.layout.horizontal->hot_store, hot_rows, false) +
-         cold_cost(cold_rows) + model_->UnionOverhead();
+  return ScanGroups(pieces, ctx, facts.rows, model_->UnionOverhead(),
+                    [&](const Group& group, double rows) {
+                      if (const Piece* cover = pieces.Cover(group, needed)) {
+                        return select_in(cover->store, rows);
+                      }
+                      // Spanning: every piece selects and the matches
+                      // stitch on the key.
+                      double cost =
+                          model_->StitchCost(selectivity * rows + 1.0);
+                      for (const Piece& piece : group) {
+                        cost += select_in(piece.store, rows);
+                      }
+                      return cost;
+                    });
 }
 
 double WorkloadCostEstimator::InsertQueryCost(
     const InsertQuery& q, const LayoutProvider& layout_of) const {
   TableFacts facts = FactsOf(q.table);
+  if (facts.table == nullptr) return 0.0;
   LayoutContext ctx = layout_of(q.table);
+  const LayoutPieces pieces(ctx.layout, facts.table->schema());
   // A column-store piece amortizes delta-merge re-encoding of every column
   // into its insert cost; the multiplier is 1 for row-store pieces.
-  const double reencode = InsertReencodeMultiplier(facts, ctx);
-
-  auto cold_cost = [&](double rows) {
-    if (!ctx.layout.vertical.has_value()) {
-      return model_->InsertCost(ctx.layout.base_store, rows, reencode);
-    }
-    // Vertical split: the tuple is written into both pieces.
-    return model_->InsertCost(StoreType::kRow, rows) +
-           model_->InsertCost(ctx.layout.base_store, rows, reencode);
-  };
-
-  if (!ctx.layout.horizontal.has_value()) return cold_cost(facts.rows);
-  double hot_rows = facts.rows * ctx.hot_row_fraction;
-  double h = ctx.hot_insert_fraction;
-  return h * model_->InsertCost(ctx.layout.horizontal->hot_store, hot_rows,
-                                reencode) +
-         (1.0 - h) * cold_cost(facts.rows - hot_rows);
+  const double reencode = InsertReencodeMultiplier(facts, ctx, pieces);
+  // The tuple is written into every piece of the group it routes to.
+  return WeighGroups(pieces, ctx, facts.rows, ctx.hot_insert_fraction,
+                     [&](const Group& group, double rows) {
+                       double cost = 0.0;
+                       for (const Piece& piece : group) {
+                         cost += model_->InsertCost(piece.store, rows,
+                                                    reencode);
+                       }
+                       return cost;
+                     });
 }
 
 double WorkloadCostEstimator::UpdateQueryCost(
@@ -463,23 +355,22 @@ double WorkloadCostEstimator::UpdateQueryCost(
   double selectivity = PredicateSelectivity(facts, terms);
   double affected = std::max(1.0, selectivity * facts.rows);
   LayoutContext ctx = layout_of(q.table);
+  const LayoutPieces pieces(ctx.layout, schema);
 
   // Updates that do not hit the primary key point-wise must first locate the
   // affected rows — a select-shaped cost the store pays before writing. This
   // is what makes e.g. "update all lines of one order" expensive on a
   // column-store piece without the hash-index fast path.
-  const bool pk_point =
-      schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0]);
+  const bool pk_point = IsPkPointLookup(schema, q.predicate);
   const bool rs_indexed = HasRowStoreIndex(facts, terms);
 
-  // Predicate columns decide which vertical piece performs the locate (and
-  // which encoded segments a column-store locate scans).
+  // Predicate columns decide which piece performs the locate (and which
+  // encoded segments a column-store locate scans).
   std::vector<ColumnId> pred_cols;
   for (const PredicateTerm* term : terms) {
     pred_cols.push_back(term->column.column);
   }
-  const double enc_scan = ScanEncodingMultiplier(facts, ctx, pred_cols);
+  const double enc_scan = ScanEncodingMultiplier(facts, ctx, pieces, pred_cols);
 
   auto locate_in = [&](StoreType store, double rows) {
     if (pk_point || rows <= 0.0) return 0.0;
@@ -488,52 +379,40 @@ double WorkloadCostEstimator::UpdateQueryCost(
         store == StoreType::kRow ? rs_indexed : true, rows, enc_scan);
   };
 
-  auto cold_cost = [&](double rows) {
-    if (!ctx.layout.vertical.has_value()) {
-      return locate_in(ctx.layout.base_store, rows) +
-             model_->UpdateCost(ctx.layout.base_store, q.set_columns.size(),
-                                affected, rows);
-    }
-    VerticalPieces pieces = SplitColumns(schema, *ctx.layout.vertical);
-    StoreType locate_store = Covered(pieces.in_rs, pred_cols)
-                                 ? StoreType::kRow
-                                 : ctx.layout.base_store;
-    size_t rs_cols = 0;
-    size_t cs_cols = 0;
-    for (ColumnId c : q.set_columns) {
-      if (c < pieces.in_rs.size() && pieces.in_rs[c] &&
-          !schema.IsPrimaryKeyColumn(c)) {
-        ++rs_cols;
-      } else {
-        ++cs_cols;
-      }
-    }
-    double cost = locate_in(locate_store, rows);
-    if (rs_cols > 0) {
-      cost += model_->UpdateCost(StoreType::kRow, rs_cols, affected, rows);
-    }
-    if (cs_cols > 0) {
-      cost += model_->UpdateCost(ctx.layout.base_store, cs_cols, affected,
-                                 rows);
-    }
-    return cost;
-  };
-
-  if (!ctx.layout.horizontal.has_value()) return cold_cost(facts.rows);
-  double hot_rows = facts.rows * ctx.hot_row_fraction;
-  double h = ctx.hot_access_fraction;
-  StoreType hot_store = ctx.layout.horizontal->hot_store;
-  return h * (locate_in(hot_store, hot_rows) +
-              model_->UpdateCost(hot_store, q.set_columns.size(), affected,
-                                 hot_rows)) +
-         (1.0 - h) * cold_cost(facts.rows - hot_rows);
+  return WeighGroups(
+      pieces, ctx, facts.rows, ctx.hot_access_fraction,
+      [&](const Group& group, double rows) {
+        // The covering piece locates; where none covers, the base piece.
+        const Piece* cover = pieces.Cover(group, pred_cols);
+        const Piece& base = group.base();
+        double cost = locate_in(cover != nullptr ? cover->store : base.store,
+                                rows);
+        if (group.size == 1) {
+          return cost + model_->UpdateCost(base.store, q.set_columns.size(),
+                                           affected, rows);
+        }
+        // A vertical split writes each SET column in the piece that alone
+        // holds it; the replicated key is charged to the base piece.
+        const Piece& rs = group.pieces[0];
+        size_t rs_cols = 0;
+        for (ColumnId c : q.set_columns) {
+          if (pieces.Holds(rs, c) && !pieces.Holds(base, c)) ++rs_cols;
+        }
+        const size_t base_cols = q.set_columns.size() - rs_cols;
+        if (rs_cols > 0) {
+          cost += model_->UpdateCost(rs.store, rs_cols, affected, rows);
+        }
+        if (base_cols > 0) {
+          cost += model_->UpdateCost(base.store, base_cols, affected, rows);
+        }
+        return cost;
+      });
 }
 
 double WorkloadCostEstimator::DeleteQueryCost(
     const DeleteQuery& q, const LayoutProvider& layout_of) const {
   TableFacts facts = FactsOf(q.table);
   if (facts.table == nullptr) return 0.0;
-  const Schema& schema = facts.table->schema();
   std::vector<const PredicateTerm*> terms = TermsForTable(q.predicate, 0);
   double selectivity = PredicateSelectivity(facts, terms);
   double affected = std::max(1.0, selectivity * facts.rows);
@@ -542,11 +421,8 @@ double WorkloadCostEstimator::DeleteQueryCost(
   if (ctx.layout.horizontal.has_value() && ctx.hot_access_fraction > 0.5) {
     store = ctx.layout.horizontal->hot_store;
   }
-  const bool pk_point =
-      schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(q.predicate, schema.primary_key()[0]);
   double locate = 0.0;
-  if (!pk_point) {
+  if (!IsPkPointLookup(facts.table->schema(), q.predicate)) {
     locate = model_->SelectCost(
         store, 1, selectivity,
         store == StoreType::kRow ? HasRowStoreIndex(facts, terms) : true,
@@ -563,24 +439,6 @@ double WorkloadCostEstimator::WorkloadCost(
     total += wq.weight * QueryCost(wq.query, layout_of);
   }
   return total;
-}
-
-double WorkloadCostEstimator::WorkloadCostSingleStore(
-    const std::vector<WeightedQuery>& workload, StoreType store) const {
-  return WorkloadCost(workload, [store](const std::string&) {
-    return LayoutContext::SingleStore(store);
-  });
-}
-
-double WorkloadCostEstimator::WorkloadCostAssignment(
-    const std::vector<WeightedQuery>& workload,
-    const std::map<std::string, StoreType>& assignment,
-    StoreType fallback) const {
-  return WorkloadCost(workload, [&](const std::string& name) {
-    auto it = assignment.find(name);
-    return LayoutContext::SingleStore(it == assignment.end() ? fallback
-                                                             : it->second);
-  });
 }
 
 LayoutContext CurrentLayoutContext(const LogicalTable& table,
@@ -614,8 +472,9 @@ bool EncodingsDiffer(const Schema& schema, const LayoutContext& ctx,
       stats->columns.size() != schema.num_columns()) {
     return false;
   }
+  const LayoutPieces pieces(ctx.layout, schema);
   for (ColumnId c = 0; c < schema.num_columns(); ++c) {
-    if (ColumnInColumnStorePiece(ctx.layout, schema, c) &&
+    if (ColumnInColumnStorePiece(pieces, c) &&
         ctx.encodings[c] != stats->column(c).encoding) {
       return true;
     }

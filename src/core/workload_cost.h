@@ -1,12 +1,18 @@
 // WorkloadCostEstimator: maps concrete queries + catalog statistics + a
 // candidate physical layout to estimated execution cost, using the cost
 // model. This is the bridge between the paper's formulas (§3) and the
-// advisor's search (§3.1 table level, §3.2 partitioning).
+// advisor's search (§3.1 table level, §3.2 partitioning). A query on a
+// partitioned table costs what it costs on the row groups it touches plus
+// the union or stitch overhead: the estimator walks the layout's
+// `LayoutPieces`, the description `LogicalTable` builds its fragments from,
+// and prices each group's read on the piece `readpath::Bind` serves it from
+// (the first that holds every column the read binds), or as a stitch where
+// no piece does.
 #ifndef HSDB_CORE_WORKLOAD_COST_H_
 #define HSDB_CORE_WORKLOAD_COST_H_
 
 #include <functional>
-#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,43 +110,38 @@ class WorkloadCostEstimator {
   double WorkloadCost(const std::vector<WeightedQuery>& workload,
                       const LayoutProvider& layout_of) const;
 
-  /// Convenience: every table in one store, unpartitioned.
-  double WorkloadCostSingleStore(const std::vector<WeightedQuery>& workload,
-                                 StoreType store) const;
-
-  /// Convenience: unpartitioned per-table store assignment (absent tables
-  /// default to `fallback`).
-  double WorkloadCostAssignment(
-      const std::vector<WeightedQuery>& workload,
-      const std::map<std::string, StoreType>& assignment,
-      StoreType fallback = StoreType::kRow) const;
-
  private:
   struct TableFacts {
     double rows = 0.0;
     double compression = 0.5;
-    /// Mean per-encoding scan multiplier over the table's columns when it
-    /// is (or would be) column-resident; 1.0 without statistics.
-    double encoding_scan = 1.0;
     const TableStatistics* stats = nullptr;  // may be null
     const LogicalTable* table = nullptr;     // may be null
   };
   TableFacts FactsOf(const std::string& name) const;
 
+  /// Codec of column `col` where a column-store piece holds it: the
+  /// layout's candidate assignment first, the statistics' picker choice
+  /// second; nullopt when no column-store piece holds it or neither names
+  /// one.
+  static std::optional<Encoding> CodecOf(const TableFacts& facts,
+                                         const LayoutContext& ctx,
+                                         const LayoutPieces& pieces,
+                                         ColumnId col);
+
   /// Scan multiplier of a column-store piece for a query touching `needed`
-  /// columns: mean per-encoding multiplier over those columns, using the
-  /// layout's candidate encodings when set and the statistics' encodings
-  /// otherwise. Falls back to the table-wide mean (facts.encoding_scan)
-  /// when neither names per-column codecs or `needed` is empty.
+  /// columns: mean per-encoding multiplier over their codecs, over every
+  /// column's codec when none of them has one, and 1 when no column does.
   double ScanEncodingMultiplier(const TableFacts& facts,
                                 const LayoutContext& ctx,
+                                const LayoutPieces& pieces,
                                 const std::vector<ColumnId>& needed) const;
 
   /// Delta-merge re-encode multiplier of an insert into a column-store
-  /// piece: mean re-encode multiplier over all columns (a merge re-encodes
+  /// piece: mean re-encode multiplier over every codec (a merge re-encodes
   /// every segment).
   double InsertReencodeMultiplier(const TableFacts& facts,
-                                  const LayoutContext& ctx) const;
+                                  const LayoutContext& ctx,
+                                  const LayoutPieces& pieces) const;
 
   double PredicateSelectivity(const TableFacts& facts,
                               const std::vector<const PredicateTerm*>& terms)

@@ -146,4 +146,9 @@ bool IsPointPredicateOn(const Predicate& predicate, ColumnId pk_column) {
          predicate[0].range.IsPoint();
 }
 
+bool IsPkPointLookup(const Schema& schema, const Predicate& predicate) {
+  return schema.primary_key().size() == 1 &&
+         IsPointPredicateOn(predicate, schema.primary_key()[0]);
+}
+
 }  // namespace hsdb

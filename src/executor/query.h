@@ -125,8 +125,13 @@ std::vector<const PredicateTerm*> TermsForTable(const Predicate& predicate,
                                                 int table_index);
 
 /// True when the predicate consists of exactly one equality term on
-/// `pk_column` (the executor's point fast path).
+/// `pk_column`.
 bool IsPointPredicateOn(const Predicate& predicate, ColumnId pk_column);
+
+/// True when a statement with this predicate takes the primary-key point
+/// path: the table has a single-column key and the predicate is exactly one
+/// equality term on it. The binder and the cost model both decide by it.
+bool IsPkPointLookup(const Schema& schema, const Predicate& predicate);
 
 }  // namespace hsdb
 

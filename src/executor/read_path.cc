@@ -265,8 +265,7 @@ Result<ReadPlan> Bind(const Catalog& catalog, const Query& query) {
   const bool read =
       kind == QueryKind::kSelect || kind == QueryKind::kAggregation;
   // The point fast path is sub-linear. Aggregations never take it.
-  if (kind != QueryKind::kAggregation && schema.primary_key().size() == 1 &&
-      IsPointPredicateOn(*predicate, schema.primary_key()[0])) {
+  if (kind != QueryKind::kAggregation && IsPkPointLookup(schema, *predicate)) {
     plan.path = AccessPath::kPointPk;
     return plan;
   }

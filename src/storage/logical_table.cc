@@ -1,6 +1,5 @@
 #include "storage/logical_table.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace hsdb {
@@ -42,49 +41,20 @@ Result<std::unique_ptr<LogicalTable>> LogicalTable::Create(
   auto table = std::unique_ptr<LogicalTable>(new LogicalTable(
       std::move(name), std::move(schema), std::move(layout), options));
   const Schema& s = table->schema_;
-  const TableLayout& l = table->layout_;
 
-  // All logical columns in schema order.
-  std::vector<ColumnId> all_columns(s.num_columns());
-  for (ColumnId c = 0; c < s.num_columns(); ++c) all_columns[c] = c;
-
-  // Hot group: full-width rows in the hot store.
-  if (l.horizontal.has_value()) {
-    RowGroup hot;
-    hot.hot = true;
-    hot.fragments.push_back(
-        table->MakeFragment(all_columns, l.horizontal->hot_store));
-    table->groups_.push_back(std::move(hot));
-  }
-
-  // Cold group: either one full-width fragment or a vertical split.
-  RowGroup cold;
-  cold.hot = false;
-  if (l.vertical.has_value()) {
-    std::vector<ColumnId> rs_cols;
-    std::vector<ColumnId> other_cols;
-    for (ColumnId c = 0; c < s.num_columns(); ++c) {
-      bool in_rs = std::find(l.vertical->row_store_columns.begin(),
-                             l.vertical->row_store_columns.end(),
-                             c) != l.vertical->row_store_columns.end();
-      if (s.IsPrimaryKeyColumn(c)) {
-        rs_cols.push_back(c);  // key replicated into both pieces
-        other_cols.push_back(c);
-      } else if (in_rs) {
-        rs_cols.push_back(c);
-      } else {
-        other_cols.push_back(c);
+  // One fragment per piece of the layout's description.
+  const LayoutPieces pieces(table->layout_, s);
+  for (const LayoutPieces::Group& g : pieces) {
+    RowGroup& group = table->groups_.emplace_back();
+    group.hot = g.hot;
+    for (const LayoutPieces::Piece& piece : g) {
+      std::vector<ColumnId> columns;
+      for (ColumnId c = 0; c < s.num_columns(); ++c) {
+        if (pieces.Holds(piece, c)) columns.push_back(c);
       }
+      group.fragments.push_back(table->MakeFragment(columns, piece.store));
     }
-    cold.fragments.push_back(
-        table->MakeFragment(rs_cols, StoreType::kRow));
-    cold.fragments.push_back(
-        table->MakeFragment(other_cols, l.base_store));
-  } else {
-    cold.fragments.push_back(
-        table->MakeFragment(all_columns, l.base_store));
   }
-  table->groups_.push_back(std::move(cold));
   return table;
 }
 

@@ -76,16 +76,46 @@ bool HasColumnStorePiece(const TableLayout& layout) {
          layout.horizontal->hot_store == StoreType::kColumn;
 }
 
-bool ColumnInColumnStorePiece(const TableLayout& layout, const Schema& schema,
-                              ColumnId col) {
-  if (!HasColumnStorePiece(layout)) return false;
-  // The replicated primary key stays encoded in the base piece even when a
-  // vertical split sends it to the row-store piece as well.
-  if (!layout.vertical.has_value() || schema.IsPrimaryKeyColumn(col)) {
+LayoutPieces::LayoutPieces(const TableLayout& layout, const Schema& schema)
+    : layout_(&layout), schema_(&schema) {
+  if (layout.horizontal.has_value()) {
+    Group& hot = groups_[num_groups_++];
+    hot.hot = true;
+    hot.pieces[hot.size++] = {layout.horizontal->hot_store, Columns::kAll};
+  }
+  Group& cold = groups_[num_groups_++];
+  if (layout.vertical.has_value()) {
+    cold.pieces[cold.size++] = {StoreType::kRow, Columns::kRowStoreSide};
+    cold.pieces[cold.size++] = {layout.base_store, Columns::kBaseSide};
+  } else {
+    cold.pieces[cold.size++] = {layout.base_store, Columns::kAll};
+  }
+}
+
+bool LayoutPieces::Holds(const Piece& piece, ColumnId col) const {
+  if (col >= schema_->num_columns()) return false;
+  if (piece.columns == Columns::kAll || schema_->IsPrimaryKeyColumn(col)) {
     return true;
   }
-  const std::vector<ColumnId>& rs = layout.vertical->row_store_columns;
-  return std::find(rs.begin(), rs.end(), col) == rs.end();
+  const std::vector<ColumnId>& rs = layout_->vertical->row_store_columns;
+  const bool in_rs = std::find(rs.begin(), rs.end(), col) != rs.end();
+  return in_rs == (piece.columns == Columns::kRowStoreSide);
+}
+
+const LayoutPieces::Piece* LayoutPieces::Cover(
+    const Group& group, const std::vector<ColumnId>& columns) const {
+  for (const Piece& piece : group) {
+    if (std::all_of(columns.begin(), columns.end(),
+                    [&](ColumnId col) { return Holds(piece, col); })) {
+      return &piece;
+    }
+  }
+  return nullptr;
+}
+
+bool ColumnInColumnStorePiece(const LayoutPieces& pieces, ColumnId col) {
+  const LayoutPieces::Group& cold = *(pieces.end() - 1);
+  return HasColumnStorePiece(pieces.layout()) && pieces.Holds(cold.base(), col);
 }
 
 }  // namespace hsdb

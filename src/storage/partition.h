@@ -1,7 +1,10 @@
 // Store-aware partitioning layouts (paper §3.2): a table may be split
 // horizontally (hot/new rows vs. cold/historic rows), vertically (OLTP
 // attributes vs. OLAP attributes), or both at once. The layout is the unit
-// the storage advisor recommends and the catalog annotates.
+// the storage advisor recommends and the catalog annotates. `LayoutPieces`
+// is its one description as row groups and pieces: `LogicalTable` builds a
+// fragment per piece, and the cost model walks the same pieces to price a
+// query on the partitions it touches.
 #ifndef HSDB_STORAGE_PARTITION_H_
 #define HSDB_STORAGE_PARTITION_H_
 
@@ -82,11 +85,62 @@ struct TableLayout {
 /// machinery applies to).
 bool HasColumnStorePiece(const TableLayout& layout);
 
-/// True when logical column `col` of a table with this layout lands in a
-/// column-store piece (and is therefore encoded): false only for the
-/// non-key columns a vertical split sends to the row store.
-bool ColumnInColumnStorePiece(const TableLayout& layout, const Schema& schema,
-                              ColumnId col);
+/// The row groups a layout splits a table into and the pieces (vertical
+/// fragments) of each, in the order `LogicalTable::Create` builds them:
+/// - the hot group, when there is a horizontal split, holds whole rows in
+///   the hot store;
+/// - the cold group holds the vertical split's row-store piece and then its
+///   base piece, or else one whole-row piece in the base store.
+/// Both pieces of a vertical split hold the primary key. The description
+/// refers to the layout and schema it was built from (both must outlive it)
+/// and allocates nothing: at most 2 groups of at most 2 pieces.
+class LayoutPieces {
+ public:
+  /// Which logical columns a piece holds.
+  enum class Columns : uint8_t { kAll, kRowStoreSide, kBaseSide };
+  struct Piece {
+    StoreType store = StoreType::kRow;
+    Columns columns = Columns::kAll;
+  };
+  struct Group {
+    bool hot = false;
+    size_t size = 0;
+    Piece pieces[2];
+
+    const Piece* begin() const { return pieces; }
+    const Piece* end() const { return pieces + size; }
+    /// The last piece: the base store's, which spanning reads scan and the
+    /// other piece stitches to.
+    const Piece& base() const { return pieces[size - 1]; }
+  };
+
+  LayoutPieces(const TableLayout& layout, const Schema& schema);
+
+  const Group* begin() const { return groups_; }
+  const Group* end() const { return groups_ + num_groups_; }
+  size_t num_groups() const { return num_groups_; }
+  const TableLayout& layout() const { return *layout_; }
+
+  /// True when `piece` stores logical column `col`.
+  bool Holds(const Piece& piece, ColumnId col) const;
+  /// The first piece of `group` that holds every column in `columns` (the
+  /// fragment a read of them is served from), or nullptr when the columns
+  /// span the group's pieces and the read must stitch.
+  const Piece* Cover(const Group& group,
+                     const std::vector<ColumnId>& columns) const;
+
+ private:
+  const TableLayout* layout_;
+  const Schema* schema_;
+  Group groups_[2];
+  size_t num_groups_ = 0;
+};
+
+/// True when logical column `col` of a layout with a column-store piece is
+/// encoded: when the cold group's base piece holds it. False for every
+/// column of a row-store layout and for the non-key columns a vertical split
+/// sends to the row store (also where a column-store hot group holds them).
+bool ColumnInColumnStorePiece(const LayoutPieces& pieces, ColumnId col);
 
 }  // namespace hsdb
 

@@ -11,9 +11,7 @@ constexpr size_t kUpdateHistogramBuckets = 128;
 
 bool PointKeyOf(const Predicate& predicate, const Schema& schema,
                 int64_t* key) {
-  if (schema.primary_key().size() != 1) return false;
-  ColumnId pk = schema.primary_key()[0];
-  if (!IsPointPredicateOn(predicate, pk)) return false;
+  if (!IsPkPointLookup(schema, predicate)) return false;
   const Value& v = *predicate[0].range.lo;
   if (!IsNumeric(v.type())) return false;
   *key = static_cast<int64_t>(v.AsNumeric());
@@ -108,12 +106,8 @@ void WorkloadStatistics::Record(const Query& query, const Catalog& catalog) {
           TableWorkloadStats& t = TableEntry(q.table, catalog);
           ++t.queries;
           const LogicalTable* table = catalog.GetTable(q.table);
-          bool is_point = false;
-          if (table != nullptr &&
-              table->schema().primary_key().size() == 1) {
-            is_point = IsPointPredicateOn(
-                q.predicate, table->schema().primary_key()[0]);
-          }
+          const bool is_point =
+              table != nullptr && IsPkPointLookup(table->schema(), q.predicate);
           if (is_point) {
             ++t.point_selects;
           } else {

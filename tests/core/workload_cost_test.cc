@@ -2,13 +2,31 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "executor/database.h"
 #include "workload/generator.h"
 
 namespace hsdb {
 namespace {
+
+/// Every table in `store`, unpartitioned.
+LayoutProvider AllIn(StoreType store) {
+  return [store](const std::string&) {
+    return LayoutContext::SingleStore(store);
+  };
+}
+
+/// Each table in the store `stores` names, unpartitioned.
+LayoutProvider Assigned(std::map<std::string, StoreType> stores) {
+  return [stores = std::move(stores)](const std::string& name) {
+    return LayoutContext::SingleStore(stores.at(name));
+  };
+}
 
 class WorkloadCostTest : public ::testing::Test {
  protected:
@@ -37,8 +55,8 @@ TEST_F(WorkloadCostTest, OltpCheaperOnRowStore) {
   WorkloadCostEstimator est(&model_, &db_.catalog());
   SyntheticWorkloadGenerator gen(spec_, 5000, OltpOnly());
   auto workload = ToWeighted(gen.Generate(200));
-  double rs = est.WorkloadCostSingleStore(workload, StoreType::kRow);
-  double cs = est.WorkloadCostSingleStore(workload, StoreType::kColumn);
+  double rs = est.WorkloadCost(workload, AllIn(StoreType::kRow));
+  double cs = est.WorkloadCost(workload, AllIn(StoreType::kColumn));
   EXPECT_LT(rs, cs);
 }
 
@@ -48,8 +66,8 @@ TEST_F(WorkloadCostTest, OlapCheaperOnColumnStore) {
   o.olap_fraction = 1.0;
   SyntheticWorkloadGenerator gen(spec_, 5000, o);
   auto workload = ToWeighted(gen.Generate(50));
-  double rs = est.WorkloadCostSingleStore(workload, StoreType::kRow);
-  double cs = est.WorkloadCostSingleStore(workload, StoreType::kColumn);
+  double rs = est.WorkloadCost(workload, AllIn(StoreType::kRow));
+  double cs = est.WorkloadCost(workload, AllIn(StoreType::kColumn));
   EXPECT_LT(cs, rs);
 }
 
@@ -60,8 +78,8 @@ TEST_F(WorkloadCostTest, WeightsScaleLinearly) {
   q.aggregates = {{AggFn::kSum, {spec_.keyfigure(0), 0}}};
   std::vector<WeightedQuery> once = {{Query(q), 1.0}};
   std::vector<WeightedQuery> thrice = {{Query(q), 3.0}};
-  double c1 = est.WorkloadCostSingleStore(once, StoreType::kColumn);
-  double c3 = est.WorkloadCostSingleStore(thrice, StoreType::kColumn);
+  double c1 = est.WorkloadCost(once, AllIn(StoreType::kColumn));
+  double c3 = est.WorkloadCost(thrice, AllIn(StoreType::kColumn));
   EXPECT_NEAR(c3, 3.0 * c1, 1e-9);
 }
 
@@ -101,8 +119,8 @@ TEST_F(WorkloadCostTest, VerticalLayoutHelpsColumnwiseSplitUsage) {
     a.aggregates = {{AggFn::kSum, {spec_.keyfigure(0), 0}}};
     workload.push_back({Query(a), 10.0});
   }
-  double rs = est.WorkloadCostSingleStore(workload, StoreType::kRow);
-  double cs = est.WorkloadCostSingleStore(workload, StoreType::kColumn);
+  double rs = est.WorkloadCost(workload, AllIn(StoreType::kRow));
+  double cs = est.WorkloadCost(workload, AllIn(StoreType::kColumn));
 
   LayoutContext vertical;
   vertical.layout.base_store = StoreType::kColumn;
@@ -187,9 +205,9 @@ TEST_F(WorkloadCostTest, JoinCostDependsOnBothStores) {
   std::map<std::string, StoreType> cc = {{"fact", StoreType::kColumn},
                                          {"dim", StoreType::kColumn}};
   std::vector<WeightedQuery> w = {{Query(q), 1.0}};
-  double c_rr = est.WorkloadCostAssignment(w, rr);
-  double c_cr = est.WorkloadCostAssignment(w, cr);
-  double c_cc = est.WorkloadCostAssignment(w, cc);
+  double c_rr = est.WorkloadCost(w, Assigned(rr));
+  double c_cr = est.WorkloadCost(w, Assigned(cr));
+  double c_cc = est.WorkloadCost(w, Assigned(cc));
   EXPECT_NE(c_rr, c_cr);
   EXPECT_NE(c_cr, c_cc);
 }
@@ -296,6 +314,93 @@ TEST_F(WorkloadCostTest, NegativeInterceptsNeverMakeAQueryNegative) {
       EXPECT_GE(cost, 0.0) << query_name << " on " << layout_name;
     }
   }
+}
+
+TEST_F(WorkloadCostTest, KeyOnlyAggregationOnVerticalSplitScansRowPiece) {
+  // Both pieces of a vertical split hold the key; the engine serves a read
+  // of key columns only from the first, the row-store piece.
+  WorkloadCostEstimator est(&model_, &db_.catalog());
+  LayoutContext split;
+  split.layout.base_store = StoreType::kColumn;
+  split.layout.vertical = VerticalSpec{{spec_.filter(0)}};
+  AggregationQuery count;
+  count.tables = {"t"};
+  count.aggregates = {{AggFn::kCount, {}}};
+  AggregationQuery count_range = count;
+  count_range.predicate = {{{spec_.id_column(), 0},
+                            ValueRange::AtMost(Value(int64_t{2500}))}};
+  for (const AggregationQuery& q : {count, count_range}) {
+    EXPECT_DOUBLE_EQ(
+        est.QueryCost(Query(q), [&](const std::string&) { return split; }),
+        est.QueryCost(Query(q), AllIn(StoreType::kRow)));
+  }
+}
+
+TEST_F(WorkloadCostTest, StarJoinSpanningFactSplitPaysStitch) {
+  StarSchemaSpec star;
+  ASSERT_TRUE(db_.CreateTable("fact", star.MakeFactSchema(),
+                              TableLayout::SingleStore(StoreType::kRow))
+                  .ok());
+  ASSERT_TRUE(db_.CreateTable("dim", star.MakeDimSchema(),
+                              TableLayout::SingleStore(StoreType::kRow))
+                  .ok());
+  ASSERT_TRUE(PopulateStarSchema(db_.catalog().GetTable("fact"),
+                                 db_.catalog().GetTable("dim"), star, 2000)
+                  .ok());
+  db_.catalog().UpdateAllStatistics();
+  WorkloadCostEstimator est(&model_, &db_.catalog());
+  AggregationQuery q;
+  q.tables = {"fact", "dim"};
+  q.joins = {{0, star.fact_dim_fk(), 1, star.dim_id()}};
+  q.aggregates = {{AggFn::kSum, {star.fact_keyfigure(0), 0}}};
+
+  // The join reads the key and a keyfigure: a split that sends the key to
+  // the row store spans them, one that sends a filter there does not. One
+  // codec throughout keeps the scan multiplier out of the comparison.
+  auto split_off = [&](ColumnId col) {
+    LayoutContext ctx;
+    ctx.layout.base_store = StoreType::kColumn;
+    ctx.layout.vertical = VerticalSpec{{col}};
+    ctx.encodings.assign(star.MakeFactSchema().num_columns(),
+                         Encoding::kDictionary);
+    return [ctx](const std::string& name) {
+      return name == "fact" ? ctx
+                            : LayoutContext::SingleStore(StoreType::kColumn);
+    };
+  };
+  const double spanning =
+      est.QueryCost(Query(q), split_off(star.fact_dim_fk()));
+  const double covered =
+      est.QueryCost(Query(q), split_off(star.fact_filter(0)));
+  const double rows =
+      static_cast<double>(db_.catalog().GetStatistics("fact")->row_count);
+  EXPECT_GT(spanning, covered);
+  EXPECT_NEAR(spanning, covered + model_.StitchCost(rows), 1e-9);
+}
+
+TEST_F(WorkloadCostTest, PkPointInsideMultiTermPredicateIsPricedAsScan) {
+  // Only a predicate that is exactly the key point takes the hash-index
+  // path; with a second term the row store scans.
+  WorkloadCostEstimator est(&model_, &db_.catalog());
+  SelectQuery s;
+  s.table = "t";
+  s.select_columns = {spec_.keyfigure(1)};
+  s.predicate = {
+      {{spec_.id_column(), 0}, ValueRange::Eq(Value(int64_t{10}))},
+      {{spec_.keyfigure(0), 0}, ValueRange::AtMost(Value(5000.0))}};
+  const TableStatistics* stats = db_.catalog().GetStatistics("t");
+  ASSERT_NE(stats, nullptr);
+  double selectivity = 1.0;
+  for (const PredicateTerm& term : s.predicate) {
+    selectivity *= stats->EstimateSelectivity(term.column.column, term.range);
+  }
+  selectivity = std::clamp(selectivity, 0.0, 1.0);
+  const double rows = static_cast<double>(stats->row_count);
+  const double cost = est.QueryCost(Query(s), AllIn(StoreType::kRow));
+  EXPECT_DOUBLE_EQ(cost, model_.SelectCost(StoreType::kRow, 1, selectivity,
+                                           /*indexed=*/false, rows));
+  EXPECT_NE(cost, model_.SelectCost(StoreType::kRow, 1, selectivity,
+                                    /*indexed=*/true, rows));
 }
 
 TEST_F(WorkloadCostTest, UnknownTableCostsZero) {

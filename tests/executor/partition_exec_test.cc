@@ -6,6 +6,7 @@
 #include <map>
 
 #include "executor/database.h"
+#include "executor/read_path.h"
 
 namespace hsdb {
 namespace {
@@ -261,6 +262,81 @@ TEST(PartitionRoutingTest, HorizontalInsertGoesToHotPiece) {
   LogicalTable* t = db.catalog().GetTable("orders");
   EXPECT_EQ(t->groups()[0].fragments[0].table->live_count(), 1u);  // hot
   EXPECT_EQ(t->groups()[1].fragments[0].table->live_count(), 1u);  // cold
+}
+
+// The layout description is what runs: LogicalTable builds one fragment per
+// piece (store, columns, order), and the description's cover of a read is
+// the fragment Bind serves it from, or none exactly where Bind stitches.
+TEST(LayoutPiecesTest, DescriptionMatchesFragmentsAndBind) {
+  TableLayout h;
+  h.base_store = StoreType::kColumn;
+  h.horizontal = HorizontalSpec{0, 700.0, StoreType::kRow};
+  TableLayout v_rs;
+  v_rs.base_store = StoreType::kRow;
+  v_rs.vertical = VerticalSpec{{1, 3}};
+  TableLayout v_cs = v_rs;
+  v_cs.base_store = StoreType::kColumn;
+  const std::vector<NamedLayout> layouts = {
+      {"rs", TableLayout::SingleStore(StoreType::kRow)},
+      {"cs", TableLayout::SingleStore(StoreType::kColumn)},
+      {"h", h},
+      {"v_rs", v_rs},
+      {"v_cs", v_cs},
+      {"hv", CombinedLayout()}};
+  const std::vector<std::vector<ColumnId>> reads = {
+      {0},        // key only
+      {1, 3},     // the row-store side of the split
+      {2, 4},     // the base side
+      {1, 2, 4},  // spanning
+  };
+  for (const NamedLayout& nl : layouts) {
+    SCOPED_TRACE(nl.name);
+    Database db;
+    ASSERT_TRUE(db.CreateTable("orders", OrdersSchema(), nl.layout).ok());
+    for (int64_t id = 0; id < 1000; id += 7) {
+      ASSERT_TRUE(
+          db.Execute(Query(InsertQuery{"orders", OrderRow(id)})).ok());
+    }
+    const LogicalTable& table = *db.catalog().GetTable("orders");
+    const LayoutPieces pieces(table.layout(), table.schema());
+    ASSERT_EQ(pieces.num_groups(), table.groups().size());
+    for (size_t g = 0; g < pieces.num_groups(); ++g) {
+      const LayoutPieces::Group& group = pieces.begin()[g];
+      const RowGroup& built = table.groups()[g];
+      EXPECT_EQ(group.hot, built.hot);
+      ASSERT_EQ(group.size, built.fragments.size());
+      for (size_t p = 0; p < group.size; ++p) {
+        std::vector<ColumnId> held;
+        for (ColumnId c = 0; c < table.schema().num_columns(); ++c) {
+          if (pieces.Holds(group.pieces[p], c)) held.push_back(c);
+        }
+        EXPECT_EQ(held, built.fragments[p].columns);
+        EXPECT_EQ(group.pieces[p].store, built.fragments[p].table->store());
+      }
+    }
+    for (const std::vector<ColumnId>& columns : reads) {
+      SelectQuery q;
+      q.table = "orders";
+      q.select_columns = columns;
+      Result<readpath::ReadPlan> plan =
+          readpath::Bind(db.catalog(), Query(q));
+      ASSERT_TRUE(plan.ok());
+      ASSERT_EQ(plan->groups.size(), pieces.num_groups());
+      for (size_t g = 0; g < pieces.num_groups(); ++g) {
+        const LayoutPieces::Group& group = pieces.begin()[g];
+        const LayoutPieces::Piece* cover = pieces.Cover(group, columns);
+        const readpath::GroupPlan& bound = plan->groups[g];
+        if (cover == nullptr) {
+          EXPECT_EQ(bound.cover, nullptr);
+          EXPECT_EQ(bound.path, readpath::AccessPath::kStitch);
+        } else {
+          EXPECT_EQ(bound.cover,
+                    &table.groups()[g].fragments[cover - group.begin()]);
+          EXPECT_NE(bound.path, readpath::AccessPath::kStitch);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
