@@ -1,4 +1,5 @@
-// Shared harness utilities for the per-figure benchmarks.
+// Shared utilities of the figure benchmarks: paper_figures and the sweep
+// and gate binaries (fig_joint_budget, fig_drift_adapt, ...).
 //
 // Scale: every experiment reproduces the paper's setup at a configurable
 // scale (HSDB_BENCH_SCALE, default 0.05 -> the paper's 10M-row table becomes

@@ -404,10 +404,7 @@ Result<Recommendation> StorageAdvisor::Recommend(
     const LogicalTable* table = db_->catalog().GetTable(name);
     if (table == nullptr) continue;
     const TableStatistics* stats = db_->catalog().GetStatistics(name);
-    if (table->layout() == ctx.layout &&
-        !EncodingsDiffer(table->schema(), ctx, stats)) {
-      continue;
-    }
+    if (!DesignChanges(*table, ctx, stats)) continue;
     rec.ddl.push_back(LayoutDdl(name, ctx, table->schema(), stats,
                                 options_.encoding.memory_budget_bytes));
   }
@@ -449,9 +446,7 @@ Status StorageAdvisor::Apply(const Recommendation& recommendation) {
     // rematerialized just to pin the codecs they already use.
     const LogicalTable* table = db_->catalog().GetTable(name);
     if (table == nullptr) continue;
-    if (table->layout() == ctx.layout &&
-        !EncodingsDiffer(table->schema(), ctx,
-                         db_->catalog().GetStatistics(name))) {
+    if (!DesignChanges(*table, ctx, db_->catalog().GetStatistics(name))) {
       continue;
     }
     // The searched per-column codecs are applied with the layout: the

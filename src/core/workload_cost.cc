@@ -466,8 +466,10 @@ LayoutContext CurrentLayoutContext(const LogicalTable& table,
   return ctx;
 }
 
-bool EncodingsDiffer(const Schema& schema, const LayoutContext& ctx,
-                     const TableStatistics* stats) {
+bool DesignChanges(const LogicalTable& table, const LayoutContext& ctx,
+                   const TableStatistics* stats) {
+  if (!(table.layout() == ctx.layout)) return true;
+  const Schema& schema = table.schema();
   if (ctx.encodings.size() != schema.num_columns() || stats == nullptr ||
       stats->columns.size() != schema.num_columns()) {
     return false;

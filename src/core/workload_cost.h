@@ -91,12 +91,14 @@ double EncodedRowFraction(const LayoutContext& ctx, const Schema& schema,
 LayoutContext CurrentLayoutContext(const LogicalTable& table,
                                    const TableStatistics* stats);
 
-/// True when the context's per-column codecs deviate from what the catalog
-/// statistics carry (the store's current codecs for column-resident tables,
-/// the picker's choice for hypothetical moves) on any column of a
-/// column-store piece — i.e. when applying the context would re-encode.
-bool EncodingsDiffer(const Schema& schema, const LayoutContext& ctx,
-                     const TableStatistics* stats);
+/// True when applying `ctx` changes `table`: its layout differs, or its
+/// per-column codecs deviate from what the catalog statistics carry (the
+/// store's current codecs for column-resident tables, the picker's choice
+/// for hypothetical moves) on any column of a column-store piece, so
+/// applying it would re-encode. The advisor's DDL, `Apply` and the
+/// migration planner act on exactly these tables.
+bool DesignChanges(const LogicalTable& table, const LayoutContext& ctx,
+                   const TableStatistics* stats);
 
 class WorkloadCostEstimator {
  public:

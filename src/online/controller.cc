@@ -50,7 +50,6 @@ AdaptationController::AdaptationController(StorageAdvisor* advisor,
     : advisor_(advisor),
       db_(db),
       options_(options),
-      detector_(options.drift),
       executor_(db, &advisor->cost_model()) {}
 
 AdaptationController::~AdaptationController() { Stop(); }
@@ -92,8 +91,7 @@ AdaptationLogEntry AdaptationController::TickLocked() {
     // judging new drift: the window keeps describing a system in motion,
     // so re-solving on it would chase a moving target.
     MigrationExecutor::Progress progress =
-        executor_.ExecuteSteps(&*migration_, options_.migration_steps_per_tick,
-                               options_.migration_budget_ms);
+        executor_.ExecuteSteps(&*migration_, options_.migration_steps_per_tick);
     e.decision = AdaptDecision::kMigrationStep;
     e.migration_steps_applied = progress.executed;
     std::ostringstream detail;
@@ -177,8 +175,7 @@ AdaptationLogEntry AdaptationController::TickLocked() {
           std::ostringstream detail;
           detail << plan.steps.size() << "-step migration";
           MigrationExecutor::Progress progress = executor_.ExecuteSteps(
-              &plan, options_.migration_steps_per_tick,
-              options_.migration_budget_ms);
+              &plan, options_.migration_steps_per_tick);
           e.migration_steps_applied = progress.executed;
           if (!progress.status.ok()) {
             detail << "; step failed: " << progress.status.ToString();

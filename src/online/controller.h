@@ -32,8 +32,6 @@
 namespace hsdb {
 
 struct AdaptationOptions {
-  /// Drift thresholds and component weights.
-  DriftOptions drift;
   /// Epoch traffic below this is not judged at all (the tick reports kIdle
   /// and the window keeps accumulating).
   uint64_t min_epoch_queries = 64;
@@ -43,10 +41,6 @@ struct AdaptationOptions {
   int cooldown_epochs = 2;
   /// Migration steps the controller may execute per tick.
   size_t migration_steps_per_tick = 1;
-  /// Estimated-cost budget (ms) for the steps of one tick; unset = only
-  /// the step count bounds a tick. At least one pending step always runs,
-  /// so a small budget stretches a migration over epochs without stalling.
-  std::optional<double> migration_budget_ms;
   /// Background-thread tick period (Start()/Stop()).
   std::chrono::milliseconds tick_interval{1000};
   /// Adaptation-log entries retained (oldest dropped first).
@@ -116,7 +110,6 @@ class AdaptationController {
 
   // --- Introspection ------------------------------------------------------
 
-  const AdaptationOptions& options() const { return options_; }
   /// Joint-search re-runs performed (bootstrap included).
   size_t researches() const;
   /// Re-searches whose recommendation changed the design (began migrating).

@@ -13,6 +13,29 @@ namespace {
 /// a fine grid would turn sampling noise into distance.
 constexpr size_t kResampleBins = 16;
 
+/// Component weights of the per-table drift score. Each component is in
+/// [0,1] and the weights sum to 1, so the score is in [0,1] too.
+constexpr double kMixWeight = 0.5;
+constexpr double kColumnWeight = 0.3;
+constexpr double kUpdateKeyWeight = 0.2;
+
+/// Per-table threshold on the weighted score.
+constexpr double kTableThreshold = 0.2;
+/// A single component above this triggers drift on its own, so a pure
+/// update-key-shape shift (weighted contribution only 0.2·distance) still
+/// registers.
+constexpr double kComponentThreshold = 0.5;
+/// Threshold on the global (live-query-weighted mean) score.
+constexpr double kGlobalThreshold = 0.15;
+
+/// Live queries a table needs in the window before it is scored at all —
+/// fractions estimated from a handful of queries are noise.
+constexpr uint64_t kMinTableQueries = 16;
+/// Update samples both sides need before the histogram shape is compared
+/// (the mix drift still sees an update volume change below it), and the
+/// scale of UpdateKeyDivergence's small-sample shrinkage.
+constexpr uint64_t kMinUpdateSamples = 32;
+
 /// Resamples a profile's update-key density onto `bins` equi-width buckets
 /// over [lo, hi), distributing each source bucket's mass proportionally to
 /// its overlap with the target buckets.
@@ -163,7 +186,7 @@ DriftReport DriftDetector::Compare(const WorkloadProfile& solved_for,
   double weighted = 0.0;
   uint64_t weight_total = 0;
   for (const auto& [name, lt] : live.tables) {
-    if (lt.queries < options_.min_table_queries) continue;
+    if (lt.queries < kMinTableQueries) continue;
     TableDrift d;
     const TableProfile* st = solved_for.table(name);
     if (st == nullptr || st->queries == 0) {
@@ -172,16 +195,14 @@ DriftReport DriftDetector::Compare(const WorkloadProfile& solved_for,
     } else {
       d.mix = TotalVariation(st->MixVector(), lt.MixVector());
       d.columns = TotalVariation(st->column_usage, lt.column_usage);
-      d.update_keys =
-          UpdateKeyDivergence(*st, lt, options_.min_update_samples);
-      d.score = options_.mix_weight * d.mix +
-                options_.column_weight * d.columns +
-                options_.update_key_weight * d.update_keys;
+      d.update_keys = UpdateKeyDivergence(*st, lt, kMinUpdateSamples);
+      d.score = kMixWeight * d.mix + kColumnWeight * d.columns +
+                kUpdateKeyWeight * d.update_keys;
     }
     const double max_component =
         std::max({d.mix, d.columns, d.update_keys});
-    d.exceeded = d.score > options_.table_threshold ||
-                 max_component > options_.component_threshold;
+    d.exceeded = d.score > kTableThreshold ||
+                 max_component > kComponentThreshold;
     if (d.exceeded) r.exceeded = true;
     if (d.score > r.max_table_score) {
       r.max_table_score = d.score;
@@ -194,7 +215,7 @@ DriftReport DriftDetector::Compare(const WorkloadProfile& solved_for,
   if (weight_total > 0) {
     r.global_score = weighted / static_cast<double>(weight_total);
   }
-  if (r.global_score > options_.global_threshold) r.exceeded = true;
+  if (r.global_score > kGlobalThreshold) r.exceeded = true;
   return r;
 }
 

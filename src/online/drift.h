@@ -78,35 +78,6 @@ struct WorkloadProfile {
   std::string Summary() const;
 };
 
-struct DriftOptions {
-  /// Component weights of the per-table drift score
-  /// (score = mix_weight·mix + column_weight·columns + key_weight·keys;
-  /// each component is in [0,1], so the score is too when the weights sum
-  /// to 1).
-  double mix_weight = 0.5;
-  double column_weight = 0.3;
-  double update_key_weight = 0.2;
-
-  /// Per-table threshold on the weighted score.
-  double table_threshold = 0.2;
-  /// A single component above this triggers drift on its own, so a pure
-  /// update-key-shape shift (weighted contribution only 0.2·distance) still
-  /// registers.
-  double component_threshold = 0.5;
-  /// Threshold on the global (live-query-weighted mean) score.
-  double global_threshold = 0.15;
-
-  /// Live queries a table needs in the window before it is scored at all —
-  /// fractions estimated from a handful of queries are noise.
-  uint64_t min_table_queries = 16;
-  /// Update samples BOTH sides need before the histogram shape is compared;
-  /// below it the update-key divergence is 0 (the mix drift still sees the
-  /// update volume change). Also the shrinkage scale: the histogram distance
-  /// is multiplied by n/(n + min_update_samples·2) with n the smaller
-  /// sample, damping sketch noise at small n.
-  uint64_t min_update_samples = 32;
-};
-
 /// Per-table divergence components and combined score, all in [0, 1].
 struct TableDrift {
   double mix = 0.0;          // query-mix fraction-vector L1 (normalized)
@@ -129,22 +100,15 @@ struct DriftReport {
   std::string Summary() const;
 };
 
-/// Compares a solved-for profile against live statistics. Stateless.
+/// Compares a solved-for profile against live statistics. Stateless; the
+/// component weights and thresholds are constants in drift.cc.
 class DriftDetector {
  public:
-  DriftDetector() : DriftDetector(DriftOptions{}) {}
-  explicit DriftDetector(DriftOptions options) : options_(options) {}
-
-  const DriftOptions& options() const { return options_; }
-
   /// Scores the drift of `live` relative to `solved_for`. Tables without
   /// enough live traffic are skipped; a table with live traffic but no
   /// snapshot presence scores maximal drift (the design never saw it).
   DriftReport Compare(const WorkloadProfile& solved_for,
                       const WorkloadProfile& live) const;
-
- private:
-  DriftOptions options_;
 };
 
 /// Total-variation distance 0.5·Σ|a_i − b_i| between two nonnegative
@@ -155,9 +119,10 @@ double TotalVariation(const std::vector<double>& a,
 
 /// Update-key histogram distance between two table profiles: both densities
 /// are resampled onto a common equi-width grid spanning the union of their
-/// domains, compared by total variation, and shrunk toward 0 when either
-/// side has few samples (see DriftOptions::min_update_samples). Exposed for
-/// tests.
+/// domains, compared by total variation, and shrunk toward 0 on small
+/// samples: 0 when either side has fewer than `min_update_samples` samples,
+/// else scaled by n/(n + 2·min_update_samples) with n the smaller sample.
+/// Exposed for tests.
 double UpdateKeyDivergence(const TableProfile& a, const TableProfile& b,
                            uint64_t min_update_samples);
 

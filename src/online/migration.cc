@@ -100,11 +100,8 @@ MigrationPlan MigrationExecutor::Plan(const Recommendation& rec) const {
   for (const auto& [name, ctx] : rec.layouts) {
     const LogicalTable* table = catalog.GetTable(name);
     if (table == nullptr) continue;
-    const TableStatistics* stats = catalog.GetStatistics(name);
+    if (!DesignChanges(*table, ctx, catalog.GetStatistics(name))) continue;
     const bool layout_changed = !(table->layout() == ctx.layout);
-    if (!layout_changed && !EncodingsDiffer(table->schema(), ctx, stats)) {
-      continue;  // same no-op criterion as StorageAdvisor::Apply
-    }
     MigrationStep step;
     step.table = name;
     step.target_layout = ctx.layout;

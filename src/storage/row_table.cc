@@ -91,11 +91,26 @@ void RowTable::FilterRangeSlice(ColumnId col, const ValueRange& range,
   const DataType type = schema_.column(col).type;
   const uint32_t offset = schema_.fixed_offset(col);
   if (type == DataType::kVarchar) {
-    // String comparison through the pool; point predicates use interning.
+    // The pool's views compare against the bounds with
+    // ValueRange::Contains's rule; as_string() aborts on a non-string bound
+    // as Value::Compare does.
+    const std::string_view lo =
+        range.lo.has_value() ? std::string_view(range.lo->as_string()) : "";
+    const std::string_view hi =
+        range.hi.has_value() ? std::string_view(range.hi->as_string()) : "";
     inout->ForEachSetInRange(begin, end, [&](size_t rid) {
-      auto id = LoadAs<uint32_t>(slots_[rid] + offset);
-      Value v(std::string(strings_.Get(id)));
-      if (!range.Contains(v)) inout->Clear(rid);
+      const std::string_view v =
+          strings_.Get(LoadAs<uint32_t>(slots_[rid] + offset));
+      bool keep = true;
+      if (range.lo.has_value()) {
+        const int c = v.compare(lo);
+        keep = c > 0 || (c == 0 && range.lo_inclusive);
+      }
+      if (keep && range.hi.has_value()) {
+        const int c = v.compare(hi);
+        keep = c < 0 || (c == 0 && range.hi_inclusive);
+      }
+      if (!keep) inout->Clear(rid);
     });
     return;
   }

@@ -123,7 +123,7 @@ class WorkloadRecorder : public QueryObserver {
  public:
   /// `max_recorded_queries` bounds the raw query log (reservoir sampling);
   /// 0 disables raw retention (statistics only — the cheap mode whose
-  /// quality trade-off bench/ablation_statistics measures).
+  /// quality trade-off `paper_figures ablation_sample` measures).
   /// `hot_key_capacity` sizes the per-table hot-update-key sketch
   /// (AdvisorOptions::recorder_hot_keys is the user knob). `metrics` is the
   /// registry the recorder mirrors its epoch/stream counters into; nullptr

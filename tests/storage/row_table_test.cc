@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace hsdb {
@@ -131,6 +133,35 @@ TEST(RowTableTest, FilterRangeVarchar) {
   EXPECT_TRUE(bm.Test(3));
   EXPECT_TRUE(bm.Test(10));
   EXPECT_TRUE(bm.Test(17));
+
+  // An exclusive lower bound with an open upper bound, and an inclusive
+  // Between: each row survives exactly when its inserted name is inside.
+  const std::pair<ValueRange, std::function<bool(const std::string&)>>
+      cases[] = {
+          {ValueRange::Greater(Value("name_4")),
+           [](const std::string& s) { return s > "name_4"; }},
+          {ValueRange::Between(Value("name_2"), Value("name_4")),
+           [](const std::string& s) {
+             return s >= "name_2" && s <= "name_4";
+           }},
+      };
+  for (const auto& [range, inside] : cases) {
+    Bitmap sel = t->live_bitmap();
+    t->FilterRangeSlice(3, range, 0, t->slot_count(), &sel);
+    size_t expected = 0;
+    for (int64_t i = 0; i < 21; ++i) {
+      const bool in = inside(MakeTestRow(i)[3].as_string());
+      expected += in;
+      EXPECT_EQ(sel.Test(static_cast<size_t>(i)), in)
+          << range.ToString() << " row " << i;
+    }
+    EXPECT_EQ(sel.Count(), expected) << range.ToString();
+    EXPECT_GT(expected, 0u);
+  }
+  // A non-string bound on a VARCHAR column is an engine bug and aborts.
+  EXPECT_DEATH(t->FilterRangeSlice(3, ValueRange::AtLeast(Value(int64_t{1})),
+                                   0, t->slot_count(), &bm),
+               "Value type mismatch");
 }
 
 TEST(RowTableTest, FilterSkipsDeletedRows) {

@@ -7,9 +7,11 @@ Checks, over README.md and every docs/*.md:
   1. Markdown links `[text](path)` whose path is repo-relative (not a URL
      or pure anchor) must resolve to an existing file or directory,
      relative to the markdown file's own location.
-  2. Runnable-target mentions `./build/<name>` (and bare bench/example
-     target names in backticks) must correspond to a source file:
-     example_<x> -> examples/<x>.cpp, everything else -> bench/<name>.cc.
+  2. Runnable-target mentions `./build/<name>` must correspond to a source
+     file: example_<x> -> examples/<x>.cpp, everything else ->
+     bench/<name>.cc. A bare name in backticks may also be a figure that
+     bench/paper_figures.cc registers in its `kFigures` table, and every
+     argument of a `build/paper_figures ...` command line must be one.
   3. Every `HSDB_[A-Z0-9_]+` identifier (macro, CMake option, environment
      variable; also in the `-DHSDB_...` form) must occur as a whole
      identifier somewhere under src/, bench/, tools/, tests/, examples/,
@@ -29,9 +31,16 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 TARGET_RE = re.compile(
-    r"(?:\./)?build/((?:example_|fig|micro_|ablation_)[A-Za-z0-9_]+)")
+    r"(?:\./)?build/((?:example_|fig|micro_|ablation_)[A-Za-z0-9_]+"
+    r"|paper_figures)")
 BARE_TARGET_RE = re.compile(
-    r"`((?:fig[0-9a-z_]+|micro_[a-z_]+|ablation_[a-z_]+|example_[a-z_]+))`")
+    r"`((?:fig[0-9a-z_]+|micro_[a-z_]+|ablation_[a-z_]+|example_[a-z_]+"
+    r"|paper_figures))`")
+HARNESS_ARGS_RE = re.compile(
+    r"build/paper_figures((?:[ \t]+[a-z][a-z0-9_]*)+)")
+HARNESS = REPO / "bench" / "paper_figures.cc"
+FIGURE_TABLE_RE = re.compile(r"kFigures\[\] = \{(.*?)\n\};", re.S)
+FIGURE_NAME_RE = re.compile(r'\{"([a-z0-9_]+)",')
 # A doc mention: a whole identifier, or one right after a `-D` flag.
 DOC_IDENT_RE = re.compile(r"(?:(?<=-D)|(?<![A-Za-z0-9_]))(HSDB_[A-Z0-9_]+)")
 SOURCE_IDENT_RE = re.compile(r"HSDB_[A-Z0-9_]+")
@@ -52,6 +61,12 @@ def source_identifiers():
     return idents
 
 
+def harness_figures():
+    """Figure names the paper_figures harness registers."""
+    table = FIGURE_TABLE_RE.search(HARNESS.read_text(encoding="utf-8"))
+    return set(FIGURE_NAME_RE.findall(table.group(1))) if table else set()
+
+
 def target_source(name):
     """Source file a build-target name must correspond to."""
     if name.startswith("example_"):
@@ -59,7 +74,7 @@ def target_source(name):
     return REPO / "bench" / (name + ".cc")
 
 
-def check_file(md_path, idents):
+def check_file(md_path, idents, figures):
     problems = []
     text = md_path.read_text(encoding="utf-8")
 
@@ -75,13 +90,20 @@ def check_file(md_path, idents):
             problems.append(f"{md_path.relative_to(REPO)}: broken link "
                             f"'{target}' (no file {path})")
 
-    names = set(TARGET_RE.findall(text)) | set(BARE_TARGET_RE.findall(text))
-    for name in sorted(names):
+    targets = set(TARGET_RE.findall(text))
+    bare = set(BARE_TARGET_RE.findall(text)) - targets - figures
+    for name in sorted(targets | bare):
         src = target_source(name)
         if not src.exists():
             problems.append(f"{md_path.relative_to(REPO)}: references "
                             f"target '{name}' but {src.relative_to(REPO)} "
                             f"does not exist")
+    for args in HARNESS_ARGS_RE.findall(text):
+        for name in args.split():
+            if name not in figures:
+                problems.append(f"{md_path.relative_to(REPO)}: runs figure "
+                                f"'{name}', which {HARNESS.relative_to(REPO)}"
+                                f" does not register")
 
     for name in sorted(set(DOC_IDENT_RE.findall(text))):
         known = (any(i.startswith(name) for i in idents)
@@ -103,9 +125,13 @@ def main():
         return 1
 
     idents = source_identifiers()
+    figures = harness_figures()
+    if not figures:
+        print(f"ERROR: no figure table found in {HARNESS.relative_to(REPO)}")
+        return 1
     problems = []
     for md in md_files:
-        problems.extend(check_file(md, idents))
+        problems.extend(check_file(md, idents, figures))
 
     if problems:
         print(f"FAIL: {len(problems)} broken doc reference(s):")
@@ -113,7 +139,7 @@ def main():
             print(f"  {p}")
         return 1
     print(f"OK: {len(md_files)} docs checked, all links, bench/example "
-          f"targets and HSDB_* identifiers resolve")
+          f"targets, figure names and HSDB_* identifiers resolve")
     return 0
 
 
